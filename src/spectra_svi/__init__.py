@@ -66,4 +66,4 @@ from .mimo import (
     throughput_gradient,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -270,10 +270,11 @@ def run_cell(task: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord], s
     if task.record_throughput and result.error is None:
         points = reported_sequence(result, problem)
         for it in range(1, len(points)):
+            rates = throughput(channels, points[it])
             for player in range(task.topology.users):
                 throughput_records.append(ThroughputRecord(
                     task.method.value, player, task.path, it,
-                    throughput(channels, points[it], player)))
+                    float(rates[player])))
     failure = None
     if result.error is not None:
         failure = f"{task.label()}: {result.error}"

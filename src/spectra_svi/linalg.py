@@ -37,11 +37,12 @@ class EigenDecomposition(NamedTuple):
 
 
 def hermitianize(A: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^dag) / 2 of a square matrix."""
+    """Return the Hermitian part (A + A^dag) / 2 of a square matrix, or of
+    every matrix in a stack of shape (..., d, d)."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"hermitianize needs a square matrix, got shape {A.shape}")
-    return (A + A.conj().T) / 2
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"hermitianize needs square matrices, got shape {A.shape}")
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.ndarray:
@@ -62,40 +63,40 @@ def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.n
     return hermitianize(A)
 
 
-def check_finite(A: np.ndarray) -> np.ndarray:
-    """Raise ValueError if A contains NaN or Inf; return A unchanged."""
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    return A
-
-
 def eig(A: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Ordering is deterministic: LAPACK's ascending output is reversed, which
-    keeps the column order stable between identical calls.
+    A may also be a stack of shape (..., d, d); one batched LAPACK call
+    then decomposes every matrix, and the results carry the same leading
+    axes. Ordering is deterministic: LAPACK's ascending output is
+    reversed, which keeps the column order stable between identical
+    calls. The reversed arrays are copied to contiguous memory, so later
+    reductions over them add the same elements in the same order.
+    When a stack holds non-finite entries, the diagnostics name the first
+    offending matrix as `block`, counted along the flattened leading axes.
     """
     H = hermitianize(A)
     if not np.all(np.isfinite(H)):
         # Some LAPACK builds return NaN eigenvalues instead of raising;
         # NaN also defeats every downstream comparison, so fail loudly.
+        diagnostics = {"dim": H.shape[-1]}
+        if H.ndim > 2:
+            finite = np.isfinite(H).all(axis=(-2, -1)).reshape(-1)
+            diagnostics["block"] = int(np.argmin(finite))
         raise NumericalFailure(
-            "eigendecomposition input has non-finite entries",
-            diagnostics={"dim": H.shape[0]},
-        )
+            "eigendecomposition input has non-finite entries", diagnostics)
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigendecomposition did not converge: {exc}",
             diagnostics={
-                "dim": H.shape[0],
+                "dim": H.shape[-1],
                 "frobenius_norm": float(np.linalg.norm(H)),
                 "max_abs_entry": float(np.max(np.abs(H))),
             },
         ) from exc
-    return EigenDecomposition(w[::-1].copy(), V[:, ::-1].copy())
+    return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
 
 
 def _rebuild(w: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ the induced VI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .problem import (
     SpectraSet,
     SviProblem,
     TraceMode,
+    block_layout,
 )
 
 # Transmitter-to-receiver distances in km for the canonical 7-cell
@@ -101,7 +103,11 @@ def canonical_topology(m: int = 2, n: int = 2) -> NetworkTopology:
 @dataclass(frozen=True)
 class ChannelSet:
     """Cross-channel matrices: H[j][i] maps transmitter j's signal into
-    receiver i's antenna space, shape rx_antennas[i] x tx_antennas[j]."""
+    receiver i's antenna space, shape rx_antennas[i] x tx_antennas[j].
+
+    The game evaluates every link at once on `stacked`, the (N, N, n, m)
+    array of all H[j][i] (zero-padded to the largest antenna counts when
+    they differ between users)."""
 
     H: tuple[tuple[np.ndarray, ...], ...]
 
@@ -111,6 +117,39 @@ class ChannelSet:
 
     def direct(self, i: int) -> np.ndarray:
         return self.H[i][i]
+
+    @functools.cached_property
+    def tx_antennas(self) -> tuple[int, ...]:
+        return tuple(self.H[j][j].shape[1] for j in range(self.users))
+
+    @functools.cached_property
+    def rx_antennas(self) -> tuple[int, ...]:
+        return tuple(self.H[i][i].shape[0] for i in range(self.users))
+
+    @functools.cached_property
+    def stacked(self) -> np.ndarray:
+        N = self.users
+        stack = np.zeros((N, N, max(self.rx_antennas), max(self.tx_antennas)),
+                         dtype=complex)
+        for j in range(N):
+            for i in range(N):
+                rows, cols = self.H[j][i].shape
+                stack[j, i, :rows, :cols] = self.H[j][i]
+        return stack
+
+    @functools.cached_property
+    def stacked_conj(self) -> np.ndarray:
+        return self.stacked.conj()
+
+    @functools.cached_property
+    def identity(self) -> np.ndarray:
+        return np.eye(self.stacked.shape[2], dtype=complex)
+
+    @functools.cached_property
+    def direct_stacked(self) -> np.ndarray:
+        """(N, n, m): the direct links H[i][i]."""
+        users = np.arange(self.users)
+        return self.stacked[users, users]
 
 
 def sample_channels(topology: NetworkTopology,
@@ -131,37 +170,86 @@ def sample_channels(topology: NetworkTopology,
     return ChannelSet(tuple(rows))
 
 
-def _received_covariance(channels: ChannelSet, X: BlockProfile, i: int,
-                         skip_own: bool) -> np.ndarray:
-    n_i = channels.H[i][i].shape[0]
-    W = np.eye(n_i, dtype=complex)
-    for j in range(channels.users):
-        if skip_own and j == i:
-            continue
-        Hji = channels.H[j][i]
-        W = W + Hji @ X.blocks[j] @ Hji.conj().T
-    return hermitianize(W)
+def _padded_profile(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
+    """X as one (N, m, m) stack, zero-padded to the largest block."""
+    if len(X.parts) == 1:
+        return X.parts[0]
+    m = max(channels.tx_antennas)
+    out = np.zeros((len(X), m, m), dtype=complex)
+    for (d, index), part in zip(X.layout.groups, X.parts):
+        out[index, :d, :d] = part
+    return out
+
+
+def _crop(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Undo the zero padding: stack parts laid out as block_layout(dims)."""
+    layout = block_layout(dims)
+    if len(layout.groups) == 1:
+        return (stack,)
+    return tuple(stack[index, :d, :d] for d, index in layout.groups)
+
+
+def _received_terms(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
+    """Shape (N + 1, N, n, n): I at index 0, then H_ji X_j H_ji^dag at
+    index 1 + j for every receiver i. Summing over the first axis adds
+    the terms in j order starting from I."""
+    H = channels.stacked
+    N, n, m = H.shape[1:]
+    terms = np.empty((N + 1, N, n, n), dtype=complex)
+    terms[0] = channels.identity
+    # H_ji X_j for all i at once: one (N n, m) x (m, m) product per j.
+    HX = (H.reshape(N, N * n, m) @ _padded_profile(channels, X))
+    np.matmul(HX.reshape(H.shape), channels.stacked_conj.swapaxes(-1, -2),
+              out=terms[1:])
+    return terms
+
+
+def _skip_own(terms: np.ndarray) -> np.ndarray:
+    """Zero each receiver's own-signal term H_ii X_i H_ii^dag in place."""
+    users = np.arange(terms.shape[1])
+    terms[users + 1, users] = 0
+    return terms
+
+
+def _covariance(terms: np.ndarray) -> np.ndarray:
+    return hermitianize(terms.sum(axis=0))
 
 
 def mui_covariance(channels: ChannelSet, X: BlockProfile, i: int) -> np.ndarray:
     """Interference-plus-noise covariance at receiver i:
     I + sum_{j != i} H_ji X_j H_ji^dag. PD with lambda_min >= 1."""
-    return _received_covariance(channels, X, i, skip_own=True)
+    W = _covariance(_skip_own(_received_terms(channels, X)))[i]
+    n_i = channels.rx_antennas[i]
+    return W[:n_i, :n_i]
 
 
-def _logdet_pd(W: np.ndarray) -> float:
+def _logdet_pd(W: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(W)
-    if w[0] <= 0:
-        raise DomainError(f"covariance not PD: lambda_min = {w[0]:.3e}")
-    return float(np.sum(np.log(w)))
+    if np.any(w[..., 0] <= 0):
+        raise DomainError(
+            f"covariance not PD: lambda_min = {np.min(w[..., 0]):.3e}")
+    return np.sum(np.log(w), axis=-1)
 
 
-def throughput(channels: ChannelSet, X: BlockProfile, i: int) -> float:
+def throughput(channels: ChannelSet, X: BlockProfile,
+               i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
     log det of the interference-only covariance. Nonnegative, and
-    concave in X_i since the second term does not depend on X_i."""
-    full = _received_covariance(channels, X, i, skip_own=False)
-    return _logdet_pd(full) - _logdet_pd(mui_covariance(channels, X, i))
+    concave in X_i since the second term does not depend on X_i.
+
+    With i = None, every user's rate as one array from one pass over the
+    received covariances."""
+    terms = _received_terms(channels, X)
+    full = _logdet_pd(_covariance(terms))
+    rates = full - _logdet_pd(_covariance(_skip_own(terms)))
+    return rates if i is None else float(rates[i])
+
+
+def _rate_gradients(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
+    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (N, m, m)."""
+    W = _covariance(_received_terms(channels, X))
+    H = channels.direct_stacked
+    return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
 
 
 def throughput_gradient(channels: ChannelSet, X: BlockProfile,
@@ -169,15 +257,16 @@ def throughput_gradient(channels: ChannelSet, X: BlockProfile,
     """Gradient of R_i in X_i: H_ii^dag W^{-1} H_ii with W the full
     received covariance at i (the interference-only term is constant in
     X_i, so it drops out). Hermitian PSD of the transmit dimension."""
-    W = _received_covariance(channels, X, i, skip_own=False)
-    Hii = channels.H[i][i]
-    return hermitianize(Hii.conj().T @ np.linalg.solve(W, Hii))
+    m_i = channels.tx_antennas[i]
+    return _rate_gradients(channels, X)[i, :m_i, :m_i]
 
 
 def game_mapping(channels: ChannelSet, X: BlockProfile) -> BlockProfile:
-    """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game."""
-    return BlockProfile(tuple(
-        -throughput_gradient(channels, X, i) for i in range(channels.users)))
+    """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
+    evaluated for all users in one batched solve."""
+    dims = channels.tx_antennas
+    return BlockProfile.from_parts(
+        _crop(-_rate_gradients(channels, X), dims), block_layout(dims))
 
 
 def game_to_svi(topology: NetworkTopology, channels: ChannelSet,

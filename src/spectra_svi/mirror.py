@@ -58,29 +58,33 @@ def gibbs_map(Y: np.ndarray) -> np.ndarray:
     projection onto {X PSD, tr X = 1}. The constant shift I cancels in the
     normalization, and eigenvalues are max-shifted before exponentiating,
     so any Hermitian dual (spectra up to +-1e6 and beyond) is safe.
+    Y may be a stack of shape (..., d, d), mapped matrix by matrix.
     """
     w, V = eig(Y)
-    e = np.exp(w - w[0])
-    e /= np.sum(e)
-    X = hermitianize((V * e) @ V.conj().T)
-    return X / float(np.trace(X).real)
+    e = np.exp(w - w[..., :1])
+    e /= np.sum(e, axis=-1, keepdims=True)
+    X = hermitianize((V * e[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    return X / np.trace(X, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def gibbs_map_bounded(Y: np.ndarray, p: float) -> np.ndarray:
+def gibbs_map_bounded(Y: np.ndarray, p: float | np.ndarray) -> np.ndarray:
     """Mirror projection onto {X PSD, tr X <= p} via a slack dimension.
 
     Y is embedded as diag(Y, 0), the Gibbs map applied in dimension n+1,
     the slack coordinate dropped, and the result scaled by p. The slack
     keeps a zero dual drift, so the output trace is strictly below p and
-    approaches it as Y dominates the slack coordinate.
+    approaches it as Y dominates the slack coordinate. Y may be a stack
+    of shape (..., d, d); p is then a scalar or broadcasts against it,
+    e.g. one bound per matrix with shape (..., 1, 1).
     """
-    if p <= 0:
+    if np.any(np.asarray(p) <= 0):
         raise ValueError(f"trace bound must be positive, got {p}")
     w, V = eig(Y)
-    m = max(float(w[0]), 0.0)
+    m = np.maximum(w[..., :1], 0.0)
     e = np.exp(w - m)
-    denom = float(np.sum(e) + np.exp(-m))
-    X = hermitianize((V * (e / denom)) @ V.conj().T)
+    denom = np.sum(e, axis=-1, keepdims=True) + np.exp(-m)
+    X = hermitianize(
+        (V * (e / denom)[..., None, :]) @ V.conj().swapaxes(-1, -2))
     return p * X
 
 

@@ -53,12 +53,6 @@ def project_spectrahedron(B: np.ndarray, bound: float = 1.0,
     return hermitianize((V * w_proj) @ V.conj().T)
 
 
-def project_profile(B: BlockProfile, cset: SpectraSet) -> BlockProfile:
-    return BlockProfile(tuple(
-        project_spectrahedron(Bi, spec.bound, spec.mode)
-        for Bi, spec in zip(B.blocks, cset.blocks, strict=True)))
-
-
 def finite_diff_gradient(f: Callable[[np.ndarray], float], X: np.ndarray,
                          h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a real function of a Hermitian matrix.

@@ -12,14 +12,15 @@ sup_Z tr(F(Z)(X - Z)).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .linalg import eig, hermitianize, trace_inner
 from .mirror import gibbs_map
 
@@ -49,6 +50,157 @@ class BlockSpec:
             raise ValueError(f"trace bound must be positive, got {self.bound}")
 
 
+class BlockLayout(NamedTuple):
+    """How a profile with these block dims is stored: blocks of equal
+    dimension share one (n, d, d) stack, and the stacks are ordered by
+    their dimension's first appearance.
+
+    `groups[k]` is (d, block numbers in stack k); `where[i]` is (stack,
+    position) of block i; `draw_index[k]` picks stack k's real and
+    imaginary noise parts, shape (n, 2, d, d), out of one block-ordered
+    draw of `draw_size` normals.
+    """
+
+    dims: tuple[int, ...]
+    groups: tuple[tuple[int, np.ndarray], ...]
+    where: tuple[tuple[int, int], ...]
+    draw_size: int
+    draw_index: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def block_layout(dims: tuple[int, ...]) -> BlockLayout:
+    starts = np.cumsum([0] + [2 * d * d for d in dims])
+    groups, where, draw_index = [], [None] * len(dims), []
+    for k, d in enumerate(dict.fromkeys(dims)):
+        index = np.array([i for i, di in enumerate(dims) if di == d])
+        groups.append((d, index))
+        for pos, i in enumerate(index):
+            where[i] = (k, pos)
+        draw_index.append(starts[index][:, None, None, None]
+                          + np.arange(2 * d * d).reshape(2, d, d))
+    return BlockLayout(tuple(dims), tuple(groups), tuple(where),
+                       int(starts[-1]), tuple(draw_index))
+
+
+class BlockProfile:
+    """Ordered Hermitian blocks of a block-diagonal matrix diag(X_1,...,X_N).
+
+    Construct from a sequence of square matrices or from one (N, d, d)
+    stack. Blocks are stored stacked, one complex (n, d, d) array per
+    distinct dimension (see `BlockLayout`), so a profile of equal-size
+    blocks is a single array and every operation on it is one numpy
+    call. Supports the linear arithmetic the solvers need (addition,
+    subtraction, scalar multiples), always returning new profiles. Norms
+    follow block-diagonal semantics: Frobenius and trace norms add across
+    blocks, the spectral norm is the blockwise maximum.
+    """
+
+    __slots__ = ("parts", "layout")
+
+    # Opt out of numpy ufunc dispatch: otherwise numpy_scalar * profile
+    # broadcasts over the blocks instead of calling __rmul__.
+    __array_ufunc__ = None
+
+    def __init__(self, blocks: np.ndarray | Sequence[np.ndarray]):
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
+            stack = blocks.astype(complex, copy=False)
+            if stack.shape[1] != stack.shape[2]:
+                raise ValueError(f"blocks are not square: shape {stack.shape}")
+            self.parts = (stack,)
+            self.layout = block_layout((stack.shape[1],) * stack.shape[0])
+            return
+        mats = [np.asarray(b, dtype=complex) for b in blocks]
+        for i, b in enumerate(mats):
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise ValueError(f"block {i} is not square: shape {b.shape}")
+        self.layout = block_layout(tuple(b.shape[0] for b in mats))
+        self.parts = tuple(np.stack([mats[i] for i in index])
+                           for _, index in self.layout.groups)
+
+    @classmethod
+    def from_parts(cls, parts: tuple[np.ndarray, ...],
+                   layout: BlockLayout) -> "BlockProfile":
+        """Wrap stacks already arranged as `layout` says, without copying."""
+        profile = object.__new__(cls)
+        profile.parts = parts
+        profile.layout = layout
+        return profile
+
+    @classmethod
+    def zeros(cls, layout: BlockLayout) -> "BlockProfile":
+        return cls.from_parts(tuple(
+            np.zeros((len(index), d, d), dtype=complex)
+            for d, index in layout.groups), layout)
+
+    def __repr__(self) -> str:
+        return f"BlockProfile(dims={self.dims})"
+
+    def __len__(self) -> int:
+        return len(self.layout.dims)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        k, pos = self.layout.where[i]
+        return self.parts[k][pos]
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if len(self.parts) == 1:
+            return tuple(self.parts[0])
+        return tuple(self[i] for i in range(len(self)))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.layout.dims
+
+    def _check_layout(self, other: "BlockProfile") -> None:
+        if other.layout is not self.layout and other.dims != self.dims:
+            raise ValueError(
+                f"profile dims {self.dims} and {other.dims} differ")
+
+    def __add__(self, other: "BlockProfile") -> "BlockProfile":
+        self._check_layout(other)
+        return BlockProfile.from_parts(
+            tuple(a + b for a, b in zip(self.parts, other.parts)), self.layout)
+
+    def __sub__(self, other: "BlockProfile") -> "BlockProfile":
+        self._check_layout(other)
+        return BlockProfile.from_parts(
+            tuple(a - b for a, b in zip(self.parts, other.parts)), self.layout)
+
+    def __mul__(self, scalar: float) -> "BlockProfile":
+        return BlockProfile.from_parts(
+            tuple(scalar * p for p in self.parts), self.layout)
+
+    __rmul__ = __mul__
+
+    def frobenius_norm(self) -> float:
+        return math.sqrt(sum(linalg.frobenius_norm(b) ** 2 for b in self.blocks))
+
+    def trace_norm(self) -> float:
+        return sum(linalg.trace_norm(b) for b in self.blocks)
+
+    def spectral_norm(self) -> float:
+        return max(linalg.spectral_norm(b) for b in self.blocks)
+
+
+class BlockGroup(NamedTuple):
+    """Blocks of a constraint set that share one dimension and trace mode.
+
+    A profile holds them at `parts[part][select]`; `index` are their
+    block numbers and `bound` their trace bounds, shape (n, 1, 1).
+    """
+
+    part: int
+    select: slice | np.ndarray
+    index: np.ndarray
+    mode: TraceMode
+    bound: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpectraSet:
     """Product of per-block spectrahedra; the feasible set of the VI."""
@@ -70,7 +222,7 @@ class SpectraSet:
                 mode: TraceMode = TraceMode.EQUAL) -> "SpectraSet":
         return cls(tuple(BlockSpec(dim, bound, mode) for _ in range(count)))
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.blocks)
 
@@ -79,71 +231,71 @@ class SpectraSet:
         """Dimension of the block-diagonal ambient matrix, sum of block dims."""
         return sum(b.dim for b in self.blocks)
 
+    @functools.cached_property
+    def layout(self) -> BlockLayout:
+        return block_layout(self.dims)
+
+    @functools.cached_property
+    def groups(self) -> tuple[BlockGroup, ...]:
+        """Blocks grouped by (dim, mode), in stack order then mode order."""
+        groups = []
+        for k, (_, index) in enumerate(self.layout.groups):
+            modes = [self.blocks[i].mode for i in index]
+            for mode in dict.fromkeys(modes):
+                local = np.array([p for p, m in enumerate(modes) if m is mode])
+                groups.append(BlockGroup(
+                    k, slice(None) if len(local) == len(index) else local,
+                    index[local], mode,
+                    self.bounds[index[local], None, None]))
+        return tuple(groups)
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        return np.array([b.bound for b in self.blocks])
+
+    @functools.cached_property
+    def capped(self) -> np.ndarray:
+        """True where the trace is capped (AT_MOST), False where fixed."""
+        return np.array([b.mode is TraceMode.AT_MOST for b in self.blocks])
+
     def zeros(self) -> "BlockProfile":
-        return BlockProfile(tuple(
-            np.zeros((b.dim, b.dim), dtype=complex) for b in self.blocks))
+        return BlockProfile.zeros(self.layout)
 
+    def map_groups(self, fn: Callable[..., np.ndarray],
+                   *profiles: BlockProfile) -> list[np.ndarray]:
+        """fn(group, *stacks) once per (dim, mode) group, where stacks are
+        the group's blocks of each profile. A NumericalFailure from fn
+        has its `block` diagnostic translated to a block number."""
+        out = []
+        for g in self.groups:
+            try:
+                out.append(fn(g, *(P.parts[g.part][g.select]
+                                   for P in profiles)))
+            except NumericalFailure as exc:
+                block = exc.diagnostics.get("block")
+                if isinstance(block, int):
+                    exc.diagnostics["block"] = int(g.index[block])
+                raise
+        return out
 
-@dataclass(frozen=True, eq=False)
-class BlockProfile:
-    """Ordered Hermitian blocks of a block-diagonal matrix diag(X_1,...,X_N).
+    def assemble(self, stacks: list[np.ndarray]) -> BlockProfile:
+        """Profile from one (n, d, d) stack per group, as map_groups gives."""
+        parts = tuple(stacks)
+        if len(stacks) != len(self.layout.groups):
+            parts = tuple(np.empty((len(index), d, d), dtype=complex)
+                          for d, index in self.layout.groups)
+            for g, stack in zip(self.groups, stacks, strict=True):
+                parts[g.part][g.select] = stack
+        return BlockProfile.from_parts(parts, self.layout)
 
-    Supports the linear arithmetic the solvers need (addition,
-    subtraction, scalar multiples), always returning new profiles. Norms
-    follow block-diagonal semantics: Frobenius and trace norms add across
-    blocks, the spectral norm is the blockwise maximum.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-
-    # Opt out of numpy ufunc dispatch: otherwise numpy_scalar * profile
-    # broadcasts over the blocks instead of calling __rmul__.
-    __array_ufunc__ = None
-
-    def __post_init__(self) -> None:
-        mats = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        for i, b in enumerate(mats):
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValueError(f"block {i} is not square: shape {b.shape}")
-        object.__setattr__(self, "blocks", mats)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.blocks[i]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    def __add__(self, other: "BlockProfile") -> "BlockProfile":
-        return BlockProfile(tuple(
-            a + b for a, b in zip(self.blocks, other.blocks, strict=True)))
-
-    def __sub__(self, other: "BlockProfile") -> "BlockProfile":
-        return BlockProfile(tuple(
-            a - b for a, b in zip(self.blocks, other.blocks, strict=True)))
-
-    def __mul__(self, scalar: float) -> "BlockProfile":
-        return BlockProfile(tuple(scalar * b for b in self.blocks))
-
-    __rmul__ = __mul__
-
-    def hermitianized(self) -> "BlockProfile":
-        return BlockProfile(tuple(hermitianize(b) for b in self.blocks))
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(sum(linalg.frobenius_norm(b) ** 2 for b in self.blocks))
-
-    def trace_norm(self) -> float:
-        return sum(linalg.trace_norm(b) for b in self.blocks)
-
-    def spectral_norm(self) -> float:
-        return max(linalg.spectral_norm(b) for b in self.blocks)
+    def per_block(self, values: list[np.ndarray]) -> np.ndarray:
+        """Block-ordered array from one value array per group."""
+        if len(values) == 1:
+            return values[0]
+        out = np.empty(len(self.blocks), dtype=values[0].dtype)
+        for g, v in zip(self.groups, values, strict=True):
+            out[g.index] = v
+        return out
 
 
 def profile_inner(A: BlockProfile, B: BlockProfile) -> float:
@@ -155,21 +307,27 @@ def profile_inner(A: BlockProfile, B: BlockProfile) -> float:
 def assert_feasible(X: BlockProfile, cset: SpectraSet,
                     psd_tol: float = FEASIBILITY_PSD_TOL,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
-    """Raise DomainError unless every block is PSD with a conforming trace."""
+    """Raise DomainError unless every block is PSD with a conforming trace.
+
+    The message names the first failing block."""
     if X.dims != cset.dims:
         raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
-    for i, (Xi, spec) in enumerate(zip(X.blocks, cset.blocks, strict=True)):
-        w = eig(Xi).eigenvalues
-        if w[-1] < -psd_tol:
-            raise DomainError(
-                f"block {i} not PSD: lambda_min = {w[-1]:.3e}")
-        tr = float(np.sum(w))
-        if spec.mode is TraceMode.EQUAL and abs(tr - spec.bound) > trace_tol:
-            raise DomainError(
-                f"block {i} trace {tr:.12g} != bound {spec.bound:.12g}")
-        if spec.mode is TraceMode.AT_MOST and tr > spec.bound + trace_tol:
-            raise DomainError(
-                f"block {i} trace {tr:.12g} exceeds bound {spec.bound:.12g}")
+    w = cset.map_groups(lambda g, Xg: eig(Xg).eigenvalues, X)
+    lam_min = cset.per_block([v[:, -1] for v in w])
+    tr = cset.per_block([np.sum(v, axis=-1) for v in w])
+    bound, capped = cset.bounds, cset.capped
+    not_psd = lam_min < -psd_tol
+    bad = not_psd | np.where(capped, tr > bound + trace_tol,
+                             np.abs(tr - bound) > trace_tol)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not_psd[i]:
+        raise DomainError(f"block {i} not PSD: lambda_min = {lam_min[i]:.3e}")
+    if capped[i]:
+        raise DomainError(
+            f"block {i} trace {tr[i]:.12g} exceeds bound {bound[i]:.12g}")
+    raise DomainError(f"block {i} trace {tr[i]:.12g} != bound {bound[i]:.12g}")
 
 
 def is_feasible(X: BlockProfile, cset: SpectraSet,
@@ -198,16 +356,22 @@ class NoiseModel:
             raise ValueError(f"noise level must be >= 0, got {self.sigma}")
 
     def sample(self, dims: tuple[int, ...], rng: np.random.Generator) -> BlockProfile:
+        """One noise profile from a single draw of normals.
+
+        The draw is block-ordered, real part then imaginary part of each
+        block, so it consumes the stream exactly as drawing block by
+        block would.
+        """
+        layout = block_layout(tuple(dims))
         if self.sigma == 0:
-            return BlockProfile(tuple(
-                np.zeros((d, d), dtype=complex) for d in dims))
+            return BlockProfile.zeros(layout)
         s = self.sigma / math.sqrt(2.0)
-        blocks = []
-        for d in dims:
-            A = s * (rng.standard_normal((d, d))
-                     + 1j * rng.standard_normal((d, d)))
-            blocks.append(hermitianize(A))
-        return BlockProfile(tuple(blocks))
+        G = rng.standard_normal(layout.draw_size)
+        parts = []
+        for ix in layout.draw_index:
+            Gk = G[ix]
+            parts.append(hermitianize(s * (Gk[:, 0] + 1j * Gk[:, 1])))
+        return BlockProfile.from_parts(tuple(parts), layout)
 
 
 @dataclass(frozen=True)
@@ -271,17 +435,20 @@ def strong_gap(problem: SviProblem, X: BlockProfile) -> float:
     eigenvalue problem: per block, inf_Z tr(F_i Z_i) equals
     bound * lambda_min(F_i) under trace equality and
     bound * min(0, lambda_min(F_i)) under a trace cap. Zero exactly at
-    strong solutions; nonnegative on feasible profiles.
+    strong solutions; nonnegative on feasible profiles. The block terms
+    are added in block order.
     """
-    F = problem.mapping(X)
-    total = 0.0
-    for Fi, Xi, spec in zip(F.blocks, X.blocks, problem.constraints.blocks,
-                            strict=True):
-        lam_min = float(eig(Fi).eigenvalues[-1])
-        if spec.mode is TraceMode.AT_MOST:
-            lam_min = min(0.0, lam_min)
-        total += trace_inner(Fi, Xi) - spec.bound * lam_min
-    return total
+    def terms(g: BlockGroup, Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
+        lam_min = eig(Fg).eigenvalues[:, -1]
+        if g.mode is TraceMode.AT_MOST:
+            lam_min = np.minimum(lam_min, 0.0)
+        inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real
+        return inner - g.bound[:, 0, 0] * lam_min
+
+    cset = problem.constraints
+    per_block = cset.per_block(
+        cset.map_groups(terms, problem.mapping(X), X))
+    return float(np.add.accumulate(per_block)[-1])
 
 
 def random_feasible_block(spec: BlockSpec, rng: np.random.Generator) -> np.ndarray:

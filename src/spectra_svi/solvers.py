@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError, NumericalFailure, SpectraSviError
 from .mirror import gibbs_map, gibbs_map_bounded
 from .problem import (
+    BlockGroup,
     BlockProfile,
     SpectraSet,
     SviProblem,
@@ -155,14 +156,14 @@ def update_average(state: AveragingState, X_next: BlockProfile,
 
 
 def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
-    """Blockwise mirror projection of dual variables onto the feasible set."""
-    blocks = []
-    for Yb, spec in zip(Y.blocks, cset.blocks, strict=True):
-        if spec.mode is TraceMode.EQUAL:
-            blocks.append(spec.bound * gibbs_map(Yb))
-        else:
-            blocks.append(gibbs_map_bounded(Yb, spec.bound))
-    return BlockProfile(tuple(blocks))
+    """Mirror projection of dual variables onto the feasible set: one
+    batched Gibbs map per group of equal-size, equal-mode blocks."""
+    def project(g: BlockGroup, Yg: np.ndarray) -> np.ndarray:
+        if g.mode is TraceMode.EQUAL:
+            return g.bound * gibbs_map(Yg)
+        return gibbs_map_bounded(Yg, g.bound)
+
+    return cset.assemble(cset.map_groups(project, Y))
 
 
 def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float,
@@ -178,8 +179,11 @@ class RunResult:
 
     final_point is the method's reported point (the average for AM-SMD,
     the last iterate otherwise). gap_trace pairs (iteration, strong gap)
-    are measured at that same reported sequence. On a numerical failure
-    the partial trace survives and `error` carries the message.
+    are measured at that same reported sequence. When an iteration fails
+    (a numerical failure, an infeasible iterate, any package error) the
+    partial trace survives and `error` carries the message and the
+    diagnostics; `iterates` then holds what was recorded before the
+    failure.
     """
 
     final_point: BlockProfile
@@ -190,6 +194,16 @@ class RunResult:
     config: SolverConfig
     error: str | None = None
     iterates: tuple[BlockProfile, ...] | None = None
+
+
+def _describe_error(exc: SpectraSviError) -> str:
+    """One-line account of a failure: the message, then the diagnostics
+    (such as the failing block) that the linear algebra attached."""
+    diagnostics = getattr(exc, "diagnostics", None)
+    if not diagnostics:
+        return str(exc)
+    details = ", ".join(f"{k}={v}" for k, v in diagnostics.items())
+    return f"{exc} [{details}]"
 
 
 def reported_sequence(result: RunResult,
@@ -272,8 +286,8 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
                         f"strong gap {gap:.3e} below feasible floor at "
                         f"iteration {it}")
                 trace.append((it, gap))
-    except NumericalFailure as exc:
-        error = str(exc)
+    except SpectraSviError as exc:
+        error = _describe_error(exc)
 
     return RunResult(
         final_point=reported,
