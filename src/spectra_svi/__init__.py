@@ -52,6 +52,7 @@ from .solvers import (
     StepSchedule,
     mirror_step,
     run,
+    run_batch,
     horizon_stepsize,
     update_average,
 )

@@ -6,15 +6,19 @@ together with the base seed, so results are reproducible byte for byte
 and independent of execution order or thread count. Channel draws use a
 seed that excludes the method and lambda: all methods in a cell face the
 same channel realizations and differ only in their own noise streams.
+All cells of one antenna pair share their array shapes and run as one
+batched solver loop (`solvers.run_batch`), cut into one chunk per worker
+when a process pool is used.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -22,23 +26,33 @@ import numpy as np
 
 from .errors import ConfigError
 from .mimo import (
+    ChannelSet,
     NetworkTopology,
     canonical_topology,
     game_to_svi,
     sample_channels,
     throughput,
 )
+from .problem import BlockProfile, SviProblem
 from .solvers import (
     Method,
     ScheduleKind,
     SolverConfig,
     StepSchedule,
     reported_sequence,
-    run,
+    run,  # noqa: F401  re-exported: bench/spans.py wraps harness.run
+    run_batch,
 )
+
+# Reported points evaluated per throughput call: enough to amortize the
+# call overhead while the stacked intermediates stay small (about
+# 0.5 MB for seven 4x4 users).
+THROUGHPUT_CHUNK = 32
 
 CSV_HEADER = "method,m,n,sigma,lambda,path,iter,gap,elapsed_ms"
 THROUGHPUT_CSV_HEADER = "method,player,path,iter,R"
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_BASE_SEED = 2026
 SEED_ENV_VAR = "SPECTRA_SVI_SEED"
@@ -238,12 +252,8 @@ def build_tasks(config: ExperimentConfig) -> list[CellTask]:
     return tasks
 
 
-def run_cell(task: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord], str | None]:
-    """Execute one (cell, sample path) and emit its records.
-
-    elapsed_ms is 0 unless timing was requested: measured wall time
-    would make otherwise identical runs differ byte for byte.
-    """
+def cell_problem(task: CellTask) -> tuple[ChannelSet, SviProblem, SolverConfig]:
+    """The channels, game and solver settings of one cell."""
     channels = sample_channels(task.topology,
                                np.random.default_rng(task.channel_seed))
     problem = game_to_svi(task.topology, channels, task.sigma)
@@ -256,29 +266,68 @@ def run_cell(task: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord], s
         seed=task.solver_seed,
         record_iterates=task.record_throughput,
     )
-    tic = time.perf_counter()
-    result = run(problem, solver_config)
-    elapsed_ms = ((time.perf_counter() - tic) * 1e3
-                  if task.record_timing else 0.0)
+    return channels, problem, solver_config
 
-    records = [
-        GapRecord(task.method.value, task.m, task.n, task.sigma, task.lam,
-                  task.path, it, gap, elapsed_ms)
-        for it, gap in result.gap_trace
-    ]
+
+def run_cell(*tasks: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord], list[str]]:
+    """Execute cells of one antenna pair as one batched solver run and
+    emit their records and failure lines (one task: a lone cell).
+
+    elapsed_ms is 0 unless timing was requested: measured wall time
+    would make otherwise identical runs differ byte for byte. When
+    measured, it is the wall time of the batched solver run, shared by
+    every cell of the batch.
+    """
+    cells = [cell_problem(task) for task in tasks]
+    tic = time.perf_counter()
+    results = run_batch([problem for _, problem, _ in cells],
+                        [config for _, _, config in cells])
+    elapsed_ms = (time.perf_counter() - tic) * 1e3
+
+    records: list[GapRecord] = []
     throughput_records: list[ThroughputRecord] = []
-    if task.record_throughput and result.error is None:
-        points = reported_sequence(result, problem)
-        for it in range(1, len(points)):
-            rates = throughput(channels, points[it])
-            for player in range(task.topology.users):
-                throughput_records.append(ThroughputRecord(
-                    task.method.value, player, task.path, it,
-                    float(rates[player])))
-    failure = None
-    if result.error is not None:
-        failure = f"{task.label()}: {result.error}"
-    return records, throughput_records, failure
+    failures: list[str] = []
+    for task, (channels, problem, _), result in zip(tasks, cells, results):
+        records.extend(
+            GapRecord(task.method.value, task.m, task.n, task.sigma,
+                      task.lam, task.path, it, gap,
+                      elapsed_ms if task.record_timing else 0.0)
+            for it, gap in result.gap_trace)
+        if task.record_throughput and result.error is None:
+            points = reported_sequence(result, problem)
+            for start in range(1, len(points), THROUGHPUT_CHUNK):
+                rates = throughput(channels, BlockProfile.stack(
+                    points[start:start + THROUGHPUT_CHUNK]))
+                for it, row in enumerate(rates.tolist(), start):
+                    for player, rate in enumerate(row):
+                        throughput_records.append(ThroughputRecord(
+                            task.method.value, player, task.path, it, rate))
+        if result.error is not None:
+            failures.append(f"{task.label()}: {result.error}")
+    return records, throughput_records, failures
+
+
+def _batches(tasks: list[CellTask], chunks: int) -> list[list[CellTask]]:
+    """Tasks grouped by antenna pair, each group cut into up to `chunks`
+    contiguous near-equal batches.
+
+    Tasks that record throughput run alone: a batch keeps every iterate
+    of all its cells until it ends, where a lone cell keeps only its own.
+    """
+    groups: dict[tuple[int, int], list[CellTask]] = {}
+    for task in tasks:
+        groups.setdefault((task.m, task.n), []).append(task)
+    batches = []
+    for group in groups.values():
+        k = (len(group) if group[0].record_throughput
+             else min(chunks, len(group)))
+        size, extra = divmod(len(group), k)
+        start = 0
+        for i in range(k):
+            stop = start + size + (i < extra)
+            batches.append(group[start:stop])
+            start = stop
+    return batches
 
 
 def run_grid(config: ExperimentConfig, threads: int = 1,
@@ -286,21 +335,44 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     """Run every cell of the grid; deterministic for a fixed config.
 
     threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses N
-    worker processes. Records are sorted after the merge, so the output
-    does not depend on scheduling.
+    worker processes. The cells of each antenna pair form one batch, cut
+    into one chunk per worker under a pool; cells that record throughput
+    run alone. A batch that raises (or a worker that dies) becomes one
+    failure line per cell of it; the other batches' records are kept.
+    Records are sorted after the merge, so the output does not depend on
+    scheduling.
     """
     tasks = build_tasks(config)
-    out = GridResult()
-    if threads == 1 or len(tasks) == 1:
-        results = map(run_cell, tasks)
+    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    batches = _batches(tasks, workers)
+    outputs: list = [None] * len(batches)
+
+    def failed(batch: list[CellTask], exc: Exception) -> tuple:
+        _log.error("batch of %d cells failed", len(batch), exc_info=exc)
+        reason = f"batch failed: {type(exc).__name__}: {exc}"
+        return [], [], [f"{task.label()}: {reason}" for task in batch]
+
+    if workers == 1 or len(batches) == 1:
+        for i, batch in enumerate(batches):
+            try:
+                outputs[i] = run_cell(*batch)
+            except Exception as exc:
+                outputs[i] = failed(batch, exc)
     else:
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, tasks))
-    for records, trecords, failure in results:
+            futures = {pool.submit(run_cell, *batch): i
+                       for i, batch in enumerate(batches)}
+            for future in as_completed(futures):
+                i = futures[future]
+                try:
+                    outputs[i] = future.result()
+                except Exception as exc:
+                    outputs[i] = failed(batches[i], exc)
+    out = GridResult()
+    for records, trecords, failures in outputs:
         out.records.extend(records)
         out.throughput_records.extend(trecords)
-        if failure is not None:
+        for failure in failures:
             out.failures.append(failure)
             if on_failure is not None:
                 on_failure(failure)
@@ -600,7 +672,8 @@ def config_echo_text(config: ExperimentConfig) -> str:
     lines.append("channel_seed = shared across methods and lambdas within a "
                  "cell (paired comparisons)")
     lines.append("elapsed_ms = " + (
-        "measured wall time (output not byte-stable)"
+        "measured wall time of the cell's batched solver run, shared by "
+        "the cells of that batch (output not byte-stable)"
         if config.record_timing else "0 (byte-stable output)"))
     return "\n".join(lines) + "\n"
 

@@ -107,9 +107,18 @@ class ChannelSet:
 
     The game evaluates every link at once on `stacked`, the (N, N, n, m)
     array of all H[j][i] (zero-padded to the largest antenna counts when
-    they differ between users)."""
+    they differ between users). The channels of several cells, made by
+    `stack`, give every H[j][i] and `stacked` a leading cell axis."""
 
     H: tuple[tuple[np.ndarray, ...], ...]
+
+    @classmethod
+    def stack(cls, channel_sets: list["ChannelSet"]) -> "ChannelSet":
+        N = channel_sets[0].users
+        return cls(tuple(
+            tuple(np.stack([c.H[j][i] for c in channel_sets])
+                  for i in range(N))
+            for j in range(N)))
 
     @property
     def users(self) -> int:
@@ -120,21 +129,22 @@ class ChannelSet:
 
     @functools.cached_property
     def tx_antennas(self) -> tuple[int, ...]:
-        return tuple(self.H[j][j].shape[1] for j in range(self.users))
+        return tuple(self.H[j][j].shape[-1] for j in range(self.users))
 
     @functools.cached_property
     def rx_antennas(self) -> tuple[int, ...]:
-        return tuple(self.H[i][i].shape[0] for i in range(self.users))
+        return tuple(self.H[i][i].shape[-2] for i in range(self.users))
 
     @functools.cached_property
     def stacked(self) -> np.ndarray:
         N = self.users
-        stack = np.zeros((N, N, max(self.rx_antennas), max(self.tx_antennas)),
-                         dtype=complex)
+        lead = self.H[0][0].shape[:-2]
+        stack = np.zeros(lead + (N, N, max(self.rx_antennas),
+                                 max(self.tx_antennas)), dtype=complex)
         for j in range(N):
             for i in range(N):
-                rows, cols = self.H[j][i].shape
-                stack[j, i, :rows, :cols] = self.H[j][i]
+                rows, cols = self.H[j][i].shape[-2:]
+                stack[..., j, i, :rows, :cols] = self.H[j][i]
         return stack
 
     @functools.cached_property
@@ -143,13 +153,13 @@ class ChannelSet:
 
     @functools.cached_property
     def identity(self) -> np.ndarray:
-        return np.eye(self.stacked.shape[2], dtype=complex)
+        return np.eye(self.stacked.shape[-2], dtype=complex)
 
     @functools.cached_property
     def direct_stacked(self) -> np.ndarray:
-        """(N, n, m): the direct links H[i][i]."""
+        """(..., N, n, m): the direct links H[i][i]."""
         users = np.arange(self.users)
-        return self.stacked[users, users]
+        return self.stacked[..., users, users, :, :]
 
 
 def sample_channels(topology: NetworkTopology,
@@ -171,13 +181,14 @@ def sample_channels(topology: NetworkTopology,
 
 
 def _padded_profile(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
-    """X as one (N, m, m) stack, zero-padded to the largest block."""
+    """X as one (..., N, m, m) stack, zero-padded to the largest block."""
     if len(X.parts) == 1:
         return X.parts[0]
     m = max(channels.tx_antennas)
-    out = np.zeros((len(X), m, m), dtype=complex)
+    lead = X.parts[0].shape[:-3]
+    out = np.zeros(lead + (len(X), m, m), dtype=complex)
     for (d, index), part in zip(X.layout.groups, X.parts):
-        out[index, :d, :d] = part
+        out[..., index, :d, :d] = part
     return out
 
 
@@ -186,33 +197,36 @@ def _crop(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     layout = block_layout(dims)
     if len(layout.groups) == 1:
         return (stack,)
-    return tuple(stack[index, :d, :d] for d, index in layout.groups)
+    return tuple(stack[..., index, :d, :d] for d, index in layout.groups)
 
 
 def _received_terms(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
-    """Shape (N + 1, N, n, n): I at index 0, then H_ji X_j H_ji^dag at
-    index 1 + j for every receiver i. Summing over the first axis adds
-    the terms in j order starting from I."""
+    """Shape (..., N + 1, N, n, n): I at index 0, then H_ji X_j H_ji^dag
+    at index 1 + j for every receiver i; the leading axes are those of
+    the channels and of X, broadcast. Summing over that axis adds the
+    terms in j order starting from I."""
     H = channels.stacked
-    N, n, m = H.shape[1:]
-    terms = np.empty((N + 1, N, n, n), dtype=complex)
-    terms[0] = channels.identity
+    *lead, N, _, n, m = H.shape
     # H_ji X_j for all i at once: one (N n, m) x (m, m) product per j.
-    HX = (H.reshape(N, N * n, m) @ _padded_profile(channels, X))
-    np.matmul(HX.reshape(H.shape), channels.stacked_conj.swapaxes(-1, -2),
-              out=terms[1:])
+    HX = (H.reshape(*lead, N, N * n, m) @ _padded_profile(channels, X))
+    lead = HX.shape[:-3]
+    terms = np.empty((*lead, N + 1, N, n, n), dtype=complex)
+    terms[..., 0, :, :, :] = channels.identity
+    np.matmul(HX.reshape(*lead, N, N, n, m),
+              channels.stacked_conj.swapaxes(-1, -2),
+              out=terms[..., 1:, :, :, :])
     return terms
 
 
 def _skip_own(terms: np.ndarray) -> np.ndarray:
     """Zero each receiver's own-signal term H_ii X_i H_ii^dag in place."""
-    users = np.arange(terms.shape[1])
-    terms[users + 1, users] = 0
+    users = np.arange(terms.shape[-3])
+    terms[..., users + 1, users, :, :] = 0
     return terms
 
 
 def _covariance(terms: np.ndarray) -> np.ndarray:
-    return hermitianize(terms.sum(axis=0))
+    return hermitianize(terms.sum(axis=-4))
 
 
 def mui_covariance(channels: ChannelSet, X: BlockProfile, i: int) -> np.ndarray:
@@ -238,7 +252,8 @@ def throughput(channels: ChannelSet, X: BlockProfile,
     concave in X_i since the second term does not depend on X_i.
 
     With i = None, every user's rate as one array from one pass over the
-    received covariances."""
+    received covariances. X may carry leading axes (several profiles on
+    the same channels); the rates then have shape (..., N)."""
     terms = _received_terms(channels, X)
     full = _logdet_pd(_covariance(terms))
     rates = full - _logdet_pd(_covariance(_skip_own(terms)))
@@ -246,7 +261,7 @@ def throughput(channels: ChannelSet, X: BlockProfile,
 
 
 def _rate_gradients(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
-    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (N, m, m)."""
+    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m)."""
     W = _covariance(_received_terms(channels, X))
     H = channels.direct_stacked
     return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
@@ -263,10 +278,26 @@ def throughput_gradient(channels: ChannelSet, X: BlockProfile,
 
 def game_mapping(channels: ChannelSet, X: BlockProfile) -> BlockProfile:
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
-    evaluated for all users in one batched solve."""
+    evaluated for all users in one batched solve. With stacked channels,
+    X has a cell axis and every cell is evaluated in the same calls."""
     dims = channels.tx_antennas
     return BlockProfile.from_parts(
         _crop(-_rate_gradients(channels, X), dims), block_layout(dims))
+
+
+@dataclass(frozen=True, eq=False)
+class GameMapping:
+    """The game's VI mapping on fixed channels, as an SviProblem mapping;
+    `stack` evaluates the games of several cells in one call."""
+
+    channels: ChannelSet
+
+    def __call__(self, X: BlockProfile) -> BlockProfile:
+        return game_mapping(self.channels, X)
+
+    @classmethod
+    def stack(cls, mappings: list["GameMapping"]) -> "GameMapping":
+        return cls(ChannelSet.stack([f.channels for f in mappings]))
 
 
 def game_to_svi(topology: NetworkTopology, channels: ChannelSet,
@@ -283,7 +314,7 @@ def game_to_svi(topology: NetworkTopology, channels: ChannelSet,
         C += 3.0 * sigma * math.sqrt(max(topology.tx_antennas))
     return SviProblem(
         constraints=topology.constraint_set(),
-        mapping=lambda X: game_mapping(channels, X),
+        mapping=GameMapping(channels),
         noise=NoiseModel(sigma),
         oracle_bound=max(float(C), 1e-12),
     )

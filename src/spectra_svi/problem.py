@@ -94,6 +94,11 @@ class BlockProfile:
     subtraction, scalar multiples), always returning new profiles. Norms
     follow block-diagonal semantics: Frobenius and trace norms add across
     blocks, the spectral norm is the blockwise maximum.
+
+    A batched solver run gives its stacks a leading cell axis, shape
+    (C, n, d, d), one profile per cell (`stack`, `cells`). The
+    arithmetic and the batched layers broadcast over it; indexing,
+    `blocks` and the norms are for single profiles.
     """
 
     __slots__ = ("parts", "layout")
@@ -132,6 +137,18 @@ class BlockProfile:
         return cls.from_parts(tuple(
             np.zeros((len(index), d, d), dtype=complex)
             for d, index in layout.groups), layout)
+
+    @classmethod
+    def stack(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
+        """Single profiles of one layout as one profile with a cell axis."""
+        return cls.from_parts(tuple(
+            np.stack([P.parts[k] for P in profiles])
+            for k in range(len(profiles[0].parts))), profiles[0].layout)
+
+    def cells(self, c: int) -> "BlockProfile":
+        """Cell c of a profile with a cell axis, as a view."""
+        return BlockProfile.from_parts(
+            tuple(p[c] for p in self.parts), self.layout)
 
     def __repr__(self) -> str:
         return f"BlockProfile(dims={self.dims})"
@@ -264,37 +281,43 @@ class SpectraSet:
     def map_groups(self, fn: Callable[..., np.ndarray],
                    *profiles: BlockProfile) -> list[np.ndarray]:
         """fn(group, *stacks) once per (dim, mode) group, where stacks are
-        the group's blocks of each profile. A NumericalFailure from fn
-        has its `block` diagnostic translated to a block number."""
+        the group's blocks of each profile (after any cell axis). A
+        NumericalFailure from fn has its `block` diagnostic translated to
+        a block number."""
         out = []
         for g in self.groups:
             try:
-                out.append(fn(g, *(P.parts[g.part][g.select]
+                out.append(fn(g, *(P.parts[g.part][..., g.select, :, :]
                                    for P in profiles)))
             except NumericalFailure as exc:
                 block = exc.diagnostics.get("block")
                 if isinstance(block, int):
-                    exc.diagnostics["block"] = int(g.index[block])
+                    exc.diagnostics["block"] = int(
+                        g.index[block % len(g.index)])
                 raise
         return out
 
     def assemble(self, stacks: list[np.ndarray]) -> BlockProfile:
-        """Profile from one (n, d, d) stack per group, as map_groups gives."""
+        """Profile from one (..., n, d, d) stack per group, as map_groups
+        gives."""
         parts = tuple(stacks)
         if len(stacks) != len(self.layout.groups):
-            parts = tuple(np.empty((len(index), d, d), dtype=complex)
+            lead = stacks[0].shape[:-3]
+            parts = tuple(np.empty(lead + (len(index), d, d), dtype=complex)
                           for d, index in self.layout.groups)
             for g, stack in zip(self.groups, stacks, strict=True):
-                parts[g.part][g.select] = stack
+                parts[g.part][..., g.select, :, :] = stack
         return BlockProfile.from_parts(parts, self.layout)
 
     def per_block(self, values: list[np.ndarray]) -> np.ndarray:
-        """Block-ordered array from one value array per group."""
+        """Block-ordered array, shape (..., N), from one value array per
+        group."""
         if len(values) == 1:
             return values[0]
-        out = np.empty(len(self.blocks), dtype=values[0].dtype)
+        out = np.empty(values[0].shape[:-1] + (len(self.blocks),),
+                       dtype=values[0].dtype)
         for g, v in zip(self.groups, values, strict=True):
-            out[g.index] = v
+            out[..., g.index] = v
         return out
 
 
@@ -309,19 +332,23 @@ def assert_feasible(X: BlockProfile, cset: SpectraSet,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
     """Raise DomainError unless every block is PSD with a conforming trace.
 
-    The message names the first failing block."""
+    The message names the first failing block (of the first failing cell,
+    when X has a cell axis)."""
     if X.dims != cset.dims:
         raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
     w = cset.map_groups(lambda g, Xg: eig(Xg).eigenvalues, X)
-    lam_min = cset.per_block([v[:, -1] for v in w])
-    tr = cset.per_block([np.sum(v, axis=-1) for v in w])
+    N = len(cset.blocks)
+    lam_min = cset.per_block([v[..., -1] for v in w]).reshape(-1, N)
+    tr = cset.per_block([np.sum(v, axis=-1) for v in w]).reshape(-1, N)
     bound, capped = cset.bounds, cset.capped
     not_psd = lam_min < -psd_tol
     bad = not_psd | np.where(capped, tr > bound + trace_tol,
                              np.abs(tr - bound) > trace_tol)
     if not bad.any():
         return
-    i = int(np.argmax(bad))
+    cell = int(np.argmax(bad.any(axis=1)))
+    lam_min, tr, not_psd = lam_min[cell], tr[cell], not_psd[cell]
+    i = int(np.argmax(bad[cell]))
     if not_psd[i]:
         raise DomainError(f"block {i} not PSD: lambda_min = {lam_min[i]:.3e}")
     if capped[i]:
@@ -346,31 +373,46 @@ class NoiseModel:
 
     Each noise block is the Hermitian part of a matrix with i.i.d.
     circularly symmetric complex Gaussian entries of variance sigma^2,
-    so the noise is zero-mean by construction.
+    so the noise is zero-mean by construction. A batch of cells has one
+    sigma per cell, as an array.
     """
 
-    sigma: float = 0.0
+    sigma: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if np.any(np.asarray(self.sigma) < 0):
             raise ValueError(f"noise level must be >= 0, got {self.sigma}")
 
-    def sample(self, dims: tuple[int, ...], rng: np.random.Generator) -> BlockProfile:
+    def sample(self, dims: tuple[int, ...],
+               rng: np.random.Generator | Sequence[np.random.Generator]
+               ) -> BlockProfile:
         """One noise profile from a single draw of normals.
 
         The draw is block-ordered, real part then imaginary part of each
         block, so it consumes the stream exactly as drawing block by
-        block would.
+        block would. Given a list of generators, one per cell, each cell
+        with sigma > 0 draws from its own generator exactly as alone, and
+        the draws are stacked along a cell axis; cells with sigma = 0 get
+        zeros and leave their stream untouched.
         """
         layout = block_layout(tuple(dims))
-        if self.sigma == 0:
-            return BlockProfile.zeros(layout)
-        s = self.sigma / math.sqrt(2.0)
-        G = rng.standard_normal(layout.draw_size)
+        sigma = np.asarray(self.sigma)
+        if not isinstance(rng, (list, tuple)):
+            if sigma == 0:
+                return BlockProfile.zeros(layout)
+            G = rng.standard_normal(layout.draw_size)
+        else:
+            G = np.zeros((len(rng), layout.draw_size))
+            for c, level in enumerate(sigma.tolist()):
+                if level > 0:
+                    G[c] = rng[c].standard_normal(layout.draw_size)
+            sigma = sigma[:, None, None, None]
+        s = sigma / math.sqrt(2.0)
         parts = []
         for ix in layout.draw_index:
-            Gk = G[ix]
-            parts.append(hermitianize(s * (Gk[:, 0] + 1j * Gk[:, 1])))
+            Gk = G[..., ix]
+            parts.append(hermitianize(
+                s * (Gk[..., 0, :, :] + 1j * Gk[..., 1, :, :])))
         return BlockProfile.from_parts(tuple(parts), layout)
 
 
@@ -382,32 +424,74 @@ class SviProblem:
     `oracle_bound` is the constant C with E ||Phi(X, xi)||_2^2 <= C^2 over
     feasible X; it bounds the full noisy oracle, not just the mean part,
     and feeds the horizon-tuned constant stepsize.
+
+    `stack_problems` turns the problems of several cells into one over a
+    cell axis. A mapping class with a `stack(mappings)` classmethod (the
+    MIMO game's) then evaluates all cells in one call; any other mapping
+    is called cell by cell.
     """
 
     constraints: SpectraSet
     mapping: Callable[[BlockProfile], BlockProfile]
     noise: NoiseModel = NoiseModel()
-    oracle_bound: float = 1.0
+    oracle_bound: float | np.ndarray = 1.0
 
     def __post_init__(self) -> None:
-        if self.oracle_bound <= 0:
+        if np.any(np.asarray(self.oracle_bound) <= 0):
             raise ValueError(
                 f"oracle bound must be positive, got {self.oracle_bound}")
 
 
+def stack_problems(problems: Sequence[SviProblem]) -> SviProblem:
+    """The problems of several cells as one problem over a cell axis:
+    cell c of a stacked profile is mapped by problems[c].mapping, and the
+    noise level and oracle bound become per-cell arrays."""
+    cset = problems[0].constraints
+    if any(p.constraints != cset for p in problems):
+        raise ValueError("the cells of a batch must share one constraint set")
+    mappings = [p.mapping for p in problems]
+    kind = type(mappings[0])
+    if hasattr(kind, "stack") and all(type(m) is kind for m in mappings):
+        mapping = kind.stack(mappings)
+    else:
+        def mapping(X: BlockProfile) -> BlockProfile:
+            return BlockProfile.stack(
+                [f(X.cells(c)) for c, f in enumerate(mappings)])
+    return SviProblem(
+        cset, mapping,
+        NoiseModel(np.array([p.noise.sigma for p in problems])),
+        np.array([p.oracle_bound for p in problems]))
+
+
+def select_cells(mask: np.ndarray, A: BlockProfile,
+                 B: BlockProfile) -> BlockProfile:
+    """Cell c from A where mask[c] holds, else from B. Unlike adding a
+    zero term, this leaves B's cells bit for bit as they are."""
+    if mask.all():
+        return A
+    if not mask.any():
+        return B
+    m = mask[:, None, None, None]
+    return BlockProfile.from_parts(
+        tuple(np.where(m, a, b) for a, b in zip(A.parts, B.parts)), A.layout)
+
+
 def oracle_sample(problem: SviProblem, X: BlockProfile,
-                  rng: np.random.Generator) -> tuple[BlockProfile, BlockProfile]:
+                  rng: np.random.Generator | Sequence[np.random.Generator],
+                  F: BlockProfile | None = None
+                  ) -> tuple[BlockProfile, BlockProfile]:
     """One stochastic oracle call: returns (F(X) + Z, Z).
 
     The rng stream is consumed only when the noise level is nonzero, and
     is passed explicitly so a seed fixes the sample path regardless of
-    scheduling.
+    scheduling. Pass F when the mapping's value at X is already known.
+    For a stacked problem, X has a cell axis and rng is one generator
+    per cell; cells with sigma = 0 get F(X) itself.
     """
-    F = problem.mapping(X)
-    if problem.noise.sigma == 0:
-        return F, problem.constraints.zeros()
+    if F is None:
+        F = problem.mapping(X)
     Z = problem.noise.sample(X.dims, rng)
-    return F + Z, Z
+    return select_cells(np.asarray(problem.noise.sigma) > 0, F + Z, F), Z
 
 
 def best_response(F: BlockProfile, cset: SpectraSet) -> BlockProfile:
@@ -428,7 +512,8 @@ def best_response(F: BlockProfile, cset: SpectraSet) -> BlockProfile:
     return BlockProfile(tuple(blocks))
 
 
-def strong_gap(problem: SviProblem, X: BlockProfile) -> float:
+def strong_gap(problem: SviProblem, X: BlockProfile,
+               F: BlockProfile | None = None) -> float | np.ndarray:
     """sup_Z tr(F(X)(X - Z)) over the constraint set, in closed form.
 
     The supremum of a linear functional over a spectrahedron is an
@@ -436,19 +521,22 @@ def strong_gap(problem: SviProblem, X: BlockProfile) -> float:
     bound * lambda_min(F_i) under trace equality and
     bound * min(0, lambda_min(F_i)) under a trace cap. Zero exactly at
     strong solutions; nonnegative on feasible profiles. The block terms
-    are added in block order.
+    are added in block order. Pass F when the mapping's value at X is
+    already known. With a cell axis on X, returns one gap per cell.
     """
     def terms(g: BlockGroup, Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
-        lam_min = eig(Fg).eigenvalues[:, -1]
+        lam_min = eig(Fg).eigenvalues[..., -1]
         if g.mode is TraceMode.AT_MOST:
             lam_min = np.minimum(lam_min, 0.0)
         inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real
         return inner - g.bound[:, 0, 0] * lam_min
 
     cset = problem.constraints
-    per_block = cset.per_block(
-        cset.map_groups(terms, problem.mapping(X), X))
-    return float(np.add.accumulate(per_block)[-1])
+    if F is None:
+        F = problem.mapping(X)
+    per_block = cset.per_block(cset.map_groups(terms, F, X))
+    gaps = np.add.accumulate(per_block, axis=-1)[..., -1]
+    return float(gaps) if gaps.ndim == 0 else gaps
 
 
 def random_feasible_block(spec: BlockSpec, rng: np.random.Generator) -> np.ndarray:

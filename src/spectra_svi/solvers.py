@@ -9,6 +9,11 @@ followed by the blockwise Gibbs map back to the feasible set.
 * MEL runs the identical loop on the regularized mapping
   F'(X) = F(X) + lam * X and reports the last iterate; lam = 0 recovers
   M-SMD bitwise.
+
+`run_batch` runs several cells (problems of one constraint set, any mix
+of methods, stepsizes, noise levels and seeds) as one loop over a
+leading cell axis; `run` is its one-cell case. Every cell's result is
+bit for bit what it would be alone.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +36,8 @@ from .problem import (
     TraceMode,
     assert_feasible,
     oracle_sample,
+    select_cells,
+    stack_problems,
     strong_gap,
 )
 
@@ -137,14 +144,15 @@ class SolverConfig:
 class AveragingState:
     """Running weighted average: gamma = sum of stepsizes so far,
     xbar = stepsize-weighted mean of the iterates (a convex combination,
-    hence feasible whenever the iterates are)."""
+    hence feasible whenever the iterates are). In a batch, gamma holds
+    one value per cell, shape (C, 1, 1, 1)."""
 
-    gamma: float
+    gamma: float | np.ndarray
     xbar: BlockProfile
 
 
 def update_average(state: AveragingState, X_next: BlockProfile,
-                   eta_next: float) -> AveragingState:
+                   eta_next: float | np.ndarray) -> AveragingState:
     """One averaging step: gamma' = gamma + eta, xbar' the reweighted mean.
 
     By induction the recursion reproduces the direct weighted sum
@@ -166,7 +174,7 @@ def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
     return cset.assemble(cset.map_groups(project, Y))
 
 
-def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float,
+def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float | np.ndarray,
                 cset: SpectraSet) -> tuple[BlockProfile, BlockProfile]:
     """Dual gradient step then mirror projection: the core update pair."""
     Y_next = Y - eta * phi
@@ -178,12 +186,14 @@ class RunResult:
     """Outcome of one solver run.
 
     final_point is the method's reported point (the average for AM-SMD,
-    the last iterate otherwise). gap_trace pairs (iteration, strong gap)
-    are measured at that same reported sequence. When an iteration fails
-    (a numerical failure, an infeasible iterate, any package error) the
-    partial trace survives and `error` carries the message and the
-    diagnostics; `iterates` then holds what was recorded before the
-    failure.
+    the last iterate otherwise) at the last gap iteration whose
+    feasibility check it passed, or X_0 before any has. gap_trace pairs
+    (iteration, strong gap) are measured at that same reported sequence.
+    When an iteration fails (a numerical failure, an infeasible iterate,
+    any package error) the partial trace survives and `error` carries the
+    message and the diagnostics; `iterates` then holds what was recorded
+    before the failure. In a batch, iterate_seconds and gap_seconds are
+    those of the whole batch.
     """
 
     final_point: BlockProfile
@@ -231,7 +241,7 @@ def reported_sequence(result: RunResult,
 
 
 def run(problem: SviProblem, config: SolverConfig) -> RunResult:
-    """Execute one solver on one problem instance.
+    """Execute one solver on one problem instance: a batch of one cell.
 
     Initialization uses Y_0 = 0 per block, so X_0 is the uniform state;
     the Gibbs map is invariant to constant shifts of the dual, which
@@ -240,62 +250,119 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     the regularized one: the regularization is a solver device, not part
     of the problem.
     """
+    return run_batch([problem], [config])[0]
+
+
+def run_batch(problems: Sequence[SviProblem],
+              configs: Sequence[SolverConfig]) -> list[RunResult]:
+    """Run cell c = (problems[c], configs[c]) for every c in one loop.
+
+    The cells must share the constraint set, the iteration count and the
+    gap cadence; each keeps its own method, stepsize, lam, seed and
+    generator, and its result is bit for bit its lone run's. A batch in
+    which some cell fails is split in halves and each half is run again
+    from its seeds, down to the failing cells, which then end exactly as
+    their lone runs do.
+    """
+    try:
+        return _run_cells(problems, configs)
+    except SpectraSviError:
+        if len(problems) == 1:
+            raise
+        half = len(problems) // 2
+        return (run_batch(problems[:half], configs[:half])
+                + run_batch(problems[half:], configs[half:]))
+
+
+def _run_cells(problems: Sequence[SviProblem],
+               configs: Sequence[SolverConfig]) -> list[RunResult]:
+    """The solver loop over a cell axis.
+
+    When no cell of the batch averages, the mapping at a gap iteration's
+    X_t serves both the gap and the next oracle call. A failure stops a
+    lone cell with its partial trace; in a larger batch it propagates to
+    `run_batch`.
+    """
+    T, gap_every = configs[0].iterations, configs[0].gap_every
+    if any((c.iterations, c.gap_every) != (T, gap_every) for c in configs):
+        raise ValueError("the cells of a batch must share iterations "
+                         "and gap_every")
+    C = len(configs)
+    problem = stack_problems(problems)
     cset = problem.constraints
-    if config.method is Method.MEL and config.lam > 0:
-        lam = config.lam
-        base_mapping = problem.mapping
-        iteration_problem = replace(
-            problem, mapping=lambda X: base_mapping(X) + lam * X)
-    else:
-        iteration_problem = problem
 
-    rng = np.random.default_rng(config.seed)
-    eta_at = config.schedule.resolve(
-        problem.oracle_bound, cset.total_dim, config.iterations)
-    averaging = config.method is Method.AM_SMD
+    # Per-cell values broadcast against stacks of shape (C, n, d, d).
+    averaging = np.array([c.method is Method.AM_SMD for c in configs])
+    lam = np.array([c.lam if c.method is Method.MEL else 0.0
+                    for c in configs])[:, None, None, None]
+    regularized = lam[:, 0, 0, 0] > 0
+    any_regularized = bool(regularized.any())
+    any_averaging = bool(averaging.any())
+    etas = np.array([
+        [eta_at(t) for t in range(T + 1)]
+        for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
+                       for p, c in zip(problems, configs))
+    ])[:, :, None, None, None]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
 
-    Y = cset.zeros()
+    Y = BlockProfile.stack([cset.zeros()] * C)
     X = dual_to_primal(Y, cset)
-    avg = AveragingState(eta_at(0), X)
-    trace: list[tuple[int, float]] = []
-    iterates: list[BlockProfile] | None = [X] if config.record_iterates else None
-    T = config.iterations
+    avg = AveragingState(etas[:, 0], X)
+    final = X
+    traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
+    recording = any(c.record_iterates for c in configs)
+    history: list[BlockProfile] = [X]
+    F_next: BlockProfile | None = None  # F(X), when the gap computed it
     error: str | None = None
     iterate_seconds = 0.0
     gap_seconds = 0.0
 
-    reported = avg.xbar if averaging else X
     try:
         for t in range(T):
             tic = time.perf_counter()
-            phi, _ = oracle_sample(iteration_problem, X, rng)
-            Y, X = mirror_step(Y, phi, eta_at(t), cset)
-            avg = update_average(avg, X, eta_at(t + 1))
+            F = problem.mapping(X) if F_next is None else F_next
+            if any_regularized:
+                F = select_cells(regularized, F + lam * X, F)
+            phi, _ = oracle_sample(problem, X, rngs, F)
+            Y, X = mirror_step(Y, phi, etas[:, t], cset)
+            avg = update_average(avg, X, etas[:, t + 1])
             iterate_seconds += time.perf_counter() - tic
-            if iterates is not None:
-                iterates.append(X)
+            if recording:
+                history.append(X)
+            F_next = None
             it = t + 1
-            if it % config.gap_every == 0 or it == T:
+            if it % gap_every == 0 or it == T:
                 tic = time.perf_counter()
-                reported = avg.xbar if averaging else X
+                reported = select_cells(averaging, avg.xbar, X)
                 assert_feasible(reported, cset)
-                gap = strong_gap(problem, reported)
+                final = reported
+                F_reported = problem.mapping(reported)
+                gaps = strong_gap(problem, reported, F_reported)
                 gap_seconds += time.perf_counter() - tic
-                if gap < GAP_FLOOR:
+                if gaps.min() < GAP_FLOOR:
                     raise NumericalFailure(
-                        f"strong gap {gap:.3e} below feasible floor at "
-                        f"iteration {it}")
-                trace.append((it, gap))
+                        f"strong gap {gaps.min():.3e} below feasible floor "
+                        f"at iteration {it}")
+                for trace, gap in zip(traces, gaps):
+                    trace.append((it, float(gap)))
+                if not any_averaging:
+                    F_next = F_reported
     except SpectraSviError as exc:
+        if C > 1:
+            raise
         error = _describe_error(exc)
 
-    return RunResult(
-        final_point=reported,
-        gap_trace=tuple(trace),
-        iterate_seconds=iterate_seconds,
-        gap_seconds=gap_seconds,
-        seed=config.seed,
-        config=config,
-        error=error,
-        iterates=tuple(iterates) if iterates is not None else None,
-    )
+    return [
+        RunResult(
+            final_point=final.cells(c),
+            gap_trace=tuple(traces[c]),
+            iterate_seconds=iterate_seconds,
+            gap_seconds=gap_seconds,
+            seed=config.seed,
+            config=config,
+            error=error,
+            iterates=(tuple(P.cells(c) for P in history)
+                      if config.record_iterates else None),
+        )
+        for c, config in enumerate(configs)
+    ]

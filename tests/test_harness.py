@@ -122,8 +122,8 @@ def test_build_tasks_fixed_channels_mode():
 
 def test_run_cell_emits_expected_rows():
     task = build_tasks(_small_config())[0]
-    records, trecords, failure = run_cell(task)
-    assert failure is None
+    records, trecords, failures = run_cell(task)
+    assert failures == []
     assert trecords == []
     assert [r.iteration for r in records] == [30, 60]
     assert all(r.method == "am-smd" and r.elapsed_ms == 0.0 for r in records)
@@ -157,6 +157,66 @@ def test_run_grid_process_pool_matches_sequential():
     assert seq.records == par.records
 
 
+def test_run_grid_keeps_other_batches_when_one_raises(tmp_path, monkeypatch):
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10,
+                           gap_every=5)
+    real = harness.sample_channels
+
+    def broken(topology, rng):
+        if topology.rx_antennas[0] == 4:
+            raise RuntimeError("channel store offline")
+        return real(topology, rng)
+
+    # Forked pool workers inherit the patch.
+    monkeypatch.setattr(harness, "sample_channels", broken)
+    seen = []
+    grid = run_grid(config, threads=2, on_failure=seen.append)
+    bad = [t for t in build_tasks(config) if t.n == 4]
+    assert grid.failures == [
+        f"{t.label()}: batch failed: RuntimeError: channel store offline"
+        for t in bad]
+    assert seen == grid.failures
+    assert {(r.m, r.n) for r in grid.records} == {(2, 2)}
+    assert len(grid.records) == 2 * 2 * 2  # methods x paths x gaps
+
+    paths = write_outputs(grid, config, str(tmp_path), "results")
+    assert read_csv(paths["csv"]) == grid.records
+    echo = (tmp_path / "config.echo.txt").read_text()
+    assert echo.split("[failures]\n", 1)[1].splitlines() == grid.failures
+
+
+def test_run_grid_survives_a_dead_worker(monkeypatch):
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10,
+                           gap_every=5)
+    real = harness.sample_channels
+
+    def fatal(topology, rng):
+        if topology.rx_antennas[0] == 4:
+            os._exit(1)
+        return real(topology, rng)
+
+    monkeypatch.setattr(harness, "sample_channels", fatal)
+    grid = run_grid(config, threads=2)
+    # Batches still pending when the worker died fail with it; every
+    # cell ends with either its records or a failure line.
+    failed = {line.split(": ", 1)[0] for line in grid.failures}
+    assert all("BrokenProcessPool" in line for line in grid.failures)
+    for task in build_tasks(config):
+        rows = [r for r in grid.records
+                if (r.method, r.n, r.path) == (task.method.value, task.n,
+                                               task.path)]
+        assert (task.label() in failed) != bool(rows)
+        assert task.n == 2 or task.label() in failed
+
+
+def test_run_grid_timing_is_shared_by_a_batch():
+    grid = run_grid(_small_config(record_timing=True), threads=1)
+    assert len({r.elapsed_ms for r in grid.records}) == 1
+    assert grid.records[0].elapsed_ms > 0
+    assert "shared by the cells" in harness.config_echo_text(
+        _small_config(record_timing=True))
+
+
 def test_run_grid_throughput_records():
     config = _small_config(
         iterations=12, gap_every=12, sample_paths=1,
@@ -168,6 +228,25 @@ def test_run_grid_throughput_records():
     assert all(r.value >= 0 for r in grid.throughput_records)
     its = {r.iteration for r in grid.throughput_records}
     assert its == set(range(1, 13))
+
+
+def test_run_grid_runs_throughput_cells_alone(monkeypatch):
+    # A batch keeps the iterates of all its cells until it ends, so cells
+    # that record them run one at a time, as lone runs would.
+    sizes = []
+    real = harness.run_batch
+
+    def counted(problems, configs):
+        sizes.append(len(problems))
+        return real(problems, configs)
+
+    monkeypatch.setattr(harness, "run_batch", counted)
+    run_grid(_small_config(iterations=4, gap_every=4), threads=1)
+    assert sizes == [4]  # methods x paths in one batch
+    sizes.clear()
+    run_grid(_small_config(iterations=4, gap_every=4,
+                           record_throughput=True), threads=1)
+    assert sizes == [1, 1, 1, 1]
 
 
 def test_csv_round_trip_bitwise(tmp_path):

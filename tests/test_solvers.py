@@ -271,6 +271,37 @@ def test_run_survives_numerical_failure_with_partial_trace():
     assert res.gap_trace[-1][0] < 50
 
 
+def test_gap_iterations_reuse_the_mapping_of_the_last_iterate():
+    # M-SMD reports X_t, so the mapping at a gap iteration also serves the
+    # next oracle call: T + 1 evaluations instead of 2T at gap_every = 1,
+    # and the gap trace of the loop that evaluates F(X_t) twice.
+    base = _quadratic(seed=15, sigma=0.5)
+    calls = []
+
+    def counted(X):
+        calls.append(None)
+        return base.mapping(X)
+
+    cfg = SolverConfig(Method.M_SMD, iterations=20,
+                       schedule=StepSchedule.harmonic_sqrt(), gap_every=1,
+                       seed=4)
+    res = run(SviProblem(base.constraints, counted, base.noise,
+                         base.oracle_bound), cfg)
+    assert len(calls) == 21
+
+    cset = base.constraints
+    rng = np.random.default_rng(cfg.seed)
+    eta_at = cfg.schedule.resolve(base.oracle_bound, cset.total_dim, 20)
+    Y = cset.zeros()
+    X = dual_to_primal(Y, cset)
+    trace = []
+    for t in range(20):
+        phi, _ = pb.oracle_sample(base, X, rng)
+        Y, X = mirror_step(Y, phi, eta_at(t), cset)
+        trace.append((t + 1, pb.strong_gap(base, X)))
+    assert res.gap_trace == tuple(trace)
+
+
 def test_averaged_trajectory_moves_less_than_iterates():
     # Late in a noisy run the average moves O(1/t) per step while the raw
     # iterate keeps jumping O(eta * sigma); with the same seed the AM run's

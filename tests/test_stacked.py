@@ -236,6 +236,23 @@ def test_game_mapping_and_throughput_match_per_block(m, n):
                                   _ref_received(ch, X.blocks, i, True))
 
 
+@pytest.mark.parametrize("topo", [
+    mimo.canonical_topology(4, 4),
+    mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3)),
+])
+def test_throughput_of_stacked_profiles_matches_one_at_a_time(topo):
+    # The harness evaluates a run's reported points in chunks, as one
+    # profile with a leading axis on the cell's own channels.
+    ch = mimo.sample_channels(topo, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    points = [pb.random_feasible_profile(topo.constraint_set(), rng)
+              for _ in range(5)]
+    rates = mimo.throughput(ch, BlockProfile.stack(points))
+    assert rates.shape == (5, topo.users)
+    for got, X in zip(rates, points):
+        assert np.array_equal(got, mimo.throughput(ch, X))
+
+
 def test_game_mapping_with_unequal_antenna_counts():
     # Stacking zero-pads the channels; the result must match the
     # unpadded per-block computation to rounding.
@@ -348,8 +365,9 @@ def test_run_keeps_trace_and_diagnostics_on_numerical_failure():
         solvers.Method.M_SMD, iterations=30,
         schedule=solvers.StepSchedule.harmonic_sqrt(), gap_every=5)
     result = solvers.run(prob, config)
-    # Calls 1-12 are iterations 1-10 and the gaps at 5 and 10; the
-    # poisoned call 13 is iteration 11.
+    # Calls 1-12 are iterations 1-12 and the gaps at 5 and 10, whose
+    # mapping values iterations 6 and 11 reuse; the poisoned call 13 is
+    # iteration 13.
     assert [it for it, _ in result.gap_trace] == [5, 10]
     assert "non-finite" in result.error and "block=3" in result.error
 
@@ -389,3 +407,13 @@ def test_infeasible_iterate_is_contained_and_written(tmp_path, monkeypatch):
     failures = echo.split("[failures]\n", 1)[1].splitlines()
     assert failures == grid.failures
     assert failures[0].startswith("method=m-smd m=2 n=2")
+
+    # Alone, the cell returns the last reported point that passed the
+    # feasibility check (iteration 10), not the infeasible one.
+    monkeypatch.undo()
+    _doubling_after(12, monkeypatch)
+    _, problem, solver_config = harness.cell_problem(
+        harness.build_tasks(config)[0])
+    result = solvers.run(problem, solver_config)
+    assert "exceeds bound 1" in result.error
+    assert pb.is_feasible(result.final_point, problem.constraints)
