@@ -33,21 +33,19 @@ from .mimo import (
     sample_channels,
     throughput,
 )
-from .problem import BlockProfile, SviProblem
+from .problem import SviProblem
 from .solvers import (
     Method,
     ScheduleKind,
     SolverConfig,
     StepSchedule,
-    reported_sequence,
     run,  # noqa: F401  re-exported: bench/spans.py wraps harness.run
     run_batch,
 )
 
-# Reported points evaluated per throughput call: enough to amortize the
-# call overhead while the stacked intermediates stay small (about
-# 0.5 MB for seven 4x4 users).
-THROUGHPUT_CHUNK = 32
+# bench/spans.py wraps this name as its `solvers.reported_sequence` span;
+# throughput is now measured inside the solver loop, so it stays unset.
+reported_sequence = None
 
 CSV_HEADER = "method,m,n,sigma,lambda,path,iter,gap,elapsed_ms"
 THROUGHPUT_CSV_HEADER = "method,player,path,iter,R"
@@ -264,7 +262,6 @@ def cell_problem(task: CellTask) -> tuple[ChannelSet, SviProblem, SolverConfig]:
         lam=task.lam,
         gap_every=task.gap_every,
         seed=task.solver_seed,
-        record_iterates=task.record_throughput,
     )
     return channels, problem, solver_config
 
@@ -275,52 +272,46 @@ def run_cell(*tasks: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord],
 
     elapsed_ms is 0 unless timing was requested: measured wall time
     would make otherwise identical runs differ byte for byte. When
-    measured, it is the wall time of the batched solver run, shared by
-    every cell of the batch.
+    measured, it is the wall time of the batched solver run, including
+    any throughput evaluation, shared by every cell of the batch.
     """
     cells = [cell_problem(task) for task in tasks]
+    measure = ((lambda p, X: throughput(p.mapping.channels, X))
+               if tasks[0].record_throughput else None)
     tic = time.perf_counter()
     results = run_batch([problem for _, problem, _ in cells],
-                        [config for _, _, config in cells])
+                        [config for _, _, config in cells], measure)
     elapsed_ms = (time.perf_counter() - tic) * 1e3
 
     records: list[GapRecord] = []
     throughput_records: list[ThroughputRecord] = []
     failures: list[str] = []
-    for task, (channels, problem, _), result in zip(tasks, cells, results):
+    for task, result in zip(tasks, results):
         records.extend(
             GapRecord(task.method.value, task.m, task.n, task.sigma,
                       task.lam, task.path, it, gap,
                       elapsed_ms if task.record_timing else 0.0)
             for it, gap in result.gap_trace)
-        if task.record_throughput and result.error is None:
-            points = reported_sequence(result, problem)
-            for start in range(1, len(points), THROUGHPUT_CHUNK):
-                rates = throughput(channels, BlockProfile.stack(
-                    points[start:start + THROUGHPUT_CHUNK]))
-                for it, row in enumerate(rates.tolist(), start):
-                    for player, rate in enumerate(row):
-                        throughput_records.append(ThroughputRecord(
-                            task.method.value, player, task.path, it, rate))
         if result.error is not None:
             failures.append(f"{task.label()}: {result.error}")
+        elif measure is not None:
+            throughput_records.extend(
+                ThroughputRecord(task.method.value, player, task.path, it,
+                                 rate)
+                for it, row in enumerate(result.measures.tolist(), 1)
+                for player, rate in enumerate(row))
     return records, throughput_records, failures
 
 
 def _batches(tasks: list[CellTask], chunks: int) -> list[list[CellTask]]:
     """Tasks grouped by antenna pair, each group cut into up to `chunks`
-    contiguous near-equal batches.
-
-    Tasks that record throughput run alone: a batch keeps every iterate
-    of all its cells until it ends, where a lone cell keeps only its own.
-    """
+    contiguous near-equal batches."""
     groups: dict[tuple[int, int], list[CellTask]] = {}
     for task in tasks:
         groups.setdefault((task.m, task.n), []).append(task)
     batches = []
     for group in groups.values():
-        k = (len(group) if group[0].record_throughput
-             else min(chunks, len(group)))
+        k = min(chunks, len(group))
         size, extra = divmod(len(group), k)
         start = 0
         for i in range(k):
@@ -334,16 +325,18 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
              on_failure: Callable[[str], None] | None = None) -> GridResult:
     """Run every cell of the grid; deterministic for a fixed config.
 
-    threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses N
-    worker processes. The cells of each antenna pair form one batch, cut
-    into one chunk per worker under a pool; cells that record throughput
-    run alone. A batch that raises (or a worker that dies) becomes one
-    failure line per cell of it; the other batches' records are kept.
-    Records are sorted after the merge, so the output does not depend on
-    scheduling.
+    threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses up
+    to N worker processes (never more than there are batches); negative
+    values are a ConfigError. The cells of each antenna pair form one
+    batch, cut into one chunk per worker under a pool. A batch that
+    raises (or a worker that dies) becomes one failure line per cell of
+    it; the other batches' records are kept. Records are sorted after
+    the merge, so the output does not depend on scheduling.
     """
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {threads}")
     tasks = build_tasks(config)
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    workers = threads or os.cpu_count() or 1
     batches = _batches(tasks, workers)
     outputs: list = [None] * len(batches)
 
@@ -359,7 +352,8 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
             except Exception as exc:
                 outputs[i] = failed(batch, exc)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers,
+                                                 len(batches))) as pool:
             futures = {pool.submit(run_cell, *batch): i
                        for i, batch in enumerate(batches)}
             for future in as_completed(futures):
@@ -672,8 +666,9 @@ def config_echo_text(config: ExperimentConfig) -> str:
     lines.append("channel_seed = shared across methods and lambdas within a "
                  "cell (paired comparisons)")
     lines.append("elapsed_ms = " + (
-        "measured wall time of the cell's batched solver run, shared by "
-        "the cells of that batch (output not byte-stable)"
+        "measured wall time of the cell's batched solver run, including "
+        "any throughput evaluation, shared by the cells of that batch "
+        "(output not byte-stable)"
         if config.record_timing else "0 (byte-stable output)"))
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,9 @@ followed by the blockwise Gibbs map back to the feasible set.
 `run_batch` runs several cells (problems of one constraint set, any mix
 of methods, stepsizes, noise levels and seeds) as one loop over a
 leading cell axis; `run` is its one-cell case. Every cell's result is
-bit for bit what it would be alone.
+bit for bit what it would be alone. An optional `measure` evaluates a
+quantity (such as per-player throughput) at every iteration's reported
+point, over the whole batch in one call.
 """
 
 from __future__ import annotations
@@ -127,7 +129,6 @@ class SolverConfig:
     lam: float = 0.0
     gap_every: int = 100
     seed: int = 0
-    record_iterates: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -191,9 +192,10 @@ class RunResult:
     (iteration, strong gap) are measured at that same reported sequence.
     When an iteration fails (a numerical failure, an infeasible iterate,
     any package error) the partial trace survives and `error` carries the
-    message and the diagnostics; `iterates` then holds what was recorded
-    before the failure. In a batch, iterate_seconds and gap_seconds are
-    those of the whole batch.
+    message and the diagnostics. With a measure, `measures` has one row
+    per completed iteration 1..T, the measure at that iteration's
+    reported point; None without one. In a batch, iterate_seconds and
+    gap_seconds are those of the whole batch.
     """
 
     final_point: BlockProfile
@@ -203,7 +205,7 @@ class RunResult:
     seed: int
     config: SolverConfig
     error: str | None = None
-    iterates: tuple[BlockProfile, ...] | None = None
+    measures: np.ndarray | None = None
 
 
 def _describe_error(exc: SpectraSviError) -> str:
@@ -214,30 +216,6 @@ def _describe_error(exc: SpectraSviError) -> str:
         return str(exc)
     details = ", ".join(f"{k}={v}" for k, v in diagnostics.items())
     return f"{exc} [{details}]"
-
-
-def reported_sequence(result: RunResult,
-                      problem: SviProblem) -> tuple[BlockProfile, ...]:
-    """Reported point at every iteration, rebuilt from recorded iterates.
-
-    For the non-averaging methods this is the iterate sequence itself;
-    for AM-SMD the averaging recursion is replayed over the recorded
-    iterates, reproducing the in-run averages bitwise (same operations
-    in the same order).
-    """
-    if result.iterates is None:
-        raise ValueError("run was not configured with record_iterates")
-    if result.config.method is not Method.AM_SMD:
-        return result.iterates
-    eta_at = result.config.schedule.resolve(
-        problem.oracle_bound, problem.constraints.total_dim,
-        result.config.iterations)
-    avg = AveragingState(eta_at(0), result.iterates[0])
-    out = [result.iterates[0]]
-    for t in range(len(result.iterates) - 1):
-        avg = update_average(avg, result.iterates[t + 1], eta_at(t + 1))
-        out.append(avg.xbar)
-    return tuple(out)
 
 
 def run(problem: SviProblem, config: SolverConfig) -> RunResult:
@@ -253,8 +231,12 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     return run_batch([problem], [config])[0]
 
 
+Measure = Callable[[SviProblem, BlockProfile], np.ndarray]
+
+
 def run_batch(problems: Sequence[SviProblem],
-              configs: Sequence[SolverConfig]) -> list[RunResult]:
+              configs: Sequence[SolverConfig],
+              measure: Measure | None = None) -> list[RunResult]:
     """Run cell c = (problems[c], configs[c]) for every c in one loop.
 
     The cells must share the constraint set, the iteration count and the
@@ -263,19 +245,25 @@ def run_batch(problems: Sequence[SviProblem],
     which some cell fails is split in halves and each half is run again
     from its seeds, down to the failing cells, which then end exactly as
     their lone runs do.
+
+    measure, when given, is called once per iteration on the stacked
+    problem (`problem.stack_problems`) and the batch's reported points;
+    row t - 1 of each cell's `measures` is its share at iteration t. A
+    measure that raises a package error fails its cell like any other.
     """
     try:
-        return _run_cells(problems, configs)
+        return _run_cells(problems, configs, measure)
     except SpectraSviError:
         if len(problems) == 1:
             raise
         half = len(problems) // 2
-        return (run_batch(problems[:half], configs[:half])
-                + run_batch(problems[half:], configs[half:]))
+        return (run_batch(problems[:half], configs[:half], measure)
+                + run_batch(problems[half:], configs[half:], measure))
 
 
 def _run_cells(problems: Sequence[SviProblem],
-               configs: Sequence[SolverConfig]) -> list[RunResult]:
+               configs: Sequence[SolverConfig],
+               measure: Measure | None) -> list[RunResult]:
     """The solver loop over a cell axis.
 
     When no cell of the batch averages, the mapping at a gap iteration's
@@ -310,8 +298,7 @@ def _run_cells(problems: Sequence[SviProblem],
     avg = AveragingState(etas[:, 0], X)
     final = X
     traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
-    recording = any(c.record_iterates for c in configs)
-    history: list[BlockProfile] = [X]
+    measures: list[np.ndarray] = []
     F_next: BlockProfile | None = None  # F(X), when the gap computed it
     error: str | None = None
     iterate_seconds = 0.0
@@ -327,9 +314,8 @@ def _run_cells(problems: Sequence[SviProblem],
             Y, X = mirror_step(Y, phi, etas[:, t], cset)
             avg = update_average(avg, X, etas[:, t + 1])
             iterate_seconds += time.perf_counter() - tic
-            if recording:
-                history.append(X)
             F_next = None
+            reported = None
             it = t + 1
             if it % gap_every == 0 or it == T:
                 tic = time.perf_counter()
@@ -347,11 +333,16 @@ def _run_cells(problems: Sequence[SviProblem],
                     trace.append((it, float(gap)))
                 if not any_averaging:
                     F_next = F_reported
+            if measure is not None:
+                if reported is None:
+                    reported = select_cells(averaging, avg.xbar, X)
+                measures.append(measure(problem, reported))
     except SpectraSviError as exc:
         if C > 1:
             raise
         error = _describe_error(exc)
 
+    rows = np.stack(measures, axis=1) if measures else np.empty((C, 0))
     return [
         RunResult(
             final_point=final.cells(c),
@@ -361,8 +352,7 @@ def _run_cells(problems: Sequence[SviProblem],
             seed=config.seed,
             config=config,
             error=error,
-            iterates=(tuple(P.cells(c) for P in history)
-                      if config.record_iterates else None),
+            measures=None if measure is None else rows[c],
         )
         for c, config in enumerate(configs)
     ]

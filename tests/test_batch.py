@@ -3,8 +3,9 @@
 `run_grid` runs all cells of one antenna pair as one batched solver loop
 (cut into one chunk per worker under a pool). Random small grids check
 that every cell's gap trace and final point equal those of its lone
-`solvers.run`, and that a cell failing inside a batch leaves the other
-cells untouched and ends with exactly its lone run's error.
+`solvers.run`, and that a cell failing inside a batch (in the solver or
+in the throughput measured inside its loop) leaves the other cells
+untouched and ends with exactly its lone run's error.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectra_svi import harness, solvers
+from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
 from spectra_svi.problem import SpectraSet, quadratic_test_problem
 from spectra_svi.problem import random_feasible_profile
@@ -132,6 +134,63 @@ def test_a_failing_cell_leaves_its_batch_unchanged(config, data):
     for grid in faulty:
         assert grid.failures == [f"{target.label()}: {lone.error}"]
         assert _traces(grid) == expected
+
+
+def _csv_lines(grid, tmp_path, skip):
+    """The gap and throughput CSV lines of every cell but `skip`."""
+    harness.write_csv(grid.records, tmp_path / "gaps.csv")
+    harness.write_throughput_csv(grid.throughput_records,
+                                 tmp_path / "throughput.csv")
+    gaps = (tmp_path / "gaps.csv").read_bytes().splitlines()
+    rates = (tmp_path / "throughput.csv").read_bytes().splitlines()
+    cell = (skip.method.value.encode(), str(skip.path).encode())
+    # method and path: fields 0 and 5 of a gap row, 0 and 2 of a rate row
+    return ([g for g in gaps if tuple(g.split(b",")[0:6:5]) != cell],
+            [r for r in rates if tuple(r.split(b",")[0:3:2]) != cell])
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_a_throughput_failure_fails_only_its_cell(threads, tmp_path,
+                                                  monkeypatch):
+    config = ExperimentConfig(
+        antenna_pairs=((2, 2),), sigmas=(1.0,),
+        methods=(MethodSpec(Method.AM_SMD, StepSchedule.harmonic_sqrt()),
+                 MethodSpec(Method.M_SMD, StepSchedule.harmonic_sqrt())),
+        iterations=12, sample_paths=2, gap_every=4, base_seed=8,
+        record_throughput=True)
+    tasks = harness.build_tasks(config)
+    assert len(tasks) == 4
+    target, k = tasks[2], 7  # M-SMD, path 0; fails at iteration 7
+    clean = harness.run_grid(config, threads=threads)
+    poison = np.array([r.value for r in clean.throughput_records
+                       if (r.method, r.path, r.iteration)
+                       == (target.method.value, target.path, k)])
+    real = harness.throughput
+
+    def faulty(channels, X):
+        # Each cell's rates are bit for bit those of its lone run, so
+        # the target's clean rates at iteration k find it in any batch.
+        rates = real(channels, X)
+        if np.any(np.all(rates == poison, axis=-1)):
+            raise DomainError("covariance not PD: injected at iteration k")
+        return rates
+
+    monkeypatch.setattr(harness, "throughput", faulty)
+    lone_records, lone_rates, lone_failures = harness.run_cell(target)
+    grid = harness.run_grid(config, threads=threads)
+    assert lone_failures == [
+        f"{target.label()}: covariance not PD: injected at iteration k"]
+    assert grid.failures == lone_failures
+    assert [r.iteration for r in lone_records] == [4]  # the partial trace
+    assert [r for r in grid.records
+            if (r.method, r.path) == (target.method.value, target.path)
+            ] == lone_records
+    assert lone_rates == []
+    assert not [r for r in grid.throughput_records
+                if (r.method, r.path) == (target.method.value, target.path)]
+    others = _csv_lines(clean, tmp_path, target)
+    assert [len(lines) for lines in others] == [1 + 3 * 3, 1 + 3 * 12 * 7]
+    assert _csv_lines(grid, tmp_path, target) == others
 
 
 def test_run_batch_rejects_cells_that_cannot_share_a_loop():

@@ -50,6 +50,17 @@ def test_run_rejects_bad_config_key(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_run_rejects_negative_threads(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_tiny_config_text())
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out),
+                     "--threads", "-1"])
+    assert code == cli.EXIT_CONFIG
+    assert "threads must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_requires_config_or_preset():
     with pytest.raises(SystemExit):
         cli.main(["run"])

@@ -1,6 +1,7 @@
 """Experiment grids: seeding, CSV schema, config parsing, presets."""
 
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -230,23 +231,64 @@ def test_run_grid_throughput_records():
     assert its == set(range(1, 13))
 
 
-def test_run_grid_runs_throughput_cells_alone(monkeypatch):
-    # A batch keeps the iterates of all its cells until it ends, so cells
-    # that record them run one at a time, as lone runs would.
+def test_run_grid_batches_throughput_cells(monkeypatch):
+    # Throughput is measured inside the solver loop, so cells that record
+    # it share one batch like all other cells of an antenna pair.
     sizes = []
     real = harness.run_batch
 
-    def counted(problems, configs):
-        sizes.append(len(problems))
-        return real(problems, configs)
+    def counted(problems, configs, measure=None):
+        sizes.append((len(problems), measure is not None))
+        return real(problems, configs, measure)
 
     monkeypatch.setattr(harness, "run_batch", counted)
     run_grid(_small_config(iterations=4, gap_every=4), threads=1)
-    assert sizes == [4]  # methods x paths in one batch
+    assert sizes == [(4, False)]  # methods x paths in one batch
     sizes.clear()
-    run_grid(_small_config(iterations=4, gap_every=4,
-                           record_throughput=True), threads=1)
-    assert sizes == [1, 1, 1, 1]
+    grid = run_grid(_small_config(iterations=4, gap_every=4,
+                                  record_throughput=True), threads=1)
+    assert sizes == [(4, True)]
+    assert len(grid.throughput_records) == 4 * 4 * 7
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs
+    every job in-process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    config = _small_config(iterations=4, gap_every=4)  # one pair, 4 cells
+    expected = run_grid(config, threads=1).records
+    for threads in (2, 3, 8, 0):
+        assert run_grid(config, threads=threads).records == expected
+    assert _RecordingPool.sizes == [2, 3, 4, 4]
+
+
+def test_run_grid_rejects_negative_threads(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(ConfigError, match="threads"):
+        run_grid(_small_config(), threads=-1)
+    assert _RecordingPool.sizes == []
 
 
 def test_csv_round_trip_bitwise(tmp_path):

@@ -1,11 +1,12 @@
 """Solver loop: schedules, averaging, convergence, method relationships."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spectra_svi import problem as pb
+from spectra_svi import mimo, problem as pb
 from spectra_svi.errors import DomainError
 from spectra_svi.linalg import random_hermitian
 from spectra_svi.problem import BlockProfile, SpectraSet, SviProblem, TraceMode
@@ -18,8 +19,8 @@ from spectra_svi.solvers import (
     StepSchedule,
     dual_to_primal,
     mirror_step,
-    reported_sequence,
     run,
+    run_batch,
     horizon_stepsize,
     update_average,
 )
@@ -120,12 +121,19 @@ def test_mirror_step_moves_against_gradient():
 
 
 def test_run_starts_from_uniform_state():
-    prob = _quadratic(seed=2)
+    # The first oracle call evaluates the mapping at X_0.
+    base = _quadratic(seed=2)
+    seen = []
+
+    def recording(X):
+        seen.append(X)
+        return base.mapping(X)
+
     cfg = SolverConfig(Method.M_SMD, iterations=1,
-                       schedule=StepSchedule.constant(1e-9),
-                       gap_every=1, record_iterates=True)
-    res = run(prob, cfg)
-    X0 = res.iterates[0]
+                       schedule=StepSchedule.constant(1e-9), gap_every=1)
+    run(SviProblem(base.constraints, recording, base.noise,
+                   base.oracle_bound), cfg)
+    X0 = seen[0]
     for b in X0:
         assert np.allclose(b, np.eye(b.shape[0]) / b.shape[0], atol=1e-12)
 
@@ -202,41 +210,57 @@ def test_mel_gap_measured_against_original_mapping():
 
 
 def test_averaging_reported_point_is_average_not_iterate():
+    # AM-SMD and M-SMD share the iteration, so with one seed the M-SMD
+    # run's final point is the AM-SMD run's last iterate.
     prob = _quadratic(seed=9, sigma=2.0)
     base = dict(iterations=60, schedule=StepSchedule.horizon(),
-                gap_every=60, seed=11, record_iterates=True)
+                gap_every=60, seed=11)
     am = run(prob, SolverConfig(Method.AM_SMD, **base))
+    last = run(prob, SolverConfig(Method.M_SMD, **base))
     assert not all(np.array_equal(x, y)
-                   for x, y in zip(am.final_point, am.iterates[-1]))
+                   for x, y in zip(am.final_point, last.final_point))
 
 
-def test_reported_sequence_replays_average_bitwise():
-    prob = _quadratic(seed=10, sigma=1.0)
-    cfg = SolverConfig(Method.AM_SMD, iterations=50,
-                       schedule=StepSchedule.horizon(), gap_every=50,
-                       seed=2, record_iterates=True)
-    res = run(prob, cfg)
-    seq = reported_sequence(res, prob)
-    assert len(seq) == 51
-    assert all(np.array_equal(x, y)
-               for x, y in zip(seq[-1], res.final_point))
+def _game_cells():
+    """Three cells of the 2x2 game with their own channels and sigmas."""
+    topo = mimo.canonical_topology(2, 2)
+    return [mimo.game_to_svi(topo, mimo.sample_channels(
+                topo, np.random.default_rng(seed)), sigma)
+            for seed, sigma in ((1, 1.0), (2, 0.0), (3, 2.0))]
 
 
-def test_reported_sequence_last_iterate_methods():
-    prob = _quadratic(seed=11)
-    cfg = SolverConfig(Method.M_SMD, iterations=30,
-                       schedule=StepSchedule.harmonic_sqrt(), gap_every=30,
-                       seed=0, record_iterates=True)
-    res = run(prob, cfg)
-    assert reported_sequence(res, prob) is res.iterates
+def _throughput(problem, X):
+    return mimo.throughput(problem.mapping.channels, X)
 
 
-def test_reported_sequence_requires_recording():
-    prob = _quadratic(seed=12)
-    cfg = SolverConfig(Method.M_SMD, iterations=10,
-                       schedule=StepSchedule.harmonic_sqrt(), gap_every=10)
-    with pytest.raises(ValueError):
-        reported_sequence(run(prob, cfg), prob)
+def test_measures_are_the_throughput_at_each_reported_point():
+    # Under a harmonic schedule eta_t does not depend on T, so the run
+    # stopped at iteration t reports the point the full run reports at
+    # t: its throughput is row t - 1 of the measures, bit for bit.
+    problems = _game_cells()
+    configs = [
+        SolverConfig(Method.AM_SMD, 6, StepSchedule.harmonic_sqrt(),
+                     gap_every=4, seed=5),
+        SolverConfig(Method.M_SMD, 6, StepSchedule.harmonic(),
+                     gap_every=4, seed=6),
+        SolverConfig(Method.MEL, 6, StepSchedule.harmonic(), lam=0.5,
+                     gap_every=4, seed=7),
+    ]
+    results = run_batch(problems, configs, _throughput)
+    for problem, cfg, result in zip(problems, configs, results):
+        assert result.error is None
+        assert result.measures.shape == (6, 7)
+        for t in range(1, 7):
+            lone = run(problem, replace(cfg, iterations=t, gap_every=t))
+            rates = mimo.throughput(problem.mapping.channels,
+                                    lone.final_point)
+            assert np.array_equal(result.measures[t - 1], rates), (cfg, t)
+
+
+def test_run_without_measure_has_no_measures():
+    result = run(_quadratic(seed=12), SolverConfig(
+        Method.M_SMD, 10, StepSchedule.harmonic_sqrt(), gap_every=10))
+    assert result.measures is None
 
 
 def test_run_trace_cap_problem_stays_feasible():
@@ -304,19 +328,23 @@ def test_gap_iterations_reuse_the_mapping_of_the_last_iterate():
 
 def test_averaged_trajectory_moves_less_than_iterates():
     # Late in a noisy run the average moves O(1/t) per step while the raw
-    # iterate keeps jumping O(eta * sigma); with the same seed the AM run's
-    # recorded iterates ARE the last-iterate trajectory, so one run gives
-    # both sequences.
+    # iterate keeps jumping O(eta * sigma). AM-SMD and M-SMD with one
+    # seed share the iterates, so a batch of the two measures both
+    # sequences.
     prob = _quadratic(seed=14, sigma=3.0)
-    cfg = SolverConfig(Method.AM_SMD, iterations=300,
-                       schedule=StepSchedule.horizon(), gap_every=300,
-                       seed=0, record_iterates=True)
-    res = run(prob, cfg)
-    averaged = reported_sequence(res, prob)
-    raw = res.iterates
+    base = dict(iterations=300, schedule=StepSchedule.horizon(),
+                gap_every=300, seed=0)
+
+    def entries(problem, X):
+        return np.concatenate(
+            [p.reshape(p.shape[0], -1) for p in X.parts], axis=1)
+
+    averaged, raw = (r.measures for r in run_batch(
+        [prob, prob], [SolverConfig(Method.AM_SMD, **base),
+                       SolverConfig(Method.M_SMD, **base)], entries))
 
     def max_step(seq):
-        return max((seq[t + 1] - seq[t]).frobenius_norm()
+        return max(np.linalg.norm(seq[t + 1] - seq[t])
                    for t in range(len(seq) - 51, len(seq) - 1))
 
     assert max_step(averaged) < 0.2 * max_step(raw)
