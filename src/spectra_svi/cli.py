@@ -53,10 +53,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"warning: {message}", file=sys.stderr)
 
     grid = harness.run_grid(config, threads=args.threads, on_failure=warn)
+    keys = [(method, path) for method, path, _ in grid.rates]
+    if len(set(keys)) < len(keys):
+        warn("throughput.csv rows of cells that differ only in antennas, "
+             "sigma or lambda share their (method, player, path, iter) "
+             "keys; see the README")
     paths = harness.write_outputs(grid, config, args.out, stem)
-    svg_path = os.path.join(args.out, f"{stem}.svg")
-    svgplot.render_svg(grid.records, svg_path)
-    paths["svg"] = svg_path
+    if grid.records:
+        svg_path = os.path.join(args.out, f"{stem}.svg")
+        svgplot.render_svg(grid.records, svg_path)
+        paths["svg"] = svg_path
+    else:
+        print("no gap records: skipped the SVG plot", file=sys.stderr)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     if grid.failures:
@@ -77,6 +85,8 @@ def _cmd_check(_: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     records = harness.read_csv(args.csv)
+    if not records:
+        raise ConfigError(f"{args.csv}: no gap records to plot")
     svgplot.render_svg(records, args.out_svg)
     print(f"wrote {args.out_svg}")
     return EXIT_OK

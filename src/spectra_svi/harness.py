@@ -4,11 +4,14 @@ A grid is the product (antenna pair) x sigma x method x lambda x sample
 path. Every cell derives its RNG seeds by hashing the cell coordinates
 together with the base seed, so results are reproducible byte for byte
 and independent of execution order or thread count. Channel draws use a
-seed that excludes the method and lambda: all methods in a cell face the
-same channel realizations and differ only in their own noise streams.
-All cells of one antenna pair share their array shapes and run as one
-batched solver loop (`solvers.run_batch`), cut into one chunk per worker
-when a process pool is used.
+seed that excludes the method, lambda and sigma: all methods in a cell
+face the same channel realizations and differ only in their own noise
+streams. All cells of one antenna pair share their array shapes and run
+as one batched solver loop (`solvers.run_batch`), cut into one chunk per
+worker when a process pool is used. A batch draws each distinct channel
+seed once; its cells share that draw, its padded stack and its oracle
+bound. Per-player rates stay one (T, N) array per cell until
+`write_throughput_csv` formats them.
 """
 
 from __future__ import annotations
@@ -131,19 +134,6 @@ class GapRecord:
                 self.path, self.iteration)
 
 
-@dataclass(frozen=True)
-class ThroughputRecord:
-    method: str
-    player: int
-    path: int
-    iteration: int
-    value: float
-
-    @property
-    def sort_key(self):
-        return (self.method, self.player, self.path, self.iteration)
-
-
 def derive_seed(base_seed: int, *parts: object) -> int:
     """Stable 64-bit seed from the base seed and cell coordinates.
 
@@ -180,10 +170,18 @@ class CellTask:
                 f"path={self.path}")
 
 
+# One cell's per-player rates: (method, path, rates), rates[t - 1, i] is
+# player i's rate at iteration t.
+CellRates = tuple[str, int, np.ndarray]
+
+
 @dataclass
 class GridResult:
+    """Gap records sorted by cell and iteration; `rates` holds one entry
+    per successful cell of a throughput-recording grid, in task order."""
+
     records: list[GapRecord] = field(default_factory=list)
-    throughput_records: list[ThroughputRecord] = field(default_factory=list)
+    rates: list[CellRates] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
 
@@ -250,10 +248,21 @@ def build_tasks(config: ExperimentConfig) -> list[CellTask]:
     return tasks
 
 
-def cell_problem(task: CellTask) -> tuple[ChannelSet, SviProblem, SolverConfig]:
-    """The channels, game and solver settings of one cell."""
-    channels = sample_channels(task.topology,
-                               np.random.default_rng(task.channel_seed))
+def _draw_key(task: CellTask) -> tuple:
+    """Identifies a channel draw; NetworkTopology holds an ndarray and is
+    unhashable, so the key is built from its fields."""
+    topo = task.topology
+    return (topo.tx_antennas, topo.rx_antennas, topo.distance_km.tobytes(),
+            topo.max_power, task.channel_seed)
+
+
+def cell_problem(task: CellTask, channels: ChannelSet | None = None
+                 ) -> tuple[ChannelSet, SviProblem, SolverConfig]:
+    """The channels, game and solver settings of one cell; `channels`,
+    when given, is the cell's draw, already made for another cell."""
+    if channels is None:
+        channels = sample_channels(task.topology,
+                                   np.random.default_rng(task.channel_seed))
     problem = game_to_svi(task.topology, channels, task.sigma)
     solver_config = SolverConfig(
         method=task.method,
@@ -266,25 +275,33 @@ def cell_problem(task: CellTask) -> tuple[ChannelSet, SviProblem, SolverConfig]:
     return channels, problem, solver_config
 
 
-def run_cell(*tasks: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord], list[str]]:
+def run_cell(*tasks: CellTask
+             ) -> tuple[list[GapRecord], list[CellRates], list[str]]:
     """Execute cells of one antenna pair as one batched solver run and
-    emit their records and failure lines (one task: a lone cell).
+    emit their records, rates and failure lines (one task: a lone cell).
+    Cells with the same channel seed share one draw.
 
     elapsed_ms is 0 unless timing was requested: measured wall time
     would make otherwise identical runs differ byte for byte. When
     measured, it is the wall time of the batched solver run, including
     any throughput evaluation, shared by every cell of the batch.
     """
-    cells = [cell_problem(task) for task in tasks]
+    draws: dict[tuple, ChannelSet] = {}
+    cells = []
+    for task in tasks:
+        key = _draw_key(task)
+        channels, problem, config = cell_problem(task, draws.get(key))
+        draws[key] = channels
+        cells.append((problem, config))
     measure = ((lambda p, X: throughput(p.mapping.channels, X))
                if tasks[0].record_throughput else None)
     tic = time.perf_counter()
-    results = run_batch([problem for _, problem, _ in cells],
-                        [config for _, _, config in cells], measure)
+    results = run_batch([problem for problem, _ in cells],
+                        [config for _, config in cells], measure)
     elapsed_ms = (time.perf_counter() - tic) * 1e3
 
     records: list[GapRecord] = []
-    throughput_records: list[ThroughputRecord] = []
+    rates: list[CellRates] = []
     failures: list[str] = []
     for task, result in zip(tasks, results):
         records.extend(
@@ -295,12 +312,8 @@ def run_cell(*tasks: CellTask) -> tuple[list[GapRecord], list[ThroughputRecord],
         if result.error is not None:
             failures.append(f"{task.label()}: {result.error}")
         elif measure is not None:
-            throughput_records.extend(
-                ThroughputRecord(task.method.value, player, task.path, it,
-                                 rate)
-                for it, row in enumerate(result.measures.tolist(), 1)
-                for player, rate in enumerate(row))
-    return records, throughput_records, failures
+            rates.append((task.method.value, task.path, result.measures))
+    return records, rates, failures
 
 
 def _batches(tasks: list[CellTask], chunks: int) -> list[list[CellTask]]:
@@ -330,8 +343,9 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     values are a ConfigError. The cells of each antenna pair form one
     batch, cut into one chunk per worker under a pool. A batch that
     raises (or a worker that dies) becomes one failure line per cell of
-    it; the other batches' records are kept. Records are sorted after
-    the merge, so the output does not depend on scheduling.
+    it; the other batches' records are kept. Gap records are sorted
+    after the merge and rates kept in task order, so the output does not
+    depend on scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
@@ -363,15 +377,14 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
                 except Exception as exc:
                     outputs[i] = failed(batches[i], exc)
     out = GridResult()
-    for records, trecords, failures in outputs:
+    for records, rates, failures in outputs:
         out.records.extend(records)
-        out.throughput_records.extend(trecords)
+        out.rates.extend(rates)
         for failure in failures:
             out.failures.append(failure)
             if on_failure is not None:
                 on_failure(failure)
     out.records.sort(key=lambda r: r.sort_key)
-    out.throughput_records.sort(key=lambda r: r.sort_key)
     return out
 
 
@@ -406,18 +419,33 @@ def read_csv(path: str | os.PathLike) -> list[GapRecord]:
     return records
 
 
-def write_throughput_csv(records: Iterable[ThroughputRecord],
+def write_throughput_csv(rates: Iterable[CellRates],
                          path: str | os.PathLike) -> None:
-    lines = [THROUGHPUT_CSV_HEADER]
-    for r in sorted(records, key=lambda r: r.sort_key):
-        lines.append(",".join((
-            r.method, str(r.player), str(r.path), str(r.iteration),
-            _fmt(r.value))))
+    """Rows `method,player,path,iter,R` in (method, player, path, iter)
+    order. Cells that share a (method, path) (they differ in antennas,
+    sigma or lambda) share those keys: their rows for one key follow in
+    the order of `rates`. Such cells must have rates of one shape."""
+    groups: dict[tuple[str, int], list[np.ndarray]] = {}
+    for method, p, R in rates:
+        groups.setdefault((method, p), []).append(R)
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(THROUGHPUT_CSV_HEADER + "\n")
+        for method in sorted({method for method, _ in groups}):
+            paths = sorted(p for m, p in groups if m == method)
+            # (iteration, player, cell) per path
+            cells = {p: np.stack(groups[method, p], axis=-1) for p in paths}
+            for player in range(cells[paths[0]].shape[1]):
+                for p in paths:
+                    head = f"{method},{player},{p},"
+                    rows = cells[p][:, player].tolist()
+                    f.write("".join([f"{head}{it},{v:.17g}\n"
+                                     for it, row in enumerate(rows, 1)
+                                     for v in row]))
 
 
-def read_throughput_csv(path: str | os.PathLike) -> list[ThroughputRecord]:
+def read_throughput_csv(path: str | os.PathLike
+                        ) -> list[tuple[str, int, int, int, float]]:
+    """Rows of a throughput CSV as (method, player, path, iter, R)."""
     with open(path, "r", encoding="ascii") as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != THROUGHPUT_CSV_HEADER:
@@ -428,9 +456,8 @@ def read_throughput_csv(path: str | os.PathLike) -> list[ThroughputRecord]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ConfigError(f"{path}:{idx}: expected 5 fields, got {len(parts)}")
-        records.append(ThroughputRecord(
-            parts[0], int(parts[1]), int(parts[2]), int(parts[3]),
-            float(parts[4])))
+        records.append((parts[0], int(parts[1]), int(parts[2]),
+                        int(parts[3]), float(parts[4])))
     return records
 
 
@@ -692,6 +719,6 @@ def write_outputs(grid: GridResult, config: ExperimentConfig, out_dir: str,
     paths["echo"] = echo_path
     if config.record_throughput:
         tp_path = os.path.join(out_dir, "throughput.csv")
-        write_throughput_csv(grid.throughput_records, tp_path)
+        write_throughput_csv(grid.rates, tp_path)
         paths["throughput"] = tp_path
     return paths

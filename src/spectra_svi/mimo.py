@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,18 +107,35 @@ class ChannelSet:
 
     The game evaluates every link at once on `stacked`, the (N, N, n, m)
     array of all H[j][i] (zero-padded to the largest antenna counts when
-    they differ between users). The channels of several cells, made by
-    `stack`, give every H[j][i] and `stacked` a leading cell axis."""
+    they differ between users), built at construction. The channels of
+    several cells, made by `stack`, give every H[j][i] and `stacked` a
+    leading cell axis."""
 
     H: tuple[tuple[np.ndarray, ...], ...]
+    stacked: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        if self.stacked is None:
+            object.__setattr__(self, "stacked", self._padded())
 
     @classmethod
     def stack(cls, channel_sets: list["ChannelSet"]) -> "ChannelSet":
-        N = channel_sets[0].users
+        """Cells that share a draw (the same object) share its padded
+        stack: the batch's is one gather over the distinct draws, and
+        each H[j][i] is a view of it."""
+        slots: dict[int, int] = {}
+        distinct = []
+        for c in channel_sets:
+            if id(c) not in slots:
+                slots[id(c)] = len(distinct)
+                distinct.append(c.stacked)
+        stacked = np.stack(distinct)[[slots[id(c)] for c in channel_sets]]
+        first = channel_sets[0]
+        rx, tx = first.rx_antennas, first.tx_antennas
         return cls(tuple(
-            tuple(np.stack([c.H[j][i] for c in channel_sets])
-                  for i in range(N))
-            for j in range(N)))
+            tuple(stacked[:, j, i, :rx[i], :tx[j]] for i in range(first.users))
+            for j in range(first.users)), stacked)
 
     @property
     def users(self) -> int:
@@ -135,8 +152,7 @@ class ChannelSet:
     def rx_antennas(self) -> tuple[int, ...]:
         return tuple(self.H[i][i].shape[-2] for i in range(self.users))
 
-    @functools.cached_property
-    def stacked(self) -> np.ndarray:
+    def _padded(self) -> np.ndarray:
         N = self.users
         lead = self.H[0][0].shape[:-2]
         stack = np.zeros(lead + (N, N, max(self.rx_antennas),
@@ -160,6 +176,12 @@ class ChannelSet:
         """(..., N, n, m): the direct links H[i][i]."""
         users = np.arange(self.users)
         return self.stacked[..., users, users, :, :]
+
+    @functools.cached_property
+    def direct_gain(self) -> float:
+        """max_i ||H_ii||_2^2, the game's noiseless oracle bound."""
+        return max(linalg.spectral_norm(self.direct(i)) ** 2
+                   for i in range(self.users))
 
 
 def sample_channels(topology: NetworkTopology,
@@ -308,8 +330,7 @@ def game_to_svi(topology: NetworkTopology, channels: ChannelSet,
     max_i ||H_ii||_2^2 (W >= I makes ||H^dag W^{-1} H||_2 <= ||H||_2^2),
     plus a spectral margin for the Gaussian noise; no sampling needed.
     """
-    C = max(linalg.spectral_norm(channels.direct(i)) ** 2
-            for i in range(topology.users))
+    C = channels.direct_gain
     if sigma > 0:
         C += 3.0 * sigma * math.sqrt(max(topology.tx_antennas))
     return SviProblem(

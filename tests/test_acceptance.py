@@ -290,17 +290,17 @@ def test_criterion_10_stability_of_per_player_rates():
     preset = preset_config("stability")
     grid = run_grid(preset, threads=1)
     assert not grid.failures, grid.failures
-    traj = defaultdict(lambda: defaultdict(list))
-    for r in grid.throughput_records:
-        traj[(r.method, r.player)][r.iteration].append(r.value)
+    paths = defaultdict(list)
+    for method, _, rates in grid.rates:
+        paths[method].append(rates)
     T = preset.iterations
-    window = range(T - 500 + 1, T + 1)
+    window = slice(T - 500, T)  # iterations T - 499 .. T
     lines = []
     for player in range(7):
         stds = {}
         for method in ("am-smd", "m-smd"):
-            series = traj[(method, player)]
-            mean_traj = [float(np.mean(series[it])) for it in window]
+            series = np.stack(paths[method])[:, window, player]
+            mean_traj = [float(np.mean(col)) for col in series.T]
             stds[method] = float(np.std(mean_traj))
         assert stds["am-smd"] < stds["m-smd"], (
             f"player {player}: am-smd std {stds['am-smd']:.5f} !< "

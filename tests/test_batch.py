@@ -5,8 +5,12 @@
 that every cell's gap trace and final point equal those of its lone
 `solvers.run`, and that a cell failing inside a batch (in the solver or
 in the throughput measured inside its loop) leaves the other cells
-untouched and ends with exactly its lone run's error.
+untouched and ends with exactly its lone run's error. Cells that share a
+channel seed share one draw, equal to each one's lone draw, and the
+per-cell rate arrays write the bytes of the record-based throughput CSV.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectra_svi import harness, solvers
+from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
 from spectra_svi.problem import SpectraSet, quadratic_test_problem
@@ -139,8 +144,7 @@ def test_a_failing_cell_leaves_its_batch_unchanged(config, data):
 def _csv_lines(grid, tmp_path, skip):
     """The gap and throughput CSV lines of every cell but `skip`."""
     harness.write_csv(grid.records, tmp_path / "gaps.csv")
-    harness.write_throughput_csv(grid.throughput_records,
-                                 tmp_path / "throughput.csv")
+    harness.write_throughput_csv(grid.rates, tmp_path / "throughput.csv")
     gaps = (tmp_path / "gaps.csv").read_bytes().splitlines()
     rates = (tmp_path / "throughput.csv").read_bytes().splitlines()
     cell = (skip.method.value.encode(), str(skip.path).encode())
@@ -162,9 +166,8 @@ def test_a_throughput_failure_fails_only_its_cell(threads, tmp_path,
     assert len(tasks) == 4
     target, k = tasks[2], 7  # M-SMD, path 0; fails at iteration 7
     clean = harness.run_grid(config, threads=threads)
-    poison = np.array([r.value for r in clean.throughput_records
-                       if (r.method, r.path, r.iteration)
-                       == (target.method.value, target.path, k)])
+    [poison] = [rates[k - 1] for method, path, rates in clean.rates
+                if (method, path) == (target.method.value, target.path)]
     real = harness.throughput
 
     def faulty(channels, X):
@@ -186,11 +189,109 @@ def test_a_throughput_failure_fails_only_its_cell(threads, tmp_path,
             if (r.method, r.path) == (target.method.value, target.path)
             ] == lone_records
     assert lone_rates == []
-    assert not [r for r in grid.throughput_records
-                if (r.method, r.path) == (target.method.value, target.path)]
+    assert not [cell for cell in grid.rates
+                if cell[:2] == (target.method.value, target.path)]
     others = _csv_lines(clean, tmp_path, target)
     assert [len(lines) for lines in others] == [1 + 3 * 3, 1 + 3 * 12 * 7]
     assert _csv_lines(grid, tmp_path, target) == others
+
+
+HS = StepSchedule.harmonic_sqrt()
+# Cells of two antenna pairs, two sigmas and two MEL lambdas share their
+# (method, path) keys in throughput.csv.
+COLLIDING = ExperimentConfig(
+    antenna_pairs=((2, 2), (2, 4)), sigmas=(0.0, 1.0),
+    methods=(MethodSpec(Method.AM_SMD, HS), MethodSpec(Method.M_SMD, HS),
+             MethodSpec(Method.MEL, StepSchedule.harmonic(), (0.1, 0.5))),
+    iterations=6, sample_paths=2, gap_every=3, base_seed=11,
+    record_throughput=True)
+STABILITY_SHAPED = ExperimentConfig(
+    antenna_pairs=((4, 4),), sigmas=(10.0,),
+    methods=(MethodSpec(Method.AM_SMD, HS), MethodSpec(Method.M_SMD, HS)),
+    iterations=8, sample_paths=3, gap_every=4, base_seed=5,
+    record_throughput=True)
+
+
+@pytest.mark.parametrize("resample", (True, False))
+def test_a_batch_draws_each_channel_seed_once(resample, monkeypatch):
+    config = replace(COLLIDING, resample_channels=resample)
+    tasks = harness.build_tasks(config)
+    seeds = []
+    real = harness.sample_channels
+
+    def counted(topology, rng):
+        seeds.append(rng.bit_generator.state["state"]["state"])
+        return real(topology, rng)
+
+    monkeypatch.setattr(harness, "sample_channels", counted)
+    harness.run_grid(config, threads=1)
+    # one batch per antenna pair, one draw per distinct seed in it
+    distinct = {(t.m, t.n, t.channel_seed) for t in tasks}
+    assert len(distinct) == 2 * (2 if resample else 1)
+    assert len(seeds) == len(distinct) == len(set(seeds))
+    seeds.clear()
+    harness.run_cell(*tasks[:5])
+    assert len(seeds) == len({t.channel_seed for t in tasks[:5]})
+
+
+def test_shared_draws_equal_lone_draws(monkeypatch):
+    batches = []
+    real = harness.run_batch
+
+    def captured(problems, configs, measure=None):
+        batches.append(problems)
+        return real(problems, configs, measure)
+
+    monkeypatch.setattr(harness, "run_batch", captured)
+    harness.run_grid(COLLIDING, threads=1)
+    tasks = harness.build_tasks(COLLIDING)
+    problems = [p for batch in batches for p in batch]
+    assert len(problems) == len(tasks)
+    stacked = [problem_mod.stack_problems(batch).mapping.channels
+               for batch in batches]
+    batched = [(ch, c) for ch in stacked for c in range(len(ch.stacked))]
+    for task, problem, (batch_channels, c) in zip(tasks, problems, batched):
+        lone_channels, lone, _ = harness.cell_problem(task)
+        channels = problem.mapping.channels
+        assert problem.oracle_bound == lone.oracle_bound
+        assert (batch_channels.stacked[c].tobytes()
+                == channels.stacked.tobytes()
+                == lone_channels.stacked.tobytes())
+        for j in range(channels.users):
+            for i in range(channels.users):
+                assert (batch_channels.H[j][i][c].tobytes()
+                        == channels.H[j][i].tobytes()
+                        == lone_channels.H[j][i].tobytes())
+
+
+def _record_based_csv(config, path):
+    """The throughput CSV as the record-based writer produced it: one
+    record per (cell, iteration, player) from each cell's lone run, in
+    task order, stably sorted by (method, player, path, iter)."""
+    records = []
+    for task in harness.build_tasks(config):
+        _, rates, _ = harness.run_cell(task)
+        for method, cell_path, R in rates:
+            records.extend((method, player, cell_path, it, value)
+                           for it, row in enumerate(R.tolist(), 1)
+                           for player, value in enumerate(row))
+    records.sort(key=lambda r: r[:4])
+    lines = [harness.THROUGHPUT_CSV_HEADER] + [
+        f"{m},{player},{p},{it},{value:.17g}"
+        for m, player, p, it, value in records]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("config", (COLLIDING, STABILITY_SHAPED),
+                         ids=("colliding", "stability"))
+def test_throughput_csv_equals_the_record_based_writer(config, threads,
+                                                       tmp_path):
+    expected = _record_based_csv(config, tmp_path / "records.csv")
+    grid = harness.run_grid(config, threads=threads)
+    paths = harness.write_outputs(grid, config, str(tmp_path), "results")
+    assert open(paths["throughput"], "rb").read() == expected
 
 
 def test_run_batch_rejects_cells_that_cannot_share_a_loop():

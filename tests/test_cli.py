@@ -122,6 +122,56 @@ def test_plot_rejects_malformed_csv(tmp_path):
     assert cli.main(["plot", str(bad), str(tmp_path / "x.svg")]) == cli.EXIT_CONFIG
 
 
+def test_run_with_every_cell_failed_writes_partial_results(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_tiny_config_text().replace("sigmas = 1", "sigmas = inf"))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "skipped the SVG plot" in err
+    assert harness.read_csv(out / "results.csv") == []
+    echo = (out / "config.echo.txt").read_text()
+    assert "sigma=inf" in echo.split("[failures]\n", 1)[1]
+    assert not (out / "results.svg").exists()
+
+
+def test_plot_rejects_csv_without_records(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(harness.CSV_HEADER + "\n")
+    svg = tmp_path / "x.svg"
+    assert cli.main(["plot", str(empty), str(svg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "no gap records" in err
+    assert "Traceback" not in err
+    assert not svg.exists()
+
+
+def _throughput_warnings(capsys, tmp_path, text):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text.replace("[methods]",
+                                "record_throughput = true\n[methods]"))
+    code = cli.main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    return [line for line in capsys.readouterr().err.splitlines()
+            if "throughput.csv" in line]
+
+
+def test_run_warns_once_when_throughput_keys_collide(tmp_path, capsys):
+    text = _tiny_config_text().replace("iterations = 30", "iterations = 4")
+    assert _throughput_warnings(capsys, tmp_path, text) == []
+    warnings = _throughput_warnings(
+        capsys, tmp_path, text.replace("sigmas = 1", "sigmas = 0, 1")
+        .replace("antennas = 2x2", "antennas = 2x2, 2x4"))
+    assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+    rows = (tmp_path / "out" / "throughput.csv").read_text().splitlines()
+    assert len(rows) - 1 == 4 * 4 * 7  # cells x iterations x players
+    assert len({row.rsplit(",", 1)[0] for row in rows[1:]}) == 4 * 7
+
+
 def test_check_command_passes(capsys):
     code = cli.main(["check"])
     captured = capsys.readouterr()

@@ -13,7 +13,6 @@ from spectra_svi.harness import (
     ExperimentConfig,
     GapRecord,
     MethodSpec,
-    ThroughputRecord,
     build_tasks,
     derive_seed,
     parse_config,
@@ -224,11 +223,11 @@ def test_run_grid_throughput_records():
         methods=(MethodSpec(Method.AM_SMD, StepSchedule.harmonic_sqrt()),),
         record_throughput=True)
     grid = run_grid(config, threads=1)
-    # one record per iteration per player
-    assert len(grid.throughput_records) == 12 * 7
-    assert all(r.value >= 0 for r in grid.throughput_records)
-    its = {r.iteration for r in grid.throughput_records}
-    assert its == set(range(1, 13))
+    # one row per iteration, one column per player
+    [(method, path, rates)] = grid.rates
+    assert (method, path) == ("am-smd", 0)
+    assert rates.shape == (12, 7)
+    assert np.all(rates >= 0)
 
 
 def test_run_grid_batches_throughput_cells(monkeypatch):
@@ -248,7 +247,7 @@ def test_run_grid_batches_throughput_cells(monkeypatch):
     grid = run_grid(_small_config(iterations=4, gap_every=4,
                                   record_throughput=True), threads=1)
     assert sizes == [(4, True)]
-    assert len(grid.throughput_records) == 4 * 4 * 7
+    assert [rates.shape for _, _, rates in grid.rates] == [(4, 7)] * 4
 
 
 class _RecordingPool:
@@ -334,13 +333,13 @@ def test_read_csv_rejects_non_numeric(tmp_path):
 
 
 def test_throughput_csv_round_trip(tmp_path):
-    records = [
-        ThroughputRecord("am-smd", 0, 0, 1, 0.123456789012345678),
-        ThroughputRecord("am-smd", 1, 0, 1, 2.5),
-    ]
+    rates = [("am-smd", 0, np.array([[0.123456789012345678, 2.5]]))]
     p = tmp_path / "tp.csv"
-    write_throughput_csv(records, p)
-    assert read_throughput_csv(p) == records
+    write_throughput_csv(rates, p)
+    assert read_throughput_csv(p) == [
+        ("am-smd", 0, 0, 1, 0.123456789012345678),
+        ("am-smd", 1, 0, 1, 2.5),
+    ]
 
 
 def test_parse_schedule_forms():
