@@ -25,5 +25,6 @@ class DomainError(SpectraSviError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class ConfigError(SpectraSviError):
-    """Experiment configuration file is malformed or inconsistent."""
+class ConfigError(SpectraSviError, ValueError):
+    """Experiment configuration file is malformed or inconsistent; a bad
+    value, so also a ValueError."""

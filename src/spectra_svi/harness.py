@@ -81,9 +81,12 @@ class MethodSpec:
 
     def __post_init__(self) -> None:
         if not self.lambdas:
-            raise ValueError("lambda list must be non-empty")
+            raise ConfigError("lambdas: list must be non-empty")
         if self.method is not Method.MEL and self.lambdas != (0.0,):
-            raise ValueError("lambda values only apply to MEL")
+            raise ConfigError("lambdas: values only apply to MEL")
+        if not all(0 <= lam < np.inf for lam in self.lambdas):
+            raise ConfigError(
+                f"lambdas: must be finite and >= 0, got {self.lambdas}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.antenna_pairs:
             raise ConfigError("antenna pair list must be non-empty")
+        if min(min(pair) for pair in self.antenna_pairs) < 1:
+            raise ConfigError(
+                f"antennas: counts must be >= 1, got {self.antenna_pairs}")
         if not self.sigmas:
             raise ConfigError("sigma list must be non-empty")
+        if not all(0 <= s < np.inf for s in self.sigmas):
+            raise ConfigError(
+                f"sigmas: must be finite and >= 0, got {self.sigmas}")
         if not self.methods:
             raise ConfigError("method list must be non-empty")
         if self.iterations < 1:
@@ -191,11 +200,21 @@ def _load_topology(selector: str, m: int, n: int) -> NetworkTopology:
     return _topology_from_file(selector)
 
 
-def _topology_from_file(path: str) -> NetworkTopology:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+def _read_ini(path: str | os.PathLike, kind: str
+              ) -> configparser.ConfigParser:
+    """Parse an INI file; a missing or malformed file is a ConfigError."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
-        raise ConfigError(f"topology file not found: {path}")
+        raise ConfigError(f"{kind} file not found: {path}")
+    return parser
+
+
+def _topology_from_file(path: str) -> NetworkTopology:
+    parser = _read_ini(path, "topology")
     if not parser.has_section("topology"):
         raise ConfigError(f"{path}: missing [topology] section")
     sec = parser["topology"]
@@ -443,24 +462,6 @@ def write_throughput_csv(rates: Iterable[CellRates],
                                      for v in row]))
 
 
-def read_throughput_csv(path: str | os.PathLike
-                        ) -> list[tuple[str, int, int, int, float]]:
-    """Rows of a throughput CSV as (method, player, path, iter, R)."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != THROUGHPUT_CSV_HEADER:
-        raise ConfigError(
-            f"{path}: expected header {THROUGHPUT_CSV_HEADER!r}")
-    records = []
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"{path}:{idx}: expected 5 fields, got {len(parts)}")
-        records.append((parts[0], int(parts[1]), int(parts[2]),
-                        int(parts[3]), float(parts[4])))
-    return records
-
-
 # --- configuration files --------------------------------------------------
 
 _EXPERIMENT_KEYS = {
@@ -523,10 +524,7 @@ def parse_schedule(value: str, where: str = "schedule") -> StepSchedule:
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     """Load a flat key = value config; unknown keys are hard errors."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    parser = _read_ini(path, "config")
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
     exp = parser["experiment"]

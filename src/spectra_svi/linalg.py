@@ -1,9 +1,10 @@
 """Dense complex/Hermitian linear algebra used everywhere else.
 
-All matrix functions (exp, log) go through a single eigendecomposition of
-the Hermitian argument; at the block sizes of interest (n up to a few
-dozen) this is both fast enough and lets one decomposition serve exp, log
-and norms within an iteration.
+Hermitian parts and validation, one eigendecomposition routine (batched
+over stacks of blocks, eigenvalues descending, with diagnostics on
+failure), trace/spectral/Frobenius norms, the trace pairing, and random
+Hermitian and unitary draws. Matrix functions of a Hermitian argument
+(the Gibbs maps, entropies) are built in `mirror` on top of `eig`.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPositiveSemidefinite, NumericalFailure
-
-# Largest x with exp(x) finite in float64.
-_EXP_OVERFLOW = float(np.log(np.finfo(np.float64).max))
-
-# Default eigenvalue floor for the PSD matrix logarithm. Boundary iterates
-# (rank-deficient PSD matrices) are legitimate inputs; entropy code applies
-# the 0*log(0) = 0 convention separately, so the floor never leaks into traces.
-LOG_EIG_FLOOR = 1e-300
+from .errors import NumericalFailure
 
 # Eigenvalues below this are treated as exact zeros in entropy-like sums.
 ZERO_EIG_TOL = 1e-15
@@ -99,45 +92,6 @@ def eig(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
 
 
-def _rebuild(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Assemble V diag(w) V^dag and re-symmetrize against rounding."""
-    return hermitianize((V * w) @ V.conj().T)
-
-
-def matrix_exp(A: np.ndarray) -> np.ndarray:
-    """exp(A) for Hermitian A via eigendecomposition.
-
-    Raises NumericalFailure if the top eigenvalue would overflow exp();
-    callers needing exp of large-spectrum duals should use the
-    shift-invariant Gibbs map instead, which never overflows.
-    """
-    w, V = eig(A)
-    if w.size and w[0] > _EXP_OVERFLOW:
-        raise NumericalFailure(
-            f"matrix_exp overflow: top eigenvalue {w[0]:.4g} exceeds "
-            f"{_EXP_OVERFLOW:.1f}; use the shift-invariant Gibbs map for "
-            "normalized exponentials of large duals",
-            diagnostics={"lambda_max": float(w[0])},
-        )
-    return _rebuild(np.exp(w), V)
-
-
-def matrix_log(A: np.ndarray, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
-    """log(A) for PSD Hermitian A, eigenvalues clamped below at `floor`.
-
-    A must be PSD up to tolerance (lambda_min >= -1e-10), otherwise
-    NotPositiveSemidefinite is raised. The floor makes rank-deficient
-    inputs representable; consumers relying on 0*log(0) = 0 must skip
-    near-zero eigenvalues themselves rather than trusting floored logs.
-    """
-    w, V = eig(A)
-    if w.size and w[-1] < -PSD_TOL:
-        raise NotPositiveSemidefinite(
-            f"matrix_log needs a PSD input; lambda_min = {w[-1]:.3e}"
-        )
-    return _rebuild(np.log(np.maximum(w, floor)), V)
-
-
 def trace_norm(A: np.ndarray) -> float:
     """Sum of singular values. For Hermitian A this is sum |lambda_i|."""
     A = np.asarray(A)
@@ -157,11 +111,6 @@ def spectral_norm(A: np.ndarray) -> float:
 def frobenius_norm(A: np.ndarray) -> float:
     """Entrywise 2-norm sqrt(tr(A^dag A))."""
     return float(np.linalg.norm(np.asarray(A)))
-
-
-def real_trace(A: np.ndarray) -> float:
-    """Real part of the trace (exact trace for Hermitian matrices)."""
-    return float(np.trace(np.asarray(A)).real)
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:

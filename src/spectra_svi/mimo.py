@@ -42,18 +42,6 @@ DISTANCE_KM = np.array([
     [1.90, 1.10, 2.10, 2.76, 2.61, 1.94, 0.89],
 ])
 
-# Reference draw of the transmitter-4 -> receiver-5 channel under
-# m = n = 4, kept as a golden serialization fixture. Rows index transmit
-# antennas, columns receive antennas, i.e. the transpose of the H[j][i]
-# (receive x transmit) orientation used below.
-CHANNEL_T4_R5 = np.array([
-    [-0.54 - 0.71j, -1.39 + 2.24j, 0.65 - 2.17j, 0.84 + 0.17j],
-    [-0.13 - 0.71j, -0.14 + 0.88j, 0.09 - 1.67j, -1.22 - 0.25j],
-    [1.39 + 2.34j, -0.17 + 1.23j, 1.00 + 0.23j, 1.72 - 0.33j],
-    [2.40 - 0.97j, 1.10 - 1.07j, 2.94 - 2.00j, 0.21 - 1.64j],
-])
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """User count, per-user antenna sizes, distances, and the power cap.
@@ -74,10 +62,15 @@ class NetworkTopology:
             raise ValueError("tx and rx antenna lists must have equal length")
         if D.shape != (N, N):
             raise ValueError(f"distance matrix must be {N}x{N}, got {D.shape}")
-        if np.any(D <= 0):
-            raise ValueError("distances must be positive")
-        if self.max_power <= 0:
-            raise ValueError(f"power cap must be positive, got {self.max_power}")
+        if min(self.tx_antennas + self.rx_antennas, default=1) < 1:
+            raise ValueError(
+                f"antenna counts must be >= 1, got tx_antennas "
+                f"{self.tx_antennas}, rx_antennas {self.rx_antennas}")
+        if not np.all(np.isfinite(D) & (D > 0)):
+            raise ValueError("distances must be finite and positive")
+        if not 0 < self.max_power < math.inf:
+            raise ValueError(f"power cap must be finite and positive, "
+                             f"got {self.max_power}")
         object.__setattr__(self, "distance_km", D)
 
     @property

@@ -1,10 +1,10 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
 Deliberately naive and deliberately separate: the projection oracle
-never calls the Gibbs map, the truncated-series exponential never calls
-the eigendecomposition-based one, and the sampled supremum never reuses
-the closed-form gap. They exist to catch each other's bugs, at the small
-dimensions tests run at.
+never calls the Gibbs map, the finite-difference gradient never calls
+an analytic one, and the sampled supremum never reuses the closed-form
+gap. They exist to catch each other's bugs, at the small dimensions
+tests run at.
 """
 
 from __future__ import annotations
@@ -83,20 +83,6 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], X: np.ndarray,
             G[i, j] = (diff(S) + 1j * diff(K)) / 2.0
             G[j, i] = np.conj(G[i, j])
     return G
-
-
-def taylor_exp(A: np.ndarray, terms: int = 20) -> np.ndarray:
-    """Truncated series sum_{k<terms} A^k / k!; trustworthy for ||A||_2 <= 1."""
-    if terms < 1:
-        raise ValueError(f"need at least one term, got {terms}")
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, terms):
-        term = term @ A / k
-        total = total + term
-    return total
 
 
 def sampled_sup_linear(F: BlockProfile, cset: SpectraSet, probes: int,

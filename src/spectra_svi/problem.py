@@ -380,8 +380,10 @@ class NoiseModel:
     sigma: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.sigma) < 0):
-            raise ValueError(f"noise level must be >= 0, got {self.sigma}")
+        sigma = np.asarray(self.sigma)
+        if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+            raise ValueError(
+                f"noise level must be finite and >= 0, got {self.sigma}")
 
     def sample(self, dims: tuple[int, ...],
                rng: np.random.Generator | Sequence[np.random.Generator]
@@ -606,18 +608,3 @@ def quadratic_test_problem(B: BlockProfile, cset: SpectraSet,
         noise=NoiseModel(sigma),
         oracle_bound=C,
     )
-
-
-def estimate_oracle_bound(problem: SviProblem, rng: np.random.Generator,
-                          probes: int = 100, safety: float = 1.5) -> float:
-    """Empirical C: max spectral norm of Phi over random feasible probes,
-    inflated by a safety factor."""
-    worst = 0.0
-    for _ in range(probes):
-        X = random_feasible_profile(problem.constraints, rng)
-        phi, _ = oracle_sample(problem, X, rng)
-        worst = max(worst, phi.spectral_norm())
-    if worst == 0.0:
-        raise DomainError("oracle is identically zero on probes; "
-                          "configure the bound explicitly")
-    return safety * worst

@@ -90,8 +90,8 @@ class StepSchedule:
 
     @classmethod
     def constant(cls, eta: float) -> "StepSchedule":
-        if eta <= 0:
-            raise ValueError(f"stepsize must be positive, got {eta}")
+        if not 0 < eta < math.inf:
+            raise ValueError(f"stepsize must be finite and positive, got {eta}")
         return cls(ScheduleKind.CONSTANT, eta)
 
     @classmethod

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from spectra_svi import linalg, mimo, mirror
+from spectra_svi import checks, linalg
 from spectra_svi import problem as pb
 from spectra_svi.harness import (
     ExperimentConfig,
@@ -23,7 +23,7 @@ from spectra_svi.harness import (
     run_grid,
     write_csv,
 )
-from spectra_svi.oracles import finite_diff_gradient, project_spectrahedron
+from spectra_svi.oracles import project_spectrahedron
 from spectra_svi.solvers import Method, SolverConfig, StepSchedule, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -33,125 +33,50 @@ def test_criterion_01_gibbs_feasibility_at_extreme_spectra():
     # 10^4 random duals, n in {2,4,8}, spectra spanning [-1e6, 1e6]:
     # outputs must be unit-trace PSD to 1e-10, in under 30 s.
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20260823)
-    worst_tr = 0.0
-    worst_lam = 0.0
-    for k in range(10_000):
-        n = (2, 4, 8)[k % 3]
-        Y = linalg.random_spectrum_hermitian(rng, n, -1e6, 1e6)
-        X = mirror.gibbs_map(Y)
-        worst_tr = max(worst_tr, abs(linalg.real_trace(X) - 1.0))
-        worst_lam = min(worst_lam, float(np.linalg.eigvalsh(X)[0]))
+    result = checks.check_gibbs_feasibility(
+        np.random.default_rng(20260823), 10_000)
     elapsed = time.perf_counter() - t0
-    assert worst_lam >= -1e-10, f"lambda_min dipped to {worst_lam:.3e}"
-    assert worst_tr <= 1e-10, f"|trace - 1| reached {worst_tr:.3e}"
+    assert result.ok, result.line()
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    print(f"criterion 1 PASS: |tr-1| <= {worst_tr:.2e}, "
-          f"lam_min >= {worst_lam:.2e}, {elapsed:.1f}s")
+    print(f"criterion 1 {result.line()}, {elapsed:.1f}s")
 
 
 def test_criterion_02_divergence_pinsker_lower_bound():
     # D(X, Y) >= 0.5 ||X - Y||_tr^2 - 1e-8 on 10^3 random PD pairs.
-    rng = np.random.default_rng(202)
-    worst = np.inf
-    failures = 0
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        s = float(rng.uniform(0.5, 3.0))
-        X = mirror.gibbs_map(linalg.random_hermitian(rng, n, scale=s))
-        Y = mirror.gibbs_map(linalg.random_hermitian(rng, n, scale=s))
-        slack = (mirror.von_neumann_divergence(X, Y)
-                 - 0.5 * linalg.trace_norm(X - Y) ** 2)
-        worst = min(worst, slack)
-        failures += slack < -1e-8
-    assert failures == 0, f"{failures} failures, min slack {worst:.3e}"
-    print(f"criterion 2 PASS: min slack {worst:.2e} over 1000 pairs")
+    result = checks.check_pinsker(np.random.default_rng(202), 1000)
+    assert result.ok, result.line()
+    print(f"criterion 2 {result.line()}")
 
 
 def test_criterion_03_coupling_smoothness_inequality():
     # H(X, Y+Z) <= H(X, Y) + tr(Z (gibbs(Y) - X)) + ||Z||_2^2 on 10^3
     # triples with ||Z||_2 <= 1; slack >= -1e-8 throughout.
-    rng = np.random.default_rng(303)
-    worst = np.inf
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        X = mirror.gibbs_map(linalg.random_hermitian(rng, n))
-        Y = linalg.random_hermitian(rng, n, scale=2.0)
-        Z = linalg.random_hermitian(rng, n)
-        Z = Z * (float(rng.uniform()) / max(linalg.spectral_norm(Z), 1e-12))
-        lhs = mirror.fenchel_coupling(X, Y + Z)
-        rhs = (mirror.fenchel_coupling(X, Y)
-               + linalg.trace_inner(Z, mirror.gibbs_map(Y) - X)
-               + linalg.spectral_norm(Z) ** 2)
-        worst = min(worst, rhs - lhs)
-    assert worst >= -1e-8, f"min slack {worst:.3e}"
-    print(f"criterion 3 PASS: min slack {worst:.2e} over 1000 triples")
+    result = checks.check_smoothness(np.random.default_rng(303), 1000)
+    assert result.ok, result.line()
+    print(f"criterion 3 {result.line()}")
 
 
 def test_criterion_04_coupling_equals_divergence_of_gibbs():
     # |H(Q, Y) - D(Q, gibbs(Y))| <= 1e-8 on 100 random pairs.
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        Q = mirror.gibbs_map(linalg.random_hermitian(rng, n))
-        Y = linalg.random_hermitian(rng, n, scale=2.0)
-        worst = max(worst, abs(
-            mirror.fenchel_coupling(Q, Y)
-            - mirror.von_neumann_divergence(Q, mirror.gibbs_map(Y))))
-    assert worst <= 1e-8, f"max |difference| {worst:.3e}"
-    print(f"criterion 4 PASS: max |difference| {worst:.2e} over 100 pairs")
+    result = checks.check_fenchel_identity(np.random.default_rng(404), 100)
+    assert result.ok, result.line()
+    print(f"criterion 4 {result.line()}")
 
 
 def test_criterion_05_throughput_gradient_matches_finite_differences():
     # 20 random feasible states of the 7-cell network at m = n = 2; every
     # player's gradient within 1e-4 relative of central differences.
-    topo = mimo.canonical_topology(2, 2)
-    cset = topo.constraint_set()
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    channels = None
-    for k in range(20):
-        if k % 5 == 0:
-            channels = mimo.sample_channels(topo, rng)
-        X = pb.random_feasible_profile(cset, rng)
-        for i in range(topo.users):
-            def rate(Z, i=i):
-                Xm = pb.BlockProfile(tuple(
-                    Z if j == i else X[j] for j in range(7)))
-                return mimo.throughput(channels, Xm, i)
-
-            G = mimo.throughput_gradient(channels, X, i)
-            G_fd = finite_diff_gradient(rate, X[i])
-            rel = (linalg.frobenius_norm(G - G_fd)
-                   / max(1e-9, linalg.frobenius_norm(G)))
-            worst = max(worst, rel)
-    assert worst <= 1e-4, f"max relative error {worst:.3e}"
-    print(f"criterion 5 PASS: max relative error {worst:.2e} over 20 states")
+    result = checks.check_throughput_gradient(np.random.default_rng(505), 20)
+    assert result.ok, result.line()
+    print(f"criterion 5 {result.line()}")
 
 
 def test_criterion_06_game_monotonicity_and_anti_fixture():
     # Witness >= -1e-8 on 10^3 random pairs for the game mapping; the
     # anti-fixture F(X) = -X must fail the identical check.
-    topo = mimo.canonical_topology(2, 2)
-    cset = topo.constraint_set()
-    rng = np.random.default_rng(606)
-    anti = pb.SviProblem(cset, lambda X: -1.0 * X, oracle_bound=1.0)
-    worst = np.inf
-    anti_min = np.inf
-    prob = None
-    for k in range(1000):
-        if k % 100 == 0:
-            channels = mimo.sample_channels(topo, rng)
-            prob = mimo.game_to_svi(topo, channels)
-        X = pb.random_feasible_profile(cset, rng)
-        Y = pb.random_feasible_profile(cset, rng)
-        worst = min(worst, pb.monotonicity_witness(prob, X, Y))
-        anti_min = min(anti_min, pb.monotonicity_witness(anti, X, Y))
-    assert worst >= -1e-8, f"min witness {worst:.3e}"
-    assert anti_min < -1e-8, f"anti-fixture min witness {anti_min:.3e}"
-    print(f"criterion 6 PASS: min witness {worst:.2e}, "
-          f"anti-fixture reaches {anti_min:.2e}")
+    result = checks.check_monotonicity(np.random.default_rng(606), 1000)
+    assert result.ok, result.line()
+    print(f"criterion 6 {result.line()}")
 
 
 def test_criterion_07_known_solution_convergence():

@@ -2,9 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from spectra_svi import cli, harness
+from spectra_svi import cli, harness, solvers
 from spectra_svi.errors import ConfigError
 
 
@@ -58,6 +59,34 @@ def test_run_rejects_negative_threads(tmp_path, capsys):
                      "--threads", "-1"])
     assert code == cli.EXIT_CONFIG
     assert "threads must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("sigmas = 1", "sigmas = inf", "sigmas"),
+    ("sigmas = 1", "sigmas = nan", "sigmas"),
+    ("sigmas = 1", "sigmas = -1", "sigmas"),
+    ("antennas = 2x2", "antennas = 0x2", "antennas"),
+    ("antennas = 2x2", "antennas = 2x0", "antennas"),
+    ("am-smd = horizon", "am-smd = constant:nan", "am-smd"),
+    ("am-smd = horizon", "mel = harmonic\n[mel]\nlambdas = 0.5, nan",
+     "lambdas"),
+    ("am-smd = horizon", "mel = harmonic\n[mel]\nlambdas = -0.5", "lambdas"),
+    ("sigmas = 1", "sigmas = 1\nsigmas = 2", "sigmas"),
+    ("sigmas = 1", "sigmas = 5%", "sigmas"),
+], ids=["sigma-inf", "sigma-nan", "sigma-negative", "antennas-0x2",
+        "antennas-2x0", "constant-nan", "lambda-nan", "lambda-negative",
+        "repeated-key", "percent-sign"])
+def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
+                                                old, new, key):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_tiny_config_text().replace(old, new))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -122,10 +151,13 @@ def test_plot_rejects_malformed_csv(tmp_path):
     assert cli.main(["plot", str(bad), str(tmp_path / "x.svg")]) == cli.EXIT_CONFIG
 
 
-def test_run_with_every_cell_failed_writes_partial_results(tmp_path,
-                                                           capsys):
+def test_run_with_every_cell_failed_writes_partial_results(tmp_path, capsys,
+                                                           monkeypatch):
+    # A Gibbs map that returns NaN makes every cell fail mid-run.
+    monkeypatch.setattr(solvers, "gibbs_map_bounded",
+                        lambda Y, bound: np.full_like(Y, np.nan))
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(_tiny_config_text().replace("sigmas = 1", "sigmas = inf"))
+    cfg.write_text(_tiny_config_text())
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_NUMERICAL
@@ -134,7 +166,7 @@ def test_run_with_every_cell_failed_writes_partial_results(tmp_path,
     assert "skipped the SVG plot" in err
     assert harness.read_csv(out / "results.csv") == []
     echo = (out / "config.echo.txt").read_text()
-    assert "sigma=inf" in echo.split("[failures]\n", 1)[1]
+    assert "sigma=1" in echo.split("[failures]\n", 1)[1]
     assert not (out / "results.svg").exists()
 
 

@@ -19,7 +19,6 @@ from spectra_svi.harness import (
     parse_schedule,
     preset_config,
     read_csv,
-    read_throughput_csv,
     run_cell,
     run_grid,
     write_csv,
@@ -65,6 +64,9 @@ def test_method_spec_rejects_lambdas_off_mel():
         MethodSpec(Method.AM_SMD, StepSchedule.horizon(), (0.5,))
     with pytest.raises(ValueError):
         MethodSpec(Method.MEL, StepSchedule.harmonic(), ())
+    for lam in (-0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lambdas"):
+            MethodSpec(Method.MEL, StepSchedule.harmonic(), (0.1, lam))
 
 
 def test_experiment_config_validation():
@@ -76,6 +78,12 @@ def test_experiment_config_validation():
         _small_config(iterations=0)
     with pytest.raises(ConfigError):
         _small_config(sample_paths=0)
+    for pairs in (((0, 2),), ((2, 2), (2, 0))):
+        with pytest.raises(ConfigError, match="antennas"):
+            _small_config(antenna_pairs=pairs)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="sigmas"):
+            _small_config(sigmas=(1.0, sigma))
 
 
 def test_build_tasks_grid_product():
@@ -336,10 +344,10 @@ def test_throughput_csv_round_trip(tmp_path):
     rates = [("am-smd", 0, np.array([[0.123456789012345678, 2.5]]))]
     p = tmp_path / "tp.csv"
     write_throughput_csv(rates, p)
-    assert read_throughput_csv(p) == [
-        ("am-smd", 0, 0, 1, 0.123456789012345678),
-        ("am-smd", 1, 0, 1, 2.5),
-    ]
+    assert p.read_bytes() == (
+        b"method,player,path,iter,R\n"
+        b"am-smd,0,0,1,0.12345678901234568\n"
+        b"am-smd,1,0,1,2.5\n")
 
 
 def test_parse_schedule_forms():
@@ -459,6 +467,16 @@ def test_topology_file_errors(tmp_path):
     config = parse_config_with_topology(tmp_path, tmp_path / "absent.ini")
     with pytest.raises(ConfigError, match="not found"):
         build_tasks(config)
+    good = ("[topology]\ntx_antennas = 2, 2\nrx_antennas = 2, 2\n"
+            "distances = 0.9 1.5\n  1.5 0.9\n")
+    for old, new, key in (
+            ("rx_antennas = 2, 2", "rx_antennas = 2, 0", "rx_antennas"),
+            ("0.9 1.5", "0.9 nan", "distances"),
+            ("rx_antennas = 2, 2", "rx_antennas = 2\nrx_antennas = 3",
+             "rx_antennas")):
+        p.write_text(good.replace(old, new))
+        with pytest.raises(ConfigError, match=key):
+            build_tasks(parse_config_with_topology(tmp_path, p))
 
 
 def test_presets_exist_and_validate():

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from spectra_svi import linalg
-from spectra_svi.errors import NotPositiveSemidefinite, NumericalFailure
-from spectra_svi.oracles import taylor_exp
 
 
 def test_hermitianize_returns_exact_hermitian_part():
@@ -59,45 +57,6 @@ def test_eig_descending_and_reconstruction():
     residual = np.linalg.norm((V * w) @ V.conj().T - A)
     assert residual <= 1e-9 * max(1.0, np.linalg.norm(A))
     assert np.linalg.norm(V.conj().T @ V - np.eye(4)) <= 1e-10
-
-
-def test_matrix_exp_zero_and_diagonal():
-    assert np.allclose(linalg.matrix_exp(np.zeros((3, 3))), np.eye(3))
-    E = linalg.matrix_exp(np.diag([np.log(2.0), 0.0]))
-    assert np.allclose(E, np.diag([2.0, 1.0]))
-
-
-def test_matrix_exp_matches_taylor_series():
-    rng = np.random.default_rng(2)
-    A = linalg.random_hermitian(rng, 3, scale=0.2)
-    assert np.max(np.abs(linalg.matrix_exp(A) - taylor_exp(A, 20))) <= 1e-10
-
-
-def test_matrix_exp_overflow_error_mentions_gibbs():
-    with pytest.raises(NumericalFailure, match="Gibbs"):
-        linalg.matrix_exp(np.diag([1e4, 0.0]))
-
-
-def test_matrix_log_identity_and_diagonal():
-    assert np.allclose(linalg.matrix_log(np.eye(3)), np.zeros((3, 3)))
-    L = linalg.matrix_log(np.diag([np.e, 1.0]))
-    assert np.allclose(L, np.diag([1.0, 0.0]))
-
-
-def test_matrix_log_inverts_exp():
-    rng = np.random.default_rng(3)
-    A = linalg.random_hermitian(rng, 4)
-    assert np.max(np.abs(linalg.matrix_log(linalg.matrix_exp(A)) - A)) <= 1e-9
-
-
-def test_matrix_log_floors_zero_eigenvalues():
-    L = linalg.matrix_log(np.diag([1.0, 0.0]))
-    assert L[1, 1] <= np.log(1e-299)
-
-
-def test_matrix_log_rejects_indefinite():
-    with pytest.raises(NotPositiveSemidefinite):
-        linalg.matrix_log(np.diag([1.0, -1e-3]))
 
 
 def test_norms_hand_values():

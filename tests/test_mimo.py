@@ -50,6 +50,10 @@ def test_topology_validation():
         mimo.NetworkTopology((2,), (2,), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         mimo.NetworkTopology((2,), (2,), np.ones((1, 1)), max_power=0.0)
+    with pytest.raises(ValueError, match="tx_antennas"):
+        mimo.NetworkTopology((2, 0), (2, 2), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="distances"):
+        mimo.NetworkTopology((2,), (2,), np.full((1, 1), np.inf))
 
 
 def test_sample_channels_shapes():
@@ -191,11 +195,3 @@ def test_game_to_svi_noise_margin():
     assert noisy.noise.sigma == 2.0
     assert noisy.oracle_bound == pytest.approx(
         quiet.oracle_bound + 6.0 * np.sqrt(2.0))
-
-
-def test_reference_channel_fixture_shape_and_scale():
-    A = mimo.CHANNEL_T4_R5
-    assert A.shape == (4, 4)
-    # Entries of a d ~ 1.1 km link should be O(1); catches transposition
-    # or unit errors in the stored fixture.
-    assert 0.1 < np.mean(np.abs(A)) < 3.0

@@ -103,6 +103,12 @@ def test_assert_feasible_dims_mismatch():
         pb.assert_feasible(BlockProfile((np.eye(2) / 2,)), cset)
 
 
+def test_noise_model_rejects_negative_or_non_finite_sigma():
+    for sigma in (-1.0, np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(sigma)
+
+
 def test_noise_model_zero_sigma_is_exact_zero():
     Z = NoiseModel(0.0).sample((2, 3), np.random.default_rng(0))
     assert all(np.all(b == 0) for b in Z)
@@ -250,22 +256,3 @@ def test_quadratic_problem_rejects_dim_mismatch():
     with pytest.raises(DomainError):
         pb.quadratic_test_problem(
             BlockProfile((np.eye(2),)), SpectraSet.single(3))
-
-
-def test_estimate_oracle_bound_dominates_samples():
-    rng = np.random.default_rng(13)
-    cset = SpectraSet.uniform(2, dim=2)
-    B = pb.random_feasible_profile(cset, rng)
-    prob = pb.quadratic_test_problem(B, cset)
-    C = pb.estimate_oracle_bound(prob, np.random.default_rng(14), probes=50)
-    for _ in range(50):
-        X = pb.random_feasible_profile(cset, rng)
-        phi, _ = pb.oracle_sample(prob, X, rng)
-        assert phi.spectral_norm() <= C
-
-
-def test_estimate_oracle_bound_rejects_zero_mapping():
-    cset = SpectraSet.single(2)
-    prob = SviProblem(cset, lambda X: cset.zeros(), oracle_bound=1.0)
-    with pytest.raises(DomainError):
-        pb.estimate_oracle_bound(prob, np.random.default_rng(15), probes=10)

@@ -65,8 +65,9 @@ def test_schedule_harmonic_family():
 
 
 def test_schedule_constant_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        StepSchedule.constant(0.0)
+    for eta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            StepSchedule.constant(eta)
 
 
 def test_solver_config_validation():
