@@ -32,11 +32,12 @@ from .mimo import (
     ChannelSet,
     NetworkTopology,
     canonical_topology,
+    covariances,
     game_to_svi,
     sample_channels,
     throughput,
 )
-from .problem import SviProblem
+from .problem import BlockProfile, SviProblem
 from .solvers import (
     Method,
     ScheduleKind,
@@ -294,6 +295,16 @@ def cell_problem(task: CellTask, channels: ChannelSet | None = None
     return channels, problem, solver_config
 
 
+def game_and_throughput(problem: SviProblem, points: BlockProfile,
+                         rows: np.ndarray) -> tuple[BlockProfile, np.ndarray]:
+    """The game mapping at a batch's stacked points and every player's
+    rate at its reported points, `points.cells(rows)`, from one build of
+    the received covariances."""
+    game = problem.mapping
+    cov = covariances(game.channels, points)
+    return game(cov), throughput(game.channels, cov.rows(rows))
+
+
 def run_cell(*tasks: CellTask
              ) -> tuple[list[GapRecord], list[CellRates], list[str]]:
     """Execute cells of one antenna pair as one batched solver run and
@@ -312,8 +323,7 @@ def run_cell(*tasks: CellTask
         channels, problem, config = cell_problem(task, draws.get(key))
         draws[key] = channels
         cells.append((problem, config))
-    measure = ((lambda p, X: throughput(p.mapping.channels, X))
-               if tasks[0].record_throughput else None)
+    measure = game_and_throughput if tasks[0].record_throughput else None
     tic = time.perf_counter()
     results = run_batch([problem for problem, _ in cells],
                         [config for _, config in cells], measure)
@@ -541,7 +551,7 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
             if key != "lambdas":
                 raise ConfigError(f"{path}: unknown key '{key}' in [mel]")
         lambdas = _parse_floats(parser["mel"]["lambdas"], f"{path}: [mel] lambdas")
-    methods = []
+    specs = []
     for name, sched_text in parser["methods"].items():
         if name not in method_by_name:
             raise ConfigError(
@@ -549,10 +559,9 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
                 f"(use {', '.join(sorted(method_by_name))})")
         method = method_by_name[name]
         schedule = parse_schedule(sched_text, f"{path}: [methods] {name}")
-        methods.append(MethodSpec(
-            method, schedule,
-            lambdas if method is Method.MEL else (0.0,)))
-    if not methods:
+        specs.append((method, schedule,
+                      lambdas if method is Method.MEL else (0.0,)))
+    if not specs:
         raise ConfigError(f"{path}: [methods] section is empty")
 
     def get_int(key: str, default: int) -> int:
@@ -563,30 +572,29 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: [experiment] {key}: {exc}") from exc
 
+    def get_bool(key: str, default: str) -> bool:
+        return _parse_bool(exp.get(key, default),
+                           f"{path}: [experiment] {key}")
+
+    # Parsed here, the values carry their own "path: [section] key"
+    # prefix; the constructors' range checks below get the path added.
+    values = dict(
+        antenna_pairs=_parse_pairs(exp.get("antennas", "2x2"),
+                                   f"{path}: [experiment] antennas"),
+        sigmas=_parse_floats(exp.get("sigmas", "1"),
+                             f"{path}: [experiment] sigmas"),
+        iterations=get_int("iterations", 4000),
+        sample_paths=get_int("sample_paths", 10),
+        gap_every=get_int("gap_every", 100),
+        base_seed=get_int("base_seed", DEFAULT_BASE_SEED),
+        topology=exp.get("topology", "canonical7"),
+        resample_channels=get_bool("resample_channels", "true"),
+        record_timing=get_bool("record_timing", "false"),
+        record_throughput=get_bool("record_throughput", "false"),
+    )
     try:
         return ExperimentConfig(
-            antenna_pairs=_parse_pairs(exp.get("antennas", "2x2"),
-                                       f"{path}: [experiment] antennas"),
-            sigmas=_parse_floats(exp.get("sigmas", "1"),
-                                 f"{path}: [experiment] sigmas"),
-            methods=tuple(methods),
-            iterations=get_int("iterations", 4000),
-            sample_paths=get_int("sample_paths", 10),
-            gap_every=get_int("gap_every", 100),
-            base_seed=get_int("base_seed", DEFAULT_BASE_SEED),
-            topology=exp.get("topology", "canonical7"),
-            resample_channels=_parse_bool(
-                exp.get("resample_channels", "true"),
-                f"{path}: [experiment] resample_channels"),
-            record_timing=_parse_bool(
-                exp.get("record_timing", "false"),
-                f"{path}: [experiment] record_timing"),
-            record_throughput=_parse_bool(
-                exp.get("record_throughput", "false"),
-                f"{path}: [experiment] record_throughput"),
-        )
-    except ConfigError:
-        raise
+            methods=tuple(MethodSpec(*spec) for spec in specs), **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -1,9 +1,9 @@
 """Dense complex/Hermitian linear algebra used everywhere else.
 
-Hermitian parts and validation, one eigendecomposition routine (batched
-over stacks of blocks, eigenvalues descending, with diagnostics on
-failure), trace/spectral/Frobenius norms, the trace pairing, and random
-Hermitian and unitary draws. Matrix functions of a Hermitian argument
+Hermitian parts and validation, one eigendecomposition routine and its
+values-only sibling (batched over stacks of blocks, eigenvalues
+descending, with diagnostics on failure), trace/spectral/Frobenius
+norms, the trace pairing, and random Hermitian and unitary draws. Matrix functions of a Hermitian argument
 (the Gibbs maps, entropies) are built in `mirror` on top of `eig`.
 """
 
@@ -56,6 +56,38 @@ def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.n
     return hermitianize(A)
 
 
+def _checked_hermitian(A: np.ndarray) -> np.ndarray:
+    """The Hermitian part of A, or of a stack of matrices, rejecting
+    non-finite entries. When a stack holds them, the diagnostics name the
+    first offending matrix as `block`, counted along the flattened
+    leading axes."""
+    H = hermitianize(A)
+    if not np.all(np.isfinite(H)):
+        # Some LAPACK builds return NaN eigenvalues instead of raising;
+        # NaN also defeats every downstream comparison, so fail loudly.
+        diagnostics = {"dim": H.shape[-1]}
+        if H.ndim > 2:
+            finite = np.isfinite(H).all(axis=(-2, -1)).reshape(-1)
+            diagnostics["block"] = int(np.argmin(finite))
+        raise NumericalFailure(
+            "eigendecomposition input has non-finite entries", diagnostics)
+    return H
+
+
+def _lapack(solver, H: np.ndarray):
+    try:
+        return solver(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(
+            f"eigendecomposition did not converge: {exc}",
+            diagnostics={
+                "dim": H.shape[-1],
+                "frobenius_norm": float(np.linalg.norm(H)),
+                "max_abs_entry": float(np.max(np.abs(H))),
+            },
+        ) from exc
+
+
 def eig(A: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -68,28 +100,17 @@ def eig(A: np.ndarray) -> EigenDecomposition:
     When a stack holds non-finite entries, the diagnostics name the first
     offending matrix as `block`, counted along the flattened leading axes.
     """
-    H = hermitianize(A)
-    if not np.all(np.isfinite(H)):
-        # Some LAPACK builds return NaN eigenvalues instead of raising;
-        # NaN also defeats every downstream comparison, so fail loudly.
-        diagnostics = {"dim": H.shape[-1]}
-        if H.ndim > 2:
-            finite = np.isfinite(H).all(axis=(-2, -1)).reshape(-1)
-            diagnostics["block"] = int(np.argmin(finite))
-        raise NumericalFailure(
-            "eigendecomposition input has non-finite entries", diagnostics)
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"eigendecomposition did not converge: {exc}",
-            diagnostics={
-                "dim": H.shape[-1],
-                "frobenius_norm": float(np.linalg.norm(H)),
-                "max_abs_entry": float(np.max(np.abs(H))),
-            },
-        ) from exc
+    w, V = _lapack(np.linalg.eigh, _checked_hermitian(A))
     return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
+
+
+def eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or stack, descending, without
+    the eigenvectors: `eig`'s input checks and diagnostics around one
+    batched values-only LAPACK call, whose values may differ from `eig`'s
+    in the last bits."""
+    w = _lapack(np.linalg.eigvalsh, _checked_hermitian(A))
+    return w[..., ::-1].copy()
 
 
 def trace_norm(A: np.ndarray) -> float:

@@ -6,6 +6,11 @@ interference from the other six. Rates use natural logs; the mapping
 F(X) = -diag(grad_1 R_1, ..., grad_N R_N) is monotone because each -R_i
 is convex in X_i, so Nash equilibria coincide with strong solutions of
 the induced VI.
+
+The mapping and the rates start from the same received covariances
+I + sum_j H_ji X_j H_ji^dag. `covariances` builds them once, for every
+receiver and every profile of a stack, and both `game_mapping` and
+`throughput` accept that build in place of the profile.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,7 +240,9 @@ def _received_terms(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
 
 
 def _skip_own(terms: np.ndarray) -> np.ndarray:
-    """Zero each receiver's own-signal term H_ii X_i H_ii^dag in place."""
+    """A copy of the terms with each receiver's own-signal term
+    H_ii X_i H_ii^dag zeroed."""
+    terms = terms.copy()
     users = np.arange(terms.shape[-3])
     terms[..., users + 1, users, :, :] = 0
     return terms
@@ -242,6 +250,30 @@ def _skip_own(terms: np.ndarray) -> np.ndarray:
 
 def _covariance(terms: np.ndarray) -> np.ndarray:
     return hermitianize(terms.sum(axis=-4))
+
+
+class Covariances(NamedTuple):
+    """The received terms of a profile (see `_received_terms`) and the
+    full received covariances I + sum_j H_ji X_j H_ji^dag they add up
+    to, shape (..., N, n, n). Built once by `covariances`, they serve
+    both the game mapping and the rates."""
+
+    terms: np.ndarray
+    full: np.ndarray
+
+    def rows(self, index: np.ndarray) -> "Covariances":
+        """Those of the profiles at `index` along the leading axis."""
+        return Covariances(self.terms[index], self.full[index])
+
+
+def covariances(channels: ChannelSet, X: BlockProfile) -> Covariances:
+    terms = _received_terms(channels, X)
+    return Covariances(terms, _covariance(terms))
+
+
+def _covariances_of(channels: ChannelSet,
+                    X: BlockProfile | Covariances) -> Covariances:
+    return X if isinstance(X, Covariances) else covariances(channels, X)
 
 
 def mui_covariance(channels: ChannelSet, X: BlockProfile, i: int) -> np.ndarray:
@@ -260,24 +292,28 @@ def _logdet_pd(W: np.ndarray) -> np.ndarray:
     return np.sum(np.log(w), axis=-1)
 
 
-def throughput(channels: ChannelSet, X: BlockProfile,
+def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
                i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
     log det of the interference-only covariance. Nonnegative, and
     concave in X_i since the second term does not depend on X_i.
 
-    With i = None, every user's rate as one array from one pass over the
-    received covariances. X may carry leading axes (several profiles on
-    the same channels); the rates then have shape (..., N)."""
-    terms = _received_terms(channels, X)
-    full = _logdet_pd(_covariance(terms))
-    rates = full - _logdet_pd(_covariance(_skip_own(terms)))
+    With i = None, every user's rate as one array; both covariances of
+    every user go through one eigvalsh call. X may carry leading axes
+    (several profiles on the same channels); the rates then have shape
+    (..., N). X may also be the profile's `covariances`, when already
+    built."""
+    cov = _covariances_of(channels, X)
+    interference = _covariance(_skip_own(cov.terms))
+    logdet = _logdet_pd(np.stack((cov.full, interference)))
+    rates = logdet[0] - logdet[1]
     return rates if i is None else float(rates[i])
 
 
-def _rate_gradients(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
+def _rate_gradients(channels: ChannelSet,
+                    X: BlockProfile | Covariances) -> np.ndarray:
     """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m)."""
-    W = _covariance(_received_terms(channels, X))
+    W = _covariances_of(channels, X).full
     H = channels.direct_stacked
     return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
 
@@ -291,10 +327,12 @@ def throughput_gradient(channels: ChannelSet, X: BlockProfile,
     return _rate_gradients(channels, X)[i, :m_i, :m_i]
 
 
-def game_mapping(channels: ChannelSet, X: BlockProfile) -> BlockProfile:
+def game_mapping(channels: ChannelSet,
+                 X: BlockProfile | Covariances) -> BlockProfile:
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
     evaluated for all users in one batched solve. With stacked channels,
-    X has a cell axis and every cell is evaluated in the same calls."""
+    X has a cell axis and every cell is evaluated in the same calls. X
+    may also be the profile's `covariances`, when already built."""
     dims = channels.tx_antennas
     return BlockProfile.from_parts(
         _crop(-_rate_gradients(channels, X), dims), block_layout(dims))
@@ -307,7 +345,7 @@ class GameMapping:
 
     channels: ChannelSet
 
-    def __call__(self, X: BlockProfile) -> BlockProfile:
+    def __call__(self, X: BlockProfile | Covariances) -> BlockProfile:
         return game_mapping(self.channels, X)
 
     @classmethod

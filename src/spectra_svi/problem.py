@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NumericalFailure
-from .linalg import eig, hermitianize, trace_inner
+from .linalg import eig, eigvals, hermitianize, trace_inner
 from .mirror import gibbs_map
 
 FEASIBILITY_PSD_TOL = 1e-9
@@ -145,8 +145,16 @@ class BlockProfile:
             np.stack([P.parts[k] for P in profiles])
             for k in range(len(profiles[0].parts))), profiles[0].layout)
 
-    def cells(self, c: int) -> "BlockProfile":
-        """Cell c of a profile with a cell axis, as a view."""
+    @classmethod
+    def concat(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
+        """Profiles of one layout with a cell axis, one after the other."""
+        return cls.from_parts(tuple(
+            np.concatenate([P.parts[k] for P in profiles])
+            for k in range(len(profiles[0].parts))), profiles[0].layout)
+
+    def cells(self, c: int | slice | np.ndarray) -> "BlockProfile":
+        """Cell c of a profile with a cell axis, or the cells a slice
+        (both views) or an index array (a copy) selects."""
         return BlockProfile.from_parts(
             tuple(p[c] for p in self.parts), self.layout)
 
@@ -336,7 +344,7 @@ def assert_feasible(X: BlockProfile, cset: SpectraSet,
     when X has a cell axis)."""
     if X.dims != cset.dims:
         raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
-    w = cset.map_groups(lambda g, Xg: eig(Xg).eigenvalues, X)
+    w = cset.map_groups(lambda g, Xg: eigvals(Xg), X)
     N = len(cset.blocks)
     lam_min = cset.per_block([v[..., -1] for v in w]).reshape(-1, N)
     tr = cset.per_block([np.sum(v, axis=-1) for v in w]).reshape(-1, N)

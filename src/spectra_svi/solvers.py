@@ -13,9 +13,13 @@ followed by the blockwise Gibbs map back to the feasible set.
 `run_batch` runs several cells (problems of one constraint set, any mix
 of methods, stepsizes, noise levels and seeds) as one loop over a
 leading cell axis; `run` is its one-cell case. Every cell's result is
-bit for bit what it would be alone. An optional `measure` evaluates a
-quantity (such as per-player throughput) at every iteration's reported
-point, over the whole batch in one call.
+bit for bit what it would be alone. Each iteration evaluates the game
+at most once: a gap iteration evaluates it on the batch's new iterates
+stacked with the averaging cells' averages, and that one result serves
+the next oracle call and the strong gaps at the reported points. An
+optional `measure` takes over that evaluation at every iteration and
+also returns a quantity (such as per-player throughput) at the reported
+points.
 """
 
 from __future__ import annotations
@@ -194,8 +198,11 @@ class RunResult:
     any package error) the partial trace survives and `error` carries the
     message and the diagnostics. With a measure, `measures` has one row
     per completed iteration 1..T, the measure at that iteration's
-    reported point; None without one. In a batch, iterate_seconds and
-    gap_seconds are those of the whole batch.
+    reported point; None without one. iterate_seconds is the time of the
+    oracle calls, mirror steps and averaging; gap_seconds that of the gap
+    iterations' feasibility checks, game evaluations and gaps (a
+    measure-only iteration's evaluation counts in neither). In a batch,
+    both are those of the whole batch.
     """
 
     final_point: BlockProfile
@@ -231,7 +238,14 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     return run_batch([problem], [config])[0]
 
 
-Measure = Callable[[SviProblem, BlockProfile], np.ndarray]
+# measure(problem, points, rows) -> (F(points), values at points.cells(rows))
+Measure = Callable[[SviProblem, BlockProfile, np.ndarray],
+                   tuple[BlockProfile, np.ndarray]]
+
+
+def _mapping_only(problem: SviProblem, points: BlockProfile,
+                  rows: np.ndarray) -> tuple[BlockProfile, None]:
+    return problem.mapping(points), None
 
 
 def run_batch(problems: Sequence[SviProblem],
@@ -246,10 +260,15 @@ def run_batch(problems: Sequence[SviProblem],
     from its seeds, down to the failing cells, which then end exactly as
     their lone runs do.
 
-    measure, when given, is called once per iteration on the stacked
-    problem (`problem.stack_problems`) and the batch's reported points;
-    row t - 1 of each cell's `measures` is its share at iteration t. A
-    measure that raises a package error fails its cell like any other.
+    measure, when given, evaluates the game at every iteration in place
+    of the mapping. It is called with a stacked problem
+    (`problem.stack_problems`), a profile `points` of its cells and an
+    index array `rows`, and returns the mapping at `points` together
+    with the measured values at the batch's reported points,
+    `points.cells(rows)`, one row per cell; row t - 1 of each cell's
+    `measures` is its value at iteration t. A measure that raises a
+    package error fails its cell like any other, before that
+    iteration's gap is recorded.
     """
     try:
         return _run_cells(problems, configs, measure)
@@ -266,10 +285,12 @@ def _run_cells(problems: Sequence[SviProblem],
                measure: Measure | None) -> list[RunResult]:
     """The solver loop over a cell axis.
 
-    When no cell of the batch averages, the mapping at a gap iteration's
-    X_t serves both the gap and the next oracle call. A failure stops a
-    lone cell with its partial trace; in a larger batch it propagates to
-    `run_batch`.
+    Every iteration evaluates the game at most once. A gap or measure
+    iteration evaluates it on one stacked profile: X_{t+1} of all C cells
+    followed by the averages of the averaging cells. That one result is
+    the next oracle call's mapping (rows :C), and at the reported rows it
+    gives the gaps and the measure. A failure stops a lone cell with its
+    partial trace; in a larger batch it propagates to `run_batch`.
     """
     T, gap_every = configs[0].iterations, configs[0].gap_every
     if any((c.iterations, c.gap_every) != (T, gap_every) for c in configs):
@@ -280,12 +301,10 @@ def _run_cells(problems: Sequence[SviProblem],
     cset = problem.constraints
 
     # Per-cell values broadcast against stacks of shape (C, n, d, d).
-    averaging = np.array([c.method is Method.AM_SMD for c in configs])
     lam = np.array([c.lam if c.method is Method.MEL else 0.0
                     for c in configs])[:, None, None, None]
     regularized = lam[:, 0, 0, 0] > 0
     any_regularized = bool(regularized.any())
-    any_averaging = bool(averaging.any())
     etas = np.array([
         [eta_at(t) for t in range(T + 1)]
         for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
@@ -293,13 +312,25 @@ def _run_cells(problems: Sequence[SviProblem],
     ])[:, :, None, None, None]
     rngs = [np.random.default_rng(c.seed) for c in configs]
 
+    # The game is evaluated on the C cells' iterates followed by the
+    # averages of the averaging cells; row rows[c] is cell c's reported
+    # point.
+    averaging = np.flatnonzero([c.method is Method.AM_SMD for c in configs])
+    evaluated = (stack_problems([*problems,
+                                 *(problems[c] for c in averaging)])
+                 if averaging.size else problem)
+    rows = np.arange(C)
+    rows[averaging] = C + np.arange(averaging.size)
+    measuring = measure is not None
+    evaluate = measure if measuring else _mapping_only
+
     Y = BlockProfile.stack([cset.zeros()] * C)
     X = dual_to_primal(Y, cset)
     avg = AveragingState(etas[:, 0], X)
     final = X
     traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
     measures: list[np.ndarray] = []
-    F_next: BlockProfile | None = None  # F(X), when the gap computed it
+    F_next: BlockProfile | None = None  # F(X), when evaluated already
     error: str | None = None
     iterate_seconds = 0.0
     gap_seconds = 0.0
@@ -314,16 +345,22 @@ def _run_cells(problems: Sequence[SviProblem],
             Y, X = mirror_step(Y, phi, etas[:, t], cset)
             avg = update_average(avg, X, etas[:, t + 1])
             iterate_seconds += time.perf_counter() - tic
-            F_next = None
-            reported = None
             it = t + 1
-            if it % gap_every == 0 or it == T:
-                tic = time.perf_counter()
-                reported = select_cells(averaging, avg.xbar, X)
+            gap_due = it % gap_every == 0 or it == T
+            F_next = None
+            if not (gap_due or measuring):
+                continue
+            tic = time.perf_counter()
+            points = (BlockProfile.concat([X, avg.xbar.cells(averaging)])
+                      if averaging.size else X)
+            if gap_due:
+                reported = points.cells(rows)
                 assert_feasible(reported, cset)
                 final = reported
-                F_reported = problem.mapping(reported)
-                gaps = strong_gap(problem, reported, F_reported)
+            F_points, values = evaluate(evaluated, points, rows)
+            F_next = F_points.cells(slice(C))
+            if gap_due:
+                gaps = strong_gap(problem, reported, F_points.cells(rows))
                 gap_seconds += time.perf_counter() - tic
                 if gaps.min() < GAP_FLOOR:
                     raise NumericalFailure(
@@ -331,18 +368,14 @@ def _run_cells(problems: Sequence[SviProblem],
                         f"at iteration {it}")
                 for trace, gap in zip(traces, gaps):
                     trace.append((it, float(gap)))
-                if not any_averaging:
-                    F_next = F_reported
-            if measure is not None:
-                if reported is None:
-                    reported = select_cells(averaging, avg.xbar, X)
-                measures.append(measure(problem, reported))
+            if measuring:
+                measures.append(values)
     except SpectraSviError as exc:
         if C > 1:
             raise
         error = _describe_error(exc)
 
-    rows = np.stack(measures, axis=1) if measures else np.empty((C, 0))
+    measured = np.stack(measures, axis=1) if measures else np.empty((C, 0))
     return [
         RunResult(
             final_point=final.cells(c),
@@ -352,7 +385,7 @@ def _run_cells(problems: Sequence[SviProblem],
             seed=config.seed,
             config=config,
             error=error,
-            measures=None if measure is None else rows[c],
+            measures=measured[c] if measuring else None,
         )
         for c, config in enumerate(configs)
     ]

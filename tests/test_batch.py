@@ -1,5 +1,9 @@
 """Batch invariance: a cell run in a batch equals its lone run bit for bit.
 
+The solver loop evaluates the game once per iteration; random batches
+check it bit for bit against a copy of the loop that mapped the reported
+points and the next iterate separately and measured throughput apart.
+
 `run_grid` runs all cells of one antenna pair as one batched solver loop
 (cut into one chunk per worker under a pool). Random small grids check
 that every cell's gap trace and final point equal those of its lone
@@ -17,13 +21,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectra_svi import harness, solvers
+from spectra_svi import harness, mimo, solvers
 from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
-from spectra_svi.problem import SpectraSet, quadratic_test_problem
-from spectra_svi.problem import random_feasible_profile
-from spectra_svi.solvers import Method, SolverConfig, StepSchedule
+from spectra_svi.problem import (
+    BlockProfile,
+    SpectraSet,
+    TraceMode,
+    assert_feasible,
+    oracle_sample,
+    quadratic_test_problem,
+    random_feasible_profile,
+    select_cells,
+    stack_problems,
+    strong_gap,
+)
+from spectra_svi.solvers import (
+    AveragingState,
+    Method,
+    SolverConfig,
+    StepSchedule,
+    dual_to_primal,
+    mirror_step,
+    update_average,
+)
 
 SCHEDULES = (StepSchedule.harmonic_sqrt(), StepSchedule.harmonic(),
              StepSchedule.horizon(), StepSchedule.constant(0.3))
@@ -75,7 +97,7 @@ def _same_point(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.parts, b.parts))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(grids())
 def test_batched_cells_equal_their_lone_runs(config):
     tasks = harness.build_tasks(config)
@@ -110,7 +132,7 @@ class _FailingStream:
         return x
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(grids(sigmas=(0.5, 2.0, 0.0), min_paths=2), st.data())
 def test_a_failing_cell_leaves_its_batch_unchanged(config, data):
     # Two paths give every antenna pair a batch of at least two cells.
@@ -305,3 +327,136 @@ def test_run_batch_rejects_cells_that_cannot_share_a_loop():
         solvers.run_batch([p2, p3], [short, short])
     with pytest.raises(ValueError, match="iterations"):
         solvers.run_batch([p2, p2], [short, long])
+
+
+def _reference_run(problems, configs, measure=None):
+    """The solver loop as it was before one evaluation per iteration
+    served the oracle, the gap and the measure: a gap iteration maps the
+    reported points, the next oracle call maps X_t again unless no cell
+    averages, and `measure(problem, reported)` is evaluated apart. Timing
+    and failure handling are left out. Returns (gap traces, final
+    points, measures) per cell."""
+    T, gap_every = configs[0].iterations, configs[0].gap_every
+    C = len(configs)
+    problem = stack_problems(problems)
+    cset = problem.constraints
+    averaging = np.array([c.method is Method.AM_SMD for c in configs])
+    lam = np.array([c.lam if c.method is Method.MEL else 0.0
+                    for c in configs])[:, None, None, None]
+    regularized = lam[:, 0, 0, 0] > 0
+    etas = np.array([
+        [eta_at(t) for t in range(T + 1)]
+        for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
+                       for p, c in zip(problems, configs))
+    ])[:, :, None, None, None]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    Y = BlockProfile.stack([cset.zeros()] * C)
+    X = dual_to_primal(Y, cset)
+    avg = AveragingState(etas[:, 0], X)
+    final = X
+    traces = [[] for _ in range(C)]
+    measures = []
+    F_next = None
+    for t in range(T):
+        F = problem.mapping(X) if F_next is None else F_next
+        if regularized.any():
+            F = select_cells(regularized, F + lam * X, F)
+        phi, _ = oracle_sample(problem, X, rngs, F)
+        Y, X = mirror_step(Y, phi, etas[:, t], cset)
+        avg = update_average(avg, X, etas[:, t + 1])
+        F_next = None
+        reported = select_cells(averaging, avg.xbar, X)
+        it = t + 1
+        if it % gap_every == 0 or it == T:
+            assert_feasible(reported, cset)
+            final = reported
+            F_reported = problem.mapping(reported)
+            gaps = strong_gap(problem, reported, F_reported)
+            assert gaps.min() >= solvers.GAP_FLOOR
+            for trace, gap in zip(traces, gaps):
+                trace.append((it, float(gap)))
+            if not averaging.any():
+                F_next = F_reported
+        if measure is not None:
+            measures.append(measure(problem, reported))
+    rows = np.stack(measures, axis=1) if measures else None
+    return [(tuple(traces[c]), final.cells(c),
+             None if rows is None else rows[c]) for c in range(C)]
+
+
+def _entries(X):
+    return np.concatenate(
+        [p.reshape(p.shape[0], -1) for p in X.parts], axis=1)
+
+
+def _game_problems(m, n, seeds, sigmas):
+    topo = mimo.canonical_topology(m, n)
+    return [mimo.game_to_svi(topo, mimo.sample_channels(
+                topo, np.random.default_rng(seed)), sigma)
+            for seed, sigma in zip(seeds, sigmas)]
+
+
+def _quadratic_problems(seeds, sigmas, mode):
+    cset = SpectraSet.uniform(3, 2, mode=mode)
+    return [quadratic_test_problem(random_feasible_profile(
+                SpectraSet.uniform(3, 2), np.random.default_rng(seed)),
+                cset, sigma)
+            for seed, sigma in zip(seeds, sigmas)]
+
+
+@st.composite
+def batches(draw):
+    """A problem kind, cells of every method and sigma, a horizon, a gap
+    cadence and whether a measure is recorded."""
+    size = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=size,
+                          max_size=size))
+    sigmas = draw(st.lists(st.sampled_from((0.0, 0.5, 2.0)), min_size=size,
+                           max_size=size))
+    kind = draw(st.sampled_from(("quadratic", "2x2", "2x4")))
+    if kind == "quadratic":
+        mode = draw(st.sampled_from(list(TraceMode)))
+        problems = _quadratic_problems(seeds, sigmas, mode)
+    else:
+        problems = _game_problems(int(kind[0]), int(kind[2]), seeds, sigmas)
+    T = draw(st.integers(1, 8))
+    gap_every = draw(st.integers(1, T))
+    configs = []
+    for seed in seeds:
+        method = draw(st.sampled_from(list(Method)))
+        lam = (draw(st.sampled_from((0.0, 0.1, 1.0)))
+               if method is Method.MEL else 0.0)
+        configs.append(SolverConfig(
+            method, T, draw(st.sampled_from(SCHEDULES)), lam=lam,
+            gap_every=gap_every, seed=seed + 1))
+    return kind, problems, configs, draw(st.booleans())
+
+
+@settings(max_examples=40)
+@given(batches())
+def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
+    kind, problems, configs, measured = batch
+    if not measured:
+        measure = reference_measure = None
+    elif kind == "quadratic":
+        def measure(problem, points, rows):
+            return problem.mapping(points), _entries(points.cells(rows))
+
+        def reference_measure(problem, reported):
+            return _entries(reported)
+    else:
+        measure = harness.game_and_throughput
+
+        def reference_measure(problem, reported):
+            return mimo.throughput(problem.mapping.channels, reported)
+
+    results = solvers.run_batch(problems, configs, measure)
+    reference = _reference_run(problems, configs, reference_measure)
+    for result, (trace, final, rows) in zip(results, reference):
+        assert result.error is None
+        assert result.gap_trace == trace
+        assert _same_point(result.final_point, final)
+        if measured:
+            assert np.array_equal(result.measures, rows)
+        else:
+            assert result.measures is None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import cli, harness, solvers
+from spectra_svi.checks import CheckResult
 from spectra_svi.errors import ConfigError
 
 
@@ -85,7 +86,10 @@ def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
     code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error") and key in err
+    # the file is named, also by the constructors' range checks, and
+    # never twice in a row
+    assert err.startswith(f"config error: {cfg}: ") and key in err
+    assert f"{cfg}: {cfg}" not in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -204,13 +208,20 @@ def test_run_warns_once_when_throughput_keys_collide(tmp_path, capsys):
     assert len({row.rsplit(",", 1)[0] for row in rows[1:]}) == 4 * 7
 
 
-def test_check_command_passes(capsys):
-    code = cli.main(["check"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_OK
-    lines = [ln for ln in captured.out.splitlines() if ln.startswith("PASS")]
-    assert len(lines) >= 10
-    assert "checks passed" in captured.out
+def test_check_command_passes(capsys, monkeypatch):
+    # The suite itself runs in test_checks.py; here it returns canned
+    # results, all passing and then one failing.
+    for failing in (0, 1):
+        results = [CheckResult("first", True, "margin 1e-12"),
+                   CheckResult("second", not failing, "margin 2e-3")]
+        monkeypatch.setattr(cli, "run_checks", lambda: results)
+        code = cli.main(["check"])
+        assert code == (cli.EXIT_CHECKS if failing else cli.EXIT_OK)
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  first: margin 1e-12",
+            f"{'FAIL' if failing else 'PASS'}  second: margin 2e-3",
+            f"{2 - failing}/2 checks passed",
+        ]
 
 
 def test_preset_choices_are_wired():

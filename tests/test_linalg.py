@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import linalg
+from spectra_svi.errors import NumericalFailure
 
 
 def test_hermitianize_returns_exact_hermitian_part():
@@ -57,6 +58,28 @@ def test_eig_descending_and_reconstruction():
     residual = np.linalg.norm((V * w) @ V.conj().T - A)
     assert residual <= 1e-9 * max(1.0, np.linalg.norm(A))
     assert np.linalg.norm(V.conj().T @ V - np.eye(4)) <= 1e-10
+
+
+def test_eigvals_keep_the_checks_of_eig(monkeypatch):
+    rng = np.random.default_rng(2)
+    stack = np.stack([linalg.random_hermitian(rng, 4) for _ in range(3)])
+    w = linalg.eigvals(stack)
+    assert w.shape == (3, 4) and np.all(np.diff(w, axis=-1) <= 0)
+    assert np.allclose(w, linalg.eig(stack).eigenvalues, rtol=0, atol=1e-13)
+    stack[1, 0, 0] = np.nan
+    for decompose in (linalg.eig, linalg.eigvals):
+        with pytest.raises(NumericalFailure, match="non-finite") as info:
+            decompose(stack)
+        assert info.value.diagnostics == {"dim": 4, "block": 1}
+
+    def diverge(H):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    with pytest.raises(NumericalFailure, match="did not converge") as info:
+        linalg.eigvals(np.eye(2))
+    assert sorted(info.value.diagnostics) == [
+        "dim", "frobenius_norm", "max_abs_entry"]
 
 
 def test_norms_hand_values():

@@ -3,8 +3,8 @@
 The Gibbs maps land in their feasible sets and the equality-trace map
 ignores constant dual shifts; the averaging recursion equals the direct
 stepsize-weighted sum; `derive_seed` is a pure function of its
-arguments. Every test is derandomized, so a run draws the same examples
-each time.
+arguments. Every test is derandomized (see conftest.py), so a run draws
+the same examples each time.
 """
 
 import hashlib
@@ -18,8 +18,7 @@ from spectra_svi.harness import derive_seed
 from spectra_svi.problem import BlockProfile
 from spectra_svi.solvers import AveragingState, update_average
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 5)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectra_svi import mimo, problem as pb
+from spectra_svi import harness, mimo, problem as pb
 from spectra_svi.errors import DomainError
 from spectra_svi.linalg import random_hermitian
 from spectra_svi.problem import BlockProfile, SpectraSet, SviProblem, TraceMode
@@ -230,10 +230,6 @@ def _game_cells():
             for seed, sigma in ((1, 1.0), (2, 0.0), (3, 2.0))]
 
 
-def _throughput(problem, X):
-    return mimo.throughput(problem.mapping.channels, X)
-
-
 def test_measures_are_the_throughput_at_each_reported_point():
     # Under a harmonic schedule eta_t does not depend on T, so the run
     # stopped at iteration t reports the point the full run reports at
@@ -247,7 +243,7 @@ def test_measures_are_the_throughput_at_each_reported_point():
         SolverConfig(Method.MEL, 6, StepSchedule.harmonic(), lam=0.5,
                      gap_every=4, seed=7),
     ]
-    results = run_batch(problems, configs, _throughput)
+    results = run_batch(problems, configs, harness.game_and_throughput)
     for problem, cfg, result in zip(problems, configs, results):
         assert result.error is None
         assert result.measures.shape == (6, 7)
@@ -327,6 +323,41 @@ def test_gap_iterations_reuse_the_mapping_of_the_last_iterate():
     assert res.gap_trace == tuple(trace)
 
 
+@pytest.mark.parametrize("measure", (None, harness.game_and_throughput),
+                         ids=("gaps", "throughput"))
+def test_a_mixed_batch_evaluates_the_game_once_per_iteration(measure,
+                                                            monkeypatch):
+    # AM-SMD reports its average and M-SMD its iterate. At gap_every = 1
+    # one evaluation of [X_t of both cells; the average] per iteration
+    # serves the gaps, the rates and the next oracle call: T + 1 calls,
+    # where mapping the reported points and then X_t again took 2T.
+    calls, rates = [], []
+    real_mapping, real_throughput = mimo.game_mapping, harness.throughput
+
+    def rows(X):
+        return len(X.full if isinstance(X, mimo.Covariances) else X.parts[0])
+
+    def mapping(channels, X):
+        calls.append(rows(X))
+        return real_mapping(channels, X)
+
+    def throughput(channels, X, i=None):
+        rates.append(rows(X))
+        return real_throughput(channels, X, i)
+
+    monkeypatch.setattr(mimo, "game_mapping", mapping)
+    monkeypatch.setattr(harness, "throughput", throughput)
+    problems = _game_cells()[:2]
+    configs = [SolverConfig(method, 20, StepSchedule.harmonic_sqrt(),
+                            gap_every=1, seed=seed)
+               for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2))]
+    results = run_batch(problems, configs, measure)
+    assert [r.error for r in results] == [None, None]
+    assert [len(r.gap_trace) for r in results] == [20, 20]
+    assert calls == [2] + [3] * 20  # rows: X_0, then X_t and the average
+    assert rates == ([] if measure is None else [2] * 20)
+
+
 def test_averaged_trajectory_moves_less_than_iterates():
     # Late in a noisy run the average moves O(1/t) per step while the raw
     # iterate keeps jumping O(eta * sigma). AM-SMD and M-SMD with one
@@ -336,9 +367,9 @@ def test_averaged_trajectory_moves_less_than_iterates():
     base = dict(iterations=300, schedule=StepSchedule.horizon(),
                 gap_every=300, seed=0)
 
-    def entries(problem, X):
-        return np.concatenate(
-            [p.reshape(p.shape[0], -1) for p in X.parts], axis=1)
+    def entries(problem, points, rows):
+        return problem.mapping(points), np.concatenate(
+            [p[rows].reshape(len(rows), -1) for p in points.parts], axis=1)
 
     averaged, raw = (r.measures for r in run_batch(
         [prob, prob], [SolverConfig(Method.AM_SMD, **base),
