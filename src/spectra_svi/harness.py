@@ -208,10 +208,22 @@ def _read_ini(path: str | os.PathLike, kind: str
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {_without_source(exc)}") from exc
     if not read:
         raise ConfigError(f"{kind} file not found: {path}")
     return parser
+
+
+def _without_source(exc: configparser.Error) -> str:
+    """configparser's message for a malformed file without the file name,
+    which its messages repeat and `_read_ini` puts first."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"[line {exc.lineno:2d}]: no section header before {exc.line!r}"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(f"[line {lineno:2d}]: cannot parse {line}"
+                         for lineno, line in exc.errors)
+    return str(exc).replace(
+        f"While reading from {getattr(exc, 'source', None)!r} ", "")
 
 
 def _topology_from_file(path: str) -> NetworkTopology:

@@ -8,9 +8,16 @@ is convex in X_i, so Nash equilibria coincide with strong solutions of
 the induced VI.
 
 The mapping and the rates start from the same received covariances
-I + sum_j H_ji X_j H_ji^dag. `covariances` builds them once, for every
-receiver and every profile of a stack, and both `game_mapping` and
-`throughput` accept that build in place of the profile.
+I + sum_j H_ji X_j H_ji^dag. The channels stay fixed for a whole run, so
+X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
+channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates (m^2
+reals per block: the diagonal, then the real and the imaginary parts of
+the upper triangle), built once per draw (`ChannelSet.operator`).
+`covariances` packs a stack of profiles into those coordinates, applies
+the operator with one small matrix-vector product per profile and
+unpacks the result, exactly Hermitian, plus I. Both `game_mapping` and
+`throughput` accept that build in place of the profile; the rates'
+interference-only covariance is the full one minus H_ii X_i H_ii^dag.
 """
 
 from __future__ import annotations
@@ -106,13 +113,18 @@ class ChannelSet:
 
     The game evaluates every link at once on `stacked`, the (N, N, n, m)
     array of all H[j][i] (zero-padded to the largest antenna counts when
-    they differ between users), built at construction. The channels of
+    they differ between users), built at construction, and on the draw's
+    received-covariance `operator`, built on first use. The channels of
     several cells, made by `stack`, give every H[j][i] and `stacked` a
-    leading cell axis."""
+    leading cell axis, and keep one operator per distinct draw in
+    `operators` and each cell's draw number in `draw`."""
 
     H: tuple[tuple[np.ndarray, ...], ...]
     stacked: np.ndarray | None = field(default=None, repr=False,
                                        compare=False)
+    operators: tuple[np.ndarray, ...] | None = field(default=None, repr=False,
+                                                     compare=False)
+    draw: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.stacked is None:
@@ -121,20 +133,23 @@ class ChannelSet:
     @classmethod
     def stack(cls, channel_sets: list["ChannelSet"]) -> "ChannelSet":
         """Cells that share a draw (the same object) share its padded
-        stack: the batch's is one gather over the distinct draws, and
-        each H[j][i] is a view of it."""
+        stack and its operator: the batch's stack is one gather over the
+        distinct draws, each H[j][i] is a view of it, and each distinct
+        draw builds its operator once."""
         slots: dict[int, int] = {}
         distinct = []
         for c in channel_sets:
             if id(c) not in slots:
                 slots[id(c)] = len(distinct)
-                distinct.append(c.stacked)
-        stacked = np.stack(distinct)[[slots[id(c)] for c in channel_sets]]
+                distinct.append(c)
+        draw = np.array([slots[id(c)] for c in channel_sets])
+        stacked = np.stack([c.stacked for c in distinct])[draw]
         first = channel_sets[0]
         rx, tx = first.rx_antennas, first.tx_antennas
         return cls(tuple(
             tuple(stacked[:, j, i, :rx[i], :tx[j]] for i in range(first.users))
-            for j in range(first.users)), stacked)
+            for j in range(first.users)), stacked,
+            tuple(c.operator for c in distinct), draw)
 
     @property
     def users(self) -> int:
@@ -163,12 +178,33 @@ class ChannelSet:
         return stack
 
     @functools.cached_property
-    def stacked_conj(self) -> np.ndarray:
-        return self.stacked.conj()
+    def operator(self) -> np.ndarray:
+        """The received-covariance operator of a single draw (see
+        `_received_operator`)."""
+        return _received_operator(self.stacked)
 
     @functools.cached_property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.stacked.shape[-2], dtype=complex)
+    def draw_rows(self) -> tuple[np.ndarray, ...]:
+        """The cells of each distinct draw of a stacked set."""
+        return tuple(np.flatnonzero(self.draw == d)
+                     for d in range(len(self.operators)))
+
+    def received(self, x: np.ndarray) -> np.ndarray:
+        """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian
+        coordinates, shape (R, N n^2), for the R profiles whose Hermitian
+        coordinates are the rows of x, shape (R, N m^2); with stacked
+        channels, row r is on cell r's draw.
+
+        Each row is a (1, N m^2) x (N m^2, N n^2) product of its own, so
+        a row's bits do not depend on how many rows share the call."""
+        rows = x[:, None, :]
+        if self.operators is None or len(self.operators) == 1:
+            op = self.operator if self.operators is None else self.operators[0]
+            return (rows @ op)[:, 0, :]
+        out = np.empty((len(x), self.operators[0].shape[1]))
+        for op, index in zip(self.operators, self.draw_rows):
+            out[index] = (rows[index] @ op)[:, 0, :]
+        return out
 
     @functools.cached_property
     def direct_stacked(self) -> np.ndarray:
@@ -221,67 +257,103 @@ def _crop(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(stack[..., index, :d, :d] for d, index in layout.groups)
 
 
-def _received_terms(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
-    """Shape (..., N + 1, N, n, n): I at index 0, then H_ji X_j H_ji^dag
-    at index 1 + j for every receiver i; the leading axes are those of
-    the channels and of X, broadcast. Summing over that axis adds the
-    terms in j order starting from I."""
-    H = channels.stacked
-    *lead, N, _, n, m = H.shape
-    # H_ji X_j for all i at once: one (N n, m) x (m, m) product per j.
-    HX = (H.reshape(*lead, N, N * n, m) @ _padded_profile(channels, X))
-    lead = HX.shape[:-3]
-    terms = np.empty((*lead, N + 1, N, n, n), dtype=complex)
-    terms[..., 0, :, :, :] = channels.identity
-    np.matmul(HX.reshape(*lead, N, N, n, m),
-              channels.stacked_conj.swapaxes(-1, -2),
-              out=terms[..., 1:, :, :, :])
-    return terms
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
+    """The d^2 real coordinates of a d x d Hermitian matrix: its
+    diagonal, then the real parts and then the imaginary parts of its
+    upper triangle (row by row).
+
+    Returns `take`, the coordinates' positions in the float view of the
+    row-major matrix (real and imaginary parts interleaved), and
+    `source`, `sign`, `eye`: position p of that float view of the matrix
+    is sign[p] * coordinate[source[p]], and eye[p] is the identity's."""
+    diag = np.arange(d) * (d + 1)
+    k, l = np.triu_indices(d, 1)
+    upper, lower = k * d + l, l * d + k
+    take = np.concatenate((2 * diag, 2 * upper, 2 * upper + 1))
+    u = len(upper)
+    source = np.zeros(2 * d * d, dtype=np.intp)
+    sign = np.zeros(2 * d * d)
+    source[take] = np.arange(d * d)
+    sign[take] = 1.0
+    source[2 * lower] = d + np.arange(u)
+    sign[2 * lower] = 1.0
+    source[2 * lower + 1] = d + u + np.arange(u)
+    sign[2 * lower + 1] = -1.0
+    eye = np.zeros(2 * d * d)
+    eye[2 * diag] = 1.0
+    return take, source, sign, eye
 
 
-def _skip_own(terms: np.ndarray) -> np.ndarray:
-    """A copy of the terms with each receiver's own-signal term
-    H_ii X_i H_ii^dag zeroed."""
-    terms = terms.copy()
-    users = np.arange(terms.shape[-3])
-    terms[..., users + 1, users, :, :] = 0
-    return terms
+def _to_coordinates(A: np.ndarray) -> np.ndarray:
+    """(R, N, d, d) Hermitian stacks as (R, N d^2) reals."""
+    R, N, d, _ = A.shape
+    take = _hermitian_coordinates(d)[0]
+    floats = np.ascontiguousarray(A).view(float).reshape(R, N, 2 * d * d)
+    return np.take(floats, take, axis=-1).reshape(R, N * d * d)
 
 
-def _covariance(terms: np.ndarray) -> np.ndarray:
-    return hermitianize(terms.sum(axis=-4))
+def _from_coordinates(x: np.ndarray, d: int, plus: float = 0.0
+                      ) -> np.ndarray:
+    """(R, N d^2) reals as (R, N, d, d) Hermitian stacks, plus `plus`
+    times the identity; exactly Hermitian, since the lower triangle is
+    filled from the upper one."""
+    _, source, sign, eye = _hermitian_coordinates(d)
+    R = len(x)
+    floats = np.take(x.reshape(R, -1, d * d), source, axis=-1) * sign
+    if plus:
+        floats += plus * eye
+    return floats.view(complex).reshape(R, -1, d, d)
+
+
+def _received_operator(H: np.ndarray) -> np.ndarray:
+    """The real-linear map X -> (sum_j H_ji X_j H_ji^dag)_i of one draw's
+    padded (N, N, n, m) channel stack, as a real (N m^2, N n^2) matrix
+    acting on row vectors of Hermitian coordinates: entry (j m^2 + c,
+    i n^2 + r) is coordinate r at receiver i of H_ji E_c H_ji^dag, for
+    the basis matrix E_c of coordinate c."""
+    N, _, n, m = H.shape
+    basis = _from_coordinates(np.eye(m * m), m)[:, 0]  # (m^2, m, m)
+    images = (H[:, :, None] @ basis) @ H[:, :, None].conj().swapaxes(-1, -2)
+    coords = _to_coordinates(images.reshape(N * N * m * m, 1, n, n))
+    return np.ascontiguousarray(
+        coords.reshape(N, N, m * m, n * n).transpose(0, 2, 1, 3)
+    ).reshape(N * m * m, N * n * n)
 
 
 class Covariances(NamedTuple):
-    """The received terms of a profile (see `_received_terms`) and the
-    full received covariances I + sum_j H_ji X_j H_ji^dag they add up
-    to, shape (..., N, n, n). Built once by `covariances`, they serve
+    """The received covariances I + sum_j H_ji X_j H_ji^dag of a stack of
+    profiles, shape (..., N, n, n), with the padded profiles they were
+    built from, shape (..., N, m, m), and the direct links of the same
+    rows, shape (..., N, n, m). Built once by `covariances`, they serve
     both the game mapping and the rates."""
 
-    terms: np.ndarray
     full: np.ndarray
+    profile: np.ndarray
+    direct: np.ndarray
 
     def rows(self, index: np.ndarray) -> "Covariances":
         """Those of the profiles at `index` along the leading axis."""
-        return Covariances(self.terms[index], self.full[index])
+        return Covariances(*(a[index] for a in self))
 
 
 def covariances(channels: ChannelSet, X: BlockProfile) -> Covariances:
-    terms = _received_terms(channels, X)
-    return Covariances(terms, _covariance(terms))
+    """The received covariances of X, any leading axes (one per cell of
+    stacked channels): one product with the draw's operator per profile,
+    in Hermitian coordinates."""
+    P = _padded_profile(channels, X)
+    lead, (N, m, _) = P.shape[:-3], P.shape[-3:]
+    n = channels.stacked.shape[-2]
+    x = _to_coordinates(P.reshape(-1, N, m, m))
+    full = _from_coordinates(channels.received(x), n, plus=1.0)
+    direct = channels.direct_stacked
+    return Covariances(full.reshape(lead + (N, n, n)), P,
+                       np.broadcast_to(direct, lead + direct.shape[-3:]))
 
 
 def _covariances_of(channels: ChannelSet,
                     X: BlockProfile | Covariances) -> Covariances:
     return X if isinstance(X, Covariances) else covariances(channels, X)
-
-
-def mui_covariance(channels: ChannelSet, X: BlockProfile, i: int) -> np.ndarray:
-    """Interference-plus-noise covariance at receiver i:
-    I + sum_{j != i} H_ji X_j H_ji^dag. PD with lambda_min >= 1."""
-    W = _covariance(_skip_own(_received_terms(channels, X)))[i]
-    n_i = channels.rx_antennas[i]
-    return W[:n_i, :n_i]
 
 
 def _logdet_pd(W: np.ndarray) -> np.ndarray:
@@ -295,8 +367,9 @@ def _logdet_pd(W: np.ndarray) -> np.ndarray:
 def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
                i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
-    log det of the interference-only covariance. Nonnegative, and
-    concave in X_i since the second term does not depend on X_i.
+    log det of the interference-only covariance, that sum less
+    H_ii X_i H_ii^dag. Nonnegative, and concave in X_i since the second
+    term does not depend on X_i.
 
     With i = None, every user's rate as one array; both covariances of
     every user go through one eigvalsh call. X may carry leading axes
@@ -304,8 +377,9 @@ def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
     (..., N). X may also be the profile's `covariances`, when already
     built."""
     cov = _covariances_of(channels, X)
-    interference = _covariance(_skip_own(cov.terms))
-    logdet = _logdet_pd(np.stack((cov.full, interference)))
+    H = cov.direct
+    own = H @ cov.profile @ H.conj().swapaxes(-1, -2)
+    logdet = _logdet_pd(np.stack((cov.full, cov.full - own)))
     rates = logdet[0] - logdet[1]
     return rates if i is None else float(rates[i])
 

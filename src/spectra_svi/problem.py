@@ -535,7 +535,7 @@ def strong_gap(problem: SviProblem, X: BlockProfile,
     already known. With a cell axis on X, returns one gap per cell.
     """
     def terms(g: BlockGroup, Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
-        lam_min = eig(Fg).eigenvalues[..., -1]
+        lam_min = eigvals(Fg)[..., -1]
         if g.mode is TraceMode.AT_MOST:
             lam_min = np.minimum(lam_min, 0.0)
         inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real

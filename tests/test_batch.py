@@ -256,6 +256,30 @@ def test_a_batch_draws_each_channel_seed_once(resample, monkeypatch):
     assert len(seeds) == len({t.channel_seed for t in tasks[:5]})
 
 
+@pytest.mark.parametrize("paths", (1, 2))
+def test_a_batch_builds_one_operator_per_draw(paths, monkeypatch):
+    # A full-grid-shaped antenna pair: 3 sigmas x (AM-SMD, M-SMD and MEL
+    # at 3 lambdas) = 15 cells per sample path, all on the path's draw.
+    config = ExperimentConfig(
+        antenna_pairs=((2, 4),), sigmas=(0.0, 1.0, 2.0),
+        methods=(MethodSpec(Method.AM_SMD, HS), MethodSpec(Method.M_SMD, HS),
+                 MethodSpec(Method.MEL, HS, (0.1, 0.5, 1.0))),
+        iterations=2, sample_paths=paths, gap_every=1, base_seed=4)
+    tasks = harness.build_tasks(config)
+    assert len(tasks) == 15 * paths
+    built = []
+    real = mimo._received_operator
+
+    def counted(H):
+        built.append(None)
+        return real(H)
+
+    monkeypatch.setattr(mimo, "_received_operator", counted)
+    records, _, failures = harness.run_cell(*tasks)
+    assert not failures and len(records) == 2 * len(tasks)
+    assert len(built) == paths
+
+
 def test_shared_draws_equal_lone_draws(monkeypatch):
     batches = []
     real = harness.run_batch

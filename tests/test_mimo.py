@@ -83,21 +83,30 @@ def test_sample_channels_variance_scales_with_distance():
 
 
 def test_mui_covariance_identity_at_zero_power():
+    # With no transmit power, the received covariance and the
+    # interference-plus-noise covariance are both the identity.
     topo = mimo.canonical_topology()
     ch = mimo.sample_channels(topo, np.random.default_rng(2))
     X = topo.constraint_set().zeros()
-    for i in range(7):
-        assert np.allclose(mimo.mui_covariance(ch, X, i), np.eye(2))
+    cov = mimo.covariances(ch, X)
+    assert np.array_equal(cov.full, np.broadcast_to(np.eye(2), (7, 2, 2)))
+    assert np.array_equal(mimo.throughput(ch, cov), np.zeros(7))
 
 
 def test_mui_covariance_excludes_own_signal():
+    # When only user 2 transmits, its interference-plus-noise covariance
+    # is the identity, so its rate is log det(I + H_22 X_2 H_22^dag).
     topo = mimo.canonical_topology()
     ch = mimo.sample_channels(topo, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     X = _feasible_profile(topo, rng)
     only_own = BlockProfile(tuple(
         X[j] if j == 2 else np.zeros_like(X[j]) for j in range(7)))
-    assert np.allclose(mimo.mui_covariance(ch, only_own, 2), np.eye(2))
+    H = ch.direct(2)
+    expected = float(np.sum(np.log(np.linalg.eigvalsh(
+        np.eye(2) + H @ X[2] @ H.conj().T))))
+    assert mimo.throughput(ch, only_own, 2) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_throughput_zero_at_zero_power_and_positive_otherwise():
