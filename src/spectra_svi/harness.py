@@ -203,12 +203,15 @@ def _load_topology(selector: str, m: int, n: int) -> NetworkTopology:
 
 def _read_ini(path: str | os.PathLike, kind: str
               ) -> configparser.ConfigParser:
-    """Parse an INI file; a missing or malformed file is a ConfigError."""
+    """Parse an INI file; a missing, malformed or non-UTF-8 file is a
+    ConfigError."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {_without_source(exc)}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"{kind} file not found: {path}")
     return parser

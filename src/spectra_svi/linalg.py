@@ -5,6 +5,11 @@ values-only sibling (batched over stacks of blocks, eigenvalues
 descending, with diagnostics on failure), trace/spectral/Frobenius
 norms, the trace pairing, and random Hermitian and unitary draws. Matrix functions of a Hermitian argument
 (the Gibbs maps, entropies) are built in `mirror` on top of `eig`.
+
+2x2 matrices have a closed form, `hermitian_2x2`: `eigvals` and the
+Gibbs maps use it, with no LAPACK call, and its eigenvalues agree with
+LAPACK's to 8 eps * max(1, ||A||_2) (largest seen: 4.8 eps). Every
+other size, and `eig` at every size, takes LAPACK.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ def _checked_hermitian(A: np.ndarray) -> np.ndarray:
     non-finite entries. When a stack holds them, the diagnostics name the
     first offending matrix as `block`, counted along the flattened
     leading axes."""
-    H = hermitianize(A)
+    # inf entries make NaNs in the complex halving; rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hermitianize(A)
     if not np.all(np.isfinite(H)):
         # Some LAPACK builds return NaN eigenvalues instead of raising;
         # NaN also defeats every downstream comparison, so fail loudly.
@@ -88,6 +95,20 @@ def _lapack(solver, H: np.ndarray):
         ) from exc
 
 
+def hermitian_2x2(A: np.ndarray):
+    """The checked Hermitian part H = [[a, b], [conj(b), d]] of a 2x2
+    matrix or stack, with mu = (a + d) / 2, delta = (a - d) / 2 and
+    r = hypot(delta, |b|), each with the stack's leading axes. H has the
+    eigenvalues mu +- r, and every spectral function f of H is
+    alpha I + beta (H - mu I) with alpha = (f(mu + r) + f(mu - r)) / 2
+    and beta = (f(mu + r) - f(mu - r)) / (2 r): a closed form with no
+    LAPACK call."""
+    H = _checked_hermitian(A)
+    a, d = H[..., 0, 0].real, H[..., 1, 1].real
+    delta = a / 2 - d / 2
+    return H, a / 2 + d / 2, delta, np.hypot(delta, np.abs(H[..., 0, 1]))
+
+
 def eig(A: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -108,7 +129,11 @@ def eigvals(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix or stack, descending, without
     the eigenvectors: `eig`'s input checks and diagnostics around one
     batched values-only LAPACK call, whose values may differ from `eig`'s
-    in the last bits."""
+    in the last bits. 2x2 matrices take the closed form mu +- r of
+    `hermitian_2x2` instead, which cannot fail to converge."""
+    if np.shape(A)[-2:] == (2, 2):
+        _, mu, _, r = hermitian_2x2(A)
+        return np.stack((mu + r, mu - r), axis=-1)
     w = _lapack(np.linalg.eigvalsh, _checked_hermitian(A))
     return w[..., ::-1].copy()
 

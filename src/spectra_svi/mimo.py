@@ -357,10 +357,10 @@ def _covariances_of(channels: ChannelSet,
 
 
 def _logdet_pd(W: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(W)
-    if np.any(w[..., 0] <= 0):
+    w = linalg.eigvals(W)
+    if np.any(w[..., -1] <= 0):
         raise DomainError(
-            f"covariance not PD: lambda_min = {np.min(w[..., 0]):.3e}")
+            f"covariance not PD: lambda_min = {np.min(w[..., -1]):.3e}")
     return np.sum(np.log(w), axis=-1)
 
 
@@ -372,7 +372,7 @@ def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
     term does not depend on X_i.
 
     With i = None, every user's rate as one array; both covariances of
-    every user go through one eigvalsh call. X may carry leading axes
+    every user go through one `linalg.eigvals` call. X may carry leading axes
     (several profiles on the same channels); the rates then have shape
     (..., N). X may also be the profile's `covariances`, when already
     built."""

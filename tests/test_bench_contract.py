@@ -63,7 +63,9 @@ print(json.dumps(tracer.summary()))
 
 def test_every_live_layer_is_counted(tmp_path):
     ini = tmp_path / "exp.ini"
-    ini.write_text("[experiment]\nantennas = 2x2\nsigmas = 1\n"
+    # 2x2 blocks take the closed-form Gibbs map, which calls no
+    # `linalg.eig`; the 4x4 pair keeps both paths live.
+    ini.write_text("[experiment]\nantennas = 2x2, 4x4\nsigmas = 1\n"
                    "iterations = 4\nsample_paths = 2\ngap_every = 2\n"
                    "record_throughput = true\n"
                    "[methods]\nam-smd = harmonic-sqrt\nm-smd = harmonic\n")
@@ -75,5 +77,6 @@ def test_every_live_layer_is_counted(tmp_path):
     summary = json.loads(out.stdout.splitlines()[-1])
     names = [name for name, _, _ in spans.SPANS + spans.COUNTS]
     assert {n for n in names if summary[f"{n}.calls"] == 0} <= DEAD_SPANS
-    # one draw per distinct channel seed: two sample paths
-    assert summary["mimo.sample_channels.calls"] == 2
+    # one draw per distinct channel seed and antenna pair: two sample
+    # paths of two pairs
+    assert summary["mimo.sample_channels.calls"] == 4

@@ -75,13 +75,17 @@ def test_run_rejects_negative_threads(tmp_path, capsys):
     ("am-smd = horizon", "mel = harmonic\n[mel]\nlambdas = -0.5", "lambdas"),
     ("sigmas = 1", "sigmas = 1\nsigmas = 2", "sigmas"),
     ("sigmas = 1", "sigmas = 5%", "sigmas"),
+    ("", b"\xff\xfe", "UTF-8"),
 ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "antennas-0x2",
         "antennas-2x0", "constant-nan", "lambda-nan", "lambda-negative",
-        "repeated-key", "percent-sign"])
+        "repeated-key", "percent-sign", "not-utf8"])
 def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
                                                 old, new, key):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(_tiny_config_text().replace(old, new))
+    if isinstance(new, bytes):  # bytes that no UTF-8 text starts with
+        cfg.write_bytes(new + _tiny_config_text().encode())
+    else:
+        cfg.write_text(_tiny_config_text().replace(old, new))
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_CONFIG

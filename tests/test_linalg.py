@@ -67,19 +67,23 @@ def test_eigvals_keep_the_checks_of_eig(monkeypatch):
     assert w.shape == (3, 4) and np.all(np.diff(w, axis=-1) <= 0)
     assert np.allclose(w, linalg.eig(stack).eigenvalues, rtol=0, atol=1e-13)
     stack[1, 0, 0] = np.nan
+    small = stack[:, :2, :2].copy()  # 2x2 blocks take the closed form
     for decompose in (linalg.eig, linalg.eigvals):
-        with pytest.raises(NumericalFailure, match="non-finite") as info:
-            decompose(stack)
-        assert info.value.diagnostics == {"dim": 4, "block": 1}
+        for A in (stack, small):
+            with pytest.raises(NumericalFailure, match="non-finite") as info:
+                decompose(A)
+            assert info.value.diagnostics == {"dim": A.shape[-1], "block": 1}
 
     def diverge(H):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
     with pytest.raises(NumericalFailure, match="did not converge") as info:
-        linalg.eigvals(np.eye(2))
+        linalg.eigvals(np.eye(3))
     assert sorted(info.value.diagnostics) == [
         "dim", "frobenius_norm", "max_abs_entry"]
+    # the 2x2 closed form calls no LAPACK routine, so it cannot fail
+    assert np.array_equal(linalg.eigvals(np.eye(2)), [1.0, 1.0])
 
 
 def test_norms_hand_values():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import mimo, problem as pb
+from spectra_svi.errors import NumericalFailure
 from spectra_svi.linalg import spectral_norm
 from spectra_svi.oracles import finite_diff_gradient
 from spectra_svi.problem import BlockProfile, TraceMode
@@ -131,6 +132,22 @@ def test_throughput_single_user_closed_form():
     expected = float(np.log(np.linalg.det(
         np.eye(2) + H @ X[0] @ H.conj().T)).real)
     assert mimo.throughput(ch, X, 0) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 4)])
+def test_throughput_rejects_non_finite_covariances(m, n, bad):
+    # A NaN covariance must not pass as "not PD", nor an inf one as NaN
+    # rates: both stop in the linear-algebra layer's check, which names
+    # the receiver's block.
+    topo = mimo.canonical_topology(m, n)
+    ch = mimo.sample_channels(topo, np.random.default_rng(10))
+    cov = mimo.covariances(ch, _feasible_profile(topo, np.random.default_rng(11)))
+    full = cov.full.copy()
+    full[3, 0, 1] = bad
+    with pytest.raises(NumericalFailure, match="non-finite") as info:
+        mimo.throughput(ch, cov._replace(full=full))
+    assert info.value.diagnostics == {"dim": n, "block": 3}
 
 
 def test_interference_reduces_rate():

@@ -7,7 +7,13 @@ them bit for bit (same operations in the same order), and a full solver
 run on a mixed-dimension, mixed-mode set must match a per-block
 reference loop to 1e-12.
 
-The game is the exception: its received covariances come from one
+The 2x2 Gibbs maps and eigenvalues are the first exception: they take
+a closed form (`linalg.hermitian_2x2`) with no LAPACK call, and must
+match the LAPACK references to KERNEL_TOL times the trace bound times
+max(1, ||Y||_2), the error that any eigensolver's eigenvalues carry.
+Every other dimension stays bit for bit.
+
+The game is the other exception: its received covariances come from one
 product of each draw's real operator with the profile's Hermitian
 coordinates, which adds the terms in another order than the per-block
 sum. The mapping and the covariances must match the references to
@@ -20,6 +26,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectra_svi import harness, linalg, mimo, mirror, solvers
 from spectra_svi import problem as pb
@@ -164,6 +172,34 @@ def _same(profile, blocks):
         assert np.array_equal(a, b)
 
 
+# Largest difference measured between the 2x2 closed form and the
+# LAPACK references over 18,000 inputs (random, diagonal, near-degenerate
+# and with a top eigenvalue near 0, at scales 1e-8 to 1e6), in units of
+# eps * bound * max(1, ||Y||_2): 1.7 for gibbs_map, 3.0 for
+# gibbs_map_bounded, 4.8 for eigvals.
+KERNEL_TOL = 8 * np.finfo(float).eps
+
+
+def _kernel_tol(Y, bound=1.0):
+    return KERNEL_TOL * bound * max(1.0, np.linalg.norm(Y, 2))
+
+
+def _gibbs_match(got, ref, duals, bounds):
+    """Gibbs blocks against the per-block references: 2x2 blocks to the
+    closed form's tolerance, every other block bit for bit."""
+    for a, b, Y, p in zip(got, ref, duals, bounds, strict=True):
+        if a.shape == (2, 2):
+            assert np.max(np.abs(a - b)) <= _kernel_tol(Y, p)
+        else:
+            assert np.array_equal(a, b)
+
+
+def _dual_to_primal_matches(Y, cset):
+    _gibbs_match(solvers.dual_to_primal(Y, cset).blocks,
+                 _ref_dual_to_primal(Y.blocks, cset), Y.blocks,
+                 [spec.bound for spec in cset.blocks])
+
+
 def _near(got, ref, rel=1e-13):
     """Entrywise within rel times the largest entry of the reference."""
     assert got.shape == ref.shape
@@ -202,22 +238,65 @@ def test_gibbs_maps_match_per_block(mode, dim):
     cset = SpectraSet.uniform(7, dim, bound=1.5, mode=mode)
     for scale in (0.1, 10.0, 1e4):
         Y = _random_profile(rng, cset.dims, scale)
-        _same(solvers.dual_to_primal(Y, cset),
-              _ref_dual_to_primal(Y.blocks, cset))
+        _dual_to_primal_matches(Y, cset)
     stack = Y.parts[0]
     ref = (_ref_gibbs if mode is TraceMode.EQUAL
            else lambda b: _ref_gibbs_bounded(b, 1.0))
     got = (mirror.gibbs_map(stack) if mode is TraceMode.EQUAL
            else mirror.gibbs_map_bounded(stack, 1.0))
-    _same(BlockProfile(got), [ref(b) for b in stack])
+    _gibbs_match(got, [ref(b) for b in stack], stack, [1.0] * len(stack))
 
 
 def test_dual_to_primal_matches_per_block_on_mixed_sets():
     rng = np.random.default_rng(1)
     for cset in (MIXED, TWO_BLOCK):
         Y = _random_profile(rng, cset.dims)
-        _same(solvers.dual_to_primal(Y, cset),
-              _ref_dual_to_primal(Y.blocks, cset))
+        _dual_to_primal_matches(Y, cset)
+
+
+@st.composite
+def _duals_2x2(draw):
+    """One 2x2 dual: scaled random entries, zero, c I, diagonal with
+    a > d or a < d, |b| << |a - d|, or lifted so that lambda_max > 745
+    and the slack weight e^-lambda_max underflows."""
+    scale = 10.0 ** draw(st.integers(-8, 6))
+    a, d, re, im = (scale * draw(st.floats(-1, 1)) for _ in range(4))
+    kind = draw(st.sampled_from(
+        ("random", "zero", "identity", "a>d", "a<d", "tiny-b", "underflow")))
+    if kind == "zero":
+        return np.zeros((2, 2), dtype=complex)
+    if kind == "identity":
+        return a * np.eye(2, dtype=complex)
+    if kind in ("a>d", "a<d"):
+        hi, lo = max(a, d) + scale, min(a, d)
+        return np.diag([hi, lo] if kind == "a>d" else [lo, hi]).astype(complex)
+    b = complex(re, im)
+    if kind == "tiny-b":
+        b, d = 1e-9 * b, a - scale
+    Y = np.array([[a, b], [b.conjugate(), d]])
+    if kind == "underflow":
+        Y = Y + draw(st.floats(746, 1e4)) * np.eye(2) + scale * np.eye(2)
+    return Y
+
+
+@given(st.lists(_duals_2x2(), min_size=1, max_size=7),
+       st.sampled_from((0.5, 1.0, 1.5)))
+def test_closed_form_2x2_matches_lapack_references(duals, bound):
+    Y = np.stack(duals)
+    tol = [_kernel_tol(y, bound) for y in Y]
+    for mode in TraceMode:
+        cset = SpectraSet.uniform(len(Y), 2, bound=bound, mode=mode)
+        X = solvers.dual_to_primal(BlockProfile(Y), cset).parts[0]
+        assert np.array_equal(X, X.conj().swapaxes(-1, -2))
+        pb.assert_feasible(BlockProfile(X), cset)
+        assert np.min(np.linalg.eigvalsh(X)) >= -KERNEL_TOL * bound
+        ref = _ref_dual_to_primal(list(Y), cset)
+        for x, r, t in zip(X, ref, tol):
+            assert np.max(np.abs(x - r)) <= t
+    w = linalg.eigvals(Y)
+    for got, y, t in zip(w, Y, tol):
+        assert got[0] >= got[1]
+        assert np.max(np.abs(got - np.linalg.eigvalsh(y)[::-1])) <= t / bound
 
 
 @pytest.mark.parametrize("dims", [(2,) * 7, (4,) * 7, MIXED.dims])
