@@ -127,8 +127,7 @@ def check_strong_gap_closed_form(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         mode = TraceMode.EQUAL if rng.uniform() < 0.5 else TraceMode.AT_MOST
-        cset = SpectraSet.uniform(2, 3, bound=float(rng.uniform(0.5, 2.0)),
-                                  mode=mode)
+        cset = SpectraSet((3, 3), float(rng.uniform(0.5, 2.0)), mode)
         B = BlockProfile(tuple(
             linalg.random_hermitian(rng, 3) for _ in range(2)))
         problem = quadratic_test_problem(B, cset)
@@ -143,7 +142,7 @@ def check_strong_gap_closed_form(rng: np.random.Generator) -> CheckResult:
 
 
 def check_mirror_step_descends(rng: np.random.Generator) -> CheckResult:
-    cset = SpectraSet.single(4)
+    cset = SpectraSet((4,))
     B = BlockProfile((linalg.random_hermitian(rng, 4),))
     problem = quadratic_test_problem(B, cset)
     Y0 = cset.zeros()
@@ -156,7 +155,7 @@ def check_mirror_step_descends(rng: np.random.Generator) -> CheckResult:
 
 
 def check_averaging_identity(rng: np.random.Generator) -> CheckResult:
-    cset = SpectraSet.single(3)
+    cset = SpectraSet((3,))
     schedule = solvers.StepSchedule.harmonic_sqrt().resolve(1.0, 3, 50)
     points = [random_feasible_profile(cset, rng) for _ in range(51)]
     state = solvers.AveragingState(schedule(0), points[0])

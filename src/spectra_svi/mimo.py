@@ -34,7 +34,6 @@ from .errors import DomainError
 from .linalg import hermitianize
 from .problem import (
     BlockProfile,
-    BlockSpec,
     NoiseModel,
     SpectraSet,
     SviProblem,
@@ -91,9 +90,7 @@ class NetworkTopology:
         return len(self.tx_antennas)
 
     def constraint_set(self) -> SpectraSet:
-        return SpectraSet(tuple(
-            BlockSpec(m, self.max_power, TraceMode.AT_MOST)
-            for m in self.tx_antennas))
+        return SpectraSet(self.tx_antennas, self.max_power, TraceMode.AT_MOST)
 
 
 def canonical_topology(m: int = 2, n: int = 2) -> NetworkTopology:
@@ -106,76 +103,49 @@ def canonical_topology(m: int = 2, n: int = 2) -> NetworkTopology:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """Cross-channel matrices: H[j][i] maps transmitter j's signal into
-    receiver i's antenna space, shape rx_antennas[i] x tx_antennas[j].
+    """Cross-channel matrices: `link(j, i)` = H_ji maps transmitter j's
+    signal into receiver i's antenna space, shape rx_antennas[i] x
+    tx_antennas[j].
 
-    The game evaluates every link at once on `stacked`, the (N, N, n, m)
-    array of all H[j][i] (zero-padded to the largest antenna counts when
-    they differ between users), built at construction, and on the draw's
-    received-covariance `operator`, built on first use. The channels of
-    several cells, made by `stack`, give every H[j][i] and `stacked` a
-    leading cell axis, and keep one operator per distinct draw in
-    `operators` and each cell's draw number in `draw`."""
+    All links live in `stacked`, shape (N, N, n, m) for the largest
+    antenna counts n and m: H_ji is the top-left corner of
+    stacked[j, i], and the rest of it is zero. The game evaluates every
+    link at once on `stacked` and on the draw's received-covariance
+    `operator`, built on first use. The channels of several cells, made
+    by `stack`, give `stacked` a leading cell axis, and keep one
+    operator per distinct draw in `operators` and each cell's draw
+    number in `draw`."""
 
-    H: tuple[tuple[np.ndarray, ...], ...]
-    stacked: np.ndarray | None = field(default=None, repr=False,
-                                       compare=False)
-    operators: tuple[np.ndarray, ...] | None = field(default=None, repr=False,
-                                                     compare=False)
-    draw: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.stacked is None:
-            object.__setattr__(self, "stacked", self._padded())
+    stacked: np.ndarray = field(repr=False)
+    tx_antennas: tuple[int, ...]
+    rx_antennas: tuple[int, ...]
+    operators: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    draw: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def stack(cls, channel_sets: list["ChannelSet"]) -> "ChannelSet":
         """Cells that share a draw (the same object) share its padded
         stack and its operator: the batch's stack is one gather over the
-        distinct draws, each H[j][i] is a view of it, and each distinct
-        draw builds its operator once."""
-        slots: dict[int, int] = {}
-        distinct = []
+        distinct draws, and each distinct draw builds its operator once."""
+        slots: dict[ChannelSet, int] = {}
         for c in channel_sets:
-            if id(c) not in slots:
-                slots[id(c)] = len(distinct)
-                distinct.append(c)
-        draw = np.array([slots[id(c)] for c in channel_sets])
-        stacked = np.stack([c.stacked for c in distinct])[draw]
+            slots.setdefault(c, len(slots))
+        draw = np.array([slots[c] for c in channel_sets])
         first = channel_sets[0]
-        rx, tx = first.rx_antennas, first.tx_antennas
-        return cls(tuple(
-            tuple(stacked[:, j, i, :rx[i], :tx[j]] for i in range(first.users))
-            for j in range(first.users)), stacked,
-            tuple(c.operator for c in distinct), draw)
+        return cls(np.stack([c.stacked for c in slots])[draw],
+                   first.tx_antennas, first.rx_antennas,
+                   tuple(c.operator for c in slots), draw)
 
     @property
     def users(self) -> int:
-        return len(self.H)
+        return len(self.tx_antennas)
 
-    def direct(self, i: int) -> np.ndarray:
-        return self.H[i][i]
-
-    @functools.cached_property
-    def tx_antennas(self) -> tuple[int, ...]:
-        return tuple(self.H[j][j].shape[-1] for j in range(self.users))
-
-    @functools.cached_property
-    def rx_antennas(self) -> tuple[int, ...]:
-        return tuple(self.H[i][i].shape[-2] for i in range(self.users))
-
-    def _padded(self) -> np.ndarray:
-        N = self.users
-        lead = self.H[0][0].shape[:-2]
-        stack = np.zeros(lead + (N, N, max(self.rx_antennas),
-                                 max(self.tx_antennas)), dtype=complex)
-        for j in range(N):
-            for i in range(N):
-                rows, cols = self.H[j][i].shape[-2:]
-                stack[..., j, i, :rows, :cols] = self.H[j][i]
-        return stack
+    def link(self, j: int, i: int) -> np.ndarray:
+        """H_ji, a view of `stacked` (with the cell axis, if stacked)."""
+        return self.stacked[..., j, i, :self.rx_antennas[i],
+                            :self.tx_antennas[j]]
 
     @functools.cached_property
     def operator(self) -> np.ndarray:
@@ -208,33 +178,32 @@ class ChannelSet:
 
     @functools.cached_property
     def direct_stacked(self) -> np.ndarray:
-        """(..., N, n, m): the direct links H[i][i]."""
+        """(..., N, n, m): the direct links H_ii, zero-padded."""
         users = np.arange(self.users)
         return self.stacked[..., users, users, :, :]
 
     @functools.cached_property
     def direct_gain(self) -> float:
         """max_i ||H_ii||_2^2, the game's noiseless oracle bound."""
-        return max(linalg.spectral_norm(self.direct(i)) ** 2
+        return max(linalg.spectral_norm(self.link(i, i)) ** 2
                    for i in range(self.users))
 
 
 def sample_channels(topology: NetworkTopology,
                     rng: np.random.Generator) -> ChannelSet:
-    """Rayleigh-fading draw: each entry of H[j][i] is circularly
-    symmetric complex Gaussian with variance 1/distance^2 (real and
-    imaginary parts i.i.d. with variance 1/(2 d^2))."""
-    rows = []
-    for j in range(topology.users):
-        row = []
-        for i in range(topology.users):
-            d = topology.distance_km[j, i]
-            shape = (topology.rx_antennas[i], topology.tx_antennas[j])
-            scale = 1.0 / (d * np.sqrt(2.0))
-            row.append(scale * (rng.standard_normal(shape)
-                                + 1j * rng.standard_normal(shape)))
-        rows.append(tuple(row))
-    return ChannelSet(tuple(rows))
+    """Rayleigh-fading draw: each entry of H_ji is circularly symmetric
+    complex Gaussian with variance 1/distance^2 (real and imaginary parts
+    i.i.d. with variance 1/(2 d^2)). Links are drawn in (j, i) order,
+    the real part of each before its imaginary part."""
+    tx, rx, N = topology.tx_antennas, topology.rx_antennas, topology.users
+    stacked = np.zeros((N, N, max(rx), max(tx)), dtype=complex)
+    for j in range(N):
+        for i in range(N):
+            shape = (rx[i], tx[j])
+            scale = 1.0 / (topology.distance_km[j, i] * np.sqrt(2.0))
+            stacked[j, i, :rx[i], :tx[j]] = scale * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ChannelSet(stacked, tx, rx)
 
 
 def _padded_profile(channels: ChannelSet, X: BlockProfile) -> np.ndarray:

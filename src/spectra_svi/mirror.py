@@ -76,17 +76,16 @@ def gibbs_map(Y: np.ndarray) -> np.ndarray:
     return X / np.trace(X, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def gibbs_map_bounded(Y: np.ndarray, p: float | np.ndarray) -> np.ndarray:
+def gibbs_map_bounded(Y: np.ndarray, p: float) -> np.ndarray:
     """Mirror projection onto {X PSD, tr X <= p} via a slack dimension.
 
     Y is embedded as diag(Y, 0), the Gibbs map applied in dimension n+1,
     the slack coordinate dropped, and the result scaled by p. The slack
     keeps a zero dual drift, so the output trace is strictly below p and
     approaches it as Y dominates the slack coordinate. Y may be a stack
-    of shape (..., d, d); p is then a scalar or broadcasts against it,
-    e.g. one bound per matrix with shape (..., 1, 1).
+    of shape (..., d, d), mapped matrix by matrix.
     """
-    if np.any(np.asarray(p) <= 0):
+    if p <= 0:
         raise ValueError(f"trace bound must be positive, got {p}")
     if np.shape(Y)[-2:] == (2, 2):
         return p * _gibbs_2x2(Y, slack=True)

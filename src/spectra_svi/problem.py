@@ -35,21 +35,6 @@ class TraceMode(enum.Enum):
     AT_MOST = "le"
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """One factor of the constraint set: {X PSD, tr X (= or <=) bound}."""
-
-    dim: int
-    bound: float = 1.0
-    mode: TraceMode = TraceMode.EQUAL
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"block dimension must be >= 1, got {self.dim}")
-        if self.bound <= 0:
-            raise ValueError(f"trace bound must be positive, got {self.bound}")
-
-
 class BlockLayout(NamedTuple):
     """How a profile with these block dims is stored: blocks of equal
     dimension share one (n, d, d) stack, and the stacks are ordered by
@@ -205,127 +190,68 @@ class BlockProfile:
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(linalg.frobenius_norm(b) ** 2 for b in self.blocks))
 
-    def trace_norm(self) -> float:
-        return sum(linalg.trace_norm(b) for b in self.blocks)
-
     def spectral_norm(self) -> float:
         return max(linalg.spectral_norm(b) for b in self.blocks)
 
 
-class BlockGroup(NamedTuple):
-    """Blocks of a constraint set that share one dimension and trace mode.
-
-    A profile holds them at `parts[part][select]`; `index` are their
-    block numbers and `bound` their trace bounds, shape (n, 1, 1).
-    """
-
-    part: int
-    select: slice | np.ndarray
-    index: np.ndarray
-    mode: TraceMode
-    bound: np.ndarray
-
-
 @dataclass(frozen=True)
 class SpectraSet:
-    """Product of per-block spectrahedra; the feasible set of the VI."""
+    """The feasible set of the VI: one spectrahedron {X_i PSD,
+    tr X_i (= or <=) bound} per block, of dimension dims[i]. Every block
+    has the same trace bound and mode."""
 
-    blocks: tuple[BlockSpec, ...]
+    dims: tuple[int, ...]
+    bound: float = 1.0
+    mode: TraceMode = TraceMode.EQUAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
+        object.__setattr__(self, "dims", tuple(self.dims))
+        if not self.dims:
             raise ValueError("constraint set needs at least one block")
-
-    @classmethod
-    def single(cls, dim: int, bound: float = 1.0,
-               mode: TraceMode = TraceMode.EQUAL) -> "SpectraSet":
-        return cls((BlockSpec(dim, bound, mode),))
-
-    @classmethod
-    def uniform(cls, count: int, dim: int, bound: float = 1.0,
-                mode: TraceMode = TraceMode.EQUAL) -> "SpectraSet":
-        return cls(tuple(BlockSpec(dim, bound, mode) for _ in range(count)))
-
-    @functools.cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.dim for b in self.blocks)
+        if min(self.dims) < 1:
+            raise ValueError(f"block dimensions must be >= 1, got {self.dims}")
+        if not 0 < self.bound < math.inf:
+            raise ValueError(
+                f"trace bound must be finite and positive, got {self.bound}")
 
     @property
     def total_dim(self) -> int:
         """Dimension of the block-diagonal ambient matrix, sum of block dims."""
-        return sum(b.dim for b in self.blocks)
+        return sum(self.dims)
 
     @functools.cached_property
     def layout(self) -> BlockLayout:
         return block_layout(self.dims)
-
-    @functools.cached_property
-    def groups(self) -> tuple[BlockGroup, ...]:
-        """Blocks grouped by (dim, mode), in stack order then mode order."""
-        groups = []
-        for k, (_, index) in enumerate(self.layout.groups):
-            modes = [self.blocks[i].mode for i in index]
-            for mode in dict.fromkeys(modes):
-                local = np.array([p for p, m in enumerate(modes) if m is mode])
-                groups.append(BlockGroup(
-                    k, slice(None) if len(local) == len(index) else local,
-                    index[local], mode,
-                    self.bounds[index[local], None, None]))
-        return tuple(groups)
-
-    @functools.cached_property
-    def bounds(self) -> np.ndarray:
-        return np.array([b.bound for b in self.blocks])
-
-    @functools.cached_property
-    def capped(self) -> np.ndarray:
-        """True where the trace is capped (AT_MOST), False where fixed."""
-        return np.array([b.mode is TraceMode.AT_MOST for b in self.blocks])
 
     def zeros(self) -> "BlockProfile":
         return BlockProfile.zeros(self.layout)
 
     def map_groups(self, fn: Callable[..., np.ndarray],
                    *profiles: BlockProfile) -> list[np.ndarray]:
-        """fn(group, *stacks) once per (dim, mode) group, where stacks are
-        the group's blocks of each profile (after any cell axis). A
-        NumericalFailure from fn has its `block` diagnostic translated to
-        a block number."""
+        """fn(*stacks) once per block size, in `layout.groups` order, where
+        stacks are the blocks of that size of each profile (after any cell
+        axis). A NumericalFailure from fn has its `block` diagnostic
+        translated to a block number."""
         out = []
-        for g in self.groups:
+        for k, (_, index) in enumerate(self.layout.groups):
             try:
-                out.append(fn(g, *(P.parts[g.part][..., g.select, :, :]
-                                   for P in profiles)))
+                out.append(fn(*(P.parts[k] for P in profiles)))
             except NumericalFailure as exc:
                 block = exc.diagnostics.get("block")
                 if isinstance(block, int):
-                    exc.diagnostics["block"] = int(
-                        g.index[block % len(g.index)])
+                    exc.diagnostics["block"] = int(index[block % len(index)])
                 raise
         return out
 
-    def assemble(self, stacks: list[np.ndarray]) -> BlockProfile:
-        """Profile from one (..., n, d, d) stack per group, as map_groups
-        gives."""
-        parts = tuple(stacks)
-        if len(stacks) != len(self.layout.groups):
-            lead = stacks[0].shape[:-3]
-            parts = tuple(np.empty(lead + (len(index), d, d), dtype=complex)
-                          for d, index in self.layout.groups)
-            for g, stack in zip(self.groups, stacks, strict=True):
-                parts[g.part][..., g.select, :, :] = stack
-        return BlockProfile.from_parts(parts, self.layout)
-
     def per_block(self, values: list[np.ndarray]) -> np.ndarray:
         """Block-ordered array, shape (..., N), from one value array per
-        group."""
+        block size."""
         if len(values) == 1:
             return values[0]
-        out = np.empty(values[0].shape[:-1] + (len(self.blocks),),
+        out = np.empty(values[0].shape[:-1] + (len(self.dims),),
                        dtype=values[0].dtype)
-        for g, v in zip(self.groups, values, strict=True):
-            out[..., g.index] = v
+        for (_, index), v in zip(self.layout.groups, values, strict=True):
+            out[..., index] = v
         return out
 
 
@@ -344,14 +270,14 @@ def assert_feasible(X: BlockProfile, cset: SpectraSet,
     when X has a cell axis)."""
     if X.dims != cset.dims:
         raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
-    w = cset.map_groups(lambda g, Xg: eigvals(Xg), X)
-    N = len(cset.blocks)
+    w = cset.map_groups(eigvals, X)
+    N = len(cset.dims)
     lam_min = cset.per_block([v[..., -1] for v in w]).reshape(-1, N)
     tr = cset.per_block([np.sum(v, axis=-1) for v in w]).reshape(-1, N)
-    bound, capped = cset.bounds, cset.capped
+    bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
     not_psd = lam_min < -psd_tol
-    bad = not_psd | np.where(capped, tr > bound + trace_tol,
-                             np.abs(tr - bound) > trace_tol)
+    bad = not_psd | (tr > bound + trace_tol if capped
+                     else np.abs(tr - bound) > trace_tol)
     if not bad.any():
         return
     cell = int(np.argmax(bad.any(axis=1)))
@@ -359,20 +285,10 @@ def assert_feasible(X: BlockProfile, cset: SpectraSet,
     i = int(np.argmax(bad[cell]))
     if not_psd[i]:
         raise DomainError(f"block {i} not PSD: lambda_min = {lam_min[i]:.3e}")
-    if capped[i]:
+    if capped:
         raise DomainError(
-            f"block {i} trace {tr[i]:.12g} exceeds bound {bound[i]:.12g}")
-    raise DomainError(f"block {i} trace {tr[i]:.12g} != bound {bound[i]:.12g}")
-
-
-def is_feasible(X: BlockProfile, cset: SpectraSet,
-                psd_tol: float = FEASIBILITY_PSD_TOL,
-                trace_tol: float = FEASIBILITY_TRACE_TOL) -> bool:
-    try:
-        assert_feasible(X, cset, psd_tol, trace_tol)
-    except DomainError:
-        return False
-    return True
+            f"block {i} trace {tr[i]:.12g} exceeds bound {bound:.12g}")
+    raise DomainError(f"block {i} trace {tr[i]:.12g} != bound {bound:.12g}")
 
 
 @dataclass(frozen=True)
@@ -512,13 +428,13 @@ def best_response(F: BlockProfile, cset: SpectraSet) -> BlockProfile:
     whenever lambda_min(F_i) >= 0.
     """
     blocks = []
-    for Fi, spec in zip(F.blocks, cset.blocks, strict=True):
+    for Fi in F.blocks:
         w, V = eig(Fi)
-        if spec.mode is TraceMode.AT_MOST and w[-1] >= 0:
+        if cset.mode is TraceMode.AT_MOST and w[-1] >= 0:
             blocks.append(np.zeros_like(Fi))
             continue
         v = V[:, -1]
-        blocks.append(spec.bound * hermitianize(np.outer(v, v.conj())))
+        blocks.append(cset.bound * hermitianize(np.outer(v, v.conj())))
     return BlockProfile(tuple(blocks))
 
 
@@ -534,14 +450,15 @@ def strong_gap(problem: SviProblem, X: BlockProfile,
     are added in block order. Pass F when the mapping's value at X is
     already known. With a cell axis on X, returns one gap per cell.
     """
-    def terms(g: BlockGroup, Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
+    cset = problem.constraints
+
+    def terms(Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
         lam_min = eigvals(Fg)[..., -1]
-        if g.mode is TraceMode.AT_MOST:
+        if cset.mode is TraceMode.AT_MOST:
             lam_min = np.minimum(lam_min, 0.0)
         inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real
-        return inner - g.bound[:, 0, 0] * lam_min
+        return inner - cset.bound * lam_min
 
-    cset = problem.constraints
     if F is None:
         F = problem.mapping(X)
     per_block = cset.per_block(cset.map_groups(terms, F, X))
@@ -549,24 +466,22 @@ def strong_gap(problem: SviProblem, X: BlockProfile,
     return float(gaps) if gaps.ndim == 0 else gaps
 
 
-def random_feasible_block(spec: BlockSpec, rng: np.random.Generator) -> np.ndarray:
-    """Full-support sample of one spectrahedron block, without rejection.
-
-    A random Hermitian matrix is pushed through the Gibbs map (trace
-    exactly the bound); under a trace cap the result is additionally
-    shrunk by a uniform factor to cover the interior.
-    """
-    X = gibbs_map(linalg.random_hermitian(rng, spec.dim))
-    scale = spec.bound
-    if spec.mode is TraceMode.AT_MOST:
-        scale *= float(rng.uniform())
-    return scale * X
-
-
 def random_feasible_profile(cset: SpectraSet,
                             rng: np.random.Generator) -> BlockProfile:
-    return BlockProfile(tuple(
-        random_feasible_block(spec, rng) for spec in cset.blocks))
+    """Full-support sample of the constraint set, without rejection.
+
+    Each block is a random Hermitian matrix pushed through the Gibbs map
+    (trace exactly the bound); under a trace cap it is additionally
+    shrunk by a uniform factor to cover the interior.
+    """
+    blocks = []
+    for d in cset.dims:
+        X = gibbs_map(linalg.random_hermitian(rng, d))
+        scale = cset.bound
+        if cset.mode is TraceMode.AT_MOST:
+            scale *= float(rng.uniform())
+        blocks.append(scale * X)
+    return BlockProfile(tuple(blocks))
 
 
 def weak_gap_estimate(problem: SviProblem, X: BlockProfile, probes: int,
@@ -601,13 +516,12 @@ def quadratic_test_problem(B: BlockProfile, cset: SpectraSet,
 
     Its unique solution is the Euclidean projection of B onto the
     constraint set, which an independent projection oracle can verify.
-    The oracle bound is analytic: ||X_i - B_i||_2 <= bound_i + ||B_i||_2
+    The oracle bound is analytic: ||X_i - B_i||_2 <= bound + ||B_i||_2
     per block, plus a spectral-norm margin for the noise when sigma > 0.
     """
     if B.dims != cset.dims:
         raise DomainError(f"target dims {B.dims} do not match set {cset.dims}")
-    C = max(spec.bound + linalg.spectral_norm(Bi)
-            for Bi, spec in zip(B.blocks, cset.blocks, strict=True))
+    C = max(cset.bound + linalg.spectral_norm(Bi) for Bi in B.blocks)
     if sigma > 0:
         C += 3.0 * sigma * math.sqrt(max(cset.dims))
     return SviProblem(

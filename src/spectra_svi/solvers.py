@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DomainError, NumericalFailure, SpectraSviError
 from .mirror import gibbs_map, gibbs_map_bounded
 from .problem import (
-    BlockGroup,
     BlockProfile,
     SpectraSet,
     SviProblem,
@@ -170,13 +169,14 @@ def update_average(state: AveragingState, X_next: BlockProfile,
 
 def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
     """Mirror projection of dual variables onto the feasible set: one
-    batched Gibbs map per group of equal-size, equal-mode blocks."""
-    def project(g: BlockGroup, Yg: np.ndarray) -> np.ndarray:
-        if g.mode is TraceMode.EQUAL:
-            return g.bound * gibbs_map(Yg)
-        return gibbs_map_bounded(Yg, g.bound)
+    batched Gibbs map per block size."""
+    def project(Yk: np.ndarray) -> np.ndarray:
+        if cset.mode is TraceMode.EQUAL:
+            return cset.bound * gibbs_map(Yk)
+        return gibbs_map_bounded(Yk, cset.bound)
 
-    return cset.assemble(cset.map_groups(project, Y))
+    return BlockProfile.from_parts(
+        tuple(cset.map_groups(project, Y)), cset.layout)
 
 
 def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float | np.ndarray,

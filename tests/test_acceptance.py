@@ -24,7 +24,13 @@ from spectra_svi.harness import (
     write_csv,
 )
 from spectra_svi.oracles import project_spectrahedron
-from spectra_svi.solvers import Method, SolverConfig, StepSchedule, run
+from spectra_svi.solvers import (
+    Method,
+    SolverConfig,
+    StepSchedule,
+    run,
+    run_batch,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -86,7 +92,7 @@ def test_criterion_07_known_solution_convergence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     B = pb.BlockProfile((linalg.random_hermitian(rng, 4),))
-    cset = pb.SpectraSet.single(4)
+    cset = pb.SpectraSet((4,))
     problem = pb.quadratic_test_problem(B, cset)
     result = run(problem, SolverConfig(
         Method.AM_SMD, iterations=5000,
@@ -104,22 +110,21 @@ def test_criterion_08_rate_slope_and_envelope():
     # Noisy quadratic (sigma = 1, one 2x2 block), horizon-tuned constant
     # stepsize: mean gap over 10 seeds at T in {1e2, 1e3, 1e4} must have
     # log-log slope in [-0.7, -0.3] and sit inside the order-of-magnitude
-    # envelope 3 C sqrt(log n / T) * 10.
+    # envelope 3 C sqrt(log n / T) * 10. Each horizon's seeds run as one
+    # batch, whose cells are bit for bit their lone runs.
     B = pb.BlockProfile((np.diag([0.6, 0.2]).astype(complex),))
-    cset = pb.SpectraSet.single(2)
+    cset = pb.SpectraSet((2,))
     problem = pb.quadratic_test_problem(B, cset, sigma=1.0)
     C = problem.oracle_bound
     horizons = (100, 1000, 10000)
     means = []
     for T in horizons:
-        gaps = [
-            run(problem, SolverConfig(
-                Method.AM_SMD, iterations=T,
-                schedule=StepSchedule.horizon(), gap_every=T,
-                seed=seed)).gap_trace[-1][1]
-            for seed in range(10)
-        ]
-        means.append(float(np.mean(gaps)))
+        configs = [SolverConfig(Method.AM_SMD, iterations=T,
+                                schedule=StepSchedule.horizon(), gap_every=T,
+                                seed=seed)
+                   for seed in range(10)]
+        results = run_batch([problem] * len(configs), configs)
+        means.append(float(np.mean([r.gap_trace[-1][1] for r in results])))
     for T, mean_gap in zip(horizons, means):
         envelope = 3.0 * C * math.sqrt(math.log(2) / T) * 10.0
         assert mean_gap <= envelope, \

@@ -305,9 +305,9 @@ def test_shared_draws_equal_lone_draws(monkeypatch):
                 == lone_channels.stacked.tobytes())
         for j in range(channels.users):
             for i in range(channels.users):
-                assert (batch_channels.H[j][i][c].tobytes()
-                        == channels.H[j][i].tobytes()
-                        == lone_channels.H[j][i].tobytes())
+                assert (batch_channels.link(j, i)[c].tobytes()
+                        == channels.link(j, i).tobytes()
+                        == lone_channels.link(j, i).tobytes())
 
 
 def _record_based_csv(config, path):
@@ -342,7 +342,7 @@ def test_throughput_csv_equals_the_record_based_writer(config, threads,
 
 def test_run_batch_rejects_cells_that_cannot_share_a_loop():
     rng = np.random.default_rng(0)
-    two, three = SpectraSet.uniform(2, 2), SpectraSet.uniform(3, 2)
+    two, three = SpectraSet((2, 2)), SpectraSet((2, 2, 2))
     p2 = quadratic_test_problem(random_feasible_profile(two, rng), two)
     p3 = quadratic_test_problem(random_feasible_profile(three, rng), three)
     short = SolverConfig(Method.M_SMD, 5, StepSchedule.harmonic())
@@ -421,9 +421,9 @@ def _game_problems(m, n, seeds, sigmas):
 
 
 def _quadratic_problems(seeds, sigmas, mode):
-    cset = SpectraSet.uniform(3, 2, mode=mode)
+    cset = SpectraSet((2, 2, 2), mode=mode)
     return [quadratic_test_problem(random_feasible_profile(
-                SpectraSet.uniform(3, 2), np.random.default_rng(seed)),
+                SpectraSet((2, 2, 2)), np.random.default_rng(seed)),
                 cset, sigma)
             for seed, sigma in zip(seeds, sigmas)]
 

@@ -35,7 +35,7 @@ def test_canonical_topology_defaults():
     assert topo.max_power == 1.0
     cset = topo.constraint_set()
     assert cset.dims == (2,) * 7
-    assert all(b.mode is TraceMode.AT_MOST for b in cset.blocks)
+    assert cset.mode is TraceMode.AT_MOST and cset.bound == 1.0
 
 
 def test_canonical_topology_antenna_override():
@@ -61,10 +61,35 @@ def test_sample_channels_shapes():
     topo = mimo.canonical_topology(3, 2)
     ch = mimo.sample_channels(topo, np.random.default_rng(0))
     assert ch.users == 7
+    assert ch.stacked.shape == (7, 7, 2, 3)
     for j in range(7):
         for i in range(7):
-            assert ch.H[j][i].shape == (2, 3)
-    assert ch.direct(4) is ch.H[4][4]
+            assert ch.link(j, i).shape == (2, 3)
+    assert np.shares_memory(ch.link(4, 4), ch.stacked)
+
+
+@pytest.mark.parametrize("topo", [
+    mimo.canonical_topology(2, 4),
+    mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3)),
+], ids=["2x4", "unequal"])
+def test_sample_channels_equals_a_link_by_link_draw(topo):
+    # Each link drawn alone, in (j, i) order, real part then imaginary.
+    rng = np.random.default_rng(30)
+    ref = {}
+    for j in range(topo.users):
+        for i in range(topo.users):
+            shape = (topo.rx_antennas[i], topo.tx_antennas[j])
+            scale = 1.0 / (topo.distance_km[j, i] * np.sqrt(2.0))
+            ref[j, i] = scale * (rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
+    ch = mimo.sample_channels(topo, np.random.default_rng(30))
+    # Draws compare by identity, never entry by entry.
+    assert ch != mimo.sample_channels(topo, np.random.default_rng(30))
+    for (j, i), H in ref.items():
+        assert ch.link(j, i).tobytes() == H.tobytes()
+        outside = ch.stacked[j, i].copy()
+        outside[:H.shape[0], :H.shape[1]] = 0
+        assert not outside.any()
 
 
 def test_sample_channels_variance_scales_with_distance():
@@ -75,8 +100,8 @@ def test_sample_channels_variance_scales_with_distance():
     short, long_ = [], []
     for _ in range(300):
         ch = mimo.sample_channels(topo, rng)
-        short.append(ch.H[0][0])  # d = 0.89
-        long_.append(ch.H[3][6])  # d = 2.76
+        short.append(ch.link(0, 0))  # d = 0.89
+        long_.append(ch.link(3, 6))  # d = 2.76
     var_short = np.var(np.stack(short))  # complex var = E|z|^2
     var_long = np.var(np.stack(long_))
     assert var_short == pytest.approx(1.0 / 0.89**2, rel=0.15)
@@ -103,7 +128,7 @@ def test_mui_covariance_excludes_own_signal():
     X = _feasible_profile(topo, rng)
     only_own = BlockProfile(tuple(
         X[j] if j == 2 else np.zeros_like(X[j]) for j in range(7)))
-    H = ch.direct(2)
+    H = ch.link(2, 2)
     expected = float(np.sum(np.log(np.linalg.eigvalsh(
         np.eye(2) + H @ X[2] @ H.conj().T))))
     assert mimo.throughput(ch, only_own, 2) == pytest.approx(
@@ -128,7 +153,7 @@ def test_throughput_single_user_closed_form():
     topo = mimo.NetworkTopology((2,), (2,), np.array([[1.0]]))
     ch = mimo.sample_channels(topo, np.random.default_rng(7))
     X = BlockProfile((np.diag([0.6, 0.4]).astype(complex),))
-    H = ch.H[0][0]
+    H = ch.link(0, 0)
     expected = float(np.log(np.linalg.det(
         np.eye(2) + H @ X[0] @ H.conj().T)).real)
     assert mimo.throughput(ch, X, 0) == pytest.approx(expected, abs=1e-12)
@@ -205,7 +230,7 @@ def test_game_to_svi_oracle_bound_dominates_mapping():
     ch = mimo.sample_channels(topo, np.random.default_rng(16))
     prob = mimo.game_to_svi(topo, ch)
     assert prob.oracle_bound == pytest.approx(
-        max(spectral_norm(ch.direct(i)) ** 2 for i in range(7)))
+        max(spectral_norm(ch.link(i, i)) ** 2 for i in range(7)))
     rng = np.random.default_rng(17)
     for _ in range(25):
         X = pb.random_feasible_profile(prob.constraints, rng)

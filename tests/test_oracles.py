@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import linalg, oracles
-from spectra_svi.problem import BlockProfile, BlockSpec, SpectraSet, TraceMode
+from spectra_svi.problem import BlockProfile, SpectraSet, TraceMode
 
 
 def test_project_spectrahedron_fixed_point():
@@ -93,7 +93,7 @@ def test_finite_diff_gradient_is_hermitian():
 
 
 def test_sampled_sup_linear_with_maximizer_hits_closed_form():
-    cset = SpectraSet.uniform(2, dim=2, bound=1.0, mode=TraceMode.EQUAL)
+    cset = SpectraSet((2, 2), bound=1.0, mode=TraceMode.EQUAL)
     rng = np.random.default_rng(5)
     F = BlockProfile(tuple(linalg.random_hermitian(rng, 2) for _ in range(2)))
     got = oracles.sampled_sup_linear(F, cset, probes=50, rng=rng)
@@ -102,7 +102,7 @@ def test_sampled_sup_linear_with_maximizer_hits_closed_form():
 
 
 def test_sampled_sup_linear_probes_only_lower_bounds():
-    cset = SpectraSet.uniform(1, dim=3, bound=1.0, mode=TraceMode.EQUAL)
+    cset = SpectraSet((3,), bound=1.0, mode=TraceMode.EQUAL)
     rng = np.random.default_rng(6)
     F = BlockProfile((linalg.random_hermitian(rng, 3),))
     exact = -np.linalg.eigvalsh(F[0])[0]
@@ -112,7 +112,7 @@ def test_sampled_sup_linear_probes_only_lower_bounds():
 
 
 def test_sampled_sup_linear_requires_some_candidate():
-    cset = SpectraSet.uniform(1, dim=2)
+    cset = SpectraSet((2,))
     F = BlockProfile((np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         oracles.sampled_sup_linear(F, cset, probes=0, rng=np.random.default_rng(0), include_maximizer=False)

@@ -8,7 +8,6 @@ from spectra_svi.errors import DomainError
 from spectra_svi.oracles import project_spectrahedron, sampled_sup_linear
 from spectra_svi.problem import (
     BlockProfile,
-    BlockSpec,
     NoiseModel,
     SpectraSet,
     SviProblem,
@@ -21,22 +20,22 @@ def _identity_problem(cset, sigma=0.0):
     return SviProblem(cset, lambda X: X, NoiseModel(sigma), oracle_bound=2.0)
 
 
-def test_block_spec_validation():
-    with pytest.raises(ValueError):
-        BlockSpec(dim=0)
-    with pytest.raises(ValueError):
-        BlockSpec(dim=2, bound=0.0)
+def test_spectra_set_validation():
+    with pytest.raises(ValueError, match="at least one block"):
+        SpectraSet(())
+    with pytest.raises(ValueError, match="dimensions"):
+        SpectraSet((2, 0))
+    # A bad bound fails here, not later as a NumericalFailure in eig.
+    for bound in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SpectraSet((2,), bound)
 
 
 def test_spectra_set_dims_and_total():
-    cset = SpectraSet((BlockSpec(2), BlockSpec(4), BlockSpec(3)))
+    cset = SpectraSet([2, 4, 3], 2.5, TraceMode.AT_MOST)
     assert cset.dims == (2, 4, 3)
     assert cset.total_dim == 9
-
-
-def test_spectra_set_uniform_and_single():
-    assert SpectraSet.uniform(7, dim=2).dims == (2,) * 7
-    assert SpectraSet.single(5).dims == (5,)
+    assert cset == SpectraSet((2, 4, 3), 2.5, TraceMode.AT_MOST)
 
 
 def test_block_profile_arithmetic():
@@ -58,7 +57,6 @@ def test_block_profile_rejects_non_square():
 
 def test_block_profile_norms_block_diagonal_semantics():
     A = BlockProfile((np.diag([3.0, 0.0]), np.diag([-4.0])))
-    assert A.trace_norm() == pytest.approx(7.0)
     assert A.spectral_norm() == pytest.approx(4.0)
     assert A.frobenius_norm() == pytest.approx(5.0)
 
@@ -70,35 +68,34 @@ def test_profile_inner_sums_blocks():
 
 
 def test_assert_feasible_accepts_density_blocks():
-    cset = SpectraSet.uniform(2, dim=2)
+    cset = SpectraSet((2, 2))
     X = BlockProfile((np.eye(2) / 2, np.diag([0.9, 0.1])))
     pb.assert_feasible(X, cset)
-    assert pb.is_feasible(X, cset)
 
 
 def test_assert_feasible_rejects_wrong_trace():
-    cset = SpectraSet.single(2)
+    cset = SpectraSet((2,))
     X = BlockProfile((np.diag([0.9, 0.2]),))
     with pytest.raises(DomainError, match="trace"):
         pb.assert_feasible(X, cset)
 
 
 def test_assert_feasible_rejects_indefinite():
-    cset = SpectraSet.single(2)
+    cset = SpectraSet((2,))
     X = BlockProfile((np.diag([1.5, -0.5]),))
     with pytest.raises(DomainError, match="PSD"):
         pb.assert_feasible(X, cset)
 
 
 def test_assert_feasible_trace_cap_allows_slack():
-    cset = SpectraSet.single(2, mode=TraceMode.AT_MOST)
+    cset = SpectraSet((2,), mode=TraceMode.AT_MOST)
     pb.assert_feasible(BlockProfile((np.diag([0.2, 0.1]),)), cset)
     with pytest.raises(DomainError):
         pb.assert_feasible(BlockProfile((np.diag([0.8, 0.7]),)), cset)
 
 
 def test_assert_feasible_dims_mismatch():
-    cset = SpectraSet.single(3)
+    cset = SpectraSet((3,))
     with pytest.raises(DomainError, match="dims"):
         pb.assert_feasible(BlockProfile((np.eye(2) / 2,)), cset)
 
@@ -132,7 +129,7 @@ def test_noise_model_blocks_hermitian_and_scaled():
 
 
 def test_oracle_sample_noiseless_returns_mapping_value():
-    cset = SpectraSet.uniform(2, dim=2)
+    cset = SpectraSet((2, 2))
     prob = _identity_problem(cset)
     X = pb.random_feasible_profile(cset, np.random.default_rng(2))
     phi, noise = pb.oracle_sample(prob, X, np.random.default_rng(3))
@@ -141,7 +138,7 @@ def test_oracle_sample_noiseless_returns_mapping_value():
 
 
 def test_oracle_sample_noise_is_reported_component():
-    cset = SpectraSet.single(3)
+    cset = SpectraSet((3,))
     prob = _identity_problem(cset, sigma=1.0)
     X = pb.random_feasible_profile(cset, np.random.default_rng(4))
     phi, noise = pb.oracle_sample(prob, X, np.random.default_rng(5))
@@ -150,26 +147,26 @@ def test_oracle_sample_noise_is_reported_component():
 
 def test_best_response_equality_is_bottom_eigenprojector():
     F = BlockProfile((np.diag([2.0, -1.0, 0.5]),))
-    Z = pb.best_response(F, SpectraSet.single(3))
+    Z = pb.best_response(F, SpectraSet((3,)))
     assert np.allclose(Z[0], np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_best_response_trace_cap_returns_zero_for_psd_values():
     F = BlockProfile((np.diag([2.0, 0.5]),))
-    Z = pb.best_response(F, SpectraSet.single(2, mode=TraceMode.AT_MOST))
+    Z = pb.best_response(F, SpectraSet((2,), mode=TraceMode.AT_MOST))
     assert np.all(Z[0] == 0)
 
 
 def test_best_response_scales_with_bound():
     F = BlockProfile((np.diag([1.0, -1.0]),))
-    Z = pb.best_response(F, SpectraSet.single(2, bound=0.3))
+    Z = pb.best_response(F, SpectraSet((2,), bound=0.3))
     assert np.allclose(Z[0], np.diag([0.0, 0.3]), atol=1e-12)
 
 
 def test_strong_gap_zero_at_solution_of_quadratic():
     # F(X) = X - B with B feasible: solution is B itself.
     rng = np.random.default_rng(6)
-    cset = SpectraSet.uniform(2, dim=3)
+    cset = SpectraSet((3, 3))
     B = pb.random_feasible_profile(cset, rng)
     prob = pb.quadratic_test_problem(B, cset)
     assert pb.strong_gap(prob, B) == pytest.approx(0.0, abs=1e-10)
@@ -177,7 +174,7 @@ def test_strong_gap_zero_at_solution_of_quadratic():
 
 def test_strong_gap_positive_off_solution():
     rng = np.random.default_rng(7)
-    cset = SpectraSet.uniform(2, dim=3)
+    cset = SpectraSet((3, 3))
     B = pb.random_feasible_profile(cset, rng)
     prob = pb.quadratic_test_problem(B, cset)
     X = pb.random_feasible_profile(cset, rng)
@@ -188,28 +185,30 @@ def test_strong_gap_matches_sampled_supremum():
     # The sampled oracle includes the closed-form maximizer, so the two
     # strong-gap computations must agree to rounding.
     rng = np.random.default_rng(8)
-    cset = SpectraSet((BlockSpec(2), BlockSpec(3, bound=0.5, mode=TraceMode.AT_MOST)))
-    B = pb.random_feasible_profile(cset, rng)
-    prob = pb.quadratic_test_problem(B, cset)
-    for _ in range(10):
-        X = pb.random_feasible_profile(cset, rng)
-        F = prob.mapping(X)
-        sup_lin = sampled_sup_linear(F, cset, probes=20, rng=rng)
-        assert pb.strong_gap(prob, X) == pytest.approx(
-            pb.profile_inner(F, X) + sup_lin, abs=1e-9)
+    for mode in TraceMode:
+        cset = SpectraSet((2, 3, 2), 0.5, mode)
+        B = pb.random_feasible_profile(cset, rng)
+        prob = pb.quadratic_test_problem(B, cset)
+        for _ in range(10):
+            X = pb.random_feasible_profile(cset, rng)
+            F = prob.mapping(X)
+            sup_lin = sampled_sup_linear(F, cset, probes=20, rng=rng)
+            assert pb.strong_gap(prob, X) == pytest.approx(
+                pb.profile_inner(F, X) + sup_lin, abs=1e-9)
 
 
 def test_random_feasible_profile_is_feasible():
     rng = np.random.default_rng(9)
-    cset = SpectraSet((BlockSpec(2), BlockSpec(4, bound=2.0, mode=TraceMode.AT_MOST)))
-    for _ in range(50):
-        X = pb.random_feasible_profile(cset, rng)
-        pb.assert_feasible(X, cset)
+    for mode in TraceMode:
+        cset = SpectraSet((2, 4, 2), 2.0, mode)
+        for _ in range(50):
+            X = pb.random_feasible_profile(cset, rng)
+            pb.assert_feasible(X, cset)
 
 
 def test_weak_gap_estimate_nonnegative_and_below_strong_for_monotone():
     rng = np.random.default_rng(10)
-    cset = SpectraSet.uniform(2, dim=2)
+    cset = SpectraSet((2, 2))
     B = pb.random_feasible_profile(cset, rng)
     prob = pb.quadratic_test_problem(B, cset)
     for _ in range(10):
@@ -221,7 +220,7 @@ def test_weak_gap_estimate_nonnegative_and_below_strong_for_monotone():
 
 def test_monotonicity_witness_sign():
     rng = np.random.default_rng(11)
-    cset = SpectraSet.uniform(2, dim=3)
+    cset = SpectraSet((3, 3))
     B = pb.random_feasible_profile(cset, rng)
     mono = pb.quadratic_test_problem(B, cset)
     anti = SviProblem(cset, lambda X: -1.0 * X, oracle_bound=1.0)
@@ -237,7 +236,7 @@ def test_monotonicity_witness_sign():
 def test_quadratic_problem_solution_is_projection():
     # Solve the VI analytically: X* minimizes ||X - B||_F over the set.
     rng = np.random.default_rng(12)
-    cset = SpectraSet.single(4)
+    cset = SpectraSet((4,))
     B = BlockProfile((linalg.random_hermitian(rng, 4),))
     prob = pb.quadratic_test_problem(B, cset)
     P = BlockProfile((project_spectrahedron(B[0], mode=TraceMode.EQUAL),))
@@ -245,7 +244,7 @@ def test_quadratic_problem_solution_is_projection():
 
 
 def test_quadratic_problem_oracle_bound_covers_noise():
-    cset = SpectraSet.uniform(2, dim=3)
+    cset = SpectraSet((3, 3))
     B = cset.zeros()
     assert pb.quadratic_test_problem(B, cset).oracle_bound == pytest.approx(1.0)
     noisy = pb.quadratic_test_problem(B, cset, sigma=2.0)
@@ -255,4 +254,4 @@ def test_quadratic_problem_oracle_bound_covers_noise():
 def test_quadratic_problem_rejects_dim_mismatch():
     with pytest.raises(DomainError):
         pb.quadratic_test_problem(
-            BlockProfile((np.eye(2),)), SpectraSet.single(3))
+            BlockProfile((np.eye(2),)), SpectraSet((3,)))

@@ -28,9 +28,9 @@ from spectra_svi.solvers import (
 
 def _quadratic(seed=0, players=2, dim=2, sigma=0.0, mode=TraceMode.EQUAL):
     rng = np.random.default_rng(seed)
-    cset = SpectraSet.uniform(players, dim=dim, mode=mode)
+    cset = SpectraSet((dim,) * players, mode=mode)
     B = pb.random_feasible_profile(
-        SpectraSet.uniform(players, dim=dim), rng)
+        SpectraSet((dim,) * players), rng)
     return pb.quadratic_test_problem(B, cset, sigma=sigma)
 
 
@@ -98,21 +98,23 @@ def test_update_average_matches_direct_weighted_sum():
 
 def test_dual_to_primal_feasible_both_modes():
     rng = np.random.default_rng(1)
-    cset = SpectraSet((
-        pb.BlockSpec(3, bound=2.0, mode=TraceMode.EQUAL),
-        pb.BlockSpec(2, bound=0.5, mode=TraceMode.AT_MOST),
-    ))
-    for _ in range(20):
-        Y = BlockProfile((random_hermitian(rng, 3, scale=5.0),
-                          random_hermitian(rng, 2, scale=5.0)))
-        X = dual_to_primal(Y, cset)
-        pb.assert_feasible(X, cset)
-    # Equality blocks hit the bound exactly.
-    assert float(np.trace(X[0]).real) == pytest.approx(2.0, abs=1e-10)
+    for mode in TraceMode:
+        cset = SpectraSet((3, 2, 3, 2, 3), 2.0, mode)
+        for _ in range(20):
+            Y = BlockProfile(tuple(random_hermitian(rng, d, scale=5.0)
+                                   for d in cset.dims))
+            X = dual_to_primal(Y, cset)
+            pb.assert_feasible(X, cset)
+            traces = [float(np.trace(b).real) for b in X]
+            if mode is TraceMode.EQUAL:
+                # Equality blocks hit the bound exactly.
+                assert traces == pytest.approx([2.0] * 5, abs=1e-10)
+            else:
+                assert max(traces) < 2.0
 
 
 def test_mirror_step_moves_against_gradient():
-    cset = SpectraSet.single(2)
+    cset = SpectraSet((2,))
     Y = cset.zeros()
     phi = BlockProfile((np.diag([1.0, -1.0]),))
     Y2, X2 = mirror_step(Y, phi, 0.5, cset)
@@ -273,7 +275,7 @@ def test_run_survives_numerical_failure_with_partial_trace():
     # A mapping that starts emitting NaN mid-run must not crash the
     # solver: the run returns the trace collected so far plus an error
     # string instead of raising.
-    cset = SpectraSet.single(2)
+    cset = SpectraSet((2,))
     calls = {"n": 0}
 
     def flaky(X):

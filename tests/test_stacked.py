@@ -4,8 +4,8 @@ Every hot layer evaluates a whole (N, d, d) stack of blocks in one numpy
 call. The references below are the per-block loops those layers
 replaced, written with 2-D matrices only; the stacked layers must match
 them bit for bit (same operations in the same order), and a full solver
-run on a mixed-dimension, mixed-mode set must match a per-block
-reference loop to 1e-12.
+run on a mixed-dimension set, in either trace mode, must match a
+per-block reference loop to 1e-12.
 
 The 2x2 Gibbs maps and eigenvalues are the first exception: they take
 a closed form (`linalg.hermitian_2x2`) with no LAPACK call, and must
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from spectra_svi import harness, linalg, mimo, mirror, solvers
 from spectra_svi import problem as pb
 from spectra_svi.errors import NumericalFailure
-from spectra_svi.problem import BlockProfile, BlockSpec, SpectraSet, TraceMode
+from spectra_svi.problem import BlockProfile, SpectraSet, TraceMode
 
 # --- per-block references --------------------------------------------------
 
@@ -59,9 +59,9 @@ def _ref_gibbs_bounded(Y, p):
 
 
 def _ref_dual_to_primal(blocks, cset):
-    return [spec.bound * _ref_gibbs(Y) if spec.mode is TraceMode.EQUAL
-            else _ref_gibbs_bounded(Y, spec.bound)
-            for Y, spec in zip(blocks, cset.blocks, strict=True)]
+    assert len(blocks) == len(cset.dims)
+    return [cset.bound * _ref_gibbs(Y) if cset.mode is TraceMode.EQUAL
+            else _ref_gibbs_bounded(Y, cset.bound) for Y in blocks]
 
 
 def _ref_noise(sigma, dims, rng):
@@ -73,20 +73,20 @@ def _ref_noise(sigma, dims, rng):
 
 def _ref_strong_gap(F, X, cset):
     total = 0.0
-    for Fi, Xi, spec in zip(F, X, cset.blocks, strict=True):
+    for Fi, Xi in zip(F, X, strict=True):
         lam_min = float(np.linalg.eigvalsh(linalg.hermitianize(Fi))[0])
-        if spec.mode is TraceMode.AT_MOST:
+        if cset.mode is TraceMode.AT_MOST:
             lam_min = min(0.0, lam_min)
-        total += linalg.trace_inner(Fi, Xi) - spec.bound * lam_min
+        total += linalg.trace_inner(Fi, Xi) - cset.bound * lam_min
     return total
 
 
 def _ref_received(channels, X, i, skip_own):
-    W = np.eye(channels.H[i][i].shape[0], dtype=complex)
+    W = np.eye(channels.rx_antennas[i], dtype=complex)
     for j in range(channels.users):
         if skip_own and j == i:
             continue
-        Hji = channels.H[j][i]
+        Hji = channels.link(j, i)
         W = W + Hji @ X[j] @ Hji.conj().T
     return linalg.hermitianize(W)
 
@@ -95,7 +95,7 @@ def _ref_game_mapping(channels, X):
     out = []
     for i in range(channels.users):
         W = _ref_received(channels, X, i, skip_own=False)
-        Hii = channels.H[i][i]
+        Hii = channels.link(i, i)
         out.append(-linalg.hermitianize(Hii.conj().T @ np.linalg.solve(W, Hii)))
     return out
 
@@ -144,21 +144,15 @@ def _ref_run(problem, config):
 
 # --- fixtures ---------------------------------------------------------------
 
-# Dims and modes interleave, so stacking groups blocks out of order and
-# one dimension holds both trace modes.
-MIXED = SpectraSet((
-    BlockSpec(3, bound=2.0, mode=TraceMode.EQUAL),
-    BlockSpec(2, bound=0.5, mode=TraceMode.AT_MOST),
-    BlockSpec(3, bound=1.0, mode=TraceMode.AT_MOST),
-    BlockSpec(2, bound=0.5, mode=TraceMode.AT_MOST),
-    BlockSpec(3, bound=1.5, mode=TraceMode.EQUAL),
-))
+# Dims interleave, so stacking groups blocks out of order.
+MIXED_DIMS = (3, 2, 3, 2, 3)
+TWO_BLOCK_DIMS = (3, 2)
 
-# The two-block set of the solvers' feasibility test.
-TWO_BLOCK = SpectraSet((
-    BlockSpec(3, bound=2.0, mode=TraceMode.EQUAL),
-    BlockSpec(2, bound=0.5, mode=TraceMode.AT_MOST),
-))
+
+def _sets(dims):
+    """The set of these block dims in either trace mode, at a non-unit
+    bound."""
+    return [SpectraSet(dims, 1.5, mode) for mode in TraceMode]
 
 
 def _random_profile(rng, dims, scale=3.0):
@@ -197,7 +191,22 @@ def _gibbs_match(got, ref, duals, bounds):
 def _dual_to_primal_matches(Y, cset):
     _gibbs_match(solvers.dual_to_primal(Y, cset).blocks,
                  _ref_dual_to_primal(Y.blocks, cset), Y.blocks,
-                 [spec.bound for spec in cset.blocks])
+                 [cset.bound] * len(cset.dims))
+
+
+def _gap_tol(F, X, cset):
+    """How far the strong gap may be from `_ref_strong_gap`: 0 without 2x2
+    blocks. With them, each 2x2 block's eigenvalue term carries the
+    closed form's tolerance, and a changed term can change the rounding
+    of the block sum after it."""
+    small = [Fi for Fi in F if Fi.shape == (2, 2)]
+    if not small:
+        return 0.0
+    size = sum(abs(linalg.trace_inner(Fi, Xi))
+               + cset.bound * np.linalg.norm(Fi, 2)
+               for Fi, Xi in zip(F, X, strict=True))
+    return (sum(_kernel_tol(Fi, cset.bound) for Fi in small)
+            + 2 * len(F) * np.finfo(float).eps * size)
 
 
 def _near(got, ref, rel=1e-13):
@@ -211,9 +220,9 @@ def _near(got, ref, rel=1e-13):
 
 def test_profile_round_trips_blocks_in_order():
     rng = np.random.default_rng(0)
-    blocks = [linalg.random_hermitian(rng, d) for d in MIXED.dims]
+    blocks = [linalg.random_hermitian(rng, d) for d in MIXED_DIMS]
     P = BlockProfile(blocks)
-    assert P.dims == MIXED.dims
+    assert P.dims == MIXED_DIMS
     assert len(P.parts) == 2  # one stack per distinct dimension
     _same(P, blocks)
     for i, b in enumerate(blocks):
@@ -235,7 +244,7 @@ def test_profile_arithmetic_rejects_other_dims():
 @pytest.mark.parametrize("dim", [2, 4])
 def test_gibbs_maps_match_per_block(mode, dim):
     rng = np.random.default_rng(dim)
-    cset = SpectraSet.uniform(7, dim, bound=1.5, mode=mode)
+    cset = SpectraSet((dim,) * 7, bound=1.5, mode=mode)
     for scale in (0.1, 10.0, 1e4):
         Y = _random_profile(rng, cset.dims, scale)
         _dual_to_primal_matches(Y, cset)
@@ -249,7 +258,7 @@ def test_gibbs_maps_match_per_block(mode, dim):
 
 def test_dual_to_primal_matches_per_block_on_mixed_sets():
     rng = np.random.default_rng(1)
-    for cset in (MIXED, TWO_BLOCK):
+    for cset in _sets(MIXED_DIMS) + _sets(TWO_BLOCK_DIMS):
         Y = _random_profile(rng, cset.dims)
         _dual_to_primal_matches(Y, cset)
 
@@ -285,7 +294,7 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
     Y = np.stack(duals)
     tol = [_kernel_tol(y, bound) for y in Y]
     for mode in TraceMode:
-        cset = SpectraSet.uniform(len(Y), 2, bound=bound, mode=mode)
+        cset = SpectraSet((2,) * len(Y), bound, mode)
         X = solvers.dual_to_primal(BlockProfile(Y), cset).parts[0]
         assert np.array_equal(X, X.conj().swapaxes(-1, -2))
         pb.assert_feasible(BlockProfile(X), cset)
@@ -299,7 +308,7 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
         assert np.max(np.abs(got - np.linalg.eigvalsh(y)[::-1])) <= t / bound
 
 
-@pytest.mark.parametrize("dims", [(2,) * 7, (4,) * 7, MIXED.dims])
+@pytest.mark.parametrize("dims", [(2,) * 7, (4,) * 7, MIXED_DIMS])
 def test_noise_sample_matches_per_block_draws(dims):
     noise = pb.NoiseModel(2.5)
     got = noise.sample(dims, np.random.default_rng(3))
@@ -404,53 +413,59 @@ def test_strong_gap_matches_per_block():
         F = mimo.game_mapping(ch, X)
         assert pb.strong_gap(prob, X) == _ref_strong_gap(
             F.blocks, X.blocks, prob.constraints)
-    B = pb.random_feasible_profile(MIXED, rng)
-    prob = pb.quadratic_test_problem(B, MIXED)
-    for _ in range(5):
-        X = pb.random_feasible_profile(MIXED, rng)
-        assert pb.strong_gap(prob, X) == _ref_strong_gap(
-            prob.mapping(X).blocks, X.blocks, MIXED)
+    for cset in _sets(MIXED_DIMS) + _sets((3, 4, 3, 4, 3)):
+        B = pb.random_feasible_profile(cset, rng)
+        prob = pb.quadratic_test_problem(B, cset)
+        for _ in range(5):
+            X = pb.random_feasible_profile(cset, rng)
+            F = prob.mapping(X)
+            ref = _ref_strong_gap(F.blocks, X.blocks, cset)
+            assert abs(pb.strong_gap(prob, X) - ref) <= _gap_tol(F, X, cset)
 
 
 def test_assert_feasible_names_first_bad_block():
     rng = np.random.default_rng(9)
-    X = pb.random_feasible_profile(MIXED, rng)
-    pb.assert_feasible(X, MIXED)
-    blocks = list(X.blocks)
-    blocks[2] = 3.0 * blocks[2] + np.eye(3)  # cap 1 exceeded
-    blocks[4] = blocks[4] + np.eye(3)        # equality broken, later block
-    with pytest.raises(pb.DomainError, match="block 2 trace .* exceeds"):
-        pb.assert_feasible(BlockProfile(blocks), MIXED)
-    blocks[1] = np.diag([0.5, -0.2])
-    with pytest.raises(pb.DomainError, match="block 1 not PSD"):
-        pb.assert_feasible(BlockProfile(blocks), MIXED)
+    for cset in _sets(MIXED_DIMS):
+        X = pb.random_feasible_profile(cset, rng)
+        pb.assert_feasible(X, cset)
+        blocks = list(X.blocks)
+        blocks[2] = 3.0 * blocks[2] + np.eye(3)  # bound 1.5 exceeded
+        blocks[4] = blocks[4] + np.eye(3)        # also broken, later block
+        broken = ("exceeds bound 1.5" if cset.mode is TraceMode.AT_MOST
+                  else "!= bound 1.5")
+        with pytest.raises(pb.DomainError, match=f"block 2 trace .* {broken}"):
+            pb.assert_feasible(BlockProfile(blocks), cset)
+        blocks[1] = np.diag([0.5, -0.2])
+        with pytest.raises(pb.DomainError, match="block 1 not PSD"):
+            pb.assert_feasible(BlockProfile(blocks), cset)
 
 
 # --- the solver loop on mixed sets -----------------------------------------
 
 
-@pytest.mark.parametrize("cset", [MIXED, TWO_BLOCK], ids=["mixed5", "two-block"])
+@pytest.mark.parametrize("dims", [MIXED_DIMS, TWO_BLOCK_DIMS],
+                         ids=["mixed5", "two-block"])
 @pytest.mark.parametrize("method,lam", [
     (solvers.Method.AM_SMD, 0.0),
     (solvers.Method.M_SMD, 0.0),
     (solvers.Method.MEL, 0.5),
 ])
-def test_run_matches_per_block_reference_loop(cset, method, lam):
+def test_run_matches_per_block_reference_loop(dims, method, lam):
     rng = np.random.default_rng(10)
-    B = BlockProfile(tuple(
-        linalg.random_hermitian(rng, d) for d in cset.dims))
-    prob = pb.quadratic_test_problem(B, cset, sigma=0.3)
+    B = BlockProfile(tuple(linalg.random_hermitian(rng, d) for d in dims))
     config = solvers.SolverConfig(
         method, iterations=60, schedule=solvers.StepSchedule.harmonic_sqrt(),
         lam=lam, gap_every=7, seed=11)
-    result = solvers.run(prob, config)
-    assert result.error is None
-    trace, reported = _ref_run(prob, config)
-    assert [it for it, _ in result.gap_trace] == [it for it, _ in trace]
-    for (_, got), (_, ref) in zip(result.gap_trace, trace):
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
-    for got, ref in zip(result.final_point.blocks, reported):
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+    for cset in _sets(dims):
+        prob = pb.quadratic_test_problem(B, cset, sigma=0.3)
+        result = solvers.run(prob, config)
+        assert result.error is None
+        trace, reported = _ref_run(prob, config)
+        assert [it for it, _ in result.gap_trace] == [it for it, _ in trace]
+        for (_, got), (_, ref) in zip(result.gap_trace, trace):
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        for got, ref in zip(result.final_point.blocks, reported):
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
 # --- failures stay inside the cell -----------------------------------------
@@ -463,38 +478,40 @@ def test_eig_failure_names_the_block():
     assert info.value.diagnostics["block"] == 2
     # Grouped layers report the block number within the profile.
     rng = np.random.default_rng(12)
-    blocks = [linalg.random_hermitian(rng, d) for d in MIXED.dims]
+    blocks = [linalg.random_hermitian(rng, d) for d in MIXED_DIMS]
     blocks[2] = np.full((3, 3), np.nan)
-    with pytest.raises(NumericalFailure) as info:
-        solvers.dual_to_primal(BlockProfile(blocks), MIXED)
-    assert info.value.diagnostics["block"] == 2
+    for cset in _sets(MIXED_DIMS):
+        with pytest.raises(NumericalFailure) as info:
+            solvers.dual_to_primal(BlockProfile(blocks), cset)
+        assert info.value.diagnostics["block"] == 2
 
 
 def test_run_keeps_trace_and_diagnostics_on_numerical_failure():
     rng = np.random.default_rng(13)
-    B = pb.random_feasible_profile(MIXED, rng)
-    base = pb.quadratic_test_problem(B, MIXED)
-    calls = []
-
-    def poisoned(X):
-        calls.append(None)
-        F = base.mapping(X)
-        if len(calls) <= 12:
-            return F
-        blocks = list(F.blocks)
-        blocks[3] = np.full((2, 2), np.nan)
-        return BlockProfile(blocks)
-
-    prob = pb.SviProblem(MIXED, poisoned, oracle_bound=base.oracle_bound)
     config = solvers.SolverConfig(
         solvers.Method.M_SMD, iterations=30,
         schedule=solvers.StepSchedule.harmonic_sqrt(), gap_every=5)
-    result = solvers.run(prob, config)
-    # Calls 1-12 are iterations 1-12 and the gaps at 5 and 10, whose
-    # mapping values iterations 6 and 11 reuse; the poisoned call 13 is
-    # iteration 13.
-    assert [it for it, _ in result.gap_trace] == [5, 10]
-    assert "non-finite" in result.error and "block=3" in result.error
+    for cset in _sets(MIXED_DIMS):
+        B = pb.random_feasible_profile(cset, rng)
+        base = pb.quadratic_test_problem(B, cset)
+        calls = []
+
+        def poisoned(X):
+            calls.append(None)
+            F = base.mapping(X)
+            if len(calls) <= 12:
+                return F
+            blocks = list(F.blocks)
+            blocks[3] = np.full((2, 2), np.nan)
+            return BlockProfile(blocks)
+
+        prob = pb.SviProblem(cset, poisoned, oracle_bound=base.oracle_bound)
+        result = solvers.run(prob, config)
+        # Calls 1-12 are iterations 1-12 and the gaps at 5 and 10, whose
+        # mapping values iterations 6 and 11 reuse; the poisoned call 13
+        # is iteration 13.
+        assert [it for it, _ in result.gap_trace] == [5, 10]
+        assert "non-finite" in result.error and "block=3" in result.error
 
 
 def _doubling_after(k, monkeypatch):
@@ -541,4 +558,4 @@ def test_infeasible_iterate_is_contained_and_written(tmp_path, monkeypatch):
         harness.build_tasks(config)[0])
     result = solvers.run(problem, solver_config)
     assert "exceeds bound 1" in result.error
-    assert pb.is_feasible(result.final_point, problem.constraints)
+    pb.assert_feasible(result.final_point, problem.constraints)
