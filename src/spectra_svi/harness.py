@@ -229,11 +229,25 @@ def _without_source(exc: configparser.Error) -> str:
         f"While reading from {getattr(exc, 'source', None)!r} ", "")
 
 
+def _reject_unknown(path: str | os.PathLike, names: Iterable[str],
+                    known: Iterable[str], what: str) -> None:
+    """ConfigError for the first of `names` not in `known`; `what` is the
+    message's description of it, with {} for the name."""
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"{path}: unknown {what.format(name)}")
+
+
+_TOPOLOGY_KEYS = ("tx_antennas", "rx_antennas", "distances", "max_power")
+
+
 def _topology_from_file(path: str) -> NetworkTopology:
     parser = _read_ini(path, "topology")
+    _reject_unknown(path, parser.sections(), ("topology",), "section [{}]")
     if not parser.has_section("topology"):
         raise ConfigError(f"{path}: missing [topology] section")
     sec = parser["topology"]
+    _reject_unknown(path, sec, _TOPOLOGY_KEYS, "key '{}' in [topology]")
     try:
         tx = tuple(int(v) for v in sec["tx_antennas"].split(","))
         rx = tuple(int(v) for v in sec["rx_antennas"].split(","))
@@ -548,23 +562,24 @@ def parse_schedule(value: str, where: str = "schedule") -> StepSchedule:
 
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
-    """Load a flat key = value config; unknown keys are hard errors."""
+    """Load a flat key = value config; unknown sections and keys are hard
+    errors."""
     parser = _read_ini(path, "config")
+    _reject_unknown(path, parser.sections(), ("experiment", "methods", "mel"),
+                    "section [{}]")
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"{path}: unknown key '{key}' in [experiment]")
+    _reject_unknown(path, exp, _EXPERIMENT_KEYS, "key '{}' in [experiment]")
     if not parser.has_section("methods"):
         raise ConfigError(f"{path}: missing [methods] section")
 
     method_by_name = {m.value: m for m in Method}
     lambdas = (0.1, 0.5, 1.0)
     if parser.has_section("mel"):
-        for key in parser["mel"]:
-            if key != "lambdas":
-                raise ConfigError(f"{path}: unknown key '{key}' in [mel]")
+        _reject_unknown(path, parser["mel"], ("lambdas",), "key '{}' in [mel]")
+        if "lambdas" not in parser["mel"]:
+            raise ConfigError(f"{path}: [mel] lambdas: missing")
         lambdas = _parse_floats(parser["mel"]["lambdas"], f"{path}: [mel] lambdas")
     specs = []
     for name, sched_text in parser["methods"].items():

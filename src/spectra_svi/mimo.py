@@ -7,6 +7,12 @@ F(X) = -diag(grad_1 R_1, ..., grad_N R_N) is monotone because each -R_i
 is convex in X_i, so Nash equilibria coincide with strong solutions of
 the induced VI.
 
+The game works on a profile's zero-padded (N, m, m) array
+(`BlockProfile.array`, m the largest transmit count) and on the
+channels' zero-padded links as they are: the padding of a user with
+fewer antennas contributes nothing, and the mapping is exactly zero
+outside each user's corner.
+
 The mapping and the rates start from the same received covariances
 I + sum_j H_ji X_j H_ji^dag. The channels stay fixed for a whole run, so
 X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
@@ -38,7 +44,6 @@ from .problem import (
     SpectraSet,
     SviProblem,
     TraceMode,
-    block_layout,
 )
 
 # Transmitter-to-receiver distances in km for the canonical 7-cell
@@ -206,26 +211,6 @@ def sample_channels(topology: NetworkTopology,
     return ChannelSet(stacked, tx, rx)
 
 
-def _padded_profile(channels: ChannelSet, X: BlockProfile) -> np.ndarray:
-    """X as one (..., N, m, m) stack, zero-padded to the largest block."""
-    if len(X.parts) == 1:
-        return X.parts[0]
-    m = max(channels.tx_antennas)
-    lead = X.parts[0].shape[:-3]
-    out = np.zeros(lead + (len(X), m, m), dtype=complex)
-    for (d, index), part in zip(X.layout.groups, X.parts):
-        out[..., index, :d, :d] = part
-    return out
-
-
-def _crop(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Undo the zero padding: stack parts laid out as block_layout(dims)."""
-    layout = block_layout(dims)
-    if len(layout.groups) == 1:
-        return (stack,)
-    return tuple(stack[..., index, :d, :d] for d, index in layout.groups)
-
-
 @functools.lru_cache(maxsize=None)
 def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
     """The d^2 real coordinates of a d x d Hermitian matrix: its
@@ -292,7 +277,7 @@ def _received_operator(H: np.ndarray) -> np.ndarray:
 
 class Covariances(NamedTuple):
     """The received covariances I + sum_j H_ji X_j H_ji^dag of a stack of
-    profiles, shape (..., N, n, n), with the padded profiles they were
+    profiles, shape (..., N, n, n), with the profiles' arrays they were
     built from, shape (..., N, m, m), and the direct links of the same
     rows, shape (..., N, n, m). Built once by `covariances`, they serve
     both the game mapping and the rates."""
@@ -310,7 +295,7 @@ def covariances(channels: ChannelSet, X: BlockProfile) -> Covariances:
     """The received covariances of X, any leading axes (one per cell of
     stacked channels): one product with the draw's operator per profile,
     in Hermitian coordinates."""
-    P = _padded_profile(channels, X)
+    P = X.array
     lead, (N, m, _) = P.shape[:-3], P.shape[-3:]
     n = channels.stacked.shape[-2]
     x = _to_coordinates(P.reshape(-1, N, m, m))
@@ -376,9 +361,8 @@ def game_mapping(channels: ChannelSet,
     evaluated for all users in one batched solve. With stacked channels,
     X has a cell axis and every cell is evaluated in the same calls. X
     may also be the profile's `covariances`, when already built."""
-    dims = channels.tx_antennas
-    return BlockProfile.from_parts(
-        _crop(-_rate_gradients(channels, X), dims), block_layout(dims))
+    return BlockProfile.wrap(-_rate_gradients(channels, X),
+                             channels.tx_antennas)
 
 
 @dataclass(frozen=True, eq=False)

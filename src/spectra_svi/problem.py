@@ -3,19 +3,19 @@
 A problem couples a product constraint set, one PSD trace-constrained
 spectrahedron per player block, with a deterministic monotone mapping F
 acting blockwise and a noise model that turns F into the stochastic
-oracle Phi(X, xi) = F(X) + Z. Both merit functions live here: the strong
-gap sup_Z tr(F(X)(X - Z)) in closed form (a minimum-eigenvalue problem
-per block) and a sampled lower bound on the weak gap
-sup_Z tr(F(Z)(X - Z)).
+oracle Phi(X, xi) = F(X) + Z. A profile of blocks is one zero-padded
+complex array (`BlockProfile`); `SpectraSet.map_blocks` applies a
+function of stacks of blocks to it, once per distinct block size. The
+strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
+minimum-eigenvalue problem per block.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,58 +35,27 @@ class TraceMode(enum.Enum):
     AT_MOST = "le"
 
 
-class BlockLayout(NamedTuple):
-    """How a profile with these block dims is stored: blocks of equal
-    dimension share one (n, d, d) stack, and the stacks are ordered by
-    their dimension's first appearance.
-
-    `groups[k]` is (d, block numbers in stack k); `where[i]` is (stack,
-    position) of block i; `draw_index[k]` picks stack k's real and
-    imaginary noise parts, shape (n, 2, d, d), out of one block-ordered
-    draw of `draw_size` normals.
-    """
-
-    dims: tuple[int, ...]
-    groups: tuple[tuple[int, np.ndarray], ...]
-    where: tuple[tuple[int, int], ...]
-    draw_size: int
-    draw_index: tuple[np.ndarray, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def block_layout(dims: tuple[int, ...]) -> BlockLayout:
-    starts = np.cumsum([0] + [2 * d * d for d in dims])
-    groups, where, draw_index = [], [None] * len(dims), []
-    for k, d in enumerate(dict.fromkeys(dims)):
-        index = np.array([i for i, di in enumerate(dims) if di == d])
-        groups.append((d, index))
-        for pos, i in enumerate(index):
-            where[i] = (k, pos)
-        draw_index.append(starts[index][:, None, None, None]
-                          + np.arange(2 * d * d).reshape(2, d, d))
-    return BlockLayout(tuple(dims), tuple(groups), tuple(where),
-                       int(starts[-1]), tuple(draw_index))
-
-
 class BlockProfile:
     """Ordered Hermitian blocks of a block-diagonal matrix diag(X_1,...,X_N).
 
     Construct from a sequence of square matrices or from one (N, d, d)
-    stack. Blocks are stored stacked, one complex (n, d, d) array per
-    distinct dimension (see `BlockLayout`), so a profile of equal-size
-    blocks is a single array and every operation on it is one numpy
-    call. Supports the linear arithmetic the solvers need (addition,
-    subtraction, scalar multiples), always returning new profiles. Norms
-    follow block-diagonal semantics: Frobenius and trace norms add across
-    blocks, the spectral norm is the blockwise maximum.
+    stack. The blocks live in one zero-padded complex array `array`,
+    shape (N, D, D) for the largest block dimension D: block i is the
+    top-left dims[i] x dims[i] corner of array[i], and the rest of it is
+    zero. Blocks of equal size make `array` the plain stack, and every
+    operation on a profile is one numpy call on it. Supports the linear
+    arithmetic the solvers need (addition, subtraction, scalar
+    multiples), always returning new profiles. Norms follow
+    block-diagonal semantics: the Frobenius norm adds across blocks in
+    squares, the spectral norm is the blockwise maximum.
 
-    A batched solver run gives its stacks a leading cell axis, shape
-    (C, n, d, d), one profile per cell (`stack`, `cells`). The
+    A batched solver run gives `array` a leading cell axis, shape
+    (C, N, D, D), one profile per cell (`stack`, `cells`). The
     arithmetic and the batched layers broadcast over it; indexing,
     `blocks` and the norms are for single profiles.
     """
 
-    __slots__ = ("parts", "layout")
+    __slots__ = ("array", "dims")
 
     # Opt out of numpy ufunc dispatch: otherwise numpy_scalar * profile
     # broadcasts over the blocks instead of calling __rmul__.
@@ -94,96 +63,79 @@ class BlockProfile:
 
     def __init__(self, blocks: np.ndarray | Sequence[np.ndarray]):
         if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
-            stack = blocks.astype(complex, copy=False)
-            if stack.shape[1] != stack.shape[2]:
-                raise ValueError(f"blocks are not square: shape {stack.shape}")
-            self.parts = (stack,)
-            self.layout = block_layout((stack.shape[1],) * stack.shape[0])
+            self.array = blocks.astype(complex, copy=False)
+            N, d, d2 = self.array.shape
+            if d != d2:
+                raise ValueError(f"blocks are not square: shape {blocks.shape}")
+            self.dims = (d,) * N
             return
         mats = [np.asarray(b, dtype=complex) for b in blocks]
         for i, b in enumerate(mats):
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError(f"block {i} is not square: shape {b.shape}")
-        self.layout = block_layout(tuple(b.shape[0] for b in mats))
-        self.parts = tuple(np.stack([mats[i] for i in index])
-                           for _, index in self.layout.groups)
+        self.dims = tuple(len(b) for b in mats)
+        D = max(self.dims)
+        self.array = np.zeros((len(mats), D, D), dtype=complex)
+        for i, b in enumerate(mats):
+            self.array[i, :len(b), :len(b)] = b
 
     @classmethod
-    def from_parts(cls, parts: tuple[np.ndarray, ...],
-                   layout: BlockLayout) -> "BlockProfile":
-        """Wrap stacks already arranged as `layout` says, without copying."""
+    def wrap(cls, array: np.ndarray, dims: tuple[int, ...]) -> "BlockProfile":
+        """Wrap a padded array of blocks of these dims, without copying."""
         profile = object.__new__(cls)
-        profile.parts = parts
-        profile.layout = layout
+        profile.array = array
+        profile.dims = dims
         return profile
 
     @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockProfile":
-        return cls.from_parts(tuple(
-            np.zeros((len(index), d, d), dtype=complex)
-            for d, index in layout.groups), layout)
-
-    @classmethod
     def stack(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
-        """Single profiles of one layout as one profile with a cell axis."""
-        return cls.from_parts(tuple(
-            np.stack([P.parts[k] for P in profiles])
-            for k in range(len(profiles[0].parts))), profiles[0].layout)
+        """Single profiles of one dims as one profile with a cell axis."""
+        return cls.wrap(np.stack([P.array for P in profiles]),
+                        profiles[0].dims)
 
     @classmethod
     def concat(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
-        """Profiles of one layout with a cell axis, one after the other."""
-        return cls.from_parts(tuple(
-            np.concatenate([P.parts[k] for P in profiles])
-            for k in range(len(profiles[0].parts))), profiles[0].layout)
+        """Profiles of one dims with a cell axis, one after the other."""
+        return cls.wrap(np.concatenate([P.array for P in profiles]),
+                        profiles[0].dims)
 
     def cells(self, c: int | slice | np.ndarray) -> "BlockProfile":
         """Cell c of a profile with a cell axis, or the cells a slice
         (both views) or an index array (a copy) selects."""
-        return BlockProfile.from_parts(
-            tuple(p[c] for p in self.parts), self.layout)
+        return BlockProfile.wrap(self.array[c], self.dims)
 
     def __repr__(self) -> str:
         return f"BlockProfile(dims={self.dims})"
 
     def __len__(self) -> int:
-        return len(self.layout.dims)
+        return len(self.dims)
 
     def __iter__(self):
         return iter(self.blocks)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        k, pos = self.layout.where[i]
-        return self.parts[k][pos]
+        d = self.dims[i]
+        return self.array[i, :d, :d]
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        if len(self.parts) == 1:
-            return tuple(self.parts[0])
         return tuple(self[i] for i in range(len(self)))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.layout.dims
-
-    def _check_layout(self, other: "BlockProfile") -> None:
-        if other.layout is not self.layout and other.dims != self.dims:
+    def _check_dims(self, other: "BlockProfile") -> None:
+        if other.dims != self.dims:
             raise ValueError(
                 f"profile dims {self.dims} and {other.dims} differ")
 
     def __add__(self, other: "BlockProfile") -> "BlockProfile":
-        self._check_layout(other)
-        return BlockProfile.from_parts(
-            tuple(a + b for a, b in zip(self.parts, other.parts)), self.layout)
+        self._check_dims(other)
+        return BlockProfile.wrap(self.array + other.array, self.dims)
 
     def __sub__(self, other: "BlockProfile") -> "BlockProfile":
-        self._check_layout(other)
-        return BlockProfile.from_parts(
-            tuple(a - b for a, b in zip(self.parts, other.parts)), self.layout)
+        self._check_dims(other)
+        return BlockProfile.wrap(self.array - other.array, self.dims)
 
     def __mul__(self, scalar: float) -> "BlockProfile":
-        return BlockProfile.from_parts(
-            tuple(scalar * p for p in self.parts), self.layout)
+        return BlockProfile.wrap(scalar * self.array, self.dims)
 
     __rmul__ = __mul__
 
@@ -219,40 +171,57 @@ class SpectraSet:
         """Dimension of the block-diagonal ambient matrix, sum of block dims."""
         return sum(self.dims)
 
-    @functools.cached_property
-    def layout(self) -> BlockLayout:
-        return block_layout(self.dims)
-
     def zeros(self) -> "BlockProfile":
-        return BlockProfile.zeros(self.layout)
+        D = max(self.dims)
+        return BlockProfile.wrap(
+            np.zeros((len(self.dims), D, D), dtype=complex), self.dims)
 
-    def map_groups(self, fn: Callable[..., np.ndarray],
-                   *profiles: BlockProfile) -> list[np.ndarray]:
-        """fn(*stacks) once per block size, in `layout.groups` order, where
-        stacks are the blocks of that size of each profile (after any cell
-        axis). A NumericalFailure from fn has its `block` diagnostic
-        translated to a block number."""
-        out = []
-        for k, (_, index) in enumerate(self.layout.groups):
-            try:
-                out.append(fn(*(P.parts[k] for P in profiles)))
-            except NumericalFailure as exc:
-                block = exc.diagnostics.get("block")
-                if isinstance(block, int):
-                    exc.diagnostics["block"] = int(index[block % len(index)])
-                raise
+    def map_blocks(self, fn: Callable[..., np.ndarray],
+                   *profiles: BlockProfile) -> np.ndarray:
+        """fn(*arrays) on the profiles' blocks, as one block-ordered array.
+
+        fn takes stacks of equal-size blocks, shape (..., n, d, d), and
+        returns one value per block, shape (..., n, *tail) with one tail
+        for every size, or one d x d matrix per block. With blocks of one
+        size, fn gets the profiles' arrays. Otherwise it is called once
+        per size on the gathered corners, and its results are scattered
+        back in block order: values into shape (..., N, *tail), matrices
+        into the corners of a zero-padded (..., N, D, D) array. A
+        NumericalFailure from fn has its `block` diagnostic translated to
+        a block number."""
+        dims, arrays = self.dims, [P.array for P in profiles]
+        if min(dims) == max(dims):
+            return _blockwise(fn, arrays, np.arange(len(dims)))
+        # The block axis is indexed explicitly: a trailing `...` would
+        # put per-block values of a single profile on the wrong axis.
+        lead = (slice(None),) * (arrays[0].ndim - 3)
+        out = None
+        for d in dict.fromkeys(dims):
+            index = np.flatnonzero(np.array(dims) == d)
+            corner = lead + (index, slice(d), slice(d))
+            part = _blockwise(fn, [a[corner] for a in arrays], index)
+            head, tail = part.shape[:len(lead)], part.shape[len(lead) + 1:]
+            matrices = tail == (d, d)
+            if out is None:
+                D = max(dims)
+                out = np.zeros(head + (len(dims),)
+                               + ((D, D) if matrices else tail), part.dtype)
+            out[corner if matrices else lead + (index,)] = part
         return out
 
-    def per_block(self, values: list[np.ndarray]) -> np.ndarray:
-        """Block-ordered array, shape (..., N), from one value array per
-        block size."""
-        if len(values) == 1:
-            return values[0]
-        out = np.empty(values[0].shape[:-1] + (len(self.dims),),
-                       dtype=values[0].dtype)
-        for (_, index), v in zip(self.layout.groups, values, strict=True):
-            out[..., index] = v
-        return out
+
+def _blockwise(fn: Callable[..., np.ndarray], arrays: list[np.ndarray],
+               index: np.ndarray) -> np.ndarray:
+    """fn(*arrays) on stacks of the blocks `index`; a NumericalFailure's
+    `block`, counted along the flattened leading axes, becomes the block
+    number."""
+    try:
+        return fn(*arrays)
+    except NumericalFailure as exc:
+        block = exc.diagnostics.get("block")
+        if isinstance(block, int):
+            exc.diagnostics["block"] = int(index[block % len(index)])
+        raise
 
 
 def profile_inner(A: BlockProfile, B: BlockProfile) -> float:
@@ -270,10 +239,14 @@ def assert_feasible(X: BlockProfile, cset: SpectraSet,
     when X has a cell axis)."""
     if X.dims != cset.dims:
         raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
-    w = cset.map_groups(eigvals, X)
+
+    def margins(Xg: np.ndarray) -> np.ndarray:
+        w = eigvals(Xg)
+        return np.stack((w[..., -1], np.sum(w, axis=-1)), axis=-1)
+
     N = len(cset.dims)
-    lam_min = cset.per_block([v[..., -1] for v in w]).reshape(-1, N)
-    tr = cset.per_block([np.sum(v, axis=-1) for v in w]).reshape(-1, N)
+    lam_min, tr = np.moveaxis(
+        cset.map_blocks(margins, X).reshape(-1, N, 2), -1, 0)
     bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
     not_psd = lam_min < -psd_tol
     bad = not_psd | (tr > bound + trace_tol if capped
@@ -319,27 +292,35 @@ class NoiseModel:
         block would. Given a list of generators, one per cell, each cell
         with sigma > 0 draws from its own generator exactly as alone, and
         the draws are stacked along a cell axis; cells with sigma = 0 get
-        zeros and leave their stream untouched.
+        zeros and leave their stream untouched. Blocks of several sizes
+        are zero-padded as in `BlockProfile`.
         """
-        layout = block_layout(tuple(dims))
+        dims = tuple(dims)
+        N, D = len(dims), max(dims)
+        sizes = [2 * d * d for d in dims]
+        size = sum(sizes)
         sigma = np.asarray(self.sigma)
         if not isinstance(rng, (list, tuple)):
             if sigma == 0:
-                return BlockProfile.zeros(layout)
-            G = rng.standard_normal(layout.draw_size)
+                return SpectraSet(dims).zeros()
+            G = rng.standard_normal(size)
         else:
-            G = np.zeros((len(rng), layout.draw_size))
+            G = np.zeros((len(rng), size))
             for c, level in enumerate(sigma.tolist()):
                 if level > 0:
-                    G[c] = rng[c].standard_normal(layout.draw_size)
+                    G[c] = rng[c].standard_normal(size)
             sigma = sigma[:, None, None, None]
+        lead = G.shape[:-1]
+        if min(dims) == D:
+            G = G.reshape(lead + (N, 2, D, D))
+        else:
+            pieces = np.split(G, np.cumsum(sizes)[:-1], axis=-1)
+            G = np.zeros(lead + (N, 2, D, D))
+            for i, (d, piece) in enumerate(zip(dims, pieces)):
+                G[..., i, :, :d, :d] = piece.reshape(lead + (2, d, d))
         s = sigma / math.sqrt(2.0)
-        parts = []
-        for ix in layout.draw_index:
-            Gk = G[..., ix]
-            parts.append(hermitianize(
-                s * (Gk[..., 0, :, :] + 1j * Gk[..., 1, :, :])))
-        return BlockProfile.from_parts(tuple(parts), layout)
+        return BlockProfile.wrap(
+            hermitianize(s * (G[..., 0, :, :] + 1j * G[..., 1, :, :])), dims)
 
 
 @dataclass(frozen=True)
@@ -397,9 +378,8 @@ def select_cells(mask: np.ndarray, A: BlockProfile,
         return A
     if not mask.any():
         return B
-    m = mask[:, None, None, None]
-    return BlockProfile.from_parts(
-        tuple(np.where(m, a, b) for a, b in zip(A.parts, B.parts)), A.layout)
+    return BlockProfile.wrap(
+        np.where(mask[:, None, None, None], A.array, B.array), A.dims)
 
 
 def oracle_sample(problem: SviProblem, X: BlockProfile,
@@ -461,8 +441,7 @@ def strong_gap(problem: SviProblem, X: BlockProfile,
 
     if F is None:
         F = problem.mapping(X)
-    per_block = cset.per_block(cset.map_groups(terms, F, X))
-    gaps = np.add.accumulate(per_block, axis=-1)[..., -1]
+    gaps = np.add.accumulate(cset.map_blocks(terms, F, X), axis=-1)[..., -1]
     return float(gaps) if gaps.ndim == 0 else gaps
 
 
@@ -482,26 +461,6 @@ def random_feasible_profile(cset: SpectraSet,
             scale *= float(rng.uniform())
         blocks.append(scale * X)
     return BlockProfile(tuple(blocks))
-
-
-def weak_gap_estimate(problem: SviProblem, X: BlockProfile, probes: int,
-                      rng: np.random.Generator) -> float:
-    """Sampled lower bound on sup_Z tr(F(Z)(X - Z)).
-
-    A lower bound only: the sup is nonconvex in Z for general F, so the
-    candidate set is Z = X itself (making the estimate >= 0), the
-    closed-form strong-gap maximizer, and `probes` random feasible
-    profiles.
-    """
-    candidates = [X, best_response(problem.mapping(X), problem.constraints)]
-    candidates.extend(
-        random_feasible_profile(problem.constraints, rng)
-        for _ in range(probes))
-    best = -math.inf
-    for Z in candidates:
-        val = profile_inner(problem.mapping(Z), X - Z)
-        best = max(best, val)
-    return best
 
 
 def monotonicity_witness(problem: SviProblem, X: BlockProfile,

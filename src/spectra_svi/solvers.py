@@ -169,14 +169,13 @@ def update_average(state: AveragingState, X_next: BlockProfile,
 
 def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
     """Mirror projection of dual variables onto the feasible set: one
-    batched Gibbs map per block size."""
+    batched Gibbs map per block size (`SpectraSet.map_blocks`)."""
     def project(Yk: np.ndarray) -> np.ndarray:
         if cset.mode is TraceMode.EQUAL:
             return cset.bound * gibbs_map(Yk)
         return gibbs_map_bounded(Yk, cset.bound)
 
-    return BlockProfile.from_parts(
-        tuple(cset.map_groups(project, Y)), cset.layout)
+    return BlockProfile.wrap(cset.map_blocks(project, Y), cset.dims)
 
 
 def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float | np.ndarray,
@@ -300,7 +299,7 @@ def _run_cells(problems: Sequence[SviProblem],
     problem = stack_problems(problems)
     cset = problem.constraints
 
-    # Per-cell values broadcast against stacks of shape (C, n, d, d).
+    # Per-cell values broadcast against profile arrays, shape (C, N, D, D).
     lam = np.array([c.lam if c.method is Method.MEL else 0.0
                     for c in configs])[:, None, None, None]
     regularized = lam[:, 0, 0, 0] > 0

@@ -149,15 +149,18 @@ def test_criterion_09_averaging_beats_last_iterate_at_2x2():
     """EXPECTED RED. Kept at its stated threshold rather than weakened.
 
     At the pinned size m = n = 2 the comparison comes out reversed, with
-    a large margin that survives reseeding: the 2x2 game is small and
-    well conditioned, so the last iterate of the non-averaged method
-    converges cleanly under 1/sqrt(t) steps, while the stepsize-weighted
-    average provably trails any convergent iterate by a log factor
-    (its gap is the weighted mean of the whole trajectory, transient
-    included). The averaging advantage this test is after is real but
-    needs a problem size where the last iterate oscillates — the
-    companion test below shows the same comparison passing at the larger
-    antenna configurations.
+    a large margin that survives reseeding: the last iterate of the
+    non-averaged method converges cleanly under 1/sqrt(t) steps, while
+    the stepsize-weighted average provably trails any convergent iterate
+    by a log factor (its gap is the weighted mean of the whole
+    trajectory, transient included). The reversal is not a property of
+    the small 2x2 game alone. A `full-grid` run (default seed, 10 paths,
+    T = 4000) has M-SMD ending below AM-SMD at 4x2 at every sigma: the
+    path-mean final gap is 0.058 against 0.093 at sigma 0.5, 0.120
+    against 0.160 at sigma 1 and 0.88 against 0.97 at sigma 5. At 2x4
+    and 4x4 AM-SMD ends lower at every sigma, which is what the companion
+    test below checks; it does not cover 4x2. Which method ends lower
+    depends on the channel shape, not on the array size alone.
     """
     t0 = time.perf_counter()
     config = ExperimentConfig(

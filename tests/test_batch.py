@@ -94,7 +94,7 @@ def _lone(task):
 
 
 def _same_point(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a.parts, b.parts))
+    return np.array_equal(a.array, b.array)
 
 
 @settings(max_examples=25)
@@ -409,8 +409,7 @@ def _reference_run(problems, configs, measure=None):
 
 
 def _entries(X):
-    return np.concatenate(
-        [p.reshape(p.shape[0], -1) for p in X.parts], axis=1)
+    return X.array.reshape(len(X.array), -1)
 
 
 def _game_problems(m, n, seeds, sigmas):

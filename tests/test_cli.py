@@ -76,24 +76,35 @@ def test_run_rejects_negative_threads(tmp_path, capsys):
     ("sigmas = 1", "sigmas = 1\nsigmas = 2", "sigmas"),
     ("sigmas = 1", "sigmas = 5%", "sigmas"),
     ("", b"\xff\xfe", "UTF-8"),
+    ("am-smd = horizon", "mel = harmonic\n[mel]\n", "[mel] lambdas"),
+    ("am-smd = horizon", "am-smd = horizon\n[MEL]\nlambdas = 7", "[MEL]"),
+    ("sigmas = 1", "sigmas = 1\ntopology = {topology}", "max_pwr"),
 ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "antennas-0x2",
         "antennas-2x0", "constant-nan", "lambda-nan", "lambda-negative",
-        "repeated-key", "percent-sign", "not-utf8"])
+        "repeated-key", "percent-sign", "not-utf8", "mel-empty",
+        "unknown-section", "unknown-topology-key"])
 def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
                                                 old, new, key):
     cfg = tmp_path / "exp.ini"
+    # A topology file with a misspelled key; an error in it names it.
+    topology = tmp_path / "topo.ini"
+    topology.write_text("[topology]\ntx_antennas = 2, 2\n"
+                        "rx_antennas = 2, 2\nmax_pwr = 5\n"
+                        "distances = 0.9 1.5\n  1.5 0.9\n")
+    named = topology if "{topology}" in str(new) else cfg
     if isinstance(new, bytes):  # bytes that no UTF-8 text starts with
         cfg.write_bytes(new + _tiny_config_text().encode())
     else:
-        cfg.write_text(_tiny_config_text().replace(old, new))
+        cfg.write_text(_tiny_config_text().replace(
+            old, new.format(topology=topology)))
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     # the file is named, also by the constructors' range checks and by
     # configparser's own errors, and only once
-    assert err.startswith(f"config error: {cfg}: ") and key in err
-    assert err.count(str(cfg)) == 1
+    assert err.startswith(f"config error: {named}: ") and key in err
+    assert err.count(str(named)) == 1
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -319,6 +319,52 @@ def test_csv_against_golden_fixture(tmp_path):
         assert out.read_bytes() == f.read()
 
 
+MIXED_TOPOLOGY = (
+    "[topology]\n"
+    "tx_antennas = 2, 3, 2\n"
+    "rx_antennas = 3, 2, 2\n"
+    "max_power = 1.5\n"
+    "distances = 0.89 1.01 1.05\n"
+    "  1.01 0.89 1.05\n"
+    "  1.10 1.90 0.89\n"
+)
+
+
+def mixed_grid_config(tmp_path):
+    """A tiny grid on a topology file whose users have unequal antenna
+    counts, so its profiles have blocks of unequal size."""
+    topology = tmp_path / "mixed.ini"
+    topology.write_text(MIXED_TOPOLOGY)
+    hs = StepSchedule.harmonic_sqrt()
+    return ExperimentConfig(
+        antenna_pairs=((2, 2),),
+        sigmas=(0.0, 1.0),
+        methods=(
+            MethodSpec(Method.AM_SMD, hs),
+            MethodSpec(Method.M_SMD, hs),
+            MethodSpec(Method.MEL, StepSchedule.harmonic(), (0.5,)),
+        ),
+        iterations=40,
+        sample_paths=2,
+        gap_every=10,
+        topology=str(topology),
+        record_throughput=True,
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mixed_grid_against_golden_fixtures(tmp_path, threads):
+    # The bench workloads and presets all have blocks of one size; this
+    # pins the gaps and rates of a grid with blocks of sizes 2 and 3.
+    config = mixed_grid_config(tmp_path)
+    paths = write_outputs(run_grid(config, threads=threads), config,
+                          str(tmp_path / "out"), "results")
+    for name, golden in (("csv", "mixed_grid.csv"),
+                         ("throughput", "mixed_grid_throughput.csv")):
+        with open(os.path.join(DATA, golden), "rb") as f:
+            assert open(paths[name], "rb").read() == f.read(), golden
+
+
 def test_read_csv_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("method,m,n\n")
@@ -473,7 +519,9 @@ def test_topology_file_errors(tmp_path):
             ("rx_antennas = 2, 2", "rx_antennas = 2, 0", "rx_antennas"),
             ("0.9 1.5", "0.9 nan", "distances"),
             ("rx_antennas = 2, 2", "rx_antennas = 2\nrx_antennas = 3",
-             "rx_antennas")):
+             "rx_antennas"),
+            ("[topology]", "[extra]\nx = 1\n[topology]",
+             r"section \[extra\]")):
         p.write_text(good.replace(old, new))
         with pytest.raises(ConfigError, match=key):
             build_tasks(parse_config_with_topology(tmp_path, p))

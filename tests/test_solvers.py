@@ -337,7 +337,7 @@ def test_a_mixed_batch_evaluates_the_game_once_per_iteration(measure,
     real_mapping, real_throughput = mimo.game_mapping, harness.throughput
 
     def rows(X):
-        return len(X.full if isinstance(X, mimo.Covariances) else X.parts[0])
+        return len(X.full if isinstance(X, mimo.Covariances) else X.array)
 
     def mapping(channels, X):
         calls.append(rows(X))
@@ -370,8 +370,8 @@ def test_averaged_trajectory_moves_less_than_iterates():
                 gap_every=300, seed=0)
 
     def entries(problem, points, rows):
-        return problem.mapping(points), np.concatenate(
-            [p[rows].reshape(len(rows), -1) for p in points.parts], axis=1)
+        return problem.mapping(points), points.array[rows].reshape(
+            len(rows), -1)
 
     averaged, raw = (r.measures for r in run_batch(
         [prob, prob], [SolverConfig(Method.AM_SMD, **base),

@@ -160,6 +160,19 @@ def _random_profile(rng, dims, scale=3.0):
         linalg.random_hermitian(rng, d, scale=scale) for d in dims))
 
 
+def _outside(profile):
+    """Mask of the entries of one profile's array outside its blocks'
+    top-left corners."""
+    outside = np.ones(profile.array.shape[-3:], dtype=bool)
+    for i, d in enumerate(profile.dims):
+        outside[i, :d, :d] = False
+    return outside
+
+
+def _padding_is_zero(profile):
+    return not np.any(profile.array[..., _outside(profile)])
+
+
 def _same(profile, blocks):
     assert len(profile) == len(blocks)
     for a, b in zip(profile.blocks, blocks, strict=True):
@@ -223,7 +236,8 @@ def test_profile_round_trips_blocks_in_order():
     blocks = [linalg.random_hermitian(rng, d) for d in MIXED_DIMS]
     P = BlockProfile(blocks)
     assert P.dims == MIXED_DIMS
-    assert len(P.parts) == 2  # one stack per distinct dimension
+    assert P.array.shape == (5, 3, 3)  # one array, padded to 3 x 3
+    assert _padding_is_zero(P)
     _same(P, blocks)
     for i, b in enumerate(blocks):
         assert np.array_equal(P[i], b)
@@ -248,7 +262,7 @@ def test_gibbs_maps_match_per_block(mode, dim):
     for scale in (0.1, 10.0, 1e4):
         Y = _random_profile(rng, cset.dims, scale)
         _dual_to_primal_matches(Y, cset)
-    stack = Y.parts[0]
+    stack = Y.array
     ref = (_ref_gibbs if mode is TraceMode.EQUAL
            else lambda b: _ref_gibbs_bounded(b, 1.0))
     got = (mirror.gibbs_map(stack) if mode is TraceMode.EQUAL
@@ -295,7 +309,7 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
     tol = [_kernel_tol(y, bound) for y in Y]
     for mode in TraceMode:
         cset = SpectraSet((2,) * len(Y), bound, mode)
-        X = solvers.dual_to_primal(BlockProfile(Y), cset).parts[0]
+        X = solvers.dual_to_primal(BlockProfile(Y), cset).array
         assert np.array_equal(X, X.conj().swapaxes(-1, -2))
         pb.assert_feasible(BlockProfile(X), cset)
         assert np.min(np.linalg.eigvalsh(X)) >= -KERNEL_TOL * bound
@@ -359,7 +373,7 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
     rates = mimo.throughput(stacked, X)
     for c, (d, point) in enumerate(zip(order, points)):
         lone = mimo.game_mapping(draws[d], BlockProfile.stack([point]))
-        assert np.array_equal(F.cells(c).parts[0], lone.parts[0][0])
+        assert np.array_equal(F.cells(c).array, lone.array[0])
         assert np.array_equal(rates[c], mimo.throughput(draws[d], point))
 
 
@@ -401,6 +415,33 @@ def test_game_mapping_with_unequal_antenna_counts():
         assert mimo.throughput(ch, X, i) == pytest.approx(
             _ref_throughput(ch, X.blocks, i), rel=1e-12)
         assert mimo.throughput_gradient(ch, X, i).shape == (X.dims[i],) * 2
+
+
+def test_padding_stays_zero_on_unequal_antenna_counts():
+    # The topology of the mixed golden grid (tests/data/mixed_grid.csv).
+    topo = mimo.NetworkTopology((2, 3, 2), (3, 2, 2),
+                                mimo.DISTANCE_KM[:3, :3], 1.5)
+    cset = topo.constraint_set()
+    rng = np.random.default_rng(30)
+    ch = mimo.sample_channels(topo, rng)
+    Z = pb.NoiseModel(1.0).sample(cset.dims, rng)
+    cells = pb.NoiseModel(np.array([1.0, 0.0, 2.0])).sample(
+        cset.dims, [np.random.default_rng(s) for s in range(3)])
+    X = solvers.dual_to_primal(3.0 * Z, cset)
+    # The Gibbs map fills the corners alone, whatever the dual's padding.
+    junk = BlockProfile.wrap(3.0 * Z.array + 7.0 * _outside(Z), cset.dims)
+    assert np.array_equal(solvers.dual_to_primal(junk, cset).array, X.array)
+    for profile in (Z, cells, X, mimo.game_mapping(ch, X),
+                    mimo.game_mapping(ch, BlockProfile.stack([X, X]))):
+        assert _padding_is_zero(profile)
+    prob = mimo.game_to_svi(topo, ch, sigma=1.0)
+    configs = [solvers.SolverConfig(method, 40,
+                                    solvers.StepSchedule.harmonic_sqrt(),
+                                    gap_every=10, seed=5)
+               for method in (solvers.Method.AM_SMD, solvers.Method.M_SMD)]
+    for result in solvers.run_batch([prob, prob], configs):
+        assert result.error is None
+        assert _padding_is_zero(result.final_point)
 
 
 def test_strong_gap_matches_per_block():
