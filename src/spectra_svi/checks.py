@@ -26,12 +26,12 @@ from .mimo import (
     throughput_gradient,
 )
 from .problem import (
-    BlockProfile,
     SpectraSet,
     SviProblem,
     TraceMode,
     monotonicity_witness,
     oracle_sample,
+    pad_blocks,
     profile_inner,
     quadratic_test_problem,
     random_feasible_profile,
@@ -128,8 +128,7 @@ def check_strong_gap_closed_form(rng: np.random.Generator) -> CheckResult:
     for _ in range(10):
         mode = TraceMode.EQUAL if rng.uniform() < 0.5 else TraceMode.AT_MOST
         cset = SpectraSet((3, 3), float(rng.uniform(0.5, 2.0)), mode)
-        B = BlockProfile(tuple(
-            linalg.random_hermitian(rng, 3) for _ in range(2)))
+        B = pad_blocks([linalg.random_hermitian(rng, 3) for _ in range(2)])
         problem = quadratic_test_problem(B, cset)
         X = random_feasible_profile(cset, rng)
         F = problem.mapping(X)
@@ -143,7 +142,7 @@ def check_strong_gap_closed_form(rng: np.random.Generator) -> CheckResult:
 
 def check_mirror_step_descends(rng: np.random.Generator) -> CheckResult:
     cset = SpectraSet((4,))
-    B = BlockProfile((linalg.random_hermitian(rng, 4),))
+    B = pad_blocks([linalg.random_hermitian(rng, 4)])
     problem = quadratic_test_problem(B, cset)
     Y0 = cset.zeros()
     X0 = solvers.dual_to_primal(Y0, cset)
@@ -164,7 +163,7 @@ def check_averaging_identity(rng: np.random.Generator) -> CheckResult:
     etas = [schedule(t) for t in range(51)]
     direct = sum((e * P for e, P in zip(etas[1:], points[1:])),
                  etas[0] * points[0]) * (1.0 / sum(etas))
-    err = (state.xbar - direct).frobenius_norm()
+    err = linalg.frobenius_norm(state.xbar - direct)
     return CheckResult(
         "averaging-recursion", err <= 1e-12 and
         abs(state.gamma - sum(etas)) <= 1e-12 * sum(etas),
@@ -184,8 +183,8 @@ def check_throughput_gradient(rng: np.random.Generator,
         X = random_feasible_profile(cset, rng)
         for i in range(topo.users):
             def rate(Z: np.ndarray, i: int = i) -> float:
-                Xm = BlockProfile(tuple(
-                    Z if j == i else X[j] for j in range(topo.users)))
+                Xm = X.copy()
+                Xm[i] = Z
                 return throughput(channels, Xm, i)
 
             G = throughput_gradient(channels, X, i)
@@ -229,7 +228,7 @@ def check_oracle_statistics(rng: np.random.Generator) -> CheckResult:
     draws = 2000
     for _ in range(draws):
         total = total + problem.noise.sample(dims, rng)
-    mean_norm = (total * (1.0 / draws)).frobenius_norm()
+    mean_norm = linalg.frobenius_norm(total * (1.0 / draws))
     mean_ok = mean_norm <= 5.0 * problem.noise.sigma * sum(dims) / np.sqrt(draws)
 
     bound_ok = True
@@ -237,7 +236,7 @@ def check_oracle_statistics(rng: np.random.Generator) -> CheckResult:
     for _ in range(50):
         X = random_feasible_profile(problem.constraints, rng)
         phi, _ = oracle_sample(problem, X, rng)
-        ratio = phi.spectral_norm() / problem.oracle_bound
+        ratio = linalg.spectral_norm(phi) / problem.oracle_bound
         worst_ratio = max(worst_ratio, ratio)
         bound_ok = bound_ok and ratio <= 1.0
     return CheckResult(

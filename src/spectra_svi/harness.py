@@ -37,7 +37,7 @@ from .mimo import (
     sample_channels,
     throughput,
 )
-from .problem import BlockProfile, SviProblem
+from .problem import SviProblem
 from .solvers import (
     Method,
     ScheduleKind,
@@ -110,6 +110,12 @@ class ExperimentConfig:
         if min(min(pair) for pair in self.antenna_pairs) < 1:
             raise ConfigError(
                 f"antennas: counts must be >= 1, got {self.antenna_pairs}")
+        if self.topology != "canonical7" and len(self.antenna_pairs) > 1:
+            # The file fixes every user's antenna counts; each pair would
+            # rerun the same game under another label.
+            raise ConfigError(
+                f"antennas: a topology file sets the antenna counts, so "
+                f"list one pair, got {len(self.antenna_pairs)}")
         if not self.sigmas:
             raise ConfigError("sigma list must be non-empty")
         if not all(0 <= s < np.inf for s in self.sigmas):
@@ -324,10 +330,10 @@ def cell_problem(task: CellTask, channels: ChannelSet | None = None
     return channels, problem, solver_config
 
 
-def game_and_throughput(problem: SviProblem, points: BlockProfile,
-                         rows: np.ndarray) -> tuple[BlockProfile, np.ndarray]:
+def game_and_throughput(problem: SviProblem, points: np.ndarray,
+                         rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The game mapping at a batch's stacked points and every player's
-    rate at its reported points, `points.cells(rows)`, from one build of
+    rate at its reported points, `points[rows]`, from one build of
     the received covariances."""
     game = problem.mapping
     cov = covariances(game.channels, points)

@@ -3,8 +3,9 @@
 Hermitian parts and validation, one eigendecomposition routine and its
 values-only sibling (batched over stacks of blocks, eigenvalues
 descending, with diagnostics on failure), trace/spectral/Frobenius
-norms, the trace pairing, and random Hermitian and unitary draws. Matrix functions of a Hermitian argument
-(the Gibbs maps, entropies) are built in `mirror` on top of `eig`.
+norms, the trace pairing, and random Hermitian and unitary draws.
+Matrix functions of a Hermitian argument (the Gibbs maps, entropies)
+are built in `mirror` on top of `eig`.
 
 2x2 matrices have a closed form, `hermitian_2x2`: `eigvals` and the
 Gibbs maps use it, with no LAPACK call, and its eigenvalues agree with
@@ -147,15 +148,17 @@ def trace_norm(A: np.ndarray) -> float:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value; of a stack of blocks, the largest over
+    the blocks, which is that of their block-diagonal matrix."""
     A = np.asarray(A)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.max(np.linalg.norm(A, 2, axis=(-2, -1))))
 
 
 def frobenius_norm(A: np.ndarray) -> float:
-    """Entrywise 2-norm sqrt(tr(A^dag A))."""
+    """Entrywise 2-norm sqrt(tr(A^dag A)); of a stack of blocks, that of
+    their block-diagonal matrix."""
     return float(np.linalg.norm(np.asarray(A)))
 
 

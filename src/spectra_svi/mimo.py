@@ -7,9 +7,9 @@ F(X) = -diag(grad_1 R_1, ..., grad_N R_N) is monotone because each -R_i
 is convex in X_i, so Nash equilibria coincide with strong solutions of
 the induced VI.
 
-The game works on a profile's zero-padded (N, m, m) array
-(`BlockProfile.array`, m the largest transmit count) and on the
-channels' zero-padded links as they are: the padding of a user with
+The game works on a profile's zero-padded (N, m, m) array (m the
+largest transmit count; see `problem`) and on the channels'
+zero-padded links as they are: the padding of a user with
 fewer antennas contributes nothing, and the mapping is exactly zero
 outside each user's corner.
 
@@ -39,7 +39,6 @@ from . import linalg
 from .errors import DomainError
 from .linalg import hermitianize
 from .problem import (
-    BlockProfile,
     NoiseModel,
     SpectraSet,
     SviProblem,
@@ -291,22 +290,21 @@ class Covariances(NamedTuple):
         return Covariances(*(a[index] for a in self))
 
 
-def covariances(channels: ChannelSet, X: BlockProfile) -> Covariances:
+def covariances(channels: ChannelSet, X: np.ndarray) -> Covariances:
     """The received covariances of X, any leading axes (one per cell of
     stacked channels): one product with the draw's operator per profile,
     in Hermitian coordinates."""
-    P = X.array
-    lead, (N, m, _) = P.shape[:-3], P.shape[-3:]
+    lead, (N, m, _) = X.shape[:-3], X.shape[-3:]
     n = channels.stacked.shape[-2]
-    x = _to_coordinates(P.reshape(-1, N, m, m))
+    x = _to_coordinates(X.reshape(-1, N, m, m))
     full = _from_coordinates(channels.received(x), n, plus=1.0)
     direct = channels.direct_stacked
-    return Covariances(full.reshape(lead + (N, n, n)), P,
+    return Covariances(full.reshape(lead + (N, n, n)), X,
                        np.broadcast_to(direct, lead + direct.shape[-3:]))
 
 
 def _covariances_of(channels: ChannelSet,
-                    X: BlockProfile | Covariances) -> Covariances:
+                    X: np.ndarray | Covariances) -> Covariances:
     return X if isinstance(X, Covariances) else covariances(channels, X)
 
 
@@ -318,7 +316,7 @@ def _logdet_pd(W: np.ndarray) -> np.ndarray:
     return np.sum(np.log(w), axis=-1)
 
 
-def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
+def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
                i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
     log det of the interference-only covariance, that sum less
@@ -339,14 +337,14 @@ def throughput(channels: ChannelSet, X: BlockProfile | Covariances,
 
 
 def _rate_gradients(channels: ChannelSet,
-                    X: BlockProfile | Covariances) -> np.ndarray:
+                    X: np.ndarray | Covariances) -> np.ndarray:
     """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m)."""
     W = _covariances_of(channels, X).full
     H = channels.direct_stacked
     return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
 
 
-def throughput_gradient(channels: ChannelSet, X: BlockProfile,
+def throughput_gradient(channels: ChannelSet, X: np.ndarray,
                         i: int) -> np.ndarray:
     """Gradient of R_i in X_i: H_ii^dag W^{-1} H_ii with W the full
     received covariance at i (the interference-only term is constant in
@@ -356,13 +354,12 @@ def throughput_gradient(channels: ChannelSet, X: BlockProfile,
 
 
 def game_mapping(channels: ChannelSet,
-                 X: BlockProfile | Covariances) -> BlockProfile:
+                 X: np.ndarray | Covariances) -> np.ndarray:
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
     evaluated for all users in one batched solve. With stacked channels,
     X has a cell axis and every cell is evaluated in the same calls. X
     may also be the profile's `covariances`, when already built."""
-    return BlockProfile.wrap(-_rate_gradients(channels, X),
-                             channels.tx_antennas)
+    return -_rate_gradients(channels, X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +369,7 @@ class GameMapping:
 
     channels: ChannelSet
 
-    def __call__(self, X: BlockProfile | Covariances) -> BlockProfile:
+    def __call__(self, X: np.ndarray | Covariances) -> np.ndarray:
         return game_mapping(self.channels, X)
 
     @classmethod

@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import as_hermitian, hermitianize
 from .problem import (
-    BlockProfile,
     SpectraSet,
     TraceMode,
     best_response,
@@ -85,7 +84,7 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], X: np.ndarray,
     return G
 
 
-def sampled_sup_linear(F: BlockProfile, cset: SpectraSet, probes: int,
+def sampled_sup_linear(F: np.ndarray, cset: SpectraSet, probes: int,
                        rng: np.random.Generator,
                        include_maximizer: bool = True) -> float:
     """Sampled sup of -tr(F Z) over the constraint set.

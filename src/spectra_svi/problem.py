@@ -3,10 +3,16 @@
 A problem couples a product constraint set, one PSD trace-constrained
 spectrahedron per player block, with a deterministic monotone mapping F
 acting blockwise and a noise model that turns F into the stochastic
-oracle Phi(X, xi) = F(X) + Z. A profile of blocks is one zero-padded
-complex array (`BlockProfile`); `SpectraSet.map_blocks` applies a
-function of stacks of blocks to it, once per distinct block size. The
-strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
+oracle Phi(X, xi) = F(X) + Z. A profile diag(X_1, ..., X_N) is one
+zero-padded complex array of shape (..., N, D, D), D the largest block
+dimension: block i is the top-left dims[i] x dims[i] corner of
+X[..., i, :, :] and the rest is zero, so blocks of equal size make it
+the plain stack. The constraint set's `dims` is the only record of the
+block sizes (`SpectraSet.blocks` gives the corners, `pad_blocks` builds
+a profile from its blocks). Leading axes, such as a batch's cell axis,
+broadcast through the arithmetic. `SpectraSet.map_blocks` applies a
+function of stacks of blocks to profiles, once per distinct block size.
+The strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
 minimum-eigenvalue problem per block.
 """
 
@@ -35,115 +41,16 @@ class TraceMode(enum.Enum):
     AT_MOST = "le"
 
 
-class BlockProfile:
-    """Ordered Hermitian blocks of a block-diagonal matrix diag(X_1,...,X_N).
-
-    Construct from a sequence of square matrices or from one (N, d, d)
-    stack. The blocks live in one zero-padded complex array `array`,
-    shape (N, D, D) for the largest block dimension D: block i is the
-    top-left dims[i] x dims[i] corner of array[i], and the rest of it is
-    zero. Blocks of equal size make `array` the plain stack, and every
-    operation on a profile is one numpy call on it. Supports the linear
-    arithmetic the solvers need (addition, subtraction, scalar
-    multiples), always returning new profiles. Norms follow
-    block-diagonal semantics: the Frobenius norm adds across blocks in
-    squares, the spectral norm is the blockwise maximum.
-
-    A batched solver run gives `array` a leading cell axis, shape
-    (C, N, D, D), one profile per cell (`stack`, `cells`). The
-    arithmetic and the batched layers broadcast over it; indexing,
-    `blocks` and the norms are for single profiles.
-    """
-
-    __slots__ = ("array", "dims")
-
-    # Opt out of numpy ufunc dispatch: otherwise numpy_scalar * profile
-    # broadcasts over the blocks instead of calling __rmul__.
-    __array_ufunc__ = None
-
-    def __init__(self, blocks: np.ndarray | Sequence[np.ndarray]):
-        if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
-            self.array = blocks.astype(complex, copy=False)
-            N, d, d2 = self.array.shape
-            if d != d2:
-                raise ValueError(f"blocks are not square: shape {blocks.shape}")
-            self.dims = (d,) * N
-            return
-        mats = [np.asarray(b, dtype=complex) for b in blocks]
-        for i, b in enumerate(mats):
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValueError(f"block {i} is not square: shape {b.shape}")
-        self.dims = tuple(len(b) for b in mats)
-        D = max(self.dims)
-        self.array = np.zeros((len(mats), D, D), dtype=complex)
-        for i, b in enumerate(mats):
-            self.array[i, :len(b), :len(b)] = b
-
-    @classmethod
-    def wrap(cls, array: np.ndarray, dims: tuple[int, ...]) -> "BlockProfile":
-        """Wrap a padded array of blocks of these dims, without copying."""
-        profile = object.__new__(cls)
-        profile.array = array
-        profile.dims = dims
-        return profile
-
-    @classmethod
-    def stack(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
-        """Single profiles of one dims as one profile with a cell axis."""
-        return cls.wrap(np.stack([P.array for P in profiles]),
-                        profiles[0].dims)
-
-    @classmethod
-    def concat(cls, profiles: Sequence["BlockProfile"]) -> "BlockProfile":
-        """Profiles of one dims with a cell axis, one after the other."""
-        return cls.wrap(np.concatenate([P.array for P in profiles]),
-                        profiles[0].dims)
-
-    def cells(self, c: int | slice | np.ndarray) -> "BlockProfile":
-        """Cell c of a profile with a cell axis, or the cells a slice
-        (both views) or an index array (a copy) selects."""
-        return BlockProfile.wrap(self.array[c], self.dims)
-
-    def __repr__(self) -> str:
-        return f"BlockProfile(dims={self.dims})"
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        d = self.dims[i]
-        return self.array[i, :d, :d]
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(self[i] for i in range(len(self)))
-
-    def _check_dims(self, other: "BlockProfile") -> None:
-        if other.dims != self.dims:
-            raise ValueError(
-                f"profile dims {self.dims} and {other.dims} differ")
-
-    def __add__(self, other: "BlockProfile") -> "BlockProfile":
-        self._check_dims(other)
-        return BlockProfile.wrap(self.array + other.array, self.dims)
-
-    def __sub__(self, other: "BlockProfile") -> "BlockProfile":
-        self._check_dims(other)
-        return BlockProfile.wrap(self.array - other.array, self.dims)
-
-    def __mul__(self, scalar: float) -> "BlockProfile":
-        return BlockProfile.wrap(scalar * self.array, self.dims)
-
-    __rmul__ = __mul__
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(sum(linalg.frobenius_norm(b) ** 2 for b in self.blocks))
-
-    def spectral_norm(self) -> float:
-        return max(linalg.spectral_norm(b) for b in self.blocks)
+def pad_blocks(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The profile diag(mats[0], ..., mats[N-1]) as its zero-padded
+    complex array, shape (N, D, D) for the largest block dimension D."""
+    D = max(len(b) for b in mats)
+    out = np.zeros((len(mats), D, D), dtype=complex)
+    for i, b in enumerate(map(np.asarray, mats)):
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"block {i} is not square: shape {b.shape}")
+        out[i, :len(b), :len(b)] = b
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,35 +78,39 @@ class SpectraSet:
         """Dimension of the block-diagonal ambient matrix, sum of block dims."""
         return sum(self.dims)
 
-    def zeros(self) -> "BlockProfile":
+    def zeros(self, *lead: int) -> np.ndarray:
+        """The zero profile, with leading axes of the given lengths."""
         D = max(self.dims)
-        return BlockProfile.wrap(
-            np.zeros((len(self.dims), D, D), dtype=complex), self.dims)
+        return np.zeros(lead + (len(self.dims), D, D), dtype=complex)
+
+    def blocks(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The blocks of profile X, as views of its corners."""
+        return tuple(X[..., i, :d, :d] for i, d in enumerate(self.dims))
 
     def map_blocks(self, fn: Callable[..., np.ndarray],
-                   *profiles: BlockProfile) -> np.ndarray:
-        """fn(*arrays) on the profiles' blocks, as one block-ordered array.
+                   *profiles: np.ndarray) -> np.ndarray:
+        """fn(*profiles) on their blocks, as one block-ordered array.
 
         fn takes stacks of equal-size blocks, shape (..., n, d, d), and
         returns one value per block, shape (..., n, *tail) with one tail
         for every size, or one d x d matrix per block. With blocks of one
-        size, fn gets the profiles' arrays. Otherwise it is called once
+        size, fn gets the profiles themselves. Otherwise it is called once
         per size on the gathered corners, and its results are scattered
         back in block order: values into shape (..., N, *tail), matrices
         into the corners of a zero-padded (..., N, D, D) array. A
         NumericalFailure from fn has its `block` diagnostic translated to
         a block number."""
-        dims, arrays = self.dims, [P.array for P in profiles]
+        dims = self.dims
         if min(dims) == max(dims):
-            return _blockwise(fn, arrays, np.arange(len(dims)))
+            return _blockwise(fn, profiles, np.arange(len(dims)))
         # The block axis is indexed explicitly: a trailing `...` would
         # put per-block values of a single profile on the wrong axis.
-        lead = (slice(None),) * (arrays[0].ndim - 3)
+        lead = (slice(None),) * (profiles[0].ndim - 3)
         out = None
         for d in dict.fromkeys(dims):
             index = np.flatnonzero(np.array(dims) == d)
             corner = lead + (index, slice(d), slice(d))
-            part = _blockwise(fn, [a[corner] for a in arrays], index)
+            part = _blockwise(fn, [P[corner] for P in profiles], index)
             head, tail = part.shape[:len(lead)], part.shape[len(lead) + 1:]
             matrices = tail == (d, d)
             if out is None:
@@ -210,7 +121,7 @@ class SpectraSet:
         return out
 
 
-def _blockwise(fn: Callable[..., np.ndarray], arrays: list[np.ndarray],
+def _blockwise(fn: Callable[..., np.ndarray], arrays: Sequence[np.ndarray],
                index: np.ndarray) -> np.ndarray:
     """fn(*arrays) on stacks of the blocks `index`; a NumericalFailure's
     `block`, counted along the flattened leading axes, becomes the block
@@ -224,21 +135,21 @@ def _blockwise(fn: Callable[..., np.ndarray], arrays: list[np.ndarray],
         raise
 
 
-def profile_inner(A: BlockProfile, B: BlockProfile) -> float:
+def profile_inner(A: np.ndarray, B: np.ndarray) -> float:
     """Real trace pairing summed over blocks: sum_i Re tr(A_i B_i)."""
-    return sum(trace_inner(a, b)
-               for a, b in zip(A.blocks, B.blocks, strict=True))
+    return sum(trace_inner(a, b) for a, b in zip(A, B, strict=True))
 
 
-def assert_feasible(X: BlockProfile, cset: SpectraSet,
+def assert_feasible(X: np.ndarray, cset: SpectraSet,
                     psd_tol: float = FEASIBILITY_PSD_TOL,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
     """Raise DomainError unless every block is PSD with a conforming trace.
 
     The message names the first failing block (of the first failing cell,
     when X has a cell axis)."""
-    if X.dims != cset.dims:
-        raise DomainError(f"profile dims {X.dims} do not match set {cset.dims}")
+    if X.shape[-3:] != cset.zeros().shape:
+        raise DomainError(f"profile shape {X.shape} does not match set "
+                          f"dims {cset.dims}")
 
     def margins(Xg: np.ndarray) -> np.ndarray:
         w = eigvals(Xg)
@@ -284,7 +195,7 @@ class NoiseModel:
 
     def sample(self, dims: tuple[int, ...],
                rng: np.random.Generator | Sequence[np.random.Generator]
-               ) -> BlockProfile:
+               ) -> np.ndarray:
         """One noise profile from a single draw of normals.
 
         The draw is block-ordered, real part then imaginary part of each
@@ -293,7 +204,7 @@ class NoiseModel:
         with sigma > 0 draws from its own generator exactly as alone, and
         the draws are stacked along a cell axis; cells with sigma = 0 get
         zeros and leave their stream untouched. Blocks of several sizes
-        are zero-padded as in `BlockProfile`.
+        are zero-padded.
         """
         dims = tuple(dims)
         N, D = len(dims), max(dims)
@@ -319,8 +230,7 @@ class NoiseModel:
             for i, (d, piece) in enumerate(zip(dims, pieces)):
                 G[..., i, :, :d, :d] = piece.reshape(lead + (2, d, d))
         s = sigma / math.sqrt(2.0)
-        return BlockProfile.wrap(
-            hermitianize(s * (G[..., 0, :, :] + 1j * G[..., 1, :, :])), dims)
+        return hermitianize(s * (G[..., 0, :, :] + 1j * G[..., 1, :, :]))
 
 
 @dataclass(frozen=True)
@@ -339,7 +249,7 @@ class SviProblem:
     """
 
     constraints: SpectraSet
-    mapping: Callable[[BlockProfile], BlockProfile]
+    mapping: Callable[[np.ndarray], np.ndarray]
     noise: NoiseModel = NoiseModel()
     oracle_bound: float | np.ndarray = 1.0
 
@@ -361,31 +271,29 @@ def stack_problems(problems: Sequence[SviProblem]) -> SviProblem:
     if hasattr(kind, "stack") and all(type(m) is kind for m in mappings):
         mapping = kind.stack(mappings)
     else:
-        def mapping(X: BlockProfile) -> BlockProfile:
-            return BlockProfile.stack(
-                [f(X.cells(c)) for c, f in enumerate(mappings)])
+        def mapping(X: np.ndarray) -> np.ndarray:
+            return np.stack([f(X[c]) for c, f in enumerate(mappings)])
     return SviProblem(
         cset, mapping,
         NoiseModel(np.array([p.noise.sigma for p in problems])),
         np.array([p.oracle_bound for p in problems]))
 
 
-def select_cells(mask: np.ndarray, A: BlockProfile,
-                 B: BlockProfile) -> BlockProfile:
+def select_cells(mask: np.ndarray, A: np.ndarray,
+                 B: np.ndarray) -> np.ndarray:
     """Cell c from A where mask[c] holds, else from B. Unlike adding a
     zero term, this leaves B's cells bit for bit as they are."""
     if mask.all():
         return A
     if not mask.any():
         return B
-    return BlockProfile.wrap(
-        np.where(mask[:, None, None, None], A.array, B.array), A.dims)
+    return np.where(mask[:, None, None, None], A, B)
 
 
-def oracle_sample(problem: SviProblem, X: BlockProfile,
+def oracle_sample(problem: SviProblem, X: np.ndarray,
                   rng: np.random.Generator | Sequence[np.random.Generator],
-                  F: BlockProfile | None = None
-                  ) -> tuple[BlockProfile, BlockProfile]:
+                  F: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic oracle call: returns (F(X) + Z, Z).
 
     The rng stream is consumed only when the noise level is nonzero, and
@@ -396,11 +304,11 @@ def oracle_sample(problem: SviProblem, X: BlockProfile,
     """
     if F is None:
         F = problem.mapping(X)
-    Z = problem.noise.sample(X.dims, rng)
+    Z = problem.noise.sample(problem.constraints.dims, rng)
     return select_cells(np.asarray(problem.noise.sigma) > 0, F + Z, F), Z
 
 
-def best_response(F: BlockProfile, cset: SpectraSet) -> BlockProfile:
+def best_response(F: np.ndarray, cset: SpectraSet) -> np.ndarray:
     """Blockwise minimizer of tr(F_i Z_i) over the constraint set.
 
     For a trace-equality block the minimizer is bound * (bottom
@@ -408,18 +316,18 @@ def best_response(F: BlockProfile, cset: SpectraSet) -> BlockProfile:
     whenever lambda_min(F_i) >= 0.
     """
     blocks = []
-    for Fi in F.blocks:
+    for Fi in cset.blocks(F):
         w, V = eig(Fi)
         if cset.mode is TraceMode.AT_MOST and w[-1] >= 0:
             blocks.append(np.zeros_like(Fi))
             continue
         v = V[:, -1]
         blocks.append(cset.bound * hermitianize(np.outer(v, v.conj())))
-    return BlockProfile(tuple(blocks))
+    return pad_blocks(blocks)
 
 
-def strong_gap(problem: SviProblem, X: BlockProfile,
-               F: BlockProfile | None = None) -> float | np.ndarray:
+def strong_gap(problem: SviProblem, X: np.ndarray,
+               F: np.ndarray | None = None) -> float | np.ndarray:
     """sup_Z tr(F(X)(X - Z)) over the constraint set, in closed form.
 
     The supremum of a linear functional over a spectrahedron is an
@@ -446,7 +354,7 @@ def strong_gap(problem: SviProblem, X: BlockProfile,
 
 
 def random_feasible_profile(cset: SpectraSet,
-                            rng: np.random.Generator) -> BlockProfile:
+                            rng: np.random.Generator) -> np.ndarray:
     """Full-support sample of the constraint set, without rejection.
 
     Each block is a random Hermitian matrix pushed through the Gibbs map
@@ -460,16 +368,16 @@ def random_feasible_profile(cset: SpectraSet,
         if cset.mode is TraceMode.AT_MOST:
             scale *= float(rng.uniform())
         blocks.append(scale * X)
-    return BlockProfile(tuple(blocks))
+    return pad_blocks(blocks)
 
 
-def monotonicity_witness(problem: SviProblem, X: BlockProfile,
-                         Y: BlockProfile) -> float:
+def monotonicity_witness(problem: SviProblem, X: np.ndarray,
+                         Y: np.ndarray) -> float:
     """tr((X - Y)(F(X) - F(Y))); nonnegative iff the mapping is monotone."""
     return profile_inner(X - Y, problem.mapping(X) - problem.mapping(Y))
 
 
-def quadratic_test_problem(B: BlockProfile, cset: SpectraSet,
+def quadratic_test_problem(B: np.ndarray, cset: SpectraSet,
                            sigma: float = 0.0) -> SviProblem:
     """VI with mapping F(X) = X - B, the gradient of 0.5 ||X - B||_F^2.
 
@@ -478,9 +386,10 @@ def quadratic_test_problem(B: BlockProfile, cset: SpectraSet,
     The oracle bound is analytic: ||X_i - B_i||_2 <= bound + ||B_i||_2
     per block, plus a spectral-norm margin for the noise when sigma > 0.
     """
-    if B.dims != cset.dims:
-        raise DomainError(f"target dims {B.dims} do not match set {cset.dims}")
-    C = max(cset.bound + linalg.spectral_norm(Bi) for Bi in B.blocks)
+    if B.shape != cset.zeros().shape:
+        raise DomainError(f"target shape {B.shape} does not match set "
+                          f"dims {cset.dims}")
+    C = cset.bound + linalg.spectral_norm(B)
     if sigma > 0:
         C += 3.0 * sigma * math.sqrt(max(cset.dims))
     return SviProblem(

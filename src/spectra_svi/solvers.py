@@ -1,7 +1,8 @@
 """Dual-averaging solvers in the quantum-entropy geometry.
 
 Three methods share one iteration: a dual step Y <- Y - eta * Phi(X, xi)
-followed by the blockwise Gibbs map back to the feasible set.
+followed by the blockwise Gibbs map back to the feasible set. Duals,
+iterates and averages are padded profile arrays (see `problem`).
 
 * AM-SMD keeps the stepsize-weighted running average of the iterates and
   reports that average.
@@ -12,14 +13,14 @@ followed by the blockwise Gibbs map back to the feasible set.
 
 `run_batch` runs several cells (problems of one constraint set, any mix
 of methods, stepsizes, noise levels and seeds) as one loop over a
-leading cell axis; `run` is its one-cell case. Every cell's result is
-bit for bit what it would be alone. Each iteration evaluates the game
-at most once: a gap iteration evaluates it on the batch's new iterates
-stacked with the averaging cells' averages, and that one result serves
-the next oracle call and the strong gaps at the reported points. An
-optional `measure` takes over that evaluation at every iteration and
-also returns a quantity (such as per-player throughput) at the reported
-points.
+leading cell axis, shape (C, N, D, D); `run` is its one-cell case.
+Every cell's result is bit for bit what it would be alone. Each
+iteration evaluates the game at most once: a gap iteration evaluates it
+on the batch's new iterates stacked with the averaging cells' averages,
+and that one result serves the next oracle call and the strong gaps at
+the reported points. An optional `measure` takes over that evaluation
+at every iteration and also returns a quantity (such as per-player
+throughput) at the reported points.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import DomainError, NumericalFailure, SpectraSviError
 from .mirror import gibbs_map, gibbs_map_bounded
 from .problem import (
-    BlockProfile,
     SpectraSet,
     SviProblem,
     TraceMode,
@@ -152,10 +152,10 @@ class AveragingState:
     one value per cell, shape (C, 1, 1, 1)."""
 
     gamma: float | np.ndarray
-    xbar: BlockProfile
+    xbar: np.ndarray
 
 
-def update_average(state: AveragingState, X_next: BlockProfile,
+def update_average(state: AveragingState, X_next: np.ndarray,
                    eta_next: float | np.ndarray) -> AveragingState:
     """One averaging step: gamma' = gamma + eta, xbar' the reweighted mean.
 
@@ -163,11 +163,11 @@ def update_average(state: AveragingState, X_next: BlockProfile,
     sum_k eta_k X_k / sum_k eta_k.
     """
     gamma = state.gamma + eta_next
-    xbar = (state.gamma * state.xbar + eta_next * X_next) * (1.0 / gamma)
+    xbar = (1.0 / gamma) * (state.gamma * state.xbar + eta_next * X_next)
     return AveragingState(gamma, xbar)
 
 
-def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
+def dual_to_primal(Y: np.ndarray, cset: SpectraSet) -> np.ndarray:
     """Mirror projection of dual variables onto the feasible set: one
     batched Gibbs map per block size (`SpectraSet.map_blocks`)."""
     def project(Yk: np.ndarray) -> np.ndarray:
@@ -175,11 +175,11 @@ def dual_to_primal(Y: BlockProfile, cset: SpectraSet) -> BlockProfile:
             return cset.bound * gibbs_map(Yk)
         return gibbs_map_bounded(Yk, cset.bound)
 
-    return BlockProfile.wrap(cset.map_blocks(project, Y), cset.dims)
+    return cset.map_blocks(project, Y)
 
 
-def mirror_step(Y: BlockProfile, phi: BlockProfile, eta: float | np.ndarray,
-                cset: SpectraSet) -> tuple[BlockProfile, BlockProfile]:
+def mirror_step(Y: np.ndarray, phi: np.ndarray, eta: float | np.ndarray,
+                cset: SpectraSet) -> tuple[np.ndarray, np.ndarray]:
     """Dual gradient step then mirror projection: the core update pair."""
     Y_next = Y - eta * phi
     return Y_next, dual_to_primal(Y_next, cset)
@@ -191,8 +191,9 @@ class RunResult:
 
     final_point is the method's reported point (the average for AM-SMD,
     the last iterate otherwise) at the last gap iteration whose
-    feasibility check it passed, or X_0 before any has. gap_trace pairs
-    (iteration, strong gap) are measured at that same reported sequence.
+    feasibility check it passed, or X_0 before any has, as a padded
+    profile array of shape (N, D, D). gap_trace pairs (iteration, strong
+    gap) are measured at that same reported sequence.
     When an iteration fails (a numerical failure, an infeasible iterate,
     any package error) the partial trace survives and `error` carries the
     message and the diagnostics. With a measure, `measures` has one row
@@ -204,7 +205,7 @@ class RunResult:
     both are those of the whole batch.
     """
 
-    final_point: BlockProfile
+    final_point: np.ndarray
     gap_trace: tuple[tuple[int, float], ...]
     iterate_seconds: float
     gap_seconds: float
@@ -237,13 +238,13 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     return run_batch([problem], [config])[0]
 
 
-# measure(problem, points, rows) -> (F(points), values at points.cells(rows))
-Measure = Callable[[SviProblem, BlockProfile, np.ndarray],
-                   tuple[BlockProfile, np.ndarray]]
+# measure(problem, points, rows) -> (F(points), values at points[rows])
+Measure = Callable[[SviProblem, np.ndarray, np.ndarray],
+                   tuple[np.ndarray, np.ndarray]]
 
 
-def _mapping_only(problem: SviProblem, points: BlockProfile,
-                  rows: np.ndarray) -> tuple[BlockProfile, None]:
+def _mapping_only(problem: SviProblem, points: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, None]:
     return problem.mapping(points), None
 
 
@@ -264,7 +265,7 @@ def run_batch(problems: Sequence[SviProblem],
     (`problem.stack_problems`), a profile `points` of its cells and an
     index array `rows`, and returns the mapping at `points` together
     with the measured values at the batch's reported points,
-    `points.cells(rows)`, one row per cell; row t - 1 of each cell's
+    `points[rows]`, one row per cell; row t - 1 of each cell's
     `measures` is its value at iteration t. A measure that raises a
     package error fails its cell like any other, before that
     iteration's gap is recorded.
@@ -323,13 +324,13 @@ def _run_cells(problems: Sequence[SviProblem],
     measuring = measure is not None
     evaluate = measure if measuring else _mapping_only
 
-    Y = BlockProfile.stack([cset.zeros()] * C)
+    Y = cset.zeros(C)
     X = dual_to_primal(Y, cset)
     avg = AveragingState(etas[:, 0], X)
     final = X
     traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
     measures: list[np.ndarray] = []
-    F_next: BlockProfile | None = None  # F(X), when evaluated already
+    F_next: np.ndarray | None = None  # F(X), when evaluated already
     error: str | None = None
     iterate_seconds = 0.0
     gap_seconds = 0.0
@@ -350,16 +351,16 @@ def _run_cells(problems: Sequence[SviProblem],
             if not (gap_due or measuring):
                 continue
             tic = time.perf_counter()
-            points = (BlockProfile.concat([X, avg.xbar.cells(averaging)])
+            points = (np.concatenate([X, avg.xbar[averaging]])
                       if averaging.size else X)
             if gap_due:
-                reported = points.cells(rows)
+                reported = points[rows]
                 assert_feasible(reported, cset)
                 final = reported
             F_points, values = evaluate(evaluated, points, rows)
-            F_next = F_points.cells(slice(C))
+            F_next = F_points[:C]
             if gap_due:
-                gaps = strong_gap(problem, reported, F_points.cells(rows))
+                gaps = strong_gap(problem, reported, F_points[rows])
                 gap_seconds += time.perf_counter() - tic
                 if gaps.min() < GAP_FLOOR:
                     raise NumericalFailure(
@@ -377,7 +378,7 @@ def _run_cells(problems: Sequence[SviProblem],
     measured = np.stack(measures, axis=1) if measures else np.empty((C, 0))
     return [
         RunResult(
-            final_point=final.cells(c),
+            final_point=final[c],
             gap_trace=tuple(traces[c]),
             iterate_seconds=iterate_seconds,
             gap_seconds=gap_seconds,

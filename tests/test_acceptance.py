@@ -91,7 +91,7 @@ def test_criterion_07_known_solution_convergence():
     # oracle's answer, in under 10 s.
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    B = pb.BlockProfile((linalg.random_hermitian(rng, 4),))
+    B = pb.pad_blocks([linalg.random_hermitian(rng, 4)])
     cset = pb.SpectraSet((4,))
     problem = pb.quadratic_test_problem(B, cset)
     result = run(problem, SolverConfig(
@@ -112,7 +112,7 @@ def test_criterion_08_rate_slope_and_envelope():
     # log-log slope in [-0.7, -0.3] and sit inside the order-of-magnitude
     # envelope 3 C sqrt(log n / T) * 10. Each horizon's seeds run as one
     # batch, whose cells are bit for bit their lone runs.
-    B = pb.BlockProfile((np.diag([0.6, 0.2]).astype(complex),))
+    B = pb.pad_blocks([np.diag([0.6, 0.2])])
     cset = pb.SpectraSet((2,))
     problem = pb.quadratic_test_problem(B, cset, sigma=1.0)
     C = problem.oracle_bound

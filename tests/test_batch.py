@@ -26,7 +26,6 @@ from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
 from spectra_svi.problem import (
-    BlockProfile,
     SpectraSet,
     TraceMode,
     assert_feasible,
@@ -93,10 +92,6 @@ def _lone(task):
     return solvers.run(problem, config)
 
 
-def _same_point(a, b):
-    return np.array_equal(a.array, b.array)
-
-
 @settings(max_examples=25)
 @given(grids())
 def test_batched_cells_equal_their_lone_runs(config):
@@ -115,7 +110,7 @@ def test_batched_cells_equal_their_lone_runs(config):
         for task, result in zip(group, results):
             ref = lone[_key(task)]
             assert result.gap_trace == ref.gap_trace
-            assert _same_point(result.final_point, ref.final_point)
+            assert np.array_equal(result.final_point, ref.final_point)
 
 
 class _FailingStream:
@@ -374,7 +369,7 @@ def _reference_run(problems, configs, measure=None):
                        for p, c in zip(problems, configs))
     ])[:, :, None, None, None]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    Y = BlockProfile.stack([cset.zeros()] * C)
+    Y = cset.zeros(C)
     X = dual_to_primal(Y, cset)
     avg = AveragingState(etas[:, 0], X)
     final = X
@@ -404,12 +399,12 @@ def _reference_run(problems, configs, measure=None):
         if measure is not None:
             measures.append(measure(problem, reported))
     rows = np.stack(measures, axis=1) if measures else None
-    return [(tuple(traces[c]), final.cells(c),
+    return [(tuple(traces[c]), final[c],
              None if rows is None else rows[c]) for c in range(C)]
 
 
 def _entries(X):
-    return X.array.reshape(len(X.array), -1)
+    return X.reshape(len(X), -1)
 
 
 def _game_problems(m, n, seeds, sigmas):
@@ -463,7 +458,7 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
         measure = reference_measure = None
     elif kind == "quadratic":
         def measure(problem, points, rows):
-            return problem.mapping(points), _entries(points.cells(rows))
+            return problem.mapping(points), _entries(points[rows])
 
         def reference_measure(problem, reported):
             return _entries(reported)
@@ -478,7 +473,7 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
     for result, (trace, final, rows) in zip(results, reference):
         assert result.error is None
         assert result.gap_trace == trace
-        assert _same_point(result.final_point, final)
+        assert np.array_equal(result.final_point, final)
         if measured:
             assert np.array_equal(result.measures, rows)
         else:

@@ -79,10 +79,13 @@ def test_run_rejects_negative_threads(tmp_path, capsys):
     ("am-smd = horizon", "mel = harmonic\n[mel]\n", "[mel] lambdas"),
     ("am-smd = horizon", "am-smd = horizon\n[MEL]\nlambdas = 7", "[MEL]"),
     ("sigmas = 1", "sigmas = 1\ntopology = {topology}", "max_pwr"),
+    ("antennas = 2x2", "antennas = 2x2, 4x4\ntopology = {topology}",
+     "antennas"),
 ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "antennas-0x2",
         "antennas-2x0", "constant-nan", "lambda-nan", "lambda-negative",
         "repeated-key", "percent-sign", "not-utf8", "mel-empty",
-        "unknown-section", "unknown-topology-key"])
+        "unknown-section", "unknown-topology-key",
+        "pairs-with-topology-file"])
 def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
                                                 old, new, key):
     cfg = tmp_path / "exp.ini"
@@ -91,7 +94,7 @@ def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
     topology.write_text("[topology]\ntx_antennas = 2, 2\n"
                         "rx_antennas = 2, 2\nmax_pwr = 5\n"
                         "distances = 0.9 1.5\n  1.5 0.9\n")
-    named = topology if "{topology}" in str(new) else cfg
+    named = topology if key == "max_pwr" else cfg
     if isinstance(new, bytes):  # bytes that no UTF-8 text starts with
         cfg.write_bytes(new + _tiny_config_text().encode())
     else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import linalg, oracles
-from spectra_svi.problem import BlockProfile, SpectraSet, TraceMode
+from spectra_svi.problem import SpectraSet, TraceMode, pad_blocks
 
 
 def test_project_spectrahedron_fixed_point():
@@ -95,7 +95,7 @@ def test_finite_diff_gradient_is_hermitian():
 def test_sampled_sup_linear_with_maximizer_hits_closed_form():
     cset = SpectraSet((2, 2), bound=1.0, mode=TraceMode.EQUAL)
     rng = np.random.default_rng(5)
-    F = BlockProfile(tuple(linalg.random_hermitian(rng, 2) for _ in range(2)))
+    F = pad_blocks([linalg.random_hermitian(rng, 2) for _ in range(2)])
     got = oracles.sampled_sup_linear(F, cset, probes=50, rng=rng)
     expected = -sum(np.linalg.eigvalsh(F[i])[0] for i in range(2))
     assert got == pytest.approx(expected, abs=1e-10)
@@ -104,7 +104,7 @@ def test_sampled_sup_linear_with_maximizer_hits_closed_form():
 def test_sampled_sup_linear_probes_only_lower_bounds():
     cset = SpectraSet((3,), bound=1.0, mode=TraceMode.EQUAL)
     rng = np.random.default_rng(6)
-    F = BlockProfile((linalg.random_hermitian(rng, 3),))
+    F = pad_blocks([linalg.random_hermitian(rng, 3)])
     exact = -np.linalg.eigvalsh(F[0])[0]
     sampled = oracles.sampled_sup_linear(F, cset, probes=200, rng=rng, include_maximizer=False)
     assert sampled <= exact + 1e-10
@@ -113,6 +113,6 @@ def test_sampled_sup_linear_probes_only_lower_bounds():
 
 def test_sampled_sup_linear_requires_some_candidate():
     cset = SpectraSet((2,))
-    F = BlockProfile((np.eye(2, dtype=complex),))
+    F = pad_blocks([np.eye(2)])
     with pytest.raises(ValueError):
         oracles.sampled_sup_linear(F, cset, probes=0, rng=np.random.default_rng(0), include_maximizer=False)

@@ -1,4 +1,4 @@
-"""Constraint sets, block profiles, gap functions, test problems."""
+"""Constraint sets, padded block profiles, gap functions, test problems."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,18 @@ from spectra_svi import linalg, problem as pb
 from spectra_svi.errors import DomainError
 from spectra_svi.oracles import project_spectrahedron, sampled_sup_linear
 from spectra_svi.problem import (
-    BlockProfile,
     NoiseModel,
     SpectraSet,
     SviProblem,
     TraceMode,
+    pad_blocks,
 )
+
+MIXED = SpectraSet((2, 3, 2))
+
+
+def _mixed_profile(rng):
+    return pad_blocks([linalg.random_hermitian(rng, d) for d in MIXED.dims])
 
 
 def _identity_problem(cset, sigma=0.0):
@@ -39,65 +45,78 @@ def test_spectra_set_dims_and_total():
 
 
 def test_block_profile_arithmetic():
-    A = BlockProfile((np.eye(2), 2 * np.eye(3)))
-    B = BlockProfile((3 * np.eye(2), np.eye(3)))
-    S = A + B
-    D = A - B
-    M = 2.0 * A
+    # Profiles are plain arrays: numpy arithmetic acts block by block.
+    cset = SpectraSet((2, 3))
+    A = pad_blocks((np.eye(2), 2 * np.eye(3)))
+    B = pad_blocks((3 * np.eye(2), np.eye(3)))
+    S, D, M = (cset.blocks(P) for P in (A + B, A - B, 2.0 * A))
     assert np.allclose(S[0], 4 * np.eye(2))
     assert np.allclose(D[1], np.eye(3))
     assert np.allclose(M[1], 4 * np.eye(3))
-    assert len(A) == 2 and A.dims == (2, 3)
+    assert A.shape == (2, 3, 3) and A.dtype == complex
 
 
 def test_block_profile_rejects_non_square():
-    with pytest.raises(ValueError):
-        BlockProfile((np.zeros((2, 3)),))
+    with pytest.raises(ValueError, match=r"block 1 is not square: shape \(3, 2\)"):
+        pad_blocks((np.eye(2), np.zeros((3, 2)), np.eye(2)))
 
 
 def test_block_profile_norms_block_diagonal_semantics():
-    A = BlockProfile((np.diag([3.0, 0.0]), np.diag([-4.0])))
-    assert A.spectral_norm() == pytest.approx(4.0)
-    assert A.frobenius_norm() == pytest.approx(5.0)
+    A = pad_blocks((np.diag([3.0, 0.0]), np.diag([-4.0])))
+    assert linalg.spectral_norm(A) == pytest.approx(4.0)
+    assert linalg.frobenius_norm(A) == pytest.approx(5.0)
+    # On mixed sizes the padding adds nothing: each norm is its
+    # per-block definition.
+    X = _mixed_profile(np.random.default_rng(13))
+    blocks = MIXED.blocks(X)
+    assert linalg.frobenius_norm(X) == pytest.approx(
+        np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)), rel=1e-14)
+    assert linalg.spectral_norm(X) == pytest.approx(
+        max(np.linalg.norm(b, 2) for b in blocks), rel=1e-14)
 
 
 def test_profile_inner_sums_blocks():
-    A = BlockProfile((np.eye(2), np.diag([1.0, 2.0])))
-    B = BlockProfile((np.diag([1.0, 3.0]), np.eye(2)))
+    A = pad_blocks((np.eye(2), np.diag([1.0, 2.0])))
+    B = pad_blocks((np.diag([1.0, 3.0]), np.eye(2)))
     assert pb.profile_inner(A, B) == pytest.approx(4.0 + 3.0)
+    rng = np.random.default_rng(14)
+    X, Y = _mixed_profile(rng), _mixed_profile(rng)
+    assert pb.profile_inner(X, Y) == pytest.approx(
+        sum(np.trace(a @ b).real
+            for a, b in zip(MIXED.blocks(X), MIXED.blocks(Y))), rel=1e-14)
 
 
 def test_assert_feasible_accepts_density_blocks():
     cset = SpectraSet((2, 2))
-    X = BlockProfile((np.eye(2) / 2, np.diag([0.9, 0.1])))
+    X = pad_blocks((np.eye(2) / 2, np.diag([0.9, 0.1])))
     pb.assert_feasible(X, cset)
 
 
 def test_assert_feasible_rejects_wrong_trace():
     cset = SpectraSet((2,))
-    X = BlockProfile((np.diag([0.9, 0.2]),))
+    X = pad_blocks((np.diag([0.9, 0.2]),))
     with pytest.raises(DomainError, match="trace"):
         pb.assert_feasible(X, cset)
 
 
 def test_assert_feasible_rejects_indefinite():
     cset = SpectraSet((2,))
-    X = BlockProfile((np.diag([1.5, -0.5]),))
+    X = pad_blocks((np.diag([1.5, -0.5]),))
     with pytest.raises(DomainError, match="PSD"):
         pb.assert_feasible(X, cset)
 
 
 def test_assert_feasible_trace_cap_allows_slack():
     cset = SpectraSet((2,), mode=TraceMode.AT_MOST)
-    pb.assert_feasible(BlockProfile((np.diag([0.2, 0.1]),)), cset)
+    pb.assert_feasible(pad_blocks((np.diag([0.2, 0.1]),)), cset)
     with pytest.raises(DomainError):
-        pb.assert_feasible(BlockProfile((np.diag([0.8, 0.7]),)), cset)
+        pb.assert_feasible(pad_blocks((np.diag([0.8, 0.7]),)), cset)
 
 
 def test_assert_feasible_dims_mismatch():
     cset = SpectraSet((3,))
     with pytest.raises(DomainError, match="dims"):
-        pb.assert_feasible(BlockProfile((np.eye(2) / 2,)), cset)
+        pb.assert_feasible(pad_blocks((np.eye(2) / 2,)), cset)
 
 
 def test_noise_model_rejects_negative_or_non_finite_sigma():
@@ -108,7 +127,7 @@ def test_noise_model_rejects_negative_or_non_finite_sigma():
 
 def test_noise_model_zero_sigma_is_exact_zero():
     Z = NoiseModel(0.0).sample((2, 3), np.random.default_rng(0))
-    assert all(np.all(b == 0) for b in Z)
+    assert Z.shape == (2, 3, 3) and not Z.any()
 
 
 def test_noise_model_blocks_hermitian_and_scaled():
@@ -146,19 +165,19 @@ def test_oracle_sample_noise_is_reported_component():
 
 
 def test_best_response_equality_is_bottom_eigenprojector():
-    F = BlockProfile((np.diag([2.0, -1.0, 0.5]),))
+    F = pad_blocks((np.diag([2.0, -1.0, 0.5]),))
     Z = pb.best_response(F, SpectraSet((3,)))
     assert np.allclose(Z[0], np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_best_response_trace_cap_returns_zero_for_psd_values():
-    F = BlockProfile((np.diag([2.0, 0.5]),))
+    F = pad_blocks((np.diag([2.0, 0.5]),))
     Z = pb.best_response(F, SpectraSet((2,), mode=TraceMode.AT_MOST))
     assert np.all(Z[0] == 0)
 
 
 def test_best_response_scales_with_bound():
-    F = BlockProfile((np.diag([1.0, -1.0]),))
+    F = pad_blocks((np.diag([1.0, -1.0]),))
     Z = pb.best_response(F, SpectraSet((2,), bound=0.3))
     assert np.allclose(Z[0], np.diag([0.0, 0.3]), atol=1e-12)
 
@@ -244,7 +263,7 @@ def test_monotonicity_witness_sign():
         X = pb.random_feasible_profile(cset, rng)
         Y = pb.random_feasible_profile(cset, rng)
         assert pb.monotonicity_witness(mono, X, Y) >= -1e-12
-        d = (X - Y).frobenius_norm()
+        d = linalg.frobenius_norm(X - Y)
         if d > 1e-6:
             assert pb.monotonicity_witness(anti, X, Y) < 0
 
@@ -253,9 +272,9 @@ def test_quadratic_problem_solution_is_projection():
     # Solve the VI analytically: X* minimizes ||X - B||_F over the set.
     rng = np.random.default_rng(12)
     cset = SpectraSet((4,))
-    B = BlockProfile((linalg.random_hermitian(rng, 4),))
+    B = pad_blocks((linalg.random_hermitian(rng, 4),))
     prob = pb.quadratic_test_problem(B, cset)
-    P = BlockProfile((project_spectrahedron(B[0], mode=TraceMode.EQUAL),))
+    P = pad_blocks((project_spectrahedron(B[0], mode=TraceMode.EQUAL),))
     assert pb.strong_gap(prob, P) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -270,4 +289,4 @@ def test_quadratic_problem_oracle_bound_covers_noise():
 def test_quadratic_problem_rejects_dim_mismatch():
     with pytest.raises(DomainError):
         pb.quadratic_test_problem(
-            BlockProfile((np.eye(2),)), SpectraSet((3,)))
+            pad_blocks((np.eye(2),)), SpectraSet((3,)))

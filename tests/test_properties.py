@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spectra_svi import linalg, mirror
 from spectra_svi.harness import derive_seed
-from spectra_svi.problem import BlockProfile
+from spectra_svi.problem import SpectraSet, pad_blocks
 from spectra_svi.solvers import AveragingState, update_average
 
 PROPERTY = settings(max_examples=60)
@@ -67,17 +67,18 @@ def test_gibbs_map_ignores_constant_shifts(seed, dim, spread, shift):
        st.sampled_from(((2,), (2, 2, 2), (3, 1, 3))))
 def test_averaging_recursion_is_the_weighted_sum(seed, etas, block_dims):
     rng = np.random.default_rng(seed)
-    iterates = [BlockProfile(tuple(
-        mirror.gibbs_map(linalg.random_hermitian(rng, d))
-        for d in block_dims)) for _ in etas]
+    cset = SpectraSet(block_dims)
+    iterates = [pad_blocks([mirror.gibbs_map(linalg.random_hermitian(rng, d))
+                            for d in block_dims]) for _ in etas]
     avg = AveragingState(etas[0], iterates[0])
     for eta, X in zip(etas[1:], iterates[1:]):
         avg = update_average(avg, X, eta)
     total = sum(etas)
     assert abs(avg.gamma - total) <= 1e-13 * total
-    for i in range(len(block_dims)):
-        direct = sum(eta * X[i] for eta, X in zip(etas, iterates)) / total
-        assert np.allclose(avg.xbar[i], direct, rtol=0, atol=1e-13)
+    for i, mean in enumerate(cset.blocks(avg.xbar)):
+        direct = sum(eta * cset.blocks(X)[i]
+                     for eta, X in zip(etas, iterates)) / total
+        assert np.allclose(mean, direct, rtol=0, atol=1e-13)
 
 
 parts = st.lists(st.one_of(st.integers(), st.floats(allow_nan=False),

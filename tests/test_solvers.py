@@ -9,7 +9,7 @@ import pytest
 from spectra_svi import harness, mimo, problem as pb
 from spectra_svi.errors import DomainError
 from spectra_svi.linalg import random_hermitian
-from spectra_svi.problem import BlockProfile, SpectraSet, SviProblem, TraceMode
+from spectra_svi.problem import SpectraSet, SviProblem, TraceMode, pad_blocks
 from spectra_svi.solvers import (
     AveragingState,
     Method,
@@ -84,7 +84,7 @@ def test_solver_config_validation():
 def test_update_average_matches_direct_weighted_sum():
     rng = np.random.default_rng(0)
     etas = [1.0 / math.sqrt(t + 1) for t in range(30)]
-    xs = [BlockProfile((random_hermitian(rng, 3),)) for _ in range(30)]
+    xs = [pad_blocks([random_hermitian(rng, 3)]) for _ in range(30)]
     state = AveragingState(etas[0], xs[0])
     for eta, x in zip(etas[1:], xs[1:]):
         state = update_average(state, x, eta)
@@ -101,11 +101,11 @@ def test_dual_to_primal_feasible_both_modes():
     for mode in TraceMode:
         cset = SpectraSet((3, 2, 3, 2, 3), 2.0, mode)
         for _ in range(20):
-            Y = BlockProfile(tuple(random_hermitian(rng, d, scale=5.0)
-                                   for d in cset.dims))
+            Y = pad_blocks([random_hermitian(rng, d, scale=5.0)
+                            for d in cset.dims])
             X = dual_to_primal(Y, cset)
             pb.assert_feasible(X, cset)
-            traces = [float(np.trace(b).real) for b in X]
+            traces = [float(np.trace(b).real) for b in cset.blocks(X)]
             if mode is TraceMode.EQUAL:
                 # Equality blocks hit the bound exactly.
                 assert traces == pytest.approx([2.0] * 5, abs=1e-10)
@@ -116,7 +116,7 @@ def test_dual_to_primal_feasible_both_modes():
 def test_mirror_step_moves_against_gradient():
     cset = SpectraSet((2,))
     Y = cset.zeros()
-    phi = BlockProfile((np.diag([1.0, -1.0]),))
+    phi = pad_blocks([np.diag([1.0, -1.0])])
     Y2, X2 = mirror_step(Y, phi, 0.5, cset)
     assert np.allclose(Y2[0], np.diag([-0.5, 0.5]))
     # Mass shifts toward the coordinate with the smaller mapping value.
@@ -170,8 +170,7 @@ def test_run_same_seed_reproduces_bitwise():
                        schedule=StepSchedule.horizon(), gap_every=40, seed=7)
     a, b = run(prob, cfg), run(prob, cfg)
     assert a.gap_trace == b.gap_trace
-    assert all(np.array_equal(x, y)
-               for x, y in zip(a.final_point, b.final_point))
+    assert np.array_equal(a.final_point, b.final_point)
 
 
 def test_run_different_seeds_differ_under_noise():
@@ -190,8 +189,7 @@ def test_mel_zero_lambda_is_bitwise_msmd():
     mel = run(prob, SolverConfig(Method.MEL, lam=0.0, **base))
     msmd = run(prob, SolverConfig(Method.M_SMD, **base))
     assert mel.gap_trace == msmd.gap_trace
-    assert all(np.array_equal(x, y)
-               for x, y in zip(mel.final_point, msmd.final_point))
+    assert np.array_equal(mel.final_point, msmd.final_point)
 
 
 def test_mel_gap_measured_against_original_mapping():
@@ -220,8 +218,7 @@ def test_averaging_reported_point_is_average_not_iterate():
                 gap_every=60, seed=11)
     am = run(prob, SolverConfig(Method.AM_SMD, **base))
     last = run(prob, SolverConfig(Method.M_SMD, **base))
-    assert not all(np.array_equal(x, y)
-                   for x, y in zip(am.final_point, last.final_point))
+    assert not np.array_equal(am.final_point, last.final_point)
 
 
 def _game_cells():
@@ -281,7 +278,7 @@ def test_run_survives_numerical_failure_with_partial_trace():
     def flaky(X):
         calls["n"] += 1
         if calls["n"] > 8:
-            return BlockProfile((np.full((2, 2), np.nan, dtype=complex),))
+            return pad_blocks([np.full((2, 2), np.nan)])
         return X
 
     prob = SviProblem(cset, flaky, oracle_bound=1.0)
@@ -337,7 +334,7 @@ def test_a_mixed_batch_evaluates_the_game_once_per_iteration(measure,
     real_mapping, real_throughput = mimo.game_mapping, harness.throughput
 
     def rows(X):
-        return len(X.full if isinstance(X, mimo.Covariances) else X.array)
+        return len(X.full if isinstance(X, mimo.Covariances) else X)
 
     def mapping(channels, X):
         calls.append(rows(X))
@@ -370,7 +367,7 @@ def test_averaged_trajectory_moves_less_than_iterates():
                 gap_every=300, seed=0)
 
     def entries(problem, points, rows):
-        return problem.mapping(points), points.array[rows].reshape(
+        return problem.mapping(points), points[rows].reshape(
             len(rows), -1)
 
     averaged, raw = (r.measures for r in run_batch(

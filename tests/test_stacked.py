@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from spectra_svi import harness, linalg, mimo, mirror, solvers
 from spectra_svi import problem as pb
 from spectra_svi.errors import NumericalFailure
-from spectra_svi.problem import BlockProfile, SpectraSet, TraceMode
+from spectra_svi.problem import SpectraSet, TraceMode
 
 # --- per-block references --------------------------------------------------
 
@@ -116,7 +116,7 @@ def _ref_run(problem, config):
         problem.oracle_bound, cset.total_dim, config.iterations)
 
     def mapping(blocks):
-        return list(problem.mapping(BlockProfile(blocks)).blocks)
+        return list(cset.blocks(problem.mapping(pb.pad_blocks(blocks))))
 
     Y = [np.zeros((d, d), dtype=complex) for d in cset.dims]
     X = _ref_dual_to_primal(Y, cset)
@@ -156,26 +156,26 @@ def _sets(dims):
 
 
 def _random_profile(rng, dims, scale=3.0):
-    return BlockProfile(tuple(
-        linalg.random_hermitian(rng, d, scale=scale) for d in dims))
+    return pb.pad_blocks(
+        [linalg.random_hermitian(rng, d, scale=scale) for d in dims])
 
 
-def _outside(profile):
-    """Mask of the entries of one profile's array outside its blocks'
-    top-left corners."""
-    outside = np.ones(profile.array.shape[-3:], dtype=bool)
-    for i, d in enumerate(profile.dims):
+def _outside(dims):
+    """Mask of the entries of one profile's padded array, for blocks of
+    these dims, outside the blocks' top-left corners."""
+    outside = np.ones(SpectraSet(dims).zeros().shape, dtype=bool)
+    for i, d in enumerate(dims):
         outside[i, :d, :d] = False
     return outside
 
 
-def _padding_is_zero(profile):
-    return not np.any(profile.array[..., _outside(profile)])
+def _padding_is_zero(profile, dims):
+    return not np.any(profile[..., _outside(dims)])
 
 
-def _same(profile, blocks):
-    assert len(profile) == len(blocks)
-    for a, b in zip(profile.blocks, blocks, strict=True):
+def _same(profile, dims, blocks):
+    assert profile.shape == SpectraSet(dims).zeros().shape
+    for a, b in zip(SpectraSet(dims).blocks(profile), blocks, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -202,8 +202,8 @@ def _gibbs_match(got, ref, duals, bounds):
 
 
 def _dual_to_primal_matches(Y, cset):
-    _gibbs_match(solvers.dual_to_primal(Y, cset).blocks,
-                 _ref_dual_to_primal(Y.blocks, cset), Y.blocks,
+    _gibbs_match(cset.blocks(solvers.dual_to_primal(Y, cset)),
+                 _ref_dual_to_primal(cset.blocks(Y), cset), cset.blocks(Y),
                  [cset.bound] * len(cset.dims))
 
 
@@ -233,25 +233,23 @@ def _near(got, ref, rel=1e-13):
 
 def test_profile_round_trips_blocks_in_order():
     rng = np.random.default_rng(0)
-    blocks = [linalg.random_hermitian(rng, d) for d in MIXED_DIMS]
-    P = BlockProfile(blocks)
-    assert P.dims == MIXED_DIMS
-    assert P.array.shape == (5, 3, 3)  # one array, padded to 3 x 3
-    assert _padding_is_zero(P)
-    _same(P, blocks)
-    for i, b in enumerate(blocks):
-        assert np.array_equal(P[i], b)
-    _same(P + P, [b + b for b in blocks])
-    _same(P - 2.0 * P, [b - 2.0 * b for b in blocks])
-    stack = np.stack(blocks[1::2])
-    _same(BlockProfile(stack), list(stack))
-
-
-def test_profile_arithmetic_rejects_other_dims():
-    A = BlockProfile((np.eye(2), np.eye(3)))
-    B = BlockProfile((np.eye(3), np.eye(2)))
-    with pytest.raises(ValueError, match="differ"):
-        A + B
+    cset = SpectraSet((2, 3, 2))
+    blocks = [linalg.random_hermitian(rng, d) for d in cset.dims]
+    P = pb.pad_blocks(blocks)
+    assert P.shape == (3, 3, 3) and P.dtype == complex  # padded to 3 x 3
+    assert _padding_is_zero(P, cset.dims)
+    _same(P, cset.dims, blocks)
+    # P[i] is block i padded to 3 x 3, not its 2 x 2 corner
+    assert P[0].shape == (3, 3)
+    assert np.array_equal(P[0, :2, :2], blocks[0])
+    _same(P + P, cset.dims, [b + b for b in blocks])
+    _same(P - 2.0 * P, cset.dims, [b - 2.0 * b for b in blocks])
+    # the corners are views of the array
+    cset.blocks(P)[2][1, 0] = 5.0
+    assert P[2, 1, 0] == 5.0
+    # a plain stack is the profile of blocks of one size
+    stack = np.stack(blocks[::2])
+    _same(stack, (2, 2), list(stack))
 
 
 @pytest.mark.parametrize("mode", [TraceMode.EQUAL, TraceMode.AT_MOST])
@@ -262,7 +260,7 @@ def test_gibbs_maps_match_per_block(mode, dim):
     for scale in (0.1, 10.0, 1e4):
         Y = _random_profile(rng, cset.dims, scale)
         _dual_to_primal_matches(Y, cset)
-    stack = Y.array
+    stack = Y
     ref = (_ref_gibbs if mode is TraceMode.EQUAL
            else lambda b: _ref_gibbs_bounded(b, 1.0))
     got = (mirror.gibbs_map(stack) if mode is TraceMode.EQUAL
@@ -309,9 +307,9 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
     tol = [_kernel_tol(y, bound) for y in Y]
     for mode in TraceMode:
         cset = SpectraSet((2,) * len(Y), bound, mode)
-        X = solvers.dual_to_primal(BlockProfile(Y), cset).array
+        X = solvers.dual_to_primal(Y, cset)
         assert np.array_equal(X, X.conj().swapaxes(-1, -2))
-        pb.assert_feasible(BlockProfile(X), cset)
+        pb.assert_feasible(X, cset)
         assert np.min(np.linalg.eigvalsh(X)) >= -KERNEL_TOL * bound
         ref = _ref_dual_to_primal(list(Y), cset)
         for x, r, t in zip(X, ref, tol):
@@ -326,7 +324,7 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
 def test_noise_sample_matches_per_block_draws(dims):
     noise = pb.NoiseModel(2.5)
     got = noise.sample(dims, np.random.default_rng(3))
-    _same(got, _ref_noise(2.5, dims, np.random.default_rng(3)))
+    _same(got, dims, _ref_noise(2.5, dims, np.random.default_rng(3)))
     # The draw leaves the stream where per-block draws leave it.
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
     noise.sample(dims, rng_a)
@@ -342,17 +340,17 @@ def test_game_mapping_and_throughput_match_per_block(m, n):
     rng = np.random.default_rng(5)
     for _ in range(5):
         X = pb.random_feasible_profile(cset, rng)
-        F = mimo.game_mapping(ch, X)
-        for got, ref in zip(F.blocks, _ref_game_mapping(ch, X.blocks),
+        F, blocks = mimo.game_mapping(ch, X), cset.blocks(X)
+        for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                             strict=True):
             _near(got, ref)
         full = mimo.covariances(ch, X).full
         rates = mimo.throughput(ch, X)
         for i in range(topo.users):
-            _near(full[i], _ref_received(ch, X.blocks, i, skip_own=False))
+            _near(full[i], _ref_received(ch, blocks, i, skip_own=False))
             assert np.array_equal(full[i], full[i].conj().T)
             assert rates[i] == pytest.approx(
-                _ref_throughput(ch, X.blocks, i), rel=1e-12)
+                _ref_throughput(ch, blocks, i), rel=1e-12)
             assert mimo.throughput(ch, X, i) == rates[i]
 
 
@@ -368,12 +366,12 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
     rng = np.random.default_rng(22)
     points = [pb.random_feasible_profile(topo.constraint_set(), rng)
               for _ in order]
-    X = BlockProfile.stack(points)
+    X = np.stack(points)
     F = mimo.game_mapping(stacked, X)
     rates = mimo.throughput(stacked, X)
     for c, (d, point) in enumerate(zip(order, points)):
-        lone = mimo.game_mapping(draws[d], BlockProfile.stack([point]))
-        assert np.array_equal(F.cells(c).array, lone.array[0])
+        lone = mimo.game_mapping(draws[d], point[None])
+        assert np.array_equal(F[c], lone[0])
         assert np.array_equal(rates[c], mimo.throughput(draws[d], point))
 
 
@@ -388,7 +386,7 @@ def test_throughput_of_stacked_profiles_matches_one_at_a_time(topo):
     rng = np.random.default_rng(9)
     points = [pb.random_feasible_profile(topo.constraint_set(), rng)
               for _ in range(5)]
-    rates = mimo.throughput(ch, BlockProfile.stack(points))
+    rates = mimo.throughput(ch, np.stack(points))
     assert rates.shape == (5, topo.users)
     for got, X in zip(rates, points):
         assert np.array_equal(got, mimo.throughput(ch, X))
@@ -399,22 +397,23 @@ def test_game_mapping_with_unequal_antenna_counts():
     # unpadded per-block computation to rounding.
     topo = mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3))
     ch = mimo.sample_channels(topo, np.random.default_rng(6))
-    X = pb.random_feasible_profile(topo.constraint_set(), np.random.default_rng(7))
-    F = mimo.game_mapping(ch, X)
-    assert F.dims == (2, 3, 2)
-    for got, ref in zip(F.blocks, _ref_game_mapping(ch, X.blocks),
+    cset = topo.constraint_set()
+    X = pb.random_feasible_profile(cset, np.random.default_rng(7))
+    F, blocks = mimo.game_mapping(ch, X), cset.blocks(X)
+    assert F.shape == (3, 3, 3)
+    for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                         strict=True):
         _near(got, ref)
     full = mimo.covariances(ch, X).full
     assert full.shape == (3, 3, 3)
     for i, n_i in enumerate(topo.rx_antennas):
         _near(full[i, :n_i, :n_i],
-              _ref_received(ch, X.blocks, i, skip_own=False))
+              _ref_received(ch, blocks, i, skip_own=False))
         # the padded receive dimensions carry the identity alone
         assert np.array_equal(full[i, n_i:, :], np.eye(3)[n_i:])
         assert mimo.throughput(ch, X, i) == pytest.approx(
-            _ref_throughput(ch, X.blocks, i), rel=1e-12)
-        assert mimo.throughput_gradient(ch, X, i).shape == (X.dims[i],) * 2
+            _ref_throughput(ch, blocks, i), rel=1e-12)
+        assert mimo.throughput_gradient(ch, X, i).shape == (cset.dims[i],) * 2
 
 
 def test_padding_stays_zero_on_unequal_antenna_counts():
@@ -429,11 +428,11 @@ def test_padding_stays_zero_on_unequal_antenna_counts():
         cset.dims, [np.random.default_rng(s) for s in range(3)])
     X = solvers.dual_to_primal(3.0 * Z, cset)
     # The Gibbs map fills the corners alone, whatever the dual's padding.
-    junk = BlockProfile.wrap(3.0 * Z.array + 7.0 * _outside(Z), cset.dims)
-    assert np.array_equal(solvers.dual_to_primal(junk, cset).array, X.array)
+    junk = 3.0 * Z + 7.0 * _outside(cset.dims)
+    assert np.array_equal(solvers.dual_to_primal(junk, cset), X)
     for profile in (Z, cells, X, mimo.game_mapping(ch, X),
-                    mimo.game_mapping(ch, BlockProfile.stack([X, X]))):
-        assert _padding_is_zero(profile)
+                    mimo.game_mapping(ch, np.stack([X, X]))):
+        assert _padding_is_zero(profile, cset.dims)
     prob = mimo.game_to_svi(topo, ch, sigma=1.0)
     configs = [solvers.SolverConfig(method, 40,
                                     solvers.StepSchedule.harmonic_sqrt(),
@@ -441,7 +440,7 @@ def test_padding_stays_zero_on_unequal_antenna_counts():
                for method in (solvers.Method.AM_SMD, solvers.Method.M_SMD)]
     for result in solvers.run_batch([prob, prob], configs):
         assert result.error is None
-        assert _padding_is_zero(result.final_point)
+        assert _padding_is_zero(result.final_point, cset.dims)
 
 
 def test_strong_gap_matches_per_block():
@@ -452,16 +451,18 @@ def test_strong_gap_matches_per_block():
     for _ in range(5):
         X = pb.random_feasible_profile(prob.constraints, rng)
         F = mimo.game_mapping(ch, X)
+        cset = prob.constraints
         assert pb.strong_gap(prob, X) == _ref_strong_gap(
-            F.blocks, X.blocks, prob.constraints)
+            cset.blocks(F), cset.blocks(X), cset)
     for cset in _sets(MIXED_DIMS) + _sets((3, 4, 3, 4, 3)):
         B = pb.random_feasible_profile(cset, rng)
         prob = pb.quadratic_test_problem(B, cset)
         for _ in range(5):
             X = pb.random_feasible_profile(cset, rng)
             F = prob.mapping(X)
-            ref = _ref_strong_gap(F.blocks, X.blocks, cset)
-            assert abs(pb.strong_gap(prob, X) - ref) <= _gap_tol(F, X, cset)
+            blocks = cset.blocks(F), cset.blocks(X)
+            ref = _ref_strong_gap(*blocks, cset)
+            assert abs(pb.strong_gap(prob, X) - ref) <= _gap_tol(*blocks, cset)
 
 
 def test_assert_feasible_names_first_bad_block():
@@ -469,16 +470,16 @@ def test_assert_feasible_names_first_bad_block():
     for cset in _sets(MIXED_DIMS):
         X = pb.random_feasible_profile(cset, rng)
         pb.assert_feasible(X, cset)
-        blocks = list(X.blocks)
+        blocks = list(cset.blocks(X))
         blocks[2] = 3.0 * blocks[2] + np.eye(3)  # bound 1.5 exceeded
         blocks[4] = blocks[4] + np.eye(3)        # also broken, later block
         broken = ("exceeds bound 1.5" if cset.mode is TraceMode.AT_MOST
                   else "!= bound 1.5")
         with pytest.raises(pb.DomainError, match=f"block 2 trace .* {broken}"):
-            pb.assert_feasible(BlockProfile(blocks), cset)
+            pb.assert_feasible(pb.pad_blocks(blocks), cset)
         blocks[1] = np.diag([0.5, -0.2])
         with pytest.raises(pb.DomainError, match="block 1 not PSD"):
-            pb.assert_feasible(BlockProfile(blocks), cset)
+            pb.assert_feasible(pb.pad_blocks(blocks), cset)
 
 
 # --- the solver loop on mixed sets -----------------------------------------
@@ -493,7 +494,7 @@ def test_assert_feasible_names_first_bad_block():
 ])
 def test_run_matches_per_block_reference_loop(dims, method, lam):
     rng = np.random.default_rng(10)
-    B = BlockProfile(tuple(linalg.random_hermitian(rng, d) for d in dims))
+    B = pb.pad_blocks([linalg.random_hermitian(rng, d) for d in dims])
     config = solvers.SolverConfig(
         method, iterations=60, schedule=solvers.StepSchedule.harmonic_sqrt(),
         lam=lam, gap_every=7, seed=11)
@@ -505,7 +506,7 @@ def test_run_matches_per_block_reference_loop(dims, method, lam):
         assert [it for it, _ in result.gap_trace] == [it for it, _ in trace]
         for (_, got), (_, ref) in zip(result.gap_trace, trace):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
-        for got, ref in zip(result.final_point.blocks, reported):
+        for got, ref in zip(cset.blocks(result.final_point), reported):
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
@@ -523,7 +524,7 @@ def test_eig_failure_names_the_block():
     blocks[2] = np.full((3, 3), np.nan)
     for cset in _sets(MIXED_DIMS):
         with pytest.raises(NumericalFailure) as info:
-            solvers.dual_to_primal(BlockProfile(blocks), cset)
+            solvers.dual_to_primal(pb.pad_blocks(blocks), cset)
         assert info.value.diagnostics["block"] == 2
 
 
@@ -542,9 +543,9 @@ def test_run_keeps_trace_and_diagnostics_on_numerical_failure():
             F = base.mapping(X)
             if len(calls) <= 12:
                 return F
-            blocks = list(F.blocks)
+            blocks = list(cset.blocks(F))
             blocks[3] = np.full((2, 2), np.nan)
-            return BlockProfile(blocks)
+            return pb.pad_blocks(blocks)
 
         prob = pb.SviProblem(cset, poisoned, oracle_bound=base.oracle_bound)
         result = solvers.run(prob, config)
