@@ -2,10 +2,16 @@
 
 Hermitian parts and validation, one eigendecomposition routine and its
 values-only sibling (batched over stacks of blocks, eigenvalues
-descending, with diagnostics on failure), trace/spectral/Frobenius
-norms, the trace pairing, and random Hermitian and unitary draws.
-Matrix functions of a Hermitian argument (the Gibbs maps, entropies)
-are built in `mirror` on top of `eig`.
+descending, with diagnostics on failure), a Cholesky factorization that
+answers "is it positive definite?", trace/spectral/Frobenius norms, the
+trace pairing, and random Hermitian and unitary draws. Matrix functions
+of a Hermitian argument (the Gibbs maps, entropies) are built in
+`mirror` on top of `eig`.
+
+Eigenvalues are computed only where an eigenvalue is the answer: the
+Gibbs maps and the strong gap's lambda_min. The rates' log-determinants
+and the feasibility check take `cholesky`, and compute eigenvalues only
+to explain a failure.
 
 2x2 matrices have a closed form, `hermitian_2x2`: `eigvals` and the
 Gibbs maps use it, with no LAPACK call, and its eigenvalues agree with
@@ -139,6 +145,17 @@ def eigvals(A: np.ndarray) -> np.ndarray:
     return w[..., ::-1].copy()
 
 
+def cholesky(A: np.ndarray) -> np.ndarray | None:
+    """The lower-triangular L with L L^dag the Hermitian part of A, or
+    the factors of every matrix in a stack (one batched LAPACK call), or
+    None when any of them is not positive definite. Non-finite entries
+    raise `eig`'s NumericalFailure, with the same `block` diagnostic."""
+    try:
+        return np.linalg.cholesky(_checked_hermitian(A))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def trace_norm(A: np.ndarray) -> float:
     """Sum of singular values. For Hermitian A this is sum |lambda_i|."""
     A = np.asarray(A)
@@ -163,9 +180,10 @@ def frobenius_norm(A: np.ndarray) -> float:
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Re tr(A B): the real trace pairing of two Hermitian matrices."""
+    """Re tr(A B): the real trace pairing of two Hermitian matrices; of
+    two stacks of blocks, that of their block-diagonal matrices."""
     # tr(AB) = sum_ij A_ij B_ji; for Hermitian pairs the result is real.
-    return float(np.sum(A * B.T).real)
+    return float(np.sum(A * B.swapaxes(-1, -2)).real)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

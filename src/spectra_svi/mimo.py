@@ -309,11 +309,16 @@ def _covariances_of(channels: ChannelSet,
 
 
 def _logdet_pd(W: np.ndarray) -> np.ndarray:
-    w = linalg.eigvals(W)
-    if np.any(w[..., -1] <= 0):
+    """log det of every matrix of a PD stack, 2 sum log diag(L) from one
+    batched Cholesky factorization. Only when that fails are the
+    eigenvalues computed, to name lambda_min."""
+    L = linalg.cholesky(W)
+    if L is None:
+        w = linalg.eigvals(W)
         raise DomainError(
             f"covariance not PD: lambda_min = {np.min(w[..., -1]):.3e}")
-    return np.sum(np.log(w), axis=-1)
+    diag = np.diagonal(L, axis1=-2, axis2=-1).real
+    return 2 * np.sum(np.log(diag), axis=-1)
 
 
 def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
@@ -323,11 +328,12 @@ def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
     H_ii X_i H_ii^dag. Nonnegative, and concave in X_i since the second
     term does not depend on X_i.
 
-    With i = None, every user's rate as one array; both covariances of
-    every user go through one `linalg.eigvals` call. X may carry leading axes
-    (several profiles on the same channels); the rates then have shape
-    (..., N). X may also be the profile's `covariances`, when already
-    built."""
+    With i = None, every user's rate as one array; the log-determinants
+    of both covariances of every user come from one batched
+    `linalg.cholesky` call, and eigenvalues are computed only to report
+    a covariance that is not PD. X may carry leading axes (several
+    profiles on the same channels); the rates then have shape (..., N).
+    X may also be the profile's `covariances`, when already built."""
     cov = _covariances_of(channels, X)
     H = cov.direct
     own = H @ cov.profile @ H.conj().swapaxes(-1, -2)

@@ -145,11 +145,28 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
     """Raise DomainError unless every block is PSD with a conforming trace.
 
-    The message names the first failing block (of the first failing cell,
-    when X has a cell axis)."""
+    A profile passes when X + psd_tol I has a Cholesky factor and the
+    blocks' diagonal sums conform: one batched `linalg.cholesky` call
+    per block size. Otherwise the eigenvalues decide, and only then are
+    they computed: a block fails when lambda_min < -psd_tol or the sum of
+    its eigenvalues is out of bound, and the message names the first
+    failing block (of the first failing cell, when X has a cell axis)."""
     if X.shape[-3:] != cset.zeros().shape:
         raise DomainError(f"profile shape {X.shape} does not match set "
                           f"dims {cset.dims}")
+    bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
+
+    def trace_ok(tr: np.ndarray) -> np.ndarray:
+        return (tr <= bound + trace_tol if capped
+                else np.abs(tr - bound) <= trace_tol)
+
+    def conforms(Xg: np.ndarray) -> np.ndarray:
+        psd = linalg.cholesky(Xg + psd_tol * np.eye(Xg.shape[-1]))
+        return trace_ok(np.trace(Xg, axis1=-2, axis2=-1).real) & (
+            psd is not None)
+
+    if cset.map_blocks(conforms, X).all():
+        return
 
     def margins(Xg: np.ndarray) -> np.ndarray:
         w = eigvals(Xg)
@@ -158,10 +175,8 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
     N = len(cset.dims)
     lam_min, tr = np.moveaxis(
         cset.map_blocks(margins, X).reshape(-1, N, 2), -1, 0)
-    bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
     not_psd = lam_min < -psd_tol
-    bad = not_psd | (tr > bound + trace_tol if capped
-                     else np.abs(tr - bound) > trace_tol)
+    bad = not_psd | ~trace_ok(tr)
     if not bad.any():
         return
     cell = int(np.argmax(bad.any(axis=1)))

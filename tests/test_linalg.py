@@ -5,6 +5,7 @@ import pytest
 
 from spectra_svi import linalg
 from spectra_svi.errors import NumericalFailure
+from spectra_svi.problem import profile_inner
 
 
 def test_hermitianize_returns_exact_hermitian_part():
@@ -105,6 +106,38 @@ def test_trace_inner_matches_trace_of_product():
     B = linalg.random_hermitian(rng, 4)
     assert linalg.trace_inner(A, B) == pytest.approx(np.trace(A @ B).real)
     assert abs(np.trace(A @ B).imag) <= 1e-12
+
+
+def test_trace_inner_pairs_the_last_two_axes():
+    # Two users of 2x2 blocks: reversing every axis of B (B.T) would pair
+    # block 0 of A with the entries of both blocks of B.
+    rng = np.random.default_rng(9)
+    A, B = (np.stack([linalg.random_hermitian(rng, 2) for _ in range(2)])
+            for _ in range(2))
+    expected = profile_inner(A, B)
+    assert expected == pytest.approx(
+        sum(np.trace(a @ b).real for a, b in zip(A, B)), abs=1e-15)
+    assert linalg.trace_inner(A, B) == pytest.approx(expected, abs=1e-15)
+    # On 2-D inputs the pairing keeps its bits.
+    for d in (1, 2, 3, 4):
+        a, b = linalg.random_hermitian(rng, d), linalg.random_hermitian(rng, d)
+        for x, y in ((a, b), (a, b.real), (a + b.T, b)):
+            assert linalg.trace_inner(x, y) == float(np.sum(x * y.T).real)
+
+
+def test_cholesky_factors_pd_stacks_and_flags_the_rest():
+    rng = np.random.default_rng(10)
+    stack = np.stack([linalg.random_spectrum_hermitian(rng, 3, 0.1, 2.0)
+                      for _ in range(4)])
+    L = linalg.cholesky(stack)
+    assert np.allclose(L @ L.conj().swapaxes(-1, -2), stack, atol=1e-14)
+    assert np.array_equal(L, np.tril(L))
+    stack[2] = linalg.random_spectrum_hermitian(rng, 3, -1.0, -0.1)
+    assert linalg.cholesky(stack) is None
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(NumericalFailure, match="non-finite") as info:
+        linalg.cholesky(stack)
+    assert info.value.diagnostics == {"dim": 3, "block": 1}
 
 
 def test_random_hermitian_is_hermitian():

@@ -1,11 +1,14 @@
 """Seven-cell MIMO throughput game."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from spectra_svi import mimo, problem as pb
-from spectra_svi.errors import NumericalFailure
-from spectra_svi.linalg import spectral_norm
+from spectra_svi.errors import DomainError, NumericalFailure
+from spectra_svi.linalg import hermitianize, spectral_norm
 from spectra_svi.oracles import finite_diff_gradient
 from spectra_svi.problem import TraceMode
 
@@ -173,6 +176,45 @@ def test_throughput_rejects_non_finite_covariances(m, n, bad):
     with pytest.raises(NumericalFailure, match="non-finite") as info:
         mimo.throughput(ch, cov._replace(full=full))
     assert info.value.diagnostics == {"dim": n, "block": 3}
+
+
+def test_throughput_names_lambda_min_of_a_covariance_that_is_not_pd():
+    # A profile far outside the set makes the received covariances
+    # themselves indefinite: the Cholesky factorization fails, and the
+    # eigenvalues computed only then name the smallest one.
+    topo = mimo.canonical_topology(4, 4)
+    ch = mimo.sample_channels(topo, np.random.default_rng(12))
+    X = -50.0 * _feasible_profile(topo, np.random.default_rng(13))
+    eye = np.eye(4)
+    lam_min = math.inf
+    for i in range(7):
+        full = eye + sum(ch.link(j, i) @ X[j] @ ch.link(j, i).conj().T
+                         for j in range(7))
+        own = ch.link(i, i) @ X[i] @ ch.link(i, i).conj().T
+        for W in (full, full - own):
+            lam_min = min(lam_min, np.linalg.eigvalsh(hermitianize(W))[0])
+    assert lam_min < 0
+    message = f"covariance not PD: lambda_min = {lam_min:.3e}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        mimo.throughput(ch, X)
+
+
+def test_rates_of_pd_covariances_take_no_eigenvalue_solve(monkeypatch):
+    # The stability workload's shape: 4 cells of the 4x4 game on 2 draws.
+    topo = mimo.canonical_topology(4, 4)
+    draws = [mimo.sample_channels(topo, np.random.default_rng(s))
+             for s in (14, 15)]
+    ch = mimo.ChannelSet.stack(draws * 2)
+    rng = np.random.default_rng(16)
+    X = np.stack([_feasible_profile(topo, rng) for _ in range(4)])
+    expected = mimo.throughput(ch, X)
+
+    def refuse(*args):
+        raise AssertionError("eigenvalue solve on the rates' success path")
+
+    monkeypatch.setattr(mimo.linalg, "eigvals", refuse)
+    rates = mimo.throughput(ch, X)
+    assert rates.shape == (4, 7) and np.array_equal(rates, expected)
 
 
 def test_interference_reduces_rate():

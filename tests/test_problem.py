@@ -1,5 +1,7 @@
 """Constraint sets, padded block profiles, gap functions, test problems."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,52 @@ def test_assert_feasible_dims_mismatch():
     cset = SpectraSet((3,))
     with pytest.raises(DomainError, match="dims"):
         pb.assert_feasible(pad_blocks((np.eye(2) / 2,)), cset)
+
+
+def _with_lambda_min(cset, rng, lam, i):
+    """A feasible block of size dims[i] with trace bound and smallest
+    eigenvalue lam."""
+    d, p = cset.dims[i], cset.bound
+    w = np.concatenate(([p - lam - 0.1 * (d - 2)],
+                        np.full(d - 2, 0.1), [lam]))
+    V = linalg.random_unitary(rng, d)
+    return linalg.hermitianize((V * w) @ V.conj().T)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("mode", list(TraceMode))
+def test_assert_feasible_psd_tolerance_on_mixed_blocks(mode, i):
+    tol = pb.FEASIBILITY_PSD_TOL
+    cset = SpectraSet((2, 3, 2), 1.5, mode)
+    rng = np.random.default_rng(17)
+    X = np.stack([pb.random_feasible_profile(cset, rng) for _ in range(3)])
+    X[1, i, :cset.dims[i], :cset.dims[i]] = _with_lambda_min(
+        cset, rng, -0.5 * tol, i)
+    pb.assert_feasible(X, cset)
+    # a later cell fails worse, at an earlier block
+    X[2, 0, :2, :2] = _with_lambda_min(cset, rng, -3 * tol, 0)
+    X[1, i, :cset.dims[i], :cset.dims[i]] = _with_lambda_min(
+        cset, rng, -2 * tol, i)
+    message = f"block {i} not PSD: lambda_min = -2.000e-09"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        pb.assert_feasible(X, cset)
+
+
+def test_feasible_profiles_pass_without_an_eigenvalue_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eigenvalue solve on the feasible path")
+
+    monkeypatch.setattr(pb, "eigvals", refuse)
+    rng = np.random.default_rng(18)
+    for dims in ((2, 3, 2), (4,) * 7, (2,) * 7):
+        for mode in TraceMode:
+            cset = SpectraSet(dims, 1.5, mode)
+            X = np.stack([pb.random_feasible_profile(cset, rng)
+                          for _ in range(4)])
+            pb.assert_feasible(X, cset)
+            pb.assert_feasible(X[0], cset)
+    with pytest.raises(AssertionError, match="eigenvalue solve"):
+        pb.assert_feasible(X + np.eye(2), cset)  # traces 2 over the bound
 
 
 def test_noise_model_rejects_negative_or_non_finite_sigma():
