@@ -12,6 +12,11 @@ worker when a process pool is used. A batch draws each distinct channel
 seed once; its cells share that draw, its padded stack and its oracle
 bound. Per-player rates stay one (T, N) array per cell until
 `write_throughput_csv` formats them.
+
+`ExperimentConfig` holds every default; `_EXPERIMENT` maps each
+`[experiment]` key to its field, parser and echo format. A `CellTask`
+carries its `SolverConfig`; a `GapRecord` is a CSV row, whose tuple
+order is the row order. Repeated grid values are a ConfigError.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import product
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,16 +66,21 @@ _log = logging.getLogger(__name__)
 DEFAULT_BASE_SEED = 2026
 SEED_ENV_VAR = "SPECTRA_SVI_SEED"
 
-_SCHEDULE_NAMES = {
-    "harmonic-sqrt": StepSchedule.harmonic_sqrt,
-    "harmonic": StepSchedule.harmonic,
-    "horizon": StepSchedule.horizon,
-}
-
 
 def _fmt(x: float) -> str:
     """Floats at 17 significant digits: round-trips float64 exactly."""
     return f"{float(x):.17g}"
+
+
+def _fmt_list(values: Iterable[float]) -> str:
+    return ", ".join(_fmt(v) for v in values)
+
+
+def _reject_repeats(name: str, values: tuple) -> None:
+    """ConfigError if `values` lists one value twice (equal floats count,
+    so 0 and -0 are one): each repeat would rerun a cell under its key."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name}: values must be distinct, got {values}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,13 @@ class MethodSpec:
         if not all(0 <= lam < np.inf for lam in self.lambdas):
             raise ConfigError(
                 f"lambdas: must be finite and >= 0, got {self.lambdas}")
+        _reject_repeats("lambdas", self.lambdas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    antenna_pairs: tuple[tuple[int, int], ...]
-    sigmas: tuple[float, ...]
+    antenna_pairs: tuple[tuple[int, int], ...] = ((2, 2),)
+    sigmas: tuple[float, ...] = (1.0,)
     methods: tuple[MethodSpec, ...]
     iterations: int = 4000
     sample_paths: int = 10
@@ -110,6 +123,7 @@ class ExperimentConfig:
         if min(min(pair) for pair in self.antenna_pairs) < 1:
             raise ConfigError(
                 f"antennas: counts must be >= 1, got {self.antenna_pairs}")
+        _reject_repeats("antennas", self.antenna_pairs)
         if self.topology != "canonical7" and len(self.antenna_pairs) > 1:
             # The file fixes every user's antenna counts; each pair would
             # rerun the same game under another label.
@@ -121,19 +135,24 @@ class ExperimentConfig:
         if not all(0 <= s < np.inf for s in self.sigmas):
             raise ConfigError(
                 f"sigmas: must be finite and >= 0, got {self.sigmas}")
+        _reject_repeats("sigmas", self.sigmas)
         if not self.methods:
             raise ConfigError("method list must be non-empty")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.sample_paths < 1:
-            raise ConfigError(
-                f"sample_paths must be >= 1, got {self.sample_paths}")
-        if self.gap_every < 1:
-            raise ConfigError(f"gap_every must be >= 1, got {self.gap_every}")
+        # The solver seed leaves out the schedule: a method listed twice
+        # would run its cells twice under one key.
+        _reject_repeats("methods",
+                        tuple(spec.method.value for spec in self.methods))
+        for name in ("iterations", "sample_paths", "gap_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
+    """One results CSV row, fields in column order. Tuples order rows:
+    the cell coordinates and iteration before them are unique in a grid,
+    so gap and elapsed_ms never decide."""
+
     method: str
     m: int
     n: int
@@ -143,11 +162,6 @@ class GapRecord:
     iteration: int
     gap: float
     elapsed_ms: float
-
-    @property
-    def sort_key(self):
-        return (self.method, self.m, self.n, self.sigma, self.lam,
-                self.path, self.iteration)
 
 
 def derive_seed(base_seed: int, *parts: object) -> int:
@@ -166,23 +180,18 @@ class CellTask:
     """Self-contained unit of work, picklable for process pools."""
 
     topology: NetworkTopology
-    method: Method
-    schedule: StepSchedule
-    lam: float
     m: int
     n: int
     sigma: float
     path: int
     channel_seed: int
-    solver_seed: int
-    iterations: int
-    gap_every: int
+    solver: SolverConfig
     record_timing: bool
     record_throughput: bool
 
     def label(self) -> str:
-        return (f"method={self.method.value} m={self.m} n={self.n} "
-                f"sigma={_fmt(self.sigma)} lambda={_fmt(self.lam)} "
+        return (f"method={self.solver.method.value} m={self.m} n={self.n} "
+                f"sigma={_fmt(self.sigma)} lambda={_fmt(self.solver.lam)} "
                 f"path={self.path}")
 
 
@@ -274,41 +283,24 @@ def build_tasks(config: ExperimentConfig) -> list[CellTask]:
     tasks = []
     for m, n in config.antenna_pairs:
         topo = _load_topology(config.topology, m, n)
-        for sigma in config.sigmas:
-            for mspec in config.methods:
-                for lam in mspec.lambdas:
-                    for path in range(config.sample_paths):
-                        channel_path = path if config.resample_channels else -1
-                        tasks.append(CellTask(
-                            topology=topo,
-                            method=mspec.method,
-                            schedule=mspec.schedule,
-                            lam=lam,
-                            m=m,
-                            n=n,
-                            sigma=sigma,
-                            path=path,
-                            channel_seed=derive_seed(
-                                config.base_seed, "channels", m, n,
-                                channel_path),
-                            solver_seed=derive_seed(
-                                config.base_seed, "solver",
-                                mspec.method.value, _fmt(lam), m, n,
-                                _fmt(sigma), path),
-                            iterations=config.iterations,
-                            gap_every=config.gap_every,
-                            record_timing=config.record_timing,
-                            record_throughput=config.record_throughput,
-                        ))
+        for sigma, mspec in product(config.sigmas, config.methods):
+            for lam, path in product(mspec.lambdas,
+                                     range(config.sample_paths)):
+                channel_path = path if config.resample_channels else -1
+                solver = SolverConfig(
+                    method=mspec.method, iterations=config.iterations,
+                    schedule=mspec.schedule, lam=lam,
+                    gap_every=config.gap_every,
+                    seed=derive_seed(config.base_seed, "solver",
+                                     mspec.method.value, _fmt(lam), m, n,
+                                     _fmt(sigma), path))
+                tasks.append(CellTask(
+                    topology=topo, m=m, n=n, sigma=sigma, path=path,
+                    channel_seed=derive_seed(config.base_seed, "channels",
+                                             m, n, channel_path),
+                    solver=solver, record_timing=config.record_timing,
+                    record_throughput=config.record_throughput))
     return tasks
-
-
-def _draw_key(task: CellTask) -> tuple:
-    """Identifies a channel draw; NetworkTopology holds an ndarray and is
-    unhashable, so the key is built from its fields."""
-    topo = task.topology
-    return (topo.tx_antennas, topo.rx_antennas, topo.distance_km.tobytes(),
-            topo.max_power, task.channel_seed)
 
 
 def cell_problem(task: CellTask, channels: ChannelSet | None = None
@@ -319,15 +311,7 @@ def cell_problem(task: CellTask, channels: ChannelSet | None = None
         channels = sample_channels(task.topology,
                                    np.random.default_rng(task.channel_seed))
     problem = game_to_svi(task.topology, channels, task.sigma)
-    solver_config = SolverConfig(
-        method=task.method,
-        iterations=task.iterations,
-        schedule=task.schedule,
-        lam=task.lam,
-        gap_every=task.gap_every,
-        seed=task.solver_seed,
-    )
-    return channels, problem, solver_config
+    return channels, problem, task.solver
 
 
 def game_and_throughput(problem: SviProblem, points: np.ndarray,
@@ -344,19 +328,20 @@ def run_cell(*tasks: CellTask
              ) -> tuple[list[GapRecord], list[CellRates], list[str]]:
     """Execute cells of one antenna pair as one batched solver run and
     emit their records, rates and failure lines (one task: a lone cell).
-    Cells with the same channel seed share one draw.
+    Cells with the same channel seed share one draw: the seed hashes the
+    antenna pair, which with the config's one topology fixes the draw.
 
     elapsed_ms is 0 unless timing was requested: measured wall time
     would make otherwise identical runs differ byte for byte. When
     measured, it is the wall time of the batched solver run, including
     any throughput evaluation, shared by every cell of the batch.
     """
-    draws: dict[tuple, ChannelSet] = {}
+    draws: dict[int, ChannelSet] = {}
     cells = []
     for task in tasks:
-        key = _draw_key(task)
-        channels, problem, config = cell_problem(task, draws.get(key))
-        draws[key] = channels
+        channels, problem, config = cell_problem(
+            task, draws.get(task.channel_seed))
+        draws[task.channel_seed] = channels
         cells.append((problem, config))
     measure = game_and_throughput if tasks[0].record_throughput else None
     tic = time.perf_counter()
@@ -368,15 +353,16 @@ def run_cell(*tasks: CellTask
     rates: list[CellRates] = []
     failures: list[str] = []
     for task, result in zip(tasks, results):
+        method = task.solver.method.value
         records.extend(
-            GapRecord(task.method.value, task.m, task.n, task.sigma,
-                      task.lam, task.path, it, gap,
+            GapRecord(method, task.m, task.n, task.sigma, task.solver.lam,
+                      task.path, it, gap,
                       elapsed_ms if task.record_timing else 0.0)
             for it, gap in result.gap_trace)
         if result.error is not None:
             failures.append(f"{task.label()}: {result.error}")
         elif measure is not None:
-            rates.append((task.method.value, task.path, result.measures))
+            rates.append((method, task.path, result.measures))
     return records, rates, failures
 
 
@@ -448,14 +434,14 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
             out.failures.append(failure)
             if on_failure is not None:
                 on_failure(failure)
-    out.records.sort(key=lambda r: r.sort_key)
+    out.records.sort()
     return out
 
 
 def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:
     """Pinned schema: method,m,n,sigma,lambda,path,iter,gap,elapsed_ms."""
     lines = [CSV_HEADER]
-    for r in sorted(records, key=lambda r: r.sort_key):
+    for r in sorted(records):
         lines.append(",".join((
             r.method, str(r.m), str(r.n), _fmt(r.sigma), _fmt(r.lam),
             str(r.path), str(r.iteration), _fmt(r.gap), _fmt(r.elapsed_ms))))
@@ -464,8 +450,13 @@ def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:
 
 
 def read_csv(path: str | os.PathLike) -> list[GapRecord]:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    """Records of a results CSV; a file that is not ASCII, or a row with
+    a malformed or non-finite number, is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: expected header {CSV_HEADER!r}")
     records = []
@@ -474,12 +465,16 @@ def read_csv(path: str | os.PathLike) -> list[GapRecord]:
         if len(parts) != 9:
             raise ConfigError(f"{path}:{idx}: expected 9 fields, got {len(parts)}")
         try:
-            records.append(GapRecord(
+            record = GapRecord(
                 parts[0], int(parts[1]), int(parts[2]), float(parts[3]),
                 float(parts[4]), int(parts[5]), int(parts[6]),
-                float(parts[7]), float(parts[8])))
-        except ValueError as exc:
+                float(parts[7]), float(parts[8]))
+            # An int too large for a float raises OverflowError here.
+            if not all(map(math.isfinite, record[1:])):
+                raise ValueError(f"non-finite value in {line!r}")
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}:{idx}: {exc}") from exc
+        records.append(record)
     return records
 
 
@@ -509,11 +504,11 @@ def write_throughput_csv(rates: Iterable[CellRates],
 
 # --- configuration files --------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "topology", "antennas", "sigmas", "iterations", "sample_paths",
-    "gap_every", "base_seed", "resample_channels", "record_timing",
-    "record_throughput",
-}
+def _parse_int(value: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_bool(value: str, where: str) -> bool:
@@ -554,17 +549,47 @@ def _parse_floats(value: str, where: str) -> tuple[float, ...]:
 
 
 def parse_schedule(value: str, where: str = "schedule") -> StepSchedule:
-    v = value.strip().lower()
-    if v in _SCHEDULE_NAMES:
-        return _SCHEDULE_NAMES[v]()
-    if v.startswith("constant:"):
+    """A `ScheduleKind` value; `constant` alone takes `:<eta>`."""
+    name, colon, eta = value.strip().lower().partition(":")
+    kind = {k.value: k for k in ScheduleKind}.get(name)
+    if kind is not None and (kind is ScheduleKind.CONSTANT) == bool(colon):
+        if not colon:
+            return StepSchedule(kind)
         try:
-            return StepSchedule.constant(float(v.split(":", 1)[1]))
+            return StepSchedule.constant(float(eta))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
         f"{where}: unknown schedule {value!r} (use harmonic-sqrt, harmonic, "
         "horizon, or constant:<eta>)")
+
+
+def _schedule_text(schedule: StepSchedule) -> str:
+    """The config-file form of a schedule, as `parse_schedule` reads it."""
+    if schedule.kind is ScheduleKind.CONSTANT:
+        return "constant:" + _fmt(schedule.eta)
+    return schedule.kind.value
+
+
+def _bool_text(value: bool) -> str:
+    return str(value).lower()
+
+
+# [experiment] key -> (ExperimentConfig field, parser, echo format), in
+# echo order. A key left out of a file keeps the field's default.
+_EXPERIMENT = {
+    "topology": ("topology", lambda value, where: value, str),
+    "antennas": ("antenna_pairs", _parse_pairs,
+                 lambda pairs: ", ".join(f"{m}x{n}" for m, n in pairs)),
+    "sigmas": ("sigmas", _parse_floats, _fmt_list),
+    "iterations": ("iterations", _parse_int, str),
+    "sample_paths": ("sample_paths", _parse_int, str),
+    "gap_every": ("gap_every", _parse_int, str),
+    "base_seed": ("base_seed", _parse_int, str),
+    "resample_channels": ("resample_channels", _parse_bool, _bool_text),
+    "record_timing": ("record_timing", _parse_bool, _bool_text),
+    "record_throughput": ("record_throughput", _parse_bool, _bool_text),
+}
 
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -576,7 +601,7 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
-    _reject_unknown(path, exp, _EXPERIMENT_KEYS, "key '{}' in [experiment]")
+    _reject_unknown(path, exp, _EXPERIMENT, "key '{}' in [experiment]")
     if not parser.has_section("methods"):
         raise ConfigError(f"{path}: missing [methods] section")
 
@@ -600,34 +625,10 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     if not specs:
         raise ConfigError(f"{path}: [methods] section is empty")
 
-    def get_int(key: str, default: int) -> int:
-        if key not in exp:
-            return default
-        try:
-            return int(exp[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [experiment] {key}: {exc}") from exc
-
-    def get_bool(key: str, default: str) -> bool:
-        return _parse_bool(exp.get(key, default),
-                           f"{path}: [experiment] {key}")
-
     # Parsed here, the values carry their own "path: [section] key"
     # prefix; the constructors' range checks below get the path added.
-    values = dict(
-        antenna_pairs=_parse_pairs(exp.get("antennas", "2x2"),
-                                   f"{path}: [experiment] antennas"),
-        sigmas=_parse_floats(exp.get("sigmas", "1"),
-                             f"{path}: [experiment] sigmas"),
-        iterations=get_int("iterations", 4000),
-        sample_paths=get_int("sample_paths", 10),
-        gap_every=get_int("gap_every", 100),
-        base_seed=get_int("base_seed", DEFAULT_BASE_SEED),
-        topology=exp.get("topology", "canonical7"),
-        resample_channels=get_bool("resample_channels", "true"),
-        record_timing=get_bool("record_timing", "false"),
-        record_throughput=get_bool("record_throughput", "false"),
-    )
+    values = {name: parse(exp[key], f"{path}: [experiment] {key}")
+              for key, (name, parse, _) in _EXPERIMENT.items() if key in exp}
     try:
         return ExperimentConfig(
             methods=tuple(MethodSpec(*spec) for spec in specs), **values)
@@ -649,45 +650,22 @@ def preset_config(name: str) -> ExperimentConfig:
     """
     hs = StepSchedule.harmonic_sqrt()
     h = StepSchedule.harmonic()
+    smd = (MethodSpec(Method.AM_SMD, hs), MethodSpec(Method.M_SMD, hs))
     if name == "demo":
         return ExperimentConfig(
-            antenna_pairs=((2, 2),),
-            sigmas=(1.0,),
-            methods=(
-                MethodSpec(Method.AM_SMD, hs),
-                MethodSpec(Method.M_SMD, hs),
-                MethodSpec(Method.MEL, h, (0.5,)),
-            ),
-            iterations=2000,
-            sample_paths=3,
-            gap_every=50,
-        )
+            antenna_pairs=((2, 2),), sigmas=(1.0,),
+            methods=smd + (MethodSpec(Method.MEL, h, (0.5,)),),
+            iterations=2000, sample_paths=3, gap_every=50)
     if name == "full-grid":
         return ExperimentConfig(
-            antenna_pairs=((2, 4), (4, 2), (4, 4)),
-            sigmas=(0.5, 1.0, 5.0),
-            methods=(
-                MethodSpec(Method.AM_SMD, hs),
-                MethodSpec(Method.M_SMD, hs),
-                MethodSpec(Method.MEL, h, (0.1, 0.5, 1.0)),
-            ),
-            iterations=4000,
-            sample_paths=10,
-            gap_every=100,
-        )
+            antenna_pairs=((2, 4), (4, 2), (4, 4)), sigmas=(0.5, 1.0, 5.0),
+            methods=smd + (MethodSpec(Method.MEL, h, (0.1, 0.5, 1.0)),),
+            iterations=4000, sample_paths=10, gap_every=100)
     if name == "stability":
         return ExperimentConfig(
-            antenna_pairs=((4, 4),),
-            sigmas=(10.0,),
-            methods=(
-                MethodSpec(Method.AM_SMD, hs),
-                MethodSpec(Method.M_SMD, hs),
-            ),
-            iterations=2000,
-            sample_paths=10,
-            gap_every=100,
-            record_throughput=True,
-        )
+            antenna_pairs=((4, 4),), sigmas=(10.0,), methods=smd,
+            iterations=2000, sample_paths=10, gap_every=100,
+            record_throughput=True)
     raise ConfigError(f"unknown preset {name!r} (use {', '.join(PRESETS)})")
 
 
@@ -695,30 +673,14 @@ def config_echo_text(config: ExperimentConfig) -> str:
     """Resolved configuration plus every behavioral convention in effect,
     written where the numbers land so results are self-describing."""
     lines = ["[experiment]"]
-    lines.append("topology = " + config.topology)
-    lines.append("antennas = " + ", ".join(
-        f"{m}x{n}" for m, n in config.antenna_pairs))
-    lines.append("sigmas = " + ", ".join(_fmt(s) for s in config.sigmas))
-    lines.append(f"iterations = {config.iterations}")
-    lines.append(f"sample_paths = {config.sample_paths}")
-    lines.append(f"gap_every = {config.gap_every}")
-    lines.append(f"base_seed = {config.base_seed}")
-    lines.append(f"resample_channels = {str(config.resample_channels).lower()}")
-    lines.append(f"record_timing = {str(config.record_timing).lower()}")
-    lines.append(f"record_throughput = {str(config.record_throughput).lower()}")
-    lines.append("")
-    lines.append("[methods]")
-    for mspec in config.methods:
-        sched = mspec.schedule
-        text = sched.kind.value
-        if sched.kind is ScheduleKind.CONSTANT:
-            text += ":" + _fmt(sched.eta)
-        lines.append(f"{mspec.method.value} = {text}")
+    lines += [f"{key} = {echo(getattr(config, name))}"
+              for key, (name, _, echo) in _EXPERIMENT.items()]
+    lines += ["", "[methods]"]
+    lines += [f"{mspec.method.value} = {_schedule_text(mspec.schedule)}"
+              for mspec in config.methods]
     mel = [m for m in config.methods if m.method is Method.MEL]
     if mel:
-        lines.append("")
-        lines.append("[mel]")
-        lines.append("lambdas = " + ", ".join(_fmt(v) for v in mel[0].lambdas))
+        lines += ["", "[mel]", "lambdas = " + _fmt_list(mel[0].lambdas)]
     lines.append("")
     lines.append("[conventions]")
     lines.append("initial_dual = zero per block (Gibbs map is shift-invariant, "

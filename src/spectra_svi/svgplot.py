@@ -3,13 +3,14 @@
 One line per (method, lambda) pair: x is the iteration, y the log10 of
 the gap averaged over every record at that iteration (sample paths, and
 grid cells if several are present). Zero gaps are clamped at 1e-16
-before the log.
+before the log, and a mean whose sum overflows at the largest float.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import defaultdict
 from typing import Iterable
 
@@ -35,7 +36,8 @@ def _series_from_records(records: list[GapRecord]):
     for method, lam in sorted(groups):
         cells = groups[(method, lam)]
         pts = [
-            (it, math.log10(max(sum(v) / len(v), GAP_LOG_FLOOR)))
+            (it, math.log10(min(max(sum(v) / len(v), GAP_LOG_FLOOR),
+                                sys.float_info.max)))
             for it, v in sorted(cells.items())
         ]
         label = method if lam == 0 else f"{method} lambda={lam:g}"
@@ -44,9 +46,11 @@ def _series_from_records(records: list[GapRecord]):
 
 
 def _spread(lo: float, hi: float) -> tuple[float, float]:
+    """A range of positive width: one value widens to +-1, in ints for
+    ints, which stay exact where a float's unit exceeds 1."""
     if hi > lo:
         return lo, hi
-    return lo - 1.0, hi + 1.0
+    return lo - 1, hi + 1
 
 
 def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:

@@ -75,8 +75,8 @@ def grids(draw, sigmas=(0.0, 0.5, 2.0), min_paths=1):
 
 
 def _key(task):
-    return (task.method.value, task.m, task.n, task.sigma, task.lam,
-            task.path)
+    return (task.solver.method.value, task.m, task.n, task.sigma,
+            task.solver.lam, task.path)
 
 
 def _traces(grid):
@@ -142,7 +142,7 @@ def test_a_failing_cell_leaves_its_batch_unchanged(config, data):
 
     def default_rng(seed=None):
         rng = real(seed)
-        return _FailingStream(rng, good) if seed == target.solver_seed else rng
+        return _FailingStream(rng, good) if seed == target.solver.seed else rng
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", default_rng)
@@ -164,7 +164,7 @@ def _csv_lines(grid, tmp_path, skip):
     harness.write_throughput_csv(grid.rates, tmp_path / "throughput.csv")
     gaps = (tmp_path / "gaps.csv").read_bytes().splitlines()
     rates = (tmp_path / "throughput.csv").read_bytes().splitlines()
-    cell = (skip.method.value.encode(), str(skip.path).encode())
+    cell = (skip.solver.method.value.encode(), str(skip.path).encode())
     # method and path: fields 0 and 5 of a gap row, 0 and 2 of a rate row
     return ([g for g in gaps if tuple(g.split(b",")[0:6:5]) != cell],
             [r for r in rates if tuple(r.split(b",")[0:3:2]) != cell])
@@ -184,7 +184,7 @@ def test_a_throughput_failure_fails_only_its_cell(threads, tmp_path,
     target, k = tasks[2], 7  # M-SMD, path 0; fails at iteration 7
     clean = harness.run_grid(config, threads=threads)
     [poison] = [rates[k - 1] for method, path, rates in clean.rates
-                if (method, path) == (target.method.value, target.path)]
+                if (method, path) == (target.solver.method.value, target.path)]
     real = harness.throughput
 
     def faulty(channels, X):
@@ -203,11 +203,11 @@ def test_a_throughput_failure_fails_only_its_cell(threads, tmp_path,
     assert grid.failures == lone_failures
     assert [r.iteration for r in lone_records] == [4]  # the partial trace
     assert [r for r in grid.records
-            if (r.method, r.path) == (target.method.value, target.path)
+            if (r.method, r.path) == (target.solver.method.value, target.path)
             ] == lone_records
     assert lone_rates == []
     assert not [cell for cell in grid.rates
-                if cell[:2] == (target.method.value, target.path)]
+                if cell[:2] == (target.solver.method.value, target.path)]
     others = _csv_lines(clean, tmp_path, target)
     assert [len(lines) for lines in others] == [1 + 3 * 3, 1 + 3 * 12 * 7]
     assert _csv_lines(grid, tmp_path, target) == others

@@ -81,11 +81,17 @@ def test_run_rejects_negative_threads(tmp_path, capsys):
     ("sigmas = 1", "sigmas = 1\ntopology = {topology}", "max_pwr"),
     ("antennas = 2x2", "antennas = 2x2, 4x4\ntopology = {topology}",
      "antennas"),
+    ("antennas = 2x2", "antennas = 2x2, 2X2", "antennas"),
+    ("sigmas = 1", "sigmas = 1, 1.0", "sigmas"),
+    ("sigmas = 1", "sigmas = 0, -0", "sigmas"),
+    ("am-smd = horizon", "mel = harmonic\n[mel]\nlambdas = 0.5, 0.50",
+     "lambdas"),
 ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "antennas-0x2",
         "antennas-2x0", "constant-nan", "lambda-nan", "lambda-negative",
         "repeated-key", "percent-sign", "not-utf8", "mel-empty",
         "unknown-section", "unknown-topology-key",
-        "pairs-with-topology-file"])
+        "pairs-with-topology-file", "repeated-antennas", "repeated-sigma",
+        "signed-zero-sigmas", "repeated-lambda"])
 def test_run_rejects_bad_values_before_any_work(tmp_path, capsys,
                                                 old, new, key):
     cfg = tmp_path / "exp.ini"
@@ -190,6 +196,37 @@ def test_run_with_every_cell_failed_writes_partial_results(tmp_path, capsys,
     echo = (out / "config.echo.txt").read_text()
     assert "sigma=1" in echo.split("[failures]\n", 1)[1]
     assert not (out / "results.svg").exists()
+
+
+def test_run_rejects_a_config_that_repeats_cells(tmp_path, capsys):
+    # Each repeat would rerun its cells with the same seeds and write
+    # their rows again under the same key.
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_tiny_config_text().replace(
+        "antennas = 2x2", "antennas = 2x2, 2X2").replace(
+        "sigmas = 1", "sigmas = 1, 1.0").replace(
+        "am-smd = horizon", "mel = harmonic\n[mel]\nlambdas = 0.5, 0.50"))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", [
+    b"am-smd,2,2,1,0,0,30,inf,0",
+    b"am-smd,2,2,1,0,0,30,nan,0",
+    b"am-smd,2,2,1,0,0,30,0.5,0\xff",
+], ids=["gap-inf", "gap-nan", "not-ascii"])
+def test_plot_rejects_unplottable_csv(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(harness.CSV_HEADER.encode() + b"\n" + row + b"\n")
+    svg = tmp_path / "x.svg"
+    assert cli.main(["plot", str(bad), str(svg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}")
+    assert "Traceback" not in err
+    assert not svg.exists()
 
 
 def test_plot_rejects_csv_without_records(tmp_path, capsys):

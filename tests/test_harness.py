@@ -1,7 +1,9 @@
 """Experiment grids: seeding, CSV schema, config parsing, presets."""
 
 import os
+import re
 from concurrent.futures import Future
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,6 +69,10 @@ def test_method_spec_rejects_lambdas_off_mel():
     for lam in (-0.5, np.nan, np.inf):
         with pytest.raises(ConfigError, match="lambdas"):
             MethodSpec(Method.MEL, StepSchedule.harmonic(), (0.1, lam))
+    # a repeated lambda would run its cells twice under one key
+    for lambdas in ((0.5, 0.5), (0.1, 0.5, 0.50), (0.0, -0.0)):
+        with pytest.raises(ConfigError, match="lambdas"):
+            MethodSpec(Method.MEL, StepSchedule.harmonic(), lambdas)
 
 
 def test_experiment_config_validation():
@@ -84,6 +90,16 @@ def test_experiment_config_validation():
     for sigma in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="sigmas"):
             _small_config(sigmas=(1.0, sigma))
+    # repeated values would run one cell several times under one key
+    with pytest.raises(ConfigError, match="antennas"):
+        _small_config(antenna_pairs=((2, 2), (2, 4), (2, 2)))
+    for sigmas in ((1.0, 1.0), (0.0, -0.0)):
+        with pytest.raises(ConfigError, match="sigmas"):
+            _small_config(sigmas=sigmas)
+    with pytest.raises(ConfigError, match="methods"):
+        _small_config(methods=(
+            MethodSpec(Method.AM_SMD, StepSchedule.horizon()),
+            MethodSpec(Method.AM_SMD, StepSchedule.harmonic())))
 
 
 def test_build_tasks_grid_product():
@@ -119,7 +135,7 @@ def test_build_tasks_channel_seed_pairs_methods():
 
 def test_build_tasks_solver_seeds_distinct():
     tasks = build_tasks(_small_config())
-    seeds = [t.solver_seed for t in tasks]
+    seeds = [t.solver.seed for t in tasks]
     assert len(set(seeds)) == len(seeds)
 
 
@@ -154,7 +170,7 @@ def test_run_grid_deterministic_records():
 
 def test_run_grid_sorted_output():
     grid = run_grid(_small_config(), threads=1)
-    keys = [r.sort_key for r in grid.records]
+    keys = [r[:7] for r in grid.records]
     assert keys == sorted(keys)
 
 
@@ -211,8 +227,8 @@ def test_run_grid_survives_a_dead_worker(monkeypatch):
     assert all("BrokenProcessPool" in line for line in grid.failures)
     for task in build_tasks(config):
         rows = [r for r in grid.records
-                if (r.method, r.n, r.path) == (task.method.value, task.n,
-                                               task.path)]
+                if (r.method, r.n, r.path) == (task.solver.method.value,
+                                               task.n, task.path)]
         assert (task.label() in failed) != bool(rows)
         assert task.n == 2 or task.label() in failed
 
@@ -386,6 +402,29 @@ def test_read_csv_rejects_non_numeric(tmp_path):
         read_csv(p)
 
 
+def test_read_csv_rejects_non_ascii_bytes(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(CSV_HEADER.encode() + b"\nam-smd\xe9,2,2,1,0,0,1,0.5,0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: not ASCII")):
+        read_csv(p)
+
+
+@pytest.mark.parametrize("row", [
+    "am-smd,2,2,nan,0,0,1,0.5,0",
+    "am-smd,2,2,1,inf,0,1,0.5,0",
+    "am-smd,2,2,1,0,0,1,nan,0",
+    "am-smd,2,2,1,0,0,1,-inf,0",
+    "am-smd,2,2,1,0,0,1,0.5,inf",
+    "am-smd,2,2,1,0,0," + "9" * 400 + ",0.5,0",
+], ids=["sigma-nan", "lambda-inf", "gap-nan", "gap-minus-inf",
+        "elapsed-inf", "iteration-beyond-float"])
+def test_read_csv_rejects_non_finite_values(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{CSV_HEADER}\nam-smd,2,2,1,0,0,1,0.5,0\n{row}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:3: ")):
+        read_csv(p)
+
+
 def test_throughput_csv_round_trip(tmp_path):
     rates = [("am-smd", 0, np.array([[0.123456789012345678, 2.5]]))]
     p = tmp_path / "tp.csv"
@@ -405,6 +444,13 @@ def test_parse_schedule_forms():
         parse_schedule("linear")
     with pytest.raises(ConfigError):
         parse_schedule("constant:fast")
+    # only `constant` takes a stepsize, and it needs one
+    for text in ("constant", "harmonic:3", "horizon:"):
+        with pytest.raises(ConfigError, match="unknown schedule"):
+            parse_schedule(text)
+    with pytest.raises(ConfigError, match="finite and positive, got 0.0"):
+        parse_schedule("constant:0")
+    assert parse_schedule(" Harmonic ") == StepSchedule.harmonic()
 
 
 def test_parse_config_full_file(tmp_path):
@@ -546,6 +592,49 @@ def test_full_grid_preset_cell_count():
     tasks = build_tasks(preset_config("full-grid"))
     # 3 antenna pairs x 3 sigmas x (1 + 1 + 3) method-lambda combos x 10 paths
     assert len(tasks) == 3 * 3 * 5 * 10
+
+
+def _parse_echo(tmp_path, config):
+    """The config that parse_config reads back from the echo's
+    [experiment], [methods] and [mel] sections."""
+    text = harness.config_echo_text(config)
+    p = tmp_path / "echo.ini"
+    p.write_text(text.split("\n[conventions]\n", 1)[0])
+    return parse_config(p)
+
+
+@pytest.mark.parametrize("name", harness.PRESETS)
+def test_config_echo_parses_back_to_the_preset(tmp_path, name):
+    config = preset_config(name)
+    assert _parse_echo(tmp_path, config) == config
+
+
+def test_config_echo_parses_back_with_every_key_set(tmp_path):
+    # Every [experiment] field away from its default, a constant
+    # schedule and lambdas that need all 17 digits.
+    config = ExperimentConfig(
+        antenna_pairs=((3, 1),),
+        sigmas=(0.1, 2.5e-7),
+        methods=(
+            MethodSpec(Method.M_SMD, StepSchedule.constant(1 / 3)),
+            MethodSpec(Method.MEL, StepSchedule.horizon(), (0.7, 1e-3)),
+            MethodSpec(Method.AM_SMD, StepSchedule.harmonic()),
+        ),
+        iterations=17,
+        sample_paths=3,
+        gap_every=4,
+        base_seed=-5,
+        topology="layouts/three-cell.ini",
+        resample_channels=False,
+        record_timing=True,
+        record_throughput=True,
+    )
+    p = tmp_path / "defaults.ini"
+    p.write_text("[experiment]\n[methods]\nm-smd = horizon\n")
+    defaults = parse_config(p)
+    assert all(getattr(config, f.name) != getattr(defaults, f.name)
+               for f in fields(ExperimentConfig) if f.name != "methods")
+    assert _parse_echo(tmp_path, config) == config
 
 
 def test_config_echo_is_deterministic_and_self_describing():

@@ -38,6 +38,20 @@ def test_series_clamps_tiny_gaps():
     assert pts[0][1] == pytest.approx(-16.0)
 
 
+def test_series_clamps_overflowing_means():
+    # 1e308 + 1e308 overflows; the mean stays at the largest float
+    records = [_record("m-smd", 0.0, path, 10, 1e308) for path in (0, 1)]
+    (_, pts), = _series_from_records(records)
+    assert pts[0][1] == pytest.approx(308.2547, abs=1e-4)
+
+
+def test_render_svg_single_iteration_beyond_float_precision(tmp_path):
+    # 2**60 - 1.0 == 2**60 + 1.0 in floats: a zero-width axis
+    out = tmp_path / "far.svg"
+    render_svg([_record("am-smd", 0.0, 0, 2**60, 0.5)], out)
+    assert ET.fromstring(out.read_text()).tag.endswith("svg")
+
+
 def test_render_svg_well_formed_and_labelled(tmp_path):
     records = [
         _record("am-smd", 0.0, 0, it, 10.0 / it) for it in (100, 200, 300)
