@@ -405,9 +405,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     outputs: list = [None] * len(batches)
 
     def failed(batch: list[CellTask], exc: Exception) -> tuple:
-        _log.error("batch of %d cells failed", len(batch), exc_info=exc)
-        reason = f"batch failed: {type(exc).__name__}: {exc}"
-        return [], [], [f"{task.label()}: {reason}" for task in batch]
+        reason = f"{type(exc).__name__}: {exc}"
+        _log.error("batch of %d cells failed: %s", len(batch), reason)
+        return [], [], [f"{task.label()}: batch failed: {reason}"
+                        for task in batch]
 
     if workers == 1 or len(batches) == 1:
         for i, batch in enumerate(batches):

@@ -13,6 +13,15 @@ Gibbs maps and the strong gap's lambda_min. The rates' log-determinants
 and the feasibility check take `cholesky`, and compute eigenvalues only
 to explain a failure.
 
+`eig`, `eigvals`, `cholesky` and `hermitian_2x2` take a Hermitian
+input (A == A^dag entry for entry) and use it as given: they check it
+for non-finite entries only. LAPACK reads one triangle and the 2x2
+closed form reads the diagonal and the upper entry, so a matrix that
+is Hermitian only up to rounding gives a result that depends on the
+triangle read; pass its `hermitianize` (or `as_hermitian`) instead.
+The solver loop's duals, iterates, averages and mapping values are
+exactly Hermitian by construction (see `problem`).
+
 2x2 matrices have a closed form, `hermitian_2x2`: `eigvals` and the
 Gibbs maps use it, with no LAPACK call, and its eigenvalues agree with
 LAPACK's to 8 eps * max(1, ||A||_2) (largest seen: 4.8 eps). Every
@@ -68,14 +77,12 @@ def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.n
     return hermitianize(A)
 
 
-def _checked_hermitian(A: np.ndarray) -> np.ndarray:
-    """The Hermitian part of A, or of a stack of matrices, rejecting
+def _checked_finite(A: np.ndarray) -> np.ndarray:
+    """A Hermitian matrix, or a stack of them, as an array, rejecting
     non-finite entries. When a stack holds them, the diagnostics name the
     first offending matrix as `block`, counted along the flattened
     leading axes."""
-    # inf entries make NaNs in the complex halving; rejected just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = hermitianize(A)
+    H = np.asarray(A)
     if not np.all(np.isfinite(H)):
         # Some LAPACK builds return NaN eigenvalues instead of raising;
         # NaN also defeats every downstream comparison, so fail loudly.
@@ -103,14 +110,14 @@ def _lapack(solver, H: np.ndarray):
 
 
 def hermitian_2x2(A: np.ndarray):
-    """The checked Hermitian part H = [[a, b], [conj(b), d]] of a 2x2
-    matrix or stack, with mu = (a + d) / 2, delta = (a - d) / 2 and
+    """The checked Hermitian H = [[a, b], [conj(b), d]] of a 2x2 matrix
+    or stack, with mu = (a + d) / 2, delta = (a - d) / 2 and
     r = hypot(delta, |b|), each with the stack's leading axes. H has the
     eigenvalues mu +- r, and every spectral function f of H is
     alpha I + beta (H - mu I) with alpha = (f(mu + r) + f(mu - r)) / 2
     and beta = (f(mu + r) - f(mu - r)) / (2 r): a closed form with no
     LAPACK call."""
-    H = _checked_hermitian(A)
+    H = _checked_finite(A)
     a, d = H[..., 0, 0].real, H[..., 1, 1].real
     delta = a / 2 - d / 2
     return H, a / 2 + d / 2, delta, np.hypot(delta, np.abs(H[..., 0, 1]))
@@ -118,6 +125,7 @@ def hermitian_2x2(A: np.ndarray):
 
 def eig(A: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    A is used as given (see the module notes).
 
     A may also be a stack of shape (..., d, d); one batched LAPACK call
     then decomposes every matrix, and the results carry the same leading
@@ -128,7 +136,7 @@ def eig(A: np.ndarray) -> EigenDecomposition:
     When a stack holds non-finite entries, the diagnostics name the first
     offending matrix as `block`, counted along the flattened leading axes.
     """
-    w, V = _lapack(np.linalg.eigh, _checked_hermitian(A))
+    w, V = _lapack(np.linalg.eigh, _checked_finite(A))
     return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
 
 
@@ -141,17 +149,17 @@ def eigvals(A: np.ndarray) -> np.ndarray:
     if np.shape(A)[-2:] == (2, 2):
         _, mu, _, r = hermitian_2x2(A)
         return np.stack((mu + r, mu - r), axis=-1)
-    w = _lapack(np.linalg.eigvalsh, _checked_hermitian(A))
+    w = _lapack(np.linalg.eigvalsh, _checked_finite(A))
     return w[..., ::-1].copy()
 
 
 def cholesky(A: np.ndarray) -> np.ndarray | None:
-    """The lower-triangular L with L L^dag the Hermitian part of A, or
-    the factors of every matrix in a stack (one batched LAPACK call), or
-    None when any of them is not positive definite. Non-finite entries
-    raise `eig`'s NumericalFailure, with the same `block` diagnostic."""
+    """The lower-triangular L with L L^dag = A for a Hermitian A, or the
+    factors of every matrix in a stack (one batched LAPACK call), or None
+    when any of them is not positive definite. Non-finite entries raise
+    `eig`'s NumericalFailure, with the same `block` diagnostic."""
     try:
-        return np.linalg.cholesky(_checked_hermitian(A))
+        return np.linalg.cholesky(_checked_finite(A))
     except np.linalg.LinAlgError:
         return None
 

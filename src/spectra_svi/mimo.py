@@ -337,7 +337,11 @@ def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
     cov = _covariances_of(channels, X)
     H = cov.direct
     own = H @ cov.profile @ H.conj().swapaxes(-1, -2)
-    logdet = _logdet_pd(np.stack((cov.full, cov.full - own)))
+    # cov.full is exactly Hermitian, the difference is not. Non-finite
+    # entries make NaNs in the halving; the factorization rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        interference = hermitianize(cov.full - own)
+    logdet = _logdet_pd(np.stack((cov.full, interference)))
     rates = logdet[0] - logdet[1]
     return rates if i is None else float(rates[i])
 

@@ -14,12 +14,20 @@ broadcast through the arithmetic. `SpectraSet.map_blocks` applies a
 function of stacks of blocks to profiles, once per distinct block size.
 The strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
 minimum-eigenvalue problem per block.
+
+Profiles and mapping values are exactly Hermitian: every block equals
+its conjugate transpose entry for entry, as the Gibbs maps, the noise,
+the game mapping and their sums and real multiples are. `linalg` takes
+its input as given, so the feasibility check and the strong gap check
+this invariant on the points and mapping values they are handed.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +40,8 @@ from .mirror import gibbs_map
 
 FEASIBILITY_PSD_TOL = 1e-9
 FEASIBILITY_TRACE_TOL = 1e-8
+# complex entries (64 KiB) in one block of a batch's noise draws
+NOISE_BLOCK_ENTRIES = 4096
 
 
 class TraceMode(enum.Enum):
@@ -140,6 +150,18 @@ def profile_inner(A: np.ndarray, B: np.ndarray) -> float:
     return sum(trace_inner(a, b) for a, b in zip(A, B, strict=True))
 
 
+def _require_hermitian(A: np.ndarray, what: str) -> None:
+    """Raise NumericalFailure unless every block of A equals its
+    conjugate transpose entry for entry: `linalg` reads one triangle of
+    its input, so a block that is Hermitian only up to rounding would be
+    judged by the triangle read. NaN entries pass, for `linalg` to
+    reject; only a block that fails the plain comparison is checked
+    for them."""
+    H = A.conj().swapaxes(-1, -2)
+    if not (A == H).all() and not np.array_equal(A, H, equal_nan=True):
+        raise NumericalFailure(f"{what} is not exactly Hermitian")
+
+
 def assert_feasible(X: np.ndarray, cset: SpectraSet,
                     psd_tol: float = FEASIBILITY_PSD_TOL,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
@@ -150,10 +172,12 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
     per block size. Otherwise the eigenvalues decide, and only then are
     they computed: a block fails when lambda_min < -psd_tol or the sum of
     its eigenvalues is out of bound, and the message names the first
-    failing block (of the first failing cell, when X has a cell axis)."""
+    failing block (of the first failing cell, when X has a cell axis).
+    A block that is not exactly Hermitian raises NumericalFailure."""
     if X.shape[-3:] != cset.zeros().shape:
         raise DomainError(f"profile shape {X.shape} does not match set "
                           f"dims {cset.dims}")
+    _require_hermitian(X, "profile")
     bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
 
     def trace_ok(tr: np.ndarray) -> np.ndarray:
@@ -209,34 +233,37 @@ class NoiseModel:
                 f"noise level must be finite and >= 0, got {self.sigma}")
 
     def sample(self, dims: tuple[int, ...],
-               rng: np.random.Generator | Sequence[np.random.Generator]
-               ) -> np.ndarray:
-        """One noise profile from a single draw of normals.
+               rng: np.random.Generator | Sequence[np.random.Generator],
+               count: int | None = None) -> np.ndarray:
+        """One noise profile from a single draw of normals; with `count`,
+        that many consecutive profiles stacked on a new leading axis.
 
         The draw is block-ordered, real part then imaginary part of each
         block, so it consumes the stream exactly as drawing block by
-        block would. Given a list of generators, one per cell, each cell
-        with sigma > 0 draws from its own generator exactly as alone, and
-        the draws are stacked along a cell axis; cells with sigma = 0 get
-        zeros and leave their stream untouched. Blocks of several sizes
-        are zero-padded.
+        block would. The `count` profiles come from one draw of `count`
+        times as many normals, which consumes the stream exactly as
+        `count` single draws do and gives their profiles bit for bit.
+        Given a list of generators, one per cell, each cell with sigma > 0
+        draws from its own generator exactly as alone, and the draws are
+        stacked along a cell axis (after the count axis); cells with
+        sigma = 0 get zeros and leave their stream untouched. Blocks of
+        several sizes are zero-padded. A block is the Hermitian part of
+        s (G + i G'), s = sigma / sqrt(2): s (G + G^T) / 2 and
+        s (G' - G'^T) / 2 are computed on the real arrays and written
+        into its real and imaginary parts.
         """
         dims = tuple(dims)
         N, D = len(dims), max(dims)
         sizes = [2 * d * d for d in dims]
-        size = sum(sizes)
-        sigma = np.asarray(self.sigma)
-        if not isinstance(rng, (list, tuple)):
-            if sigma == 0:
-                return SpectraSet(dims).zeros()
-            G = rng.standard_normal(size)
-        else:
-            G = np.zeros((len(rng), size))
-            for c, level in enumerate(sigma.tolist()):
-                if level > 0:
-                    G[c] = rng[c].standard_normal(size)
-            sigma = sigma[:, None, None, None]
-        lead = G.shape[:-1]
+        cells = isinstance(rng, (list, tuple))
+        rngs = rng if cells else [rng]
+        sigma = np.asarray(self.sigma).reshape(-1)
+        lead = (len(rngs), 1 if count is None else count)
+        G = np.zeros(lead + (sum(sizes),))
+        for c, level in enumerate(sigma.tolist()):
+            if level > 0:
+                rngs[c].standard_normal(out=G[c])
+        G *= (sigma / math.sqrt(2.0))[:, None, None]
         if min(dims) == D:
             G = G.reshape(lead + (N, 2, D, D))
         else:
@@ -244,15 +271,24 @@ class NoiseModel:
             G = np.zeros(lead + (N, 2, D, D))
             for i, (d, piece) in enumerate(zip(dims, pieces)):
                 G[..., i, :, :d, :d] = piece.reshape(lead + (2, d, d))
-        s = sigma / math.sqrt(2.0)
-        return hermitianize(s * (G[..., 0, :, :] + 1j * G[..., 1, :, :]))
+        Z = np.empty(lead[::-1] + (N, D, D), dtype=complex)
+        by_cell = Z.swapaxes(0, 1)
+        re, im = G[..., 0, :, :], G[..., 1, :, :]
+        np.add(re, re.swapaxes(-1, -2), out=by_cell.real)
+        np.subtract(im, im.swapaxes(-1, -2), out=by_cell.imag)
+        halves = Z.view(float)
+        halves *= 0.5
+        if count is None:
+            Z = Z[0]
+        return Z if cells else Z[..., 0, :, :, :]
 
 
 @dataclass(frozen=True)
 class SviProblem:
     """Constraint set, deterministic mapping, noise model, oracle bound.
 
-    `mapping` evaluates the blockwise Hermitian values of F at a profile.
+    `mapping` evaluates the blockwise, exactly Hermitian values of F at
+    a profile.
     `oracle_bound` is the constant C with E ||Phi(X, xi)||_2^2 <= C^2 over
     feasible X; it bounds the full noisy oracle, not just the mean part,
     and feeds the horizon-tuned constant stepsize.
@@ -305,9 +341,30 @@ def select_cells(mask: np.ndarray, A: np.ndarray,
     return np.where(mask[:, None, None, None], A, B)
 
 
+def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
+                calls: int) -> Iterator[np.ndarray | None]:
+    """The noise of a stacked problem's next `calls` oracle calls, one
+    profile with a cell axis per call, for the generators `rngs`.
+
+    Each block of K calls is one `NoiseModel.sample`, drawn when it is
+    reached: K is the most that fits NOISE_BLOCK_ENTRIES (at least 1),
+    and no block goes past the last call. Each cell's stream is consumed,
+    and its profiles come out, exactly as with one draw per call. With
+    no noisy cell nothing is drawn, and each call's noise is None.
+    """
+    cset = problem.constraints
+    if not np.any(np.asarray(problem.noise.sigma) > 0):
+        yield from itertools.repeat(None, calls)
+        return
+    K = max(1, NOISE_BLOCK_ENTRIES // (len(rngs) * cset.zeros().size))
+    for start in range(0, calls, K):
+        yield from problem.noise.sample(cset.dims, rngs,
+                                        min(K, calls - start))
+
+
 def oracle_sample(problem: SviProblem, X: np.ndarray,
                   rng: np.random.Generator | Sequence[np.random.Generator],
-                  F: np.ndarray | None = None
+                  F: np.ndarray | None = None, Z: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic oracle call: returns (F(X) + Z, Z).
 
@@ -315,12 +372,19 @@ def oracle_sample(problem: SviProblem, X: np.ndarray,
     is passed explicitly so a seed fixes the sample path regardless of
     scheduling. Pass F when the mapping's value at X is already known.
     For a stacked problem, X has a cell axis and rng is one generator
-    per cell; cells with sigma = 0 get F(X) itself.
+    per cell; cells with sigma = 0 get F(X) itself. Pass Z when this
+    call's noise is drawn already (`noise_draws`); with Z = None it is
+    drawn now. With no noisy cell, nothing is drawn or added: the call
+    returns F(X) and zeros.
     """
     if F is None:
         F = problem.mapping(X)
-    Z = problem.noise.sample(problem.constraints.dims, rng)
-    return select_cells(np.asarray(problem.noise.sigma) > 0, F + Z, F), Z
+    noisy = np.asarray(problem.noise.sigma) > 0
+    if not noisy.any():
+        return F, np.zeros_like(F)
+    if Z is None:
+        Z = problem.noise.sample(problem.constraints.dims, rng)
+    return select_cells(noisy, F + Z, F), Z
 
 
 def best_response(F: np.ndarray, cset: SpectraSet) -> np.ndarray:
@@ -351,7 +415,8 @@ def strong_gap(problem: SviProblem, X: np.ndarray,
     bound * min(0, lambda_min(F_i)) under a trace cap. Zero exactly at
     strong solutions; nonnegative on feasible profiles. The block terms
     are added in block order. Pass F when the mapping's value at X is
-    already known. With a cell axis on X, returns one gap per cell.
+    already known. With a cell axis on X, returns one gap per cell. A
+    mapping value that is not exactly Hermitian raises NumericalFailure.
     """
     cset = problem.constraints
 
@@ -364,6 +429,7 @@ def strong_gap(problem: SviProblem, X: np.ndarray,
 
     if F is None:
         F = problem.mapping(X)
+    _require_hermitian(F, "mapping value")
     gaps = np.add.accumulate(cset.map_blocks(terms, F, X), axis=-1)[..., -1]
     return float(gaps) if gaps.ndim == 0 else gaps
 

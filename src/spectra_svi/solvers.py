@@ -21,6 +21,14 @@ and that one result serves the next oracle call and the strong gaps at
 the reported points. An optional `measure` takes over that evaluation
 at every iteration and also returns a quantity (such as per-player
 throughput) at the reported points.
+
+The rest of an iteration is paid once for the batch. The noise comes
+from `problem.noise_draws`, several iterations per draw, and a batch
+with no noisy cell draws none. Only the AM-SMD cells keep an average.
+Duals, iterates and averages are exactly Hermitian, so the Gibbs maps
+take them as they are, without taking their Hermitian part again (see
+`linalg`); the feasibility check and the strong gap check it at the
+reported points.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .problem import (
     SviProblem,
     TraceMode,
     assert_feasible,
+    noise_draws,
     oracle_sample,
     select_cells,
     stack_problems,
@@ -326,7 +335,10 @@ def _run_cells(problems: Sequence[SviProblem],
 
     Y = cset.zeros(C)
     X = dual_to_primal(Y, cset)
-    avg = AveragingState(etas[:, 0], X)
+    # Only the averaging cells keep an average: rows `averaging` of X.
+    average_etas = etas[averaging]
+    avg = AveragingState(average_etas[:, 0], X[averaging])
+    draws = noise_draws(problem, rngs, T)
     final = X
     traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
     measures: list[np.ndarray] = []
@@ -341,9 +353,12 @@ def _run_cells(problems: Sequence[SviProblem],
             F = problem.mapping(X) if F_next is None else F_next
             if any_regularized:
                 F = select_cells(regularized, F + lam * X, F)
-            phi, _ = oracle_sample(problem, X, rngs, F)
+            # Only phi is kept: a view of the noise would hold its block.
+            phi = oracle_sample(problem, X, rngs, F, Z=next(draws))[0]
             Y, X = mirror_step(Y, phi, etas[:, t], cset)
-            avg = update_average(avg, X, etas[:, t + 1])
+            if averaging.size:
+                avg = update_average(avg, X[averaging],
+                                     average_etas[:, t + 1])
             iterate_seconds += time.perf_counter() - tic
             it = t + 1
             gap_due = it % gap_every == 0 or it == T
@@ -351,8 +366,7 @@ def _run_cells(problems: Sequence[SviProblem],
             if not (gap_due or measuring):
                 continue
             tic = time.perf_counter()
-            points = (np.concatenate([X, avg.xbar[averaging]])
-                      if averaging.size else X)
+            points = np.concatenate([X, avg.xbar]) if averaging.size else X
             if gap_due:
                 reported = points[rows]
                 assert_feasible(reported, cset)

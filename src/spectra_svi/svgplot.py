@@ -27,6 +27,12 @@ _WIDTH, _HEIGHT = 800, 520
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 185, 45, 55
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data: &, < and > as entity references."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
+
+
 def _series_from_records(records: list[GapRecord]):
     groups: dict[tuple[str, float], dict[int, list[float]]] = \
         defaultdict(lambda: defaultdict(list))
@@ -91,7 +97,7 @@ def render_svg(records: Iterable[GapRecord], path: str | os.PathLike,
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="15">{title}</text>',
+        f'font-family="monospace" font-size="15">{_escape(title)}</text>',
     ]
 
     for xv in _tick_values(xmin, xmax):
@@ -146,7 +152,7 @@ def render_svg(records: Iterable[GapRecord], path: str | os.PathLike,
             f'y2="{ly}" stroke="{color}" stroke-width="3"/>')
         out.append(
             f'<text x="{legend_x + 28}" y="{ly + 4}" font-family="monospace" '
-            f'font-size="11">{label}</text>')
+            f'font-size="11">{_escape(label)}</text>')
 
     out.append("</svg>")
     with open(path, "w", encoding="ascii", newline="\n") as f:

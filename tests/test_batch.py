@@ -114,16 +114,19 @@ def test_batched_cells_equal_their_lone_runs(config):
 
 
 class _FailingStream:
-    """A generator whose normals turn to NaN after `good` draws."""
+    """A generator whose normals turn to NaN after `good` iterations'
+    draws. A request of shape (K, size) holds K iterations' draws, one
+    per row, so the NaNs start at the same iteration however many
+    iterations share a request."""
 
     def __init__(self, rng, good):
         self.rng, self.good = rng, good
 
     def standard_normal(self, size=None, out=None):
         x = self.rng.standard_normal(size, out=out)
-        self.good -= 1
-        if self.good < 0:
-            x[...] = np.nan
+        rows = x.reshape(-1, x.shape[-1])
+        rows[max(self.good, 0):] = np.nan
+        self.good -= len(rows)
         return x
 
 

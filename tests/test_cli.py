@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, environment seed."""
 
+import logging
 import os
 
 import numpy as np
@@ -177,6 +178,37 @@ def test_plot_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,gap,csv\n")
     assert cli.main(["plot", str(bad), str(tmp_path / "x.svg")]) == cli.EXIT_CONFIG
+
+
+def test_a_failed_batch_is_one_log_line_and_exit_2(tmp_path, capsys, caplog,
+                                                  monkeypatch):
+    # An error from outside the package fails the 2x4 batch; the 2x2
+    # batch's rows are still written, and the failure is logged as one
+    # line with no traceback.
+    real = harness.run_cell
+
+    def run_cell(*tasks):
+        if tasks[0].n == 4:
+            raise RuntimeError("injected")
+        return real(*tasks)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_tiny_config_text().replace("2x2", "2x2, 2x4"))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger=harness.__name__):
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "Traceback" not in capsys.readouterr().err
+    assert [(r.getMessage(), r.exc_info) for r in caplog.records] == [
+        ("batch of 1 cells failed: RuntimeError: injected", None)]
+    records = harness.read_csv(out / "results.csv")
+    assert [(r.m, r.n) for r in records] == [(2, 2)]
+    echo = (out / "config.echo.txt").read_text()
+    assert echo.split("[failures]\n", 1)[1].splitlines() == [
+        f"{t.label()}: batch failed: RuntimeError: injected"
+        for t in harness.build_tasks(harness.parse_config(str(cfg)))
+        if t.n == 4]
 
 
 def test_run_with_every_cell_failed_writes_partial_results(tmp_path, capsys,

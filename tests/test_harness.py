@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spectra_svi import harness
+from spectra_svi import harness, linalg, solvers
 from spectra_svi.errors import ConfigError
 from spectra_svi.harness import (
     CSV_HEADER,
@@ -26,6 +26,12 @@ from spectra_svi.harness import (
     write_csv,
     write_outputs,
     write_throughput_csv,
+)
+from spectra_svi.problem import (
+    SpectraSet,
+    TraceMode,
+    quadratic_test_problem,
+    random_feasible_profile,
 )
 from spectra_svi.solvers import Method, ScheduleKind, StepSchedule
 
@@ -386,6 +392,63 @@ def test_read_csv_rejects_bad_header(tmp_path):
     p.write_text("method,m,n\n")
     with pytest.raises(ConfigError, match="header"):
         read_csv(p)
+
+
+def _exactly_hermitian(A):
+    return np.array_equal(A, A.conj().swapaxes(-1, -2))
+
+
+def test_inputs_spared_the_hermitian_part_are_exactly_hermitian(
+        tmp_path, monkeypatch):
+    # `linalg` takes its input as given, without taking the Hermitian
+    # part; the loop's duals, reported points, mapping values and rate
+    # covariances give the bits they gave with it only if each equals its
+    # conjugate transpose exactly.
+    seen = dict.fromkeys(("gibbs_map", "gibbs_map_bounded",
+                          "assert_feasible", "strong_gap", "linalg"), 0)
+
+    def checked(name, fn, *positions):
+        def wrapper(*args, **kwargs):
+            assert all(_exactly_hermitian(args[i]) for i in positions), name
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, positions in (("gibbs_map", (0,)), ("gibbs_map_bounded", (0,)),
+                            ("assert_feasible", (0,)),
+                            ("strong_gap", (1, 2))):
+        monkeypatch.setattr(solvers, name, checked(
+            name, getattr(solvers, name), *positions))
+    # Every input of `linalg`, the rates' covariances among them.
+    real = linalg._checked_finite
+
+    def checked_finite(A):
+        assert _exactly_hermitian(A)
+        seen["linalg"] += 1
+        return real(A)
+
+    monkeypatch.setattr(linalg, "_checked_finite", checked_finite)
+    square = ExperimentConfig(
+        antenna_pairs=((2, 2), (4, 4)), sigmas=(0.0, 1.0),
+        methods=(MethodSpec(Method.AM_SMD, StepSchedule.harmonic_sqrt()),
+                 MethodSpec(Method.M_SMD, StepSchedule.harmonic_sqrt()),
+                 MethodSpec(Method.MEL, StepSchedule.harmonic(), (0.5,))),
+        iterations=6, sample_paths=1, gap_every=2, record_throughput=True)
+    for config in (square, mixed_grid_config(tmp_path)):
+        assert run_grid(config, threads=1).failures == []
+    # The game's constraint sets cap the trace; `gibbs_map` serves
+    # trace equality.
+    for dim in (2, 4):
+        cset = SpectraSet((dim, dim), mode=TraceMode.EQUAL)
+        problems = [quadratic_test_problem(random_feasible_profile(
+                        cset, np.random.default_rng(sigma)), cset, sigma)
+                    for sigma in (0, 1)]
+        results = solvers.run_batch(problems, [
+            solvers.SolverConfig(method, 6, StepSchedule.harmonic_sqrt(),
+                                 gap_every=2, seed=c)
+            for c, method in enumerate((Method.AM_SMD, Method.M_SMD))])
+        assert all(r.error is None for r in results)
+    assert all(seen.values()), seen
 
 
 def test_read_csv_rejects_short_row(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectra_svi import linalg, problem as pb
-from spectra_svi.errors import DomainError
+from spectra_svi.errors import DomainError, NumericalFailure
 from spectra_svi.oracles import project_spectrahedron, sampled_sup_linear
 from spectra_svi.problem import (
     NoiseModel,
@@ -119,6 +119,28 @@ def test_assert_feasible_dims_mismatch():
     cset = SpectraSet((3,))
     with pytest.raises(DomainError, match="dims"):
         pb.assert_feasible(pad_blocks((np.eye(2) / 2,)), cset)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gap_guards_refuse_blocks_hermitian_only_up_to_rounding(d):
+    # `linalg` reads one triangle of its input, so the feasibility check
+    # and the strong gap refuse a block that differs from its conjugate
+    # transpose in one ulp rather than judge it by the triangle read.
+    cset = SpectraSet((d, d))
+    X = pb.random_feasible_profile(cset, np.random.default_rng(d))
+    pb.assert_feasible(X, cset)
+    skewed = X.copy()
+    skewed[1, 0, 1] = np.nextafter(skewed[1, 0, 1].real, 1.0) + 0j
+    with pytest.raises(NumericalFailure, match="profile is not exactly"):
+        pb.assert_feasible(skewed, cset)
+    prob = _identity_problem(cset)
+    assert pb.strong_gap(prob, X) >= 0.0
+    with pytest.raises(NumericalFailure, match="mapping value is not"):
+        pb.strong_gap(prob, X, skewed)
+    # A NaN block is left to `linalg`, which names it non-finite.
+    X[0, 0, 0] = np.nan
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        pb.assert_feasible(X, cset)
 
 
 def _with_lambda_min(cset, rng, lam, i):

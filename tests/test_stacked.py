@@ -23,6 +23,7 @@ bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,6 +331,80 @@ def test_noise_sample_matches_per_block_draws(dims):
     noise.sample(dims, rng_a)
     _ref_noise(2.5, dims, rng_b)
     assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+def _ref_draws(sigmas, dims, rngs, count):
+    """`count` iterations' draws of every cell, shape (count, C, N, D, D):
+    per-block reference draws for a noisy cell, zeros for sigma = 0."""
+    zero = SpectraSet(dims).zeros()
+    return np.stack([
+        np.stack([pb.pad_blocks(_ref_noise(sigma, dims, rng)) if sigma > 0
+                  else zero for sigma, rng in zip(sigmas, rngs)])
+        for _ in range(count)])
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4), (2, 4, 2)])
+def test_block_draws_equal_per_iteration_draws(dims):
+    K = 5
+    single = pb.NoiseModel(1.5).sample(dims, np.random.default_rng(7), K)
+    ref = _ref_draws([1.5], dims, [np.random.default_rng(7)], K)[:, 0]
+    assert single.shape == ref.shape and single.tobytes() == ref.tobytes()
+    sigmas = [0.5, 0.0, 2.0]
+    rngs, ref_rngs = ([np.random.default_rng(s) for s in (1, 2, 3)]
+                      for _ in range(2))
+    cells = pb.NoiseModel(np.array(sigmas)).sample(dims, rngs, K)
+    ref = _ref_draws(sigmas, dims, ref_rngs, K)
+    assert cells.shape == ref.shape and cells.tobytes() == ref.tobytes()
+    # Each stream ends where K single draws leave it; sigma = 0 draws none.
+    for rng, ref_rng in zip(rngs, ref_rngs):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (rngs[1].bit_generator.state
+            == np.random.default_rng(2).bit_generator.state)
+
+
+# (dims, T, blocks): a block holds K = NOISE_BLOCK_ENTRIES // (C N D^2)
+# iterations of the 3-cell batch, 113 for (2, 2, 2) and 28 for (2, 4, 2),
+# and the last block stops at T.
+@pytest.mark.parametrize("dims, T, blocks", [((2, 2, 2), 250, 3),
+                                             ((2, 4, 2), 60, 3)])
+def test_a_batch_draws_each_noisy_stream_once_per_iteration(
+        dims, T, blocks, monkeypatch):
+    cset = SpectraSet(dims)
+    sigmas = (1.0, 0.0, 0.5)
+    problems = [pb.quadratic_test_problem(pb.random_feasible_profile(
+                    cset, np.random.default_rng(c)), cset, sigma)
+                for c, sigma in enumerate(sigmas)]
+    configs = [solvers.SolverConfig(method, T,
+                                    solvers.StepSchedule.harmonic_sqrt(),
+                                    gap_every=T, seed=10 + c)
+               for c, method in enumerate(solvers.Method)]
+    made, calls = {}, []
+    real_rng, real_sample = np.random.default_rng, pb.NoiseModel.sample
+
+    def default_rng(seed=None):
+        made[seed] = real_rng(seed)
+        return made[seed]
+
+    def sample(self, *args, **kwargs):
+        calls.append(None)
+        return real_sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(pb.NoiseModel, "sample", sample)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", default_rng)
+        results = solvers.run_batch(problems, configs)
+    assert all(r.error is None for r in results)
+    assert len(calls) == blocks
+    size = sum(2 * d * d for d in dims)
+    for config, sigma in zip(configs, sigmas):
+        ref = np.random.default_rng(config.seed)
+        for _ in range(T if sigma > 0 else 0):
+            ref.standard_normal(size)
+        assert made[config.seed].bit_generator.state == ref.bit_generator.state
+    calls.clear()
+    quiet = [replace(p, noise=pb.NoiseModel(0.0)) for p in problems]
+    solvers.run_batch(quiet, configs)
+    assert calls == []  # no noisy cell: nothing is drawn
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (2, 4), (4, 2)])

@@ -68,6 +68,16 @@ def test_render_svg_well_formed_and_labelled(tmp_path):
     assert text.count("<polyline") == 2
 
 
+def test_render_svg_escapes_legend_labels(tmp_path):
+    # A method name read from a CSV may hold XML markup characters.
+    out = tmp_path / "markup.svg"
+    render_svg([_record("a<b&c", 0.0, 0, it, 1.0 / it) for it in (1, 2)],
+               out)
+    root = ET.parse(out).getroot()
+    texts = root.iter("{http://www.w3.org/2000/svg}text")
+    assert "a<b&c" in [t.text for t in texts]
+
+
 def test_render_svg_single_point_uses_marker(tmp_path):
     out = tmp_path / "single.svg"
     render_svg([_record("am-smd", 0.0, 0, 100, 0.5)], out)
