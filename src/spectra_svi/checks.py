@@ -173,29 +173,31 @@ def check_averaging_identity(rng: np.random.Generator) -> CheckResult:
 def check_throughput_gradient(rng: np.random.Generator,
                               count: int) -> CheckResult:
     """Every player's rate gradient at `count` random states of the 7-cell
-    network at m = n = 2, with fresh channels every 5 states."""
-    topo = canonical_topology(2, 2)
-    cset = topo.constraint_set()
+    network at m = n = 2 and at m = 4, n = 2, with fresh channels every 5
+    states, against finite differences of the rates."""
     worst = 0.0
-    for k in range(count):
-        if k % 5 == 0:
-            channels = sample_channels(topo, rng)
-        X = random_feasible_profile(cset, rng)
-        for i in range(topo.users):
-            def rate(Z: np.ndarray, i: int = i) -> float:
-                Xm = X.copy()
-                Xm[i] = Z
-                return throughput(channels, Xm, i)
+    for m in (2, 4):
+        topo = canonical_topology(m, 2)
+        cset = topo.constraint_set()
+        for k in range(count):
+            if k % 5 == 0:
+                channels = sample_channels(topo, rng)
+            X = random_feasible_profile(cset, rng)
+            for i in range(topo.users):
+                def rate(Z: np.ndarray, i: int = i) -> float:
+                    Xm = X.copy()
+                    Xm[i] = Z
+                    return throughput(channels, Xm, i)
 
-            G = throughput_gradient(channels, X, i)
-            G_fd = oracles.finite_diff_gradient(rate, X[i])
-            rel = (linalg.frobenius_norm(G - G_fd)
-                   / max(1e-9, linalg.frobenius_norm(G)))
-            worst = max(worst, rel)
+                G = throughput_gradient(channels, X, i)
+                G_fd = oracles.finite_diff_gradient(rate, X[i])
+                rel = (linalg.frobenius_norm(G - G_fd)
+                       / max(1e-9, linalg.frobenius_norm(G)))
+                worst = max(worst, rel)
     return CheckResult(
         "throughput-gradient", worst <= 1e-4,
         "max relative deviation from finite differences "
-        f"{worst:.2e} over {count} states")
+        f"{worst:.2e} over {count} states each at 2x2 and 4x2")
 
 
 def check_monotonicity(rng: np.random.Generator, count: int) -> CheckResult:

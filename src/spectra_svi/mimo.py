@@ -24,6 +24,16 @@ the operator with one small matrix-vector product per profile and
 unpacks the result, exactly Hermitian, plus I. Both `game_mapping` and
 `throughput` accept that build in place of the profile; the rates'
 interference-only covariance is the full one minus H_ii X_i H_ii^dag.
+
+The mapping's rate gradients H_ii^dag W_i^{-1} H_ii take one of two
+paths, chosen by the receive count n alone. With n = 2 they come in
+closed form from W_i's four received coordinates, with no complex
+matrix built: W^{-1} = adj(W) / det(W), on W scaled by max(W_11, W_22)
+so that no product overflows, then G = sum_c (W^{-1})_c H_ii^dag E_c
+H_ii over the four coordinate basis matrices E_c, whose images are a
+second real operator per draw (`ChannelSet.gradient_operator`). G is
+unpacked from its coordinates, exactly Hermitian. Every other n takes a
+batched LAPACK solve with the full covariances.
 """
 
 from __future__ import annotations
@@ -117,7 +127,8 @@ class ChannelSet:
     antenna counts n and m: H_ji is the top-left corner of
     stacked[j, i], and the rest of it is zero. The game evaluates every
     link at once on `stacked` and on the draw's received-covariance
-    `operator`, built on first use. The channels of several cells, made
+    `operator` (and, with 2 receive antennas, its `gradient_operator`),
+    each built on first use. The channels of several cells, made
     by `stack`, give `stacked` a leading cell axis, and keep one
     operator per distinct draw in `operators` and each cell's draw
     number in `draw`."""
@@ -156,6 +167,16 @@ class ChannelSet:
         """The received-covariance operator of a single draw (see
         `_received_operator`)."""
         return _received_operator(self.stacked)
+
+    @functools.cached_property
+    def gradient_operator(self) -> np.ndarray:
+        """The rate-gradient operator of a single draw (see
+        `_gradient_operator`); of stacked channels, each distinct draw's,
+        built once and gathered per cell as `stacked` is."""
+        if self.draw is None:
+            return _gradient_operator(self.direct_stacked)
+        return np.stack([_gradient_operator(self.direct_stacked[rows[0]])
+                         for rows in self.draw_rows])[self.draw]
 
     @functools.cached_property
     def draw_rows(self) -> tuple[np.ndarray, ...]:
@@ -274,14 +295,29 @@ def _received_operator(H: np.ndarray) -> np.ndarray:
     ).reshape(N * m * m, N * n * n)
 
 
+def _gradient_operator(direct: np.ndarray) -> np.ndarray:
+    """The real-linear maps A -> H_ii^dag A H_ii of one draw's padded
+    (N, n, m) direct links, as a real (N, n^2, m^2) array: row c of user
+    i holds the Hermitian coordinates of H_ii^dag E_c H_ii, for the basis
+    matrix E_c of coordinate c."""
+    N, n, m = direct.shape
+    basis = _from_coordinates(np.eye(n * n), n)[:, 0]  # (n^2, n, n)
+    H = direct[:, None]
+    images = (H.conj().swapaxes(-1, -2) @ basis) @ H
+    return _to_coordinates(images.reshape(N * n * n, 1, m, m)).reshape(
+        N, n * n, m * m)
+
+
 class Covariances(NamedTuple):
     """The received covariances I + sum_j H_ji X_j H_ji^dag of a stack of
-    profiles, shape (..., N, n, n), with the profiles' arrays they were
-    built from, shape (..., N, m, m), and the direct links of the same
-    rows, shape (..., N, n, m). Built once by `covariances`, they serve
-    both the game mapping and the rates."""
+    profiles, shape (..., N, n, n), and the sums' Hermitian coordinates,
+    shape (..., N, n^2), with the profiles' arrays they were built from,
+    shape (..., N, m, m), and the direct links of the same rows, shape
+    (..., N, n, m). Built once by `covariances`, they serve both the game
+    mapping and the rates."""
 
     full: np.ndarray
+    received: np.ndarray
     profile: np.ndarray
     direct: np.ndarray
 
@@ -290,17 +326,27 @@ class Covariances(NamedTuple):
         return Covariances(*(a[index] for a in self))
 
 
+def _received(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
+    """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian coordinates,
+    shape (..., N, n^2), for X of any leading axes (one per cell of
+    stacked channels): one product with the draw's operator per
+    profile."""
+    lead, (N, m, _) = X.shape[:-3], X.shape[-3:]
+    x = _to_coordinates(X.reshape(-1, N, m, m))
+    return channels.received(x).reshape(lead + (N, -1))
+
+
 def covariances(channels: ChannelSet, X: np.ndarray) -> Covariances:
     """The received covariances of X, any leading axes (one per cell of
-    stacked channels): one product with the draw's operator per profile,
-    in Hermitian coordinates."""
-    lead, (N, m, _) = X.shape[:-3], X.shape[-3:]
+    stacked channels), from its `_received` coordinates."""
+    w = _received(channels, X)
+    lead, N = w.shape[:-2], w.shape[-2]
     n = channels.stacked.shape[-2]
-    x = _to_coordinates(X.reshape(-1, N, m, m))
-    full = _from_coordinates(channels.received(x), n, plus=1.0)
+    full = _from_coordinates(w.reshape(-1, N * n * n), n, plus=1.0)
     direct = channels.direct_stacked
-    return Covariances(full.reshape(lead + (N, n, n)), X,
-                       np.broadcast_to(direct, lead + direct.shape[-3:]))
+    if direct.shape[:-3] != lead:
+        direct = np.broadcast_to(direct, lead + direct.shape[-3:])
+    return Covariances(full.reshape(lead + (N, n, n)), w, X, direct)
 
 
 def _covariances_of(channels: ChannelSet,
@@ -348,10 +394,43 @@ def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
 
 def _rate_gradients(channels: ChannelSet,
                     X: np.ndarray | Covariances) -> np.ndarray:
-    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m)."""
+    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m),
+    exactly Hermitian: in closed form with n = 2 receive antennas, else
+    from one batched solve."""
+    if channels.stacked.shape[-2] == 2:
+        w = X.received if isinstance(X, Covariances) else _received(channels, X)
+        return _gradients_2(w, channels.gradient_operator)
     W = _covariances_of(channels, X).full
     H = channels.direct_stacked
     return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
+
+
+# Hermitian coordinates at n = 2: the identity's, and the adjugate
+# adj(W) = [[W_22, -W_12], [-W_21, W_11]], whose coordinate c is
+# _ADJ_SIGN[c] times coordinate _ADJ_SOURCE[c] of W.
+_EYE_2 = np.array([1.0, 1.0, 0.0, 0.0])
+_ADJ_SOURCE = np.array([1, 0, 2, 3])
+_ADJ_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _gradients_2(w: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The rate gradients at n = 2 from the received coordinates w,
+    (..., N, 4), and the gradient operator K, (..., N, 4, m^2).
+
+    W's coordinates are divided by s = max(W_11, W_22) first, so that no
+    product overflows. Of the scaled W, W^{-1} = adj / (s det), where
+    s det = det(W) / s >= lambda_min(W) >= 1. G's coordinates are then
+    four multiply-adds of W^{-1}'s with the rows of K."""
+    W = w + _EYE_2
+    s = np.maximum(W[..., 0], W[..., 1])
+    W /= s[..., None]
+    square = W * W
+    det = s * (W[..., 0] * W[..., 1] - (square[..., 2] + square[..., 3]))
+    inverse = W[..., _ADJ_SOURCE] * (_ADJ_SIGN / det[..., None])
+    g = (inverse[..., None] * K).sum(axis=-2)
+    N, m = g.shape[-2], math.isqrt(g.shape[-1])
+    return _from_coordinates(g.reshape(-1, N * m * m), m).reshape(
+        g.shape[:-1] + (m, m))
 
 
 def throughput_gradient(channels: ChannelSet, X: np.ndarray,

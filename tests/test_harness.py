@@ -3,12 +3,12 @@
 import os
 import re
 from concurrent.futures import Future
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from spectra_svi import harness, linalg, solvers
+from spectra_svi import harness, linalg, mimo, solvers
 from spectra_svi.errors import ConfigError
 from spectra_svi.harness import (
     CSV_HEADER,
@@ -258,6 +258,41 @@ def test_run_grid_throughput_records():
     assert (method, path) == ("am-smd", 0)
     assert rates.shape == (12, 7)
     assert np.all(rates >= 0)
+
+
+def test_recording_throughput_leaves_every_gap_unchanged():
+    # Without throughput the game is mapped from the profiles, with it
+    # from their covariances (`harness.game_and_throughput`); both must
+    # take the same path, the closed form at n = 2 and the solve else.
+    hs = StepSchedule.harmonic_sqrt()
+    config = _small_config(
+        antenna_pairs=((2, 2), (4, 2), (2, 4), (4, 4)), sigmas=(0.0, 1.0),
+        methods=(MethodSpec(Method.AM_SMD, hs), MethodSpec(Method.M_SMD, hs),
+                 MethodSpec(Method.MEL, hs, (0.5,))),
+        iterations=20, gap_every=5, sample_paths=1)
+    plain = run_grid(config, threads=1)
+    recorded = run_grid(replace(config, record_throughput=True), threads=1)
+    assert plain.failures == [] and recorded.failures == []
+    assert len(plain.records) == 4 * 2 * 3 * 4
+    assert recorded.records == plain.records
+
+
+@pytest.mark.parametrize("max_power", ["1e160", "1e300"])
+def test_a_2x2_grid_at_huge_power_caps_fails_no_cell(tmp_path, max_power):
+    # The 2x2 closed form of the rate gradients scales the covariances
+    # before forming their determinants, which would overflow unscaled.
+    topology = tmp_path / "huge.ini"
+    distances = "\n".join("  " + " ".join(map(str, row))
+                          for row in mimo.DISTANCE_KM)
+    topology.write_text(
+        "[topology]\ntx_antennas = 2, 2, 2, 2, 2, 2, 2\n"
+        f"rx_antennas = 2, 2, 2, 2, 2, 2, 2\nmax_power = {max_power}\n"
+        f"distances =\n{distances}\n")
+    grid = run_grid(_small_config(topology=str(topology), sigmas=(0.0, 1.0),
+                                  iterations=40, gap_every=20), threads=1)
+    assert grid.failures == []
+    assert len(grid.records) == 2 * 2 * 2 * 2
+    assert all(np.isfinite(r.gap) and r.gap >= 0 for r in grid.records)
 
 
 def test_run_grid_batches_throughput_cells(monkeypatch):

@@ -16,10 +16,12 @@ Every other dimension stays bit for bit.
 The game is the other exception: its received covariances come from one
 product of each draw's real operator with the profile's Hermitian
 coordinates, which adds the terms in another order than the per-block
-sum. The mapping and the covariances must match the references to
-1e-13 relative to their largest entry, and the rates to 1e-12 relative.
-Cells on several draws must still equal their lone evaluations bit for
-bit.
+sum. With 2 receive antennas the mapping also inverts each covariance
+in closed form (adj(W) / det(W)) and maps the inverse through a second
+real operator per draw, where the reference solves. The mapping and the
+covariances must match the references to 1e-13 relative to their
+largest entry, and the rates to 1e-12 relative. Cells on several draws
+must still equal their lone evaluations bit for bit.
 """
 
 import math
@@ -430,24 +432,28 @@ def test_game_mapping_and_throughput_match_per_block(m, n):
 
 
 def test_cells_on_several_draws_equal_their_lone_evaluations():
-    # Each cell of a stacked set is mapped by its own draw's operator.
-    topo = mimo.canonical_topology(4, 2)
-    draws = [mimo.sample_channels(topo, np.random.default_rng(s))
-             for s in (20, 21)]
-    order = [0, 1, 1, 0, 1]
-    stacked = mimo.ChannelSet.stack([draws[d] for d in order])
-    assert stacked.draw.tolist() == order
-    assert all(a is d.operator for a, d in zip(stacked.operators, draws))
-    rng = np.random.default_rng(22)
-    points = [pb.random_feasible_profile(topo.constraint_set(), rng)
-              for _ in order]
-    X = np.stack(points)
-    F = mimo.game_mapping(stacked, X)
-    rates = mimo.throughput(stacked, X)
-    for c, (d, point) in enumerate(zip(order, points)):
-        lone = mimo.game_mapping(draws[d], point[None])
-        assert np.array_equal(F[c], lone[0])
-        assert np.array_equal(rates[c], mimo.throughput(draws[d], point))
+    # Each cell of a stacked set is mapped by its own draw's operators,
+    # in the closed form (n = 2: 4x2, 2x2) and on the solve path (2x4).
+    for m, n in ((4, 2), (2, 2), (2, 4)):
+        topo = mimo.canonical_topology(m, n)
+        draws = [mimo.sample_channels(topo, np.random.default_rng(s))
+                 for s in (20, 21)]
+        order = [0, 1, 1, 0, 1]
+        stacked = mimo.ChannelSet.stack([draws[d] for d in order])
+        assert stacked.draw.tolist() == order
+        assert all(a is d.operator for a, d in zip(stacked.operators, draws))
+        rng = np.random.default_rng(22)
+        points = [pb.random_feasible_profile(topo.constraint_set(), rng)
+                  for _ in order]
+        X = np.stack(points)
+        F = mimo.game_mapping(stacked, X)
+        cov = mimo.covariances(stacked, X)
+        assert np.array_equal(mimo.game_mapping(stacked, cov), F)
+        rates = mimo.throughput(stacked, X)
+        for c, (d, point) in enumerate(zip(order, points)):
+            lone = mimo.game_mapping(draws[d], point[None])
+            assert np.array_equal(F[c], lone[0])
+            assert np.array_equal(rates[c], mimo.throughput(draws[d], point))
 
 
 @pytest.mark.parametrize("topo", [
@@ -489,6 +495,52 @@ def test_game_mapping_with_unequal_antenna_counts():
         assert mimo.throughput(ch, X, i) == pytest.approx(
             _ref_throughput(ch, blocks, i), rel=1e-12)
         assert mimo.throughput_gradient(ch, X, i).shape == (cset.dims[i],) * 2
+
+
+def _exactly_hermitian(F):
+    return np.array_equal(F, F.conj().swapaxes(-1, -2))
+
+
+def test_closed_form_gradients_with_a_padded_receiver():
+    # Receive counts (2, 1, 2) pad user 1 to n = 2: its covariance is
+    # diag(W_11, 1), and the rows of its gradient operator that read the
+    # padded receive dimension must be exactly zero.
+    topo = mimo.NetworkTopology((2, 3, 2), (2, 1, 2),
+                                mimo.DISTANCE_KM[:3, :3], 2.0)
+    ch = mimo.sample_channels(topo, np.random.default_rng(31))
+    assert not np.any(ch.gradient_operator[1, 1:])
+    cset = topo.constraint_set()
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        X = pb.random_feasible_profile(cset, rng)
+        F = mimo.game_mapping(ch, X)
+        assert _exactly_hermitian(F) and _padding_is_zero(F, cset.dims)
+        cov = mimo.covariances(ch, X)
+        assert np.array_equal(mimo.game_mapping(ch, cov), F)
+        refs = _ref_game_mapping(ch, cset.blocks(X))
+        for got, ref in zip(cset.blocks(F), refs, strict=True):
+            _near(got, ref)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("power", [1e3, 1e6, 1e9])
+def test_closed_form_gradients_on_near_rank_one_profiles(m, power):
+    # Each user puts nearly all of its power on one direction, so every
+    # covariance is a sum of nearly rank-one terms the size of the cap.
+    topo = replace(mimo.canonical_topology(m, 2), max_power=power)
+    ch = mimo.sample_channels(topo, np.random.default_rng(33))
+    cset = topo.constraint_set()
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        X = np.stack([power * ((1 - 1e-6) * np.outer(v, v.conj())
+                               + 1e-6 / m * np.eye(m))
+                      for v in (linalg.random_unitary(rng, m)[:, 0]
+                                for _ in cset.dims)])
+        F = mimo.game_mapping(ch, X)
+        assert _exactly_hermitian(F)
+        refs = _ref_game_mapping(ch, cset.blocks(X))
+        for got, ref in zip(cset.blocks(F), refs, strict=True):
+            _near(got, ref)
 
 
 def test_padding_stays_zero_on_unequal_antenna_counts():
