@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo_p = sub.add_parser("demo", help="run the demo preset")
     demo_p.add_argument("--out", default="results", metavar="DIR")
-    demo_p.add_argument("--threads", type=int, default=1, metavar="N")
+    demo_p.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="worker processes; 0 = one per CPU (default: 1)")
     return parser
 
 

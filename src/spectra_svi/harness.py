@@ -7,8 +7,9 @@ and independent of execution order or thread count. Channel draws use a
 seed that excludes the method, lambda and sigma: all methods in a cell
 face the same channel realizations and differ only in their own noise
 streams. All cells of one antenna pair share their array shapes and run
-as one batched solver loop (`solvers.run_batch`), cut into one chunk per
-worker when a process pool is used. A batch draws each distinct channel
+as one batched solver loop (`solvers.run_batch`). A process pool takes
+whole pairs, largest first, and cuts a pair into chunks only when there
+are fewer pairs than workers. A batch draws each distinct channel
 seed once; its cells share that draw, its padded stack and its oracle
 bound. Per-player rates stay one (T, N) array per cell until
 `write_throughput_csv` formats them.
@@ -25,7 +26,9 @@ import configparser
 import hashlib
 import logging
 import math
+import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -366,12 +369,16 @@ def run_cell(*tasks: CellTask
     return records, rates, failures
 
 
-def _batches(tasks: list[CellTask], chunks: int) -> list[list[CellTask]]:
-    """Tasks grouped by antenna pair, each group cut into up to `chunks`
-    contiguous near-equal batches."""
+def _batches(tasks: list[CellTask], workers: int) -> list[list[CellTask]]:
+    """Tasks grouped by antenna pair, in grid order: one batch per pair,
+    or ceil(workers / pairs) contiguous near-equal batches per pair when
+    the grid has fewer pairs than workers. Each batch pays the solver
+    loop's per-iteration dispatch and draws its pair's channels, so a
+    pair is cut only to keep every worker busy."""
     groups: dict[tuple[int, int], list[CellTask]] = {}
     for task in tasks:
         groups.setdefault((task.m, task.n), []).append(task)
+    chunks = -(-workers // len(groups))
     batches = []
     for group in groups.values():
         k = min(chunks, len(group))
@@ -391,11 +398,14 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses up
     to N worker processes (never more than there are batches); negative
     values are a ConfigError. The cells of each antenna pair form one
-    batch, cut into one chunk per worker under a pool. A batch that
-    raises (or a worker that dies) becomes one failure line per cell of
-    it; the other batches' records are kept. Gap records are sorted
-    after the merge and rates kept in task order, so the output does not
-    depend on scheduling.
+    batch, cut into near-equal chunks only when there are fewer pairs
+    than workers (`_batches`). A pool takes the batches largest first,
+    by transmit count, receive count and cell count, so the costliest
+    pair does not start last on a worker that is otherwise idle. A batch
+    that raises (or a worker that dies) becomes one failure line per
+    cell of it; the other batches' records are kept. Each batch's output
+    keeps its place in grid order and gap records are sorted after the
+    merge, so the output does not depend on scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
@@ -417,10 +427,16 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
             except Exception as exc:
                 outputs[i] = failed(batch, exc)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers,
-                                                 len(batches))) as pool:
-            futures = {pool.submit(run_cell, *batch): i
-                       for i, batch in enumerate(batches)}
+        order = sorted(range(len(batches)), reverse=True, key=lambda i: (
+            batches[i][0].m, batches[i][0].n, len(batches[i])))
+        # Fork on Linux, whatever Python's default start method: workers
+        # start cheaply, their CPU time counts among the caller's
+        # children, and a calling script needs no __main__ guard.
+        context = (multiprocessing.get_context("fork")
+                   if sys.platform.startswith("linux") else None)
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches)),
+                                 mp_context=context) as pool:
+            futures = {pool.submit(run_cell, *batches[i]): i for i in order}
             for future in as_completed(futures):
                 i = futures[future]
                 try:

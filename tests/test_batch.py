@@ -5,13 +5,14 @@ check it bit for bit against a copy of the loop that mapped the reported
 points and the next iterate separately and measured throughput apart.
 
 `run_grid` runs all cells of one antenna pair as one batched solver loop
-(cut into one chunk per worker under a pool). Random small grids check
-that every cell's gap trace and final point equal those of its lone
-`solvers.run`, and that a cell failing inside a batch (in the solver or
-in the throughput measured inside its loop) leaves the other cells
-untouched and ends with exactly its lone run's error. Cells that share a
-channel seed share one draw, equal to each one's lone draw, and the
-per-cell rate arrays write the bytes of the record-based throughput CSV.
+(cut into chunks only when a pool has more workers than there are
+pairs). Random small grids check that every cell's gap trace and final
+point equal those of its lone `solvers.run`, and that a cell failing
+inside a batch (in the solver or in the throughput measured inside its
+loop) leaves the other cells untouched and ends with exactly its lone
+run's error. Cells that share a channel seed share one draw, equal to
+each one's lone draw, and the per-cell rate arrays write the bytes of
+the record-based throughput CSV.
 """
 
 from dataclasses import replace

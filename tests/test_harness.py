@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 from concurrent.futures import Future
 from dataclasses import fields, replace
 
@@ -316,13 +317,17 @@ def test_run_grid_batches_throughput_cells(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs
-    every job in-process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the start
+    method's context and the (m, n, cells) of each submitted batch, and
+    runs every job in-process, so no worker is ever started."""
 
     sizes: list = []
+    contexts: list = []
+    submitted: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
+        self.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -331,28 +336,66 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, *args):
+        self.submitted.append((args[0].m, args[0].n, len(args)))
         future = Future()
         future.set_result(fn(*args))
         return future
 
 
-def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for name in ("sizes", "contexts", "submitted"):
+        monkeypatch.setattr(_RecordingPool, name, [])
+    return _RecordingPool
+
+
+def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch,
+                                                     recording_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     config = _small_config(iterations=4, gap_every=4)  # one pair, 4 cells
     expected = run_grid(config, threads=1).records
     for threads in (2, 3, 8, 0):
         assert run_grid(config, threads=threads).records == expected
-    assert _RecordingPool.sizes == [2, 3, 4, 4]
+    assert recording_pool.sizes == [2, 3, 4, 4]
 
 
-def test_run_grid_rejects_negative_threads(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+def test_run_grid_pool_starts_its_workers_by_fork_on_linux(recording_pool):
+    run_grid(_small_config(iterations=4, gap_every=4), threads=2)
+    [context] = recording_pool.contexts
+    if sys.platform.startswith("linux"):
+        assert context.get_start_method() == "fork"
+    else:
+        assert context is None
+
+
+@pytest.mark.parametrize("threads, submitted", [
+    (2, [(4, 4, 4), (4, 2, 4), (2, 4, 4)]),
+    (4, [(4, 4, 2), (4, 4, 2), (4, 2, 2), (4, 2, 2), (2, 4, 2), (2, 4, 2)]),
+])
+def test_run_grid_pool_deals_whole_pairs_largest_first(
+        tmp_path, recording_pool, threads, submitted):
+    # Pairs go whole to the pool while there are at least as many as
+    # workers, costliest first; with more workers than pairs each pair
+    # is cut into ceil(workers / pairs) chunks. Neither changes a byte.
+    config = _small_config(antenna_pairs=((2, 4), (4, 2), (4, 4)),
+                           iterations=4, gap_every=2, record_throughput=True)
+    lone = run_grid(config, threads=1)
+    pooled = run_grid(config, threads=threads)
+    assert recording_pool.sizes == [threads]
+    assert recording_pool.submitted == submitted
+    assert pooled.records == lone.records
+    assert pooled.failures == []
+    write_throughput_csv(lone.rates, tmp_path / "lone.csv")
+    write_throughput_csv(pooled.rates, tmp_path / "pooled.csv")
+    assert ((tmp_path / "pooled.csv").read_bytes()
+            == (tmp_path / "lone.csv").read_bytes())
+
+
+def test_run_grid_rejects_negative_threads(recording_pool):
     with pytest.raises(ConfigError, match="threads"):
         run_grid(_small_config(), threads=-1)
-    assert _RecordingPool.sizes == []
+    assert recording_pool.sizes == []
 
 
 def test_csv_round_trip_bitwise(tmp_path):
