@@ -52,7 +52,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def warn(message: str) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
-    grid = harness.run_grid(config, threads=args.threads, on_failure=warn)
+    grid = harness.run_grid(config, threads=args.threads)
+    for failure in grid.failures:
+        warn(failure)
     keys = [(method, path) for method, path, _ in grid.rates]
     if len(set(keys)) < len(keys):
         warn("throughput.csv rows of cells that differ only in antennas, "
@@ -106,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment config file (key = value sections)")
     source.add_argument("--preset", choices=harness.PRESETS,
                         help="named experiment preset")
-    run_p.add_argument("--out", default="results", metavar="DIR",
-                       help="output directory (default: results)")
-    run_p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker processes; 0 = one per CPU (default: 1)")
 
     sub.add_parser("check", help="run the built-in invariant suite")
 
@@ -118,9 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("out_svg", help="output SVG path")
 
     demo_p = sub.add_parser("demo", help="run the demo preset")
-    demo_p.add_argument("--out", default="results", metavar="DIR")
-    demo_p.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker processes; 0 = one per CPU (default: 1)")
+    for grid_p in (run_p, demo_p):
+        grid_p.add_argument("--out", default="results", metavar="DIR",
+                            help="output directory (default: results)")
+        grid_p.add_argument("--threads", type=int, default=1, metavar="N",
+                            help="worker processes; 0 = one per CPU "
+                                 "(default: 1)")
     return parser
 
 

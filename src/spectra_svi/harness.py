@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import logging
 import math
 import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,13 +57,11 @@ from .solvers import (
 )
 
 # bench/spans.py wraps this name as its `solvers.reported_sequence` span;
-# throughput is now measured inside the solver loop, so it stays unset.
+# nothing in the package sets or calls it.
 reported_sequence = None
 
 CSV_HEADER = "method,m,n,sigma,lambda,path,iter,gap,elapsed_ms"
 THROUGHPUT_CSV_HEADER = "method,player,path,iter,R"
-
-_log = logging.getLogger(__name__)
 
 DEFAULT_BASE_SEED = 2026
 SEED_ENV_VAR = "SPECTRA_SVI_SEED"
@@ -203,14 +200,15 @@ class CellTask:
 CellRates = tuple[str, int, np.ndarray]
 
 
-@dataclass
-class GridResult:
-    """Gap records sorted by cell and iteration; `rates` holds one entry
-    per successful cell of a throughput-recording grid, in task order."""
+class GridResult(NamedTuple):
+    """The output of a batch or a grid: its gap records (a grid's sorted
+    by cell and iteration), then, in task order, one `rates` entry per
+    successful cell of a throughput-recording grid and one failure line
+    per failed cell."""
 
-    records: list[GapRecord] = field(default_factory=list)
-    rates: list[CellRates] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    records: list[GapRecord]
+    rates: list[CellRates]
+    failures: list[str]
 
 
 def _load_topology(selector: str, m: int, n: int) -> NetworkTopology:
@@ -327,8 +325,7 @@ def game_and_throughput(problem: SviProblem, points: np.ndarray,
     return game(cov), throughput(game.channels, cov.rows(rows))
 
 
-def run_cell(*tasks: CellTask
-             ) -> tuple[list[GapRecord], list[CellRates], list[str]]:
+def run_cell(*tasks: CellTask) -> GridResult:
     """Execute cells of one antenna pair as one batched solver run and
     emit their records, rates and failure lines (one task: a lone cell).
     Cells with the same channel seed share one draw: the seed hashes the
@@ -340,33 +337,30 @@ def run_cell(*tasks: CellTask
     any throughput evaluation, shared by every cell of the batch.
     """
     draws: dict[int, ChannelSet] = {}
-    cells = []
+    problems = []
     for task in tasks:
-        channels, problem, config = cell_problem(
+        channels, problem, _ = cell_problem(
             task, draws.get(task.channel_seed))
         draws[task.channel_seed] = channels
-        cells.append((problem, config))
+        problems.append(problem)
     measure = game_and_throughput if tasks[0].record_throughput else None
     tic = time.perf_counter()
-    results = run_batch([problem for problem, _ in cells],
-                        [config for _, config in cells], measure)
+    results = run_batch(problems, [task.solver for task in tasks], measure)
     elapsed_ms = (time.perf_counter() - tic) * 1e3
 
-    records: list[GapRecord] = []
-    rates: list[CellRates] = []
-    failures: list[str] = []
+    out = GridResult([], [], [])
     for task, result in zip(tasks, results):
         method = task.solver.method.value
-        records.extend(
+        out.records.extend(
             GapRecord(method, task.m, task.n, task.sigma, task.solver.lam,
                       task.path, it, gap,
                       elapsed_ms if task.record_timing else 0.0)
             for it, gap in result.gap_trace)
         if result.error is not None:
-            failures.append(f"{task.label()}: {result.error}")
+            out.failures.append(f"{task.label()}: {result.error}")
         elif measure is not None:
-            rates.append((method, task.path, result.measures))
-    return records, rates, failures
+            out.rates.append((method, task.path, result.measures))
+    return out
 
 
 def _batches(tasks: list[CellTask], workers: int) -> list[list[CellTask]]:
@@ -391,8 +385,7 @@ def _batches(tasks: list[CellTask], workers: int) -> list[list[CellTask]]:
     return batches
 
 
-def run_grid(config: ExperimentConfig, threads: int = 1,
-             on_failure: Callable[[str], None] | None = None) -> GridResult:
+def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     """Run every cell of the grid; deterministic for a fixed config.
 
     threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses up
@@ -403,9 +396,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     by transmit count, receive count and cell count, so the costliest
     pair does not start last on a worker that is otherwise idle. A batch
     that raises (or a worker that dies) becomes one failure line per
-    cell of it; the other batches' records are kept. Each batch's output
-    keeps its place in grid order and gap records are sorted after the
-    merge, so the output does not depend on scheduling.
+    cell of it in the result's `failures`, which are the only report of
+    it; the other batches' records are kept. Each batch's output keeps
+    its place in grid order and gap records are sorted after the merge,
+    so the output does not depend on scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
@@ -414,11 +408,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     batches = _batches(tasks, workers)
     outputs: list = [None] * len(batches)
 
-    def failed(batch: list[CellTask], exc: Exception) -> tuple:
+    def failed(batch: list[CellTask], exc: Exception) -> GridResult:
         reason = f"{type(exc).__name__}: {exc}"
-        _log.error("batch of %d cells failed: %s", len(batch), reason)
-        return [], [], [f"{task.label()}: batch failed: {reason}"
-                        for task in batch]
+        return GridResult([], [], [f"{task.label()}: batch failed: {reason}"
+                                   for task in batch])
 
     if workers == 1 or len(batches) == 1:
         for i, batch in enumerate(batches):
@@ -443,14 +436,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
                     outputs[i] = future.result()
                 except Exception as exc:
                     outputs[i] = failed(batches[i], exc)
-    out = GridResult()
-    for records, rates, failures in outputs:
-        out.records.extend(records)
-        out.rates.extend(rates)
-        for failure in failures:
-            out.failures.append(failure)
-            if on_failure is not None:
-                on_failure(failure)
+    out = GridResult([], [], [])
+    for output in outputs:
+        for merged, part in zip(out, output):
+            merged.extend(part)
     out.records.sort()
     return out
 

@@ -129,29 +129,29 @@ class ChannelSet:
     link at once on `stacked` and on the draw's received-covariance
     `operator` (and, with 2 receive antennas, its `gradient_operator`),
     each built on first use. The channels of several cells, made
-    by `stack`, give `stacked` a leading cell axis, and keep one
-    operator per distinct draw in `operators` and each cell's draw
-    number in `draw`."""
+    by `stack`, give `stacked` a leading cell axis, and keep the
+    distinct source draws in `draws` and each cell's draw number in
+    `draw`; each cell is evaluated on its draw's own operators."""
 
     stacked: np.ndarray = field(repr=False)
     tx_antennas: tuple[int, ...]
     rx_antennas: tuple[int, ...]
-    operators: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    draws: tuple["ChannelSet", ...] | None = field(default=None, repr=False)
     draw: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def stack(cls, channel_sets: list["ChannelSet"]) -> "ChannelSet":
         """Cells that share a draw (the same object) share its padded
-        stack and its operator: the batch's stack is one gather over the
-        distinct draws, and each distinct draw builds its operator once."""
+        stack and its operators: the batch's stack is one gather over the
+        distinct draws, and each draw builds its operators once, however
+        many stacks it is in."""
         slots: dict[ChannelSet, int] = {}
         for c in channel_sets:
             slots.setdefault(c, len(slots))
         draw = np.array([slots[c] for c in channel_sets])
         first = channel_sets[0]
         return cls(np.stack([c.stacked for c in slots])[draw],
-                   first.tx_antennas, first.rx_antennas,
-                   tuple(c.operator for c in slots), draw)
+                   first.tx_antennas, first.rx_antennas, tuple(slots), draw)
 
     @property
     def users(self) -> int:
@@ -171,18 +171,17 @@ class ChannelSet:
     @functools.cached_property
     def gradient_operator(self) -> np.ndarray:
         """The rate-gradient operator of a single draw (see
-        `_gradient_operator`); of stacked channels, each distinct draw's,
-        built once and gathered per cell as `stacked` is."""
-        if self.draw is None:
+        `_gradient_operator`); of stacked channels, each draw's own,
+        gathered per cell as `stacked` is."""
+        if self.draws is None:
             return _gradient_operator(self.direct_stacked)
-        return np.stack([_gradient_operator(self.direct_stacked[rows[0]])
-                         for rows in self.draw_rows])[self.draw]
+        return np.stack([d.gradient_operator for d in self.draws])[self.draw]
 
     @functools.cached_property
     def draw_rows(self) -> tuple[np.ndarray, ...]:
         """The cells of each distinct draw of a stacked set."""
         return tuple(np.flatnonzero(self.draw == d)
-                     for d in range(len(self.operators)))
+                     for d in range(len(self.draws)))
 
     def received(self, x: np.ndarray) -> np.ndarray:
         """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian
@@ -193,12 +192,12 @@ class ChannelSet:
         Each row is a (1, N m^2) x (N m^2, N n^2) product of its own, so
         a row's bits do not depend on how many rows share the call."""
         rows = x[:, None, :]
-        if self.operators is None or len(self.operators) == 1:
-            op = self.operator if self.operators is None else self.operators[0]
-            return (rows @ op)[:, 0, :]
-        out = np.empty((len(x), self.operators[0].shape[1]))
-        for op, index in zip(self.operators, self.draw_rows):
-            out[index] = (rows[index] @ op)[:, 0, :]
+        draws = (self,) if self.draws is None else self.draws
+        if len(draws) == 1:
+            return (rows @ draws[0].operator)[:, 0, :]
+        out = np.empty((len(x), draws[0].operator.shape[1]))
+        for d, index in zip(draws, self.draw_rows):
+            out[index] = (rows[index] @ d.operator)[:, 0, :]
         return out
 
     @functools.cached_property

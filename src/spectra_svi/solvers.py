@@ -196,7 +196,8 @@ def mirror_step(Y: np.ndarray, phi: np.ndarray, eta: float | np.ndarray,
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one solver run.
+    """Outcome of one cell's solver run; the cell's seed and settings
+    stay with the caller's `SolverConfig`.
 
     final_point is the method's reported point (the average for AM-SMD,
     the last iterate otherwise) at the last gap iteration whose
@@ -218,8 +219,6 @@ class RunResult:
     gap_trace: tuple[tuple[int, float], ...]
     iterate_seconds: float
     gap_seconds: float
-    seed: int
-    config: SolverConfig
     error: str | None = None
     measures: np.ndarray | None = None
 
@@ -396,10 +395,8 @@ def _run_cells(problems: Sequence[SviProblem],
             gap_trace=tuple(traces[c]),
             iterate_seconds=iterate_seconds,
             gap_seconds=gap_seconds,
-            seed=config.seed,
-            config=config,
             error=error,
             measures=measured[c] if measuring else None,
         )
-        for c, config in enumerate(configs)
+        for c in range(C)
     ]

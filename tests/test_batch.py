@@ -257,26 +257,33 @@ def test_a_batch_draws_each_channel_seed_once(resample, monkeypatch):
 
 @pytest.mark.parametrize("paths", (1, 2))
 def test_a_batch_builds_one_operator_per_draw(paths, monkeypatch):
-    # A full-grid-shaped antenna pair: 3 sigmas x (AM-SMD, M-SMD and MEL
+    # Full-grid-shaped antenna pairs: 3 sigmas x (AM-SMD, M-SMD and MEL
     # at 3 lambdas) = 15 cells per sample path, all on the path's draw.
-    config = ExperimentConfig(
-        antenna_pairs=((2, 4),), sigmas=(0.0, 1.0, 2.0),
-        methods=(MethodSpec(Method.AM_SMD, HS), MethodSpec(Method.M_SMD, HS),
-                 MethodSpec(Method.MEL, HS, (0.1, 0.5, 1.0))),
-        iterations=2, sample_paths=paths, gap_every=1, base_seed=4)
-    tasks = harness.build_tasks(config)
-    assert len(tasks) == 15 * paths
-    built = []
-    real = mimo._received_operator
+    # The AM-SMD cells' averages are evaluated on a second stack of the
+    # same draws, which builds no operator of its own; the rate-gradient
+    # operator exists only with 2 receive antennas (4x2).
+    built = {"_received_operator": [], "_gradient_operator": []}
+    for name, calls in built.items():
+        def counted(H, real=getattr(mimo, name), calls=calls):
+            calls.append(None)
+            return real(H)
 
-    def counted(H):
-        built.append(None)
-        return real(H)
-
-    monkeypatch.setattr(mimo, "_received_operator", counted)
-    records, _, failures = harness.run_cell(*tasks)
-    assert not failures and len(records) == 2 * len(tasks)
-    assert len(built) == paths
+        monkeypatch.setattr(mimo, name, counted)
+    for m, n in ((2, 4), (4, 2)):
+        config = ExperimentConfig(
+            antenna_pairs=((m, n),), sigmas=(0.0, 1.0, 2.0),
+            methods=(MethodSpec(Method.AM_SMD, HS),
+                     MethodSpec(Method.M_SMD, HS),
+                     MethodSpec(Method.MEL, HS, (0.1, 0.5, 1.0))),
+            iterations=2, sample_paths=paths, gap_every=1, base_seed=4)
+        tasks = harness.build_tasks(config)
+        assert len(tasks) == 15 * paths
+        for calls in built.values():
+            calls.clear()
+        records, _, failures = harness.run_cell(*tasks)
+        assert not failures and len(records) == 2 * len(tasks)
+        assert len(built["_received_operator"]) == paths
+        assert len(built["_gradient_operator"]) == (paths if n == 2 else 0)
 
 
 def test_shared_draws_equal_lone_draws(monkeypatch):

@@ -180,11 +180,12 @@ def test_plot_rejects_malformed_csv(tmp_path):
     assert cli.main(["plot", str(bad), str(tmp_path / "x.svg")]) == cli.EXIT_CONFIG
 
 
-def test_a_failed_batch_is_one_log_line_and_exit_2(tmp_path, capsys, caplog,
-                                                  monkeypatch):
+def test_a_failed_batch_warns_once_per_cell_and_exits_2(tmp_path, capsys,
+                                                        caplog, monkeypatch):
     # An error from outside the package fails the 2x4 batch; the 2x2
-    # batch's rows are still written, and the failure is logged as one
-    # line with no traceback.
+    # batch's rows are still written, and each failed cell's line reaches
+    # stderr once, through the grid's failures: nothing is logged and no
+    # traceback is printed.
     real = harness.run_cell
 
     def run_cell(*tasks):
@@ -194,21 +195,28 @@ def test_a_failed_batch_is_one_log_line_and_exit_2(tmp_path, capsys, caplog,
 
     monkeypatch.setattr(harness, "run_cell", run_cell)
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(_tiny_config_text().replace("2x2", "2x2, 2x4"))
+    cfg.write_text(_tiny_config_text().replace("2x2", "2x2, 2x4").replace(
+        "sample_paths = 1", "sample_paths = 2"))
     out = tmp_path / "out"
-    with caplog.at_level(logging.ERROR, logger=harness.__name__):
+    with caplog.at_level(logging.DEBUG):
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_NUMERICAL
-    assert "Traceback" not in capsys.readouterr().err
-    assert [(r.getMessage(), r.exc_info) for r in caplog.records] == [
-        ("batch of 1 cells failed: RuntimeError: injected", None)]
+    assert caplog.records == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failures = [f"{t.label()}: batch failed: RuntimeError: injected"
+                for t in harness.build_tasks(harness.parse_config(str(cfg)))
+                if t.n == 4]
+    assert len(failures) == 2
+    lines = err.splitlines()
+    for failure in failures:
+        assert lines.count(f"warning: {failure}") == 1
+    assert [line for line in lines if "injected" in line] == [
+        f"warning: {failure}" for failure in failures]
     records = harness.read_csv(out / "results.csv")
-    assert [(r.m, r.n) for r in records] == [(2, 2)]
+    assert {(r.m, r.n) for r in records} == {(2, 2)}
     echo = (out / "config.echo.txt").read_text()
-    assert echo.split("[failures]\n", 1)[1].splitlines() == [
-        f"{t.label()}: batch failed: RuntimeError: injected"
-        for t in harness.build_tasks(harness.parse_config(str(cfg)))
-        if t.n == 4]
+    assert echo.split("[failures]\n", 1)[1].splitlines() == failures
 
 
 def test_run_with_every_cell_failed_writes_partial_results(tmp_path, capsys,

@@ -441,7 +441,7 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
         order = [0, 1, 1, 0, 1]
         stacked = mimo.ChannelSet.stack([draws[d] for d in order])
         assert stacked.draw.tolist() == order
-        assert all(a is d.operator for a, d in zip(stacked.operators, draws))
+        assert stacked.draws == tuple(draws)
         rng = np.random.default_rng(22)
         points = [pb.random_feasible_profile(topo.constraint_set(), rng)
                   for _ in order]
