@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         grid_p.add_argument("--out", default="results", metavar="DIR",
                             help="output directory (default: results)")
         grid_p.add_argument("--threads", type=int, default=1, metavar="N",
-                            help="worker processes; 0 = one per CPU "
-                                 "(default: 1)")
+                            help="worker processes; 0 = one per usable "
+                                 "CPU (default: 1)")
     return parser
 
 

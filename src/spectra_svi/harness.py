@@ -7,9 +7,12 @@ and independent of execution order or thread count. Channel draws use a
 seed that excludes the method, lambda and sigma: all methods in a cell
 face the same channel realizations and differ only in their own noise
 streams. All cells of one antenna pair share their array shapes and run
-as one batched solver loop (`solvers.run_batch`). A process pool takes
-whole pairs, largest first, and cuts a pair into chunks only when there
-are fewer pairs than workers. A batch draws each distinct channel
+as one batched solver loop (`solvers.run_batch`). Worker processes take
+whole pairs, largest first, and a pair is cut into chunks only when
+there are fewer pairs than workers. On Linux the workers are children
+forked directly from this process (`_forked`), which imports neither
+`multiprocessing` nor `concurrent.futures`; elsewhere they are a
+`ProcessPoolExecutor` (`_pooled`). A batch draws each distinct channel
 seed once; its cells share that draw, its padded stack and its oracle
 bound. Per-player rates stay one (T, N) array per cell until
 `write_throughput_csv` formats them.
@@ -25,11 +28,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import multiprocessing
 import os
+import pickle
+import select
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -388,60 +392,172 @@ def _batches(tasks: list[CellTask], workers: int) -> list[list[CellTask]]:
 def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     """Run every cell of the grid; deterministic for a fixed config.
 
-    threads: 1 runs in-process; 0 uses one worker per CPU; N > 1 uses up
-    to N worker processes (never more than there are batches); negative
-    values are a ConfigError. The cells of each antenna pair form one
-    batch, cut into near-equal chunks only when there are fewer pairs
-    than workers (`_batches`). A pool takes the batches largest first,
-    by transmit count, receive count and cell count, so the costliest
-    pair does not start last on a worker that is otherwise idle. A batch
-    that raises (or a worker that dies) becomes one failure line per
+    threads: 1 runs in-process; 0 uses one worker per CPU this process
+    may run on (its affinity mask where the platform has one); N > 1
+    uses up to N worker processes (never more than there are batches);
+    negative values are a ConfigError. The cells of each antenna pair
+    form one batch, cut into near-equal chunks only when there are fewer
+    pairs than workers (`_batches`). Workers take the batches largest
+    first, by transmit count, receive count and cell count, so the
+    costliest pair does not start last on a worker that is otherwise
+    idle. On Linux the workers are forked children (`_forked`),
+    elsewhere a `ProcessPoolExecutor` with the platform's default start
+    method (`_pooled`). A batch that raises becomes one failure line per
     cell of it in the result's `failures`, which are the only report of
-    it; the other batches' records are kept. Each batch's output keeps
-    its place in grid order and gap records are sorted after the merge,
-    so the output does not depend on scheduling.
+    it, and so does the batch a forked worker held when it died; the
+    other batches' records are kept. Each batch's output keeps its place
+    in grid order and gap records are sorted after the merge, so the
+    output does not depend on scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     tasks = build_tasks(config)
-    workers = threads or os.cpu_count() or 1
+    workers = threads or _usable_cpus()
     batches = _batches(tasks, workers)
-    outputs: list = [None] * len(batches)
-
-    def failed(batch: list[CellTask], exc: Exception) -> GridResult:
-        reason = f"{type(exc).__name__}: {exc}"
-        return GridResult([], [], [f"{task.label()}: batch failed: {reason}"
-                                   for task in batch])
-
     if workers == 1 or len(batches) == 1:
-        for i, batch in enumerate(batches):
-            try:
-                outputs[i] = run_cell(*batch)
-            except Exception as exc:
-                outputs[i] = failed(batch, exc)
+        outputs = [_run_batch(batch) for batch in batches]
     else:
         order = sorted(range(len(batches)), reverse=True, key=lambda i: (
             batches[i][0].m, batches[i][0].n, len(batches[i])))
-        # Fork on Linux, whatever Python's default start method: workers
-        # start cheaply, their CPU time counts among the caller's
-        # children, and a calling script needs no __main__ guard.
-        context = (multiprocessing.get_context("fork")
-                   if sys.platform.startswith("linux") else None)
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches)),
-                                 mp_context=context) as pool:
-            futures = {pool.submit(run_cell, *batches[i]): i for i in order}
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    outputs[i] = future.result()
-                except Exception as exc:
-                    outputs[i] = failed(batches[i], exc)
+        runner = _forked if sys.platform.startswith("linux") else _pooled
+        outputs = runner(batches, order, min(workers, len(batches)))
     out = GridResult([], [], [])
     for output in outputs:
         for merged, part in zip(out, output):
             merged.extend(part)
     out.records.sort()
     return out
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _failed(batch: list[CellTask], reason: str) -> GridResult:
+    return GridResult([], [], [f"{task.label()}: batch failed: {reason}"
+                               for task in batch])
+
+
+def _run_batch(batch: list[CellTask]) -> GridResult:
+    # `run_cell` is looked up by its module-level name, so a wrapper put
+    # there (the bench's span tracer) sees the calls made in workers too.
+    try:
+        return run_cell(*batch)
+    except Exception as exc:
+        return _failed(batch, f"{type(exc).__name__}: {exc}")
+
+
+def _pooled(batches: list[list[CellTask]], order: list[int],
+            workers: int) -> list[GridResult]:
+    """Batches run by a ProcessPoolExecutor, dealt in `order`. A worker
+    that dies breaks the pool and fails every batch still pending."""
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    outputs: list = [None] * len(batches)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(run_cell, *batches[i]): i for i in order}
+        for future in as_completed(futures):
+            i = futures[future]
+            try:
+                outputs[i] = future.result()
+            except Exception as exc:
+                outputs[i] = _failed(batches[i],
+                                     f"{type(exc).__name__}: {exc}")
+    return outputs
+
+
+def _forked(batches: list[list[CellTask]], order: list[int],
+            workers: int) -> list[GridResult]:
+    """Batches run by `workers` children forked from this process.
+
+    The batch indices, in `order`, are written as 4-byte integers into
+    one pipe before the first fork, and its write end is closed, so a
+    child takes the next batch with one read and ends at the pipe's end
+    of file. (A pipe holds 16384 indices; there are never more batches
+    than cells, nor than workers plus antenna pairs.) A child writes to
+    its own pipe the index of each batch it takes, then the batch's
+    pickled GridResult behind its byte length, and leaves by `os._exit`.
+    The parent drains every child's pipe as data arrives, so no child
+    blocks on a full pipe, then reaps every child, killing them first if
+    it is interrupted. A child that dies fails only the batch it held;
+    the others are taken by the children still running.
+    """
+    deal_r, deal_w = os.pipe()
+    try:
+        os.write(deal_w, b"".join(i.to_bytes(4, "little") for i in order))
+    finally:
+        os.close(deal_w)
+    # Output still buffered at a fork would be written again by a child.
+    for std in (sys.stdout, sys.stderr):
+        if std is not None:
+            std.flush()
+    children: dict[int, int] = {}  # result pipe's read end -> pid
+    streams: dict[int, bytearray] = {}
+    finished = False
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (r, *children):
+                        os.close(fd)
+                    with open(w, "wb") as out:
+                        while index := os.read(deal_r, 4):
+                            out.write(index)
+                            out.flush()
+                            i = int.from_bytes(index, "little")
+                            data = pickle.dumps(_run_batch(batches[i]))
+                            out.write(len(data).to_bytes(8, "little"))
+                            out.write(data)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[r] = pid
+            streams[r] = bytearray()
+        open_fds = list(children)
+        while open_fds:
+            ready, _, _ = select.select(open_fds, [], [])
+            for fd in ready:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    streams[fd] += chunk
+                else:
+                    open_fds.remove(fd)
+        finished = True
+    finally:
+        os.close(deal_r)
+        statuses = {}
+        for fd, pid in children.items():
+            os.close(fd)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            statuses[fd] = os.waitpid(pid, 0)[1]
+
+    outputs: list = [None] * len(batches)
+    for fd, stream in streams.items():
+        pos = 0
+        while pos + 4 <= len(stream):
+            i = int.from_bytes(stream[pos:pos + 4], "little")
+            start = pos + 12
+            stop = start + int.from_bytes(stream[pos + 4:start], "little")
+            if stop > len(stream):  # the child died while it held batch i
+                code = os.waitstatus_to_exitcode(statuses[fd])
+                outputs[i] = _failed(batches[i], "worker " + (
+                    f"killed by signal {-code}" if code < 0
+                    else f"exited with code {code}"))
+                break
+            outputs[i] = pickle.loads(stream[start:stop])
+            pos = stop
+    for i, output in enumerate(outputs):
+        if output is None:  # every worker had died before taking it
+            outputs[i] = _failed(batches[i], "no worker finished it")
+    return outputs
 
 
 def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:

@@ -1,8 +1,13 @@
 """Experiment grids: seeding, CSV schema, config parsing, presets."""
 
+import concurrent.futures
 import os
 import re
+import select
+import signal
+import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from dataclasses import fields, replace
 
@@ -226,16 +231,108 @@ def test_run_grid_survives_a_dead_worker(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_channels", fatal)
     grid = run_grid(config, threads=2)
-    # Batches still pending when the worker died fail with it; every
-    # cell ends with either its records or a failure line.
-    failed = {line.split(": ", 1)[0] for line in grid.failures}
-    assert all("BrokenProcessPool" in line for line in grid.failures)
-    for task in build_tasks(config):
-        rows = [r for r in grid.records
-                if (r.method, r.n, r.path) == (task.solver.method.value,
-                                               task.n, task.path)]
-        assert (task.label() in failed) != bool(rows)
-        assert task.n == 2 or task.label() in failed
+    # Only the batch the dead worker held fails; the other worker runs
+    # the rest, so every n = 2 cell keeps its records.
+    bad = [t for t in build_tasks(config) if t.n == 4]
+    assert grid.failures == [
+        f"{t.label()}: batch failed: worker exited with code 1" for t in bad]
+    lone = run_grid(replace(config, antenna_pairs=((2, 2),)), threads=1)
+    assert grid.records == lone.records
+
+
+def test_run_grid_survives_a_killed_worker(monkeypatch):
+    config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
+                           iterations=10, gap_every=5)
+    real = harness.sample_channels
+
+    def killed(topology, rng):
+        if topology.rx_antennas[0] == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(topology, rng)
+
+    monkeypatch.setattr(harness, "sample_channels", killed)
+    grid = run_grid(config, threads=2)
+    bad = [t for t in build_tasks(config) if t.n == 4]
+    assert grid.failures == [
+        f"{t.label()}: batch failed: worker killed by signal "
+        f"{int(signal.SIGKILL)}" for t in bad]
+    lone = run_grid(replace(config, antenna_pairs=((2, 2), (4, 2))),
+                    threads=1)
+    assert grid.records == lone.records
+
+
+def test_run_grid_survives_every_worker_dying(monkeypatch):
+    # Two workers die on their first batches, so the third batch is
+    # never taken: every cell still ends with a failure line.
+    config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
+                           iterations=10, gap_every=5)
+    monkeypatch.setattr(harness, "sample_channels",
+                        lambda topology, rng: os._exit(3))
+    grid = run_grid(config, threads=2)
+    assert grid.records == [] and grid.rates == []
+    labels = [line.split(": batch failed: ")[0] for line in grid.failures]
+    assert labels == [t.label() for t in build_tasks(config)]
+    reasons = [line.split(": batch failed: ")[1] for line in grid.failures]
+    assert reasons.count("worker exited with code 3") == 2 * 4
+    assert reasons.count("no worker finished it") == 4
+
+
+def test_run_grid_drains_results_larger_than_a_pipe(tmp_path):
+    # Each worker returns more rates than a pipe holds (64 KiB), so both
+    # block unless the parent reads their pipes as they fill.
+    config = _small_config(
+        antenna_pairs=((2, 2), (2, 4)), iterations=600, gap_every=300,
+        sample_paths=2, record_throughput=True,
+        methods=(MethodSpec(Method.AM_SMD, StepSchedule.harmonic_sqrt()),))
+    lone = run_grid(config, threads=1)
+    forked = run_grid(config, threads=2)
+    assert [rates.nbytes for _, _, rates in forked.rates] == [600 * 7 * 8] * 4
+    assert 2 * 600 * 7 * 8 > 65536
+    assert forked.records == lone.records and forked.failures == []
+    write_throughput_csv(lone.rates, tmp_path / "lone.csv")
+    write_throughput_csv(forked.rates, tmp_path / "forked.csv")
+    assert ((tmp_path / "forked.csv").read_bytes()
+            == (tmp_path / "lone.csv").read_bytes())
+
+
+def test_run_grid_kills_and_reaps_its_workers_when_interrupted(monkeypatch):
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10)
+    monkeypatch.setattr(harness, "sample_channels",
+                        lambda topology, rng: time.sleep(60))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(select, "select", interrupted)
+    tic = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(config, threads=2)
+    assert time.monotonic() - tic < 30  # the sleeping workers were killed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_grid_imports_no_process_pool_machinery():
+    # multiprocessing and concurrent.futures pull in subprocess, socket
+    # and logging; the CLI and the grid runner need none of them.
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import spectra_svi.cli\n"
+        "from spectra_svi import harness\n"
+        "config = replace(harness.preset_config('demo'), iterations=4,"
+        " gap_every=4, sample_paths=1, antenna_pairs=((2, 2), (2, 4)))\n"
+        "threads = [1, 2] if sys.platform.startswith('linux') else [1]\n"
+        "for t in threads:\n"
+        "    assert not harness.run_grid(config, threads=t).failures\n"
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures',"
+        " 'subprocess', 'socket', 'logging') if m in sys.modules))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_run_grid_timing_is_shared_by_a_batch():
@@ -315,17 +412,84 @@ def test_run_grid_batches_throughput_cells(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, the start
-    method's context and the (m, n, cells) of each submitted batch, and
-    runs every job in-process, so no worker is ever started."""
+    """Stands in for the forked runner, `harness._forked`: records the
+    worker count and the (m, n, cells) of each batch in the order dealt,
+    and runs every batch in-process, so no worker is ever started."""
 
     sizes: list = []
-    contexts: list = []
     submitted: list = []
 
+    @classmethod
+    def run(cls, batches, order, workers):
+        cls.sizes.append(workers)
+        cls.submitted.extend(
+            (batches[i][0].m, batches[i][0].n, len(batches[i])) for i in order)
+        return [harness._run_batch(batch) for batch in batches]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(harness, "_forked", _RecordingPool.run)
+    for name in ("sizes", "submitted"):
+        monkeypatch.setattr(_RecordingPool, name, [])
+    return _RecordingPool
+
+
+def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch,
+                                                     recording_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    config = _small_config(iterations=4, gap_every=4)  # one pair, 4 cells
+    expected = run_grid(config, threads=1).records
+    for threads in (2, 3, 8, 0):
+        assert run_grid(config, threads=threads).records == expected
+    assert recording_pool.sizes == [2, 3, 4, 4]
+
+
+def test_run_grid_counts_only_the_cpus_it_may_use(monkeypatch,
+                                                  recording_pool):
+    # Pinned to one CPU of two, threads = 0 runs in-process.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    config = _small_config(iterations=4, gap_every=4)
+    assert (run_grid(config, threads=0).records
+            == run_grid(config, threads=1).records)
+    assert recording_pool.sizes == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_grid(config, threads=0)
+    assert recording_pool.sizes == [2]
+
+
+def test_run_grid_pool_starts_its_workers_by_fork_on_linux(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(sys, "platform", "linux")
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=4,
+                           gap_every=4)
+    grid = run_grid(config, threads=2)
+    assert forks == [1, 1]
+    assert grid.records == run_grid(config, threads=1).records
+    assert grid.failures == []
+
+
+class _RecordingExecutor:
+    """Stands in for concurrent.futures.ProcessPoolExecutor: records
+    max_workers and the start method's context, and runs every job
+    in-process."""
+
+    made: list = []
+
     def __init__(self, max_workers, mp_context=None):
-        self.sizes.append(max_workers)
-        self.contexts.append(mp_context)
+        self.made.append((max_workers, mp_context))
 
     def __enter__(self):
         return self
@@ -334,37 +498,21 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, *args):
-        self.submitted.append((args[0].m, args[0].n, len(args)))
         future = Future()
         future.set_result(fn(*args))
         return future
 
 
-@pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    for name in ("sizes", "contexts", "submitted"):
-        monkeypatch.setattr(_RecordingPool, name, [])
-    return _RecordingPool
-
-
-def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch,
-                                                     recording_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    config = _small_config(iterations=4, gap_every=4)  # one pair, 4 cells
-    expected = run_grid(config, threads=1).records
-    for threads in (2, 3, 8, 0):
-        assert run_grid(config, threads=threads).records == expected
-    assert recording_pool.sizes == [2, 3, 4, 4]
-
-
-def test_run_grid_pool_starts_its_workers_by_fork_on_linux(recording_pool):
-    run_grid(_small_config(iterations=4, gap_every=4), threads=2)
-    [context] = recording_pool.contexts
-    if sys.platform.startswith("linux"):
-        assert context.get_start_method() == "fork"
-    else:
-        assert context is None
+def test_run_grid_pool_uses_an_executor_off_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "made", [])
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=4,
+                           gap_every=4)
+    grid = run_grid(config, threads=2)
+    assert _RecordingExecutor.made == [(2, None)]
+    assert grid.records == run_grid(config, threads=1).records
 
 
 @pytest.mark.parametrize("threads, submitted", [
