@@ -456,6 +456,25 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
             assert np.array_equal(rates[c], mimo.throughput(draws[d], point))
 
 
+@pytest.mark.parametrize("order", [
+    [0, 1, 2, 0, 1, 2, 0, 1, 2],  # periodic, as the harness lays cells out
+    [2, 0, 1, 1, 0, 2, 0],  # shuffled
+    [0, 0, 0, 1, 2, 2],  # uneven, as a failed batch's halves can be
+    [0, 0, 0, 0],  # a single draw
+], ids=["periodic", "shuffled", "uneven", "single"])
+@pytest.mark.parametrize("m, n", ((2, 2), (4, 2), (2, 4)))
+def test_stacked_received_rows_equal_their_lone_products(order, m, n):
+    topo = mimo.canonical_topology(m, n)
+    draws = [mimo.sample_channels(topo, np.random.default_rng(40 + s))
+             for s in range(max(order) + 1)]
+    stacked = mimo.ChannelSet.stack([draws[d] for d in order])
+    x = np.random.default_rng(41).standard_normal((len(order), 7 * m * m))
+    got = stacked.received(x)
+    assert got.shape == (len(order), 7 * n * n)
+    for row, d, lone in zip(got, order, x):
+        assert row.tobytes() == (lone @ draws[d].operator).tobytes()
+
+
 @pytest.mark.parametrize("topo", [
     mimo.canonical_topology(4, 4),
     mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3)),
