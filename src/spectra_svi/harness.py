@@ -26,6 +26,7 @@ order is the row order. Repeated grid values are a ConfigError.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import math
 import os
@@ -36,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -560,6 +561,23 @@ def _forked(batches: list[list[CellTask]], order: list[int],
     return outputs
 
 
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike) -> Iterator[TextIO]:
+    """An ASCII text file written under a temporary name in `path`'s
+    directory and moved onto `path` by `os.replace` when the block ends,
+    so a kill during the write leaves `path` as it was. If the block
+    raises, the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:
     """Pinned schema: method,m,n,sigma,lambda,path,iter,gap,elapsed_ms."""
     lines = [CSV_HEADER]
@@ -567,7 +585,7 @@ def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:
         lines.append(",".join((
             r.method, str(r.m), str(r.n), _fmt(r.sigma), _fmt(r.lam),
             str(r.path), str(r.iteration), _fmt(r.gap), _fmt(r.elapsed_ms))))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    with replacing(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -609,7 +627,7 @@ def write_throughput_csv(rates: Iterable[CellRates],
     groups: dict[tuple[str, int], list[np.ndarray]] = {}
     for method, p, R in rates:
         groups.setdefault((method, p), []).append(R)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    with replacing(path) as f:
         f.write(THROUGHPUT_CSV_HEADER + "\n")
         for method in sorted({method for method, _ in groups}):
             paths = sorted(p for m, p in groups if m == method)
@@ -828,15 +846,16 @@ def config_echo_text(config: ExperimentConfig) -> str:
 
 def write_outputs(grid: GridResult, config: ExperimentConfig, out_dir: str,
                   stem: str) -> dict[str, str]:
-    """Write CSV plus config echo (plus the throughput CSV when recorded);
-    returns the written paths keyed by artifact name."""
+    """Write CSV plus config echo (plus the throughput CSV when recorded),
+    each replacing its file only once complete (`replacing`); returns
+    the written paths keyed by artifact name."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     write_csv(grid.records, csv_path)
     paths["csv"] = csv_path
     echo_path = os.path.join(out_dir, "config.echo.txt")
-    with open(echo_path, "w", encoding="ascii", newline="\n") as f:
+    with replacing(echo_path) as f:
         f.write(config_echo_text(config))
         if grid.failures:
             f.write("\n[failures]\n")

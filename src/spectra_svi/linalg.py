@@ -83,7 +83,7 @@ def _checked_finite(A: np.ndarray) -> np.ndarray:
     first offending matrix as `block`, counted along the flattened
     leading axes."""
     H = np.asarray(A)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         # Some LAPACK builds return NaN eigenvalues instead of raising;
         # NaN also defeats every downstream comparison, so fail loudly.
         diagnostics = {"dim": H.shape[-1]}
@@ -118,9 +118,9 @@ def hermitian_2x2(A: np.ndarray):
     and beta = (f(mu + r) - f(mu - r)) / (2 r): a closed form with no
     LAPACK call."""
     H = _checked_finite(A)
-    a, d = H[..., 0, 0].real, H[..., 1, 1].real
-    delta = a / 2 - d / 2
-    return H, a / 2 + d / 2, delta, np.hypot(delta, np.abs(H[..., 0, 1]))
+    half_a, half_d = H[..., 0, 0].real / 2, H[..., 1, 1].real / 2
+    delta = half_a - half_d
+    return H, half_a + half_d, delta, np.hypot(delta, np.abs(H[..., 0, 1]))
 
 
 def eig(A: np.ndarray) -> EigenDecomposition:

@@ -18,12 +18,13 @@ I + sum_j H_ji X_j H_ji^dag. The channels stay fixed for a whole run, so
 X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
 channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates (m^2
 reals per block: the diagonal, then the real and the imaginary parts of
-the upper triangle), built once per draw (`ChannelSet.operator`).
+the upper triangle), built once per draw (`_received_operator`).
 `covariances` packs a stack of profiles into those coordinates, applies
-the operator with one small matrix-vector product per profile and
-unpacks the result, exactly Hermitian, plus I. Both `game_mapping` and
-`throughput` accept that build in place of the profile; the rates'
-interference-only covariance is the full one minus H_ii X_i H_ii^dag.
+the draws' operators in one broadcast product (a small matrix-vector
+product per profile) and unpacks the result, exactly Hermitian, plus I.
+Both `game_mapping` and `throughput` accept that build in place of the
+profile; the rates' interference-only covariance is the full one minus
+H_ii X_i H_ii^dag.
 
 The mapping's rate gradients H_ii^dag W_i^{-1} H_ii take one of two
 paths, chosen by the receive count n alone. With n = 2 they come in
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -54,6 +56,11 @@ from .problem import (
     SviProblem,
     TraceMode,
 )
+
+# The stacked received-covariance operators of each tuple of draws (see
+# `ChannelSet._layout`). A value depends on its key alone, and an entry
+# goes once no stacked set holds its value.
+_OPERATOR_STACKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 # Transmitter-to-receiver distances in km for the canonical 7-cell
 # hexagonal layout (cell radius 1 km); row j = transmitter j, column
@@ -127,11 +134,12 @@ class ChannelSet:
     antenna counts n and m: H_ji is the top-left corner of
     stacked[j, i], and the rest of it is zero. The game evaluates every
     link at once on `stacked` and on the draw's received-covariance
-    `operator` (and, with 2 receive antennas, its `gradient_operator`),
+    operator (and, with 2 receive antennas, its `gradient_operator`),
     each built on first use. The channels of several cells, made
     by `stack`, give `stacked` a leading cell axis, and keep the
     distinct source draws in `draws` and each cell's draw number in
-    `draw`; each cell is evaluated on its draw's own operators."""
+    `draw`; each cell is evaluated on its draw's own operators, which
+    the stacks of the same draws share (`_layout`)."""
 
     stacked: np.ndarray = field(repr=False)
     tx_antennas: tuple[int, ...]
@@ -163,12 +171,6 @@ class ChannelSet:
                             :self.tx_antennas[j]]
 
     @functools.cached_property
-    def operator(self) -> np.ndarray:
-        """The received-covariance operator of a single draw (see
-        `_received_operator`)."""
-        return _received_operator(self.stacked)
-
-    @functools.cached_property
     def gradient_operator(self) -> np.ndarray:
         """The rate-gradient operator of a single draw (see
         `_gradient_operator`); of stacked channels, each draw's own,
@@ -178,10 +180,36 @@ class ChannelSet:
         return np.stack([d.gradient_operator for d in self.draws])[self.draw]
 
     @functools.cached_property
-    def draw_rows(self) -> tuple[np.ndarray, ...]:
-        """The cells of each distinct draw of a stacked set."""
-        return tuple(np.flatnonzero(self.draw == d)
-                     for d in range(len(self.draws)))
+    def _layout(self) -> tuple[np.ndarray | slice, np.ndarray | slice,
+                               np.ndarray]:
+        """How `received` lays its rows out: `take` gathers them into an
+        (S, D) table whose column d holds the rows of draw d in order
+        (padded with row 0), `put` reads the table back into row order,
+        and `operators`, (D, N m^2, N n^2), holds the draws' operators.
+        The gathers are plain slices when row r already sits in slot r
+        (every draw's rows in turn, as the harness lays a batch out).
+        `operators` is built in place, so no draw holds an operator of
+        its own, and it is shared by every stacked set of the same draws
+        while any of them lives (a batch's cells and its cells'
+        averages)."""
+        if self.draws is None:
+            return slice(None), slice(None), _received_operator(
+                self.stacked)[None]
+        D = len(self.draws)
+        rank = np.tril(self.draw[:, None] == self.draw, -1).sum(axis=1)
+        put = rank * D + self.draw
+        take = np.zeros(D * (rank.max() + 1), dtype=np.intp)
+        take[put] = np.arange(len(put))
+        if np.array_equal(take, np.arange(len(take))):
+            take = put = slice(None)
+        operators = _OPERATOR_STACKS.get(self.draws)
+        if operators is None:
+            N, (n, m) = self.users, self.stacked.shape[-2:]
+            operators = np.empty((D, N * m * m, N * n * n))
+            for out, draw in zip(operators, self.draws):
+                out[...] = _received_operator(draw.stacked)
+            _OPERATOR_STACKS[self.draws] = operators
+        return take, put, operators
 
     def received(self, x: np.ndarray) -> np.ndarray:
         """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian
@@ -189,16 +217,13 @@ class ChannelSet:
         coordinates are the rows of x, shape (R, N m^2); with stacked
         channels, row r is on cell r's draw.
 
-        Each row is a (1, N m^2) x (N m^2, N n^2) product of its own, so
-        a row's bits do not depend on how many rows share the call."""
-        rows = x[:, None, :]
-        draws = (self,) if self.draws is None else self.draws
-        if len(draws) == 1:
-            return (rows @ draws[0].operator)[:, 0, :]
-        out = np.empty((len(x), draws[0].operator.shape[1]))
-        for d, index in zip(draws, self.draw_rows):
-            out[index] = (rows[index] @ d.operator)[:, 0, :]
-        return out
+        One broadcast product of the rows, laid out as `_layout` says,
+        with the draws' operators: each row is a (1, N m^2) x
+        (N m^2, N n^2) product of its own, so a row's bits do not depend
+        on how many rows share the call or on how their draws lie."""
+        take, put, operators = self._layout
+        rows = x[take].reshape(-1, len(operators), 1, x.shape[-1])
+        return (rows @ operators).reshape(-1, operators.shape[-1])[put]
 
     @functools.cached_property
     def direct_stacked(self) -> np.ndarray:

@@ -88,7 +88,8 @@ def gibbs_map_bounded(Y: np.ndarray, p: float) -> np.ndarray:
     if p <= 0:
         raise ValueError(f"trace bound must be positive, got {p}")
     if np.shape(Y)[-2:] == (2, 2):
-        return p * _gibbs_2x2(Y, slack=True)
+        X = _gibbs_2x2(Y, slack=True)
+        return X if p == 1 else p * X  # the usual unit cap needs no product
     w, V = eig(Y)
     m = np.maximum(w[..., :1], 0.0)
     e = np.exp(w - m)
@@ -106,18 +107,22 @@ def _gibbs_2x2(Y: np.ndarray, slack: bool) -> np.ndarray:
     top = mu + r
     shift = np.maximum(top, 0.0) if slack else top
     e_top = np.exp(top - shift)
-    both = e_top * (1.0 + np.exp(-2.0 * r))
+    two_r = 2.0 * r
+    both = e_top * (1.0 + np.exp(-two_r))
     denom = both + np.exp(-shift) if slack else both
     # (1 - e^(-2r)) / (2r), 1 at r = 0 without dividing by 0
-    two_r = 2.0 * r
     split = two_r > 0
-    slope = np.where(split, -np.expm1(-two_r) / np.where(split, two_r, 1.0),
-                     1.0)
+    if split.all():
+        slope = -np.expm1(-two_r) / two_r
+    else:
+        slope = np.where(split, -np.expm1(-two_r)
+                         / np.where(split, two_r, 1.0), 1.0)
     alpha = both / (2.0 * denom)
     beta = e_top * slope / denom
+    shear = beta * delta
     X = beta[..., None, None] * H
-    X[..., 0, 0] = alpha + beta * delta
-    X[..., 1, 1] = alpha - beta * delta
+    X[..., 0, 0] = alpha + shear
+    X[..., 1, 1] = alpha - shear
     return X
 
 

@@ -25,11 +25,12 @@ this invariant on the points and mapping values they are handed.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class SpectraSet:
         a block number."""
         dims = self.dims
         if min(dims) == max(dims):
-            return _blockwise(fn, profiles, np.arange(len(dims)))
+            return _blockwise(fn, profiles, range(len(dims)))
         # The block axis is indexed explicitly: a trailing `...` would
         # put per-block values of a single profile on the wrong axis.
         lead = (slice(None),) * (profiles[0].ndim - 3)
@@ -132,7 +133,7 @@ class SpectraSet:
 
 
 def _blockwise(fn: Callable[..., np.ndarray], arrays: Sequence[np.ndarray],
-               index: np.ndarray) -> np.ndarray:
+               index: Sequence[int]) -> np.ndarray:
     """fn(*arrays) on stacks of the blocks `index`; a NumericalFailure's
     `block`, counted along the flattened leading axes, becomes the block
     number."""
@@ -232,6 +233,11 @@ class NoiseModel:
             raise ValueError(
                 f"noise level must be finite and >= 0, got {self.sigma}")
 
+    @functools.cached_property
+    def noisy(self) -> CellMask:
+        """The cells (or the one problem) with sigma > 0."""
+        return cell_mask(np.asarray(self.sigma) > 0)
+
     def sample(self, dims: tuple[int, ...],
                rng: np.random.Generator | Sequence[np.random.Generator],
                count: int | None = None) -> np.ndarray:
@@ -330,15 +336,35 @@ def stack_problems(problems: Sequence[SviProblem]) -> SviProblem:
         np.array([p.oracle_bound for p in problems]))
 
 
-def select_cells(mask: np.ndarray, A: np.ndarray,
+class CellMask(NamedTuple):
+    """A boolean per cell, shaped to broadcast against profiles, and
+    whether it holds for every cell and for some: built once for a
+    batch, it spares each `select_cells` its reductions."""
+
+    where: np.ndarray
+    every: bool
+    some: bool
+
+
+def cell_mask(mask: np.ndarray) -> CellMask:
+    """The CellMask of a boolean per cell, shape (C,)."""
+    mask = np.asarray(mask, dtype=bool)
+    return CellMask(mask.reshape(mask.shape + (1, 1, 1)), bool(mask.all()),
+                    bool(mask.any()))
+
+
+def select_cells(mask: np.ndarray | CellMask, A: np.ndarray,
                  B: np.ndarray) -> np.ndarray:
-    """Cell c from A where mask[c] holds, else from B. Unlike adding a
-    zero term, this leaves B's cells bit for bit as they are."""
-    if mask.all():
+    """Cell c from A where mask[c] holds, else from B, for a boolean
+    per cell or its `cell_mask`. Unlike adding a zero term, this leaves
+    B's cells bit for bit as they are."""
+    if not isinstance(mask, CellMask):
+        mask = cell_mask(mask)
+    if mask.every:
         return A
-    if not mask.any():
+    if not mask.some:
         return B
-    return np.where(mask[:, None, None, None], A, B)
+    return np.where(mask.where, A, B)
 
 
 def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
@@ -353,7 +379,7 @@ def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
     no noisy cell nothing is drawn, and each call's noise is None.
     """
     cset = problem.constraints
-    if not np.any(np.asarray(problem.noise.sigma) > 0):
+    if not problem.noise.noisy.some:
         yield from itertools.repeat(None, calls)
         return
     K = max(1, NOISE_BLOCK_ENTRIES // (len(rngs) * cset.zeros().size))
@@ -379,8 +405,8 @@ def oracle_sample(problem: SviProblem, X: np.ndarray,
     """
     if F is None:
         F = problem.mapping(X)
-    noisy = np.asarray(problem.noise.sigma) > 0
-    if not noisy.any():
+    noisy = problem.noise.noisy
+    if not noisy.some:
         return F, np.zeros_like(F)
     if Z is None:
         Z = problem.noise.sample(problem.constraints.dims, rng)

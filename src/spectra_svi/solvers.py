@@ -25,6 +25,9 @@ throughput) at the reported points.
 The rest of an iteration is paid once for the batch. The noise comes
 from `problem.noise_draws`, several iterations per draw, and a batch
 with no noisy cell draws none. Only the AM-SMD cells keep an average.
+What stays fixed for a batch is computed before its loop: the masks of
+the noisy and the regularized cells with their all/any flags, the
+averaging rows (a slice when contiguous) and the averaging weights.
 Duals, iterates and averages are exactly Hermitian, so the Gibbs maps
 take them as they are, without taking their Hermitian part again (see
 `linalg`); the feasibility check and the strong gap check it at the
@@ -48,6 +51,7 @@ from .problem import (
     SviProblem,
     TraceMode,
     assert_feasible,
+    cell_mask,
     noise_draws,
     oracle_sample,
     select_cells,
@@ -165,14 +169,20 @@ class AveragingState:
 
 
 def update_average(state: AveragingState, X_next: np.ndarray,
-                   eta_next: float | np.ndarray) -> AveragingState:
+                   eta_next: float | np.ndarray,
+                   gamma: np.ndarray | None = None,
+                   inverse: np.ndarray | None = None) -> AveragingState:
     """One averaging step: gamma' = gamma + eta, xbar' the reweighted mean.
 
     By induction the recursion reproduces the direct weighted sum
-    sum_k eta_k X_k / sum_k eta_k.
+    sum_k eta_k X_k / sum_k eta_k. A caller that has computed gamma'
+    and 1 / gamma' for every step already passes them as `gamma` and
+    `inverse`.
     """
-    gamma = state.gamma + eta_next
-    xbar = (1.0 / gamma) * (state.gamma * state.xbar + eta_next * X_next)
+    if gamma is None:
+        gamma = state.gamma + eta_next
+        inverse = 1.0 / gamma
+    xbar = inverse * (state.gamma * state.xbar + eta_next * X_next)
     return AveragingState(gamma, xbar)
 
 
@@ -311,8 +321,7 @@ def _run_cells(problems: Sequence[SviProblem],
     # Per-cell values broadcast against profile arrays, shape (C, N, D, D).
     lam = np.array([c.lam if c.method is Method.MEL else 0.0
                     for c in configs])[:, None, None, None]
-    regularized = lam[:, 0, 0, 0] > 0
-    any_regularized = bool(regularized.any())
+    regularized = cell_mask(lam[:, 0, 0, 0] > 0)
     etas = np.array([
         [eta_at(t) for t in range(T + 1)]
         for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
@@ -334,9 +343,18 @@ def _run_cells(problems: Sequence[SviProblem],
 
     Y = cset.zeros(C)
     X = dual_to_primal(Y, cset)
-    # Only the averaging cells keep an average: rows `averaging` of X.
+    # Only the averaging cells keep an average: rows `averaging` of X, a
+    # slice when they are contiguous. Their weights gamma_t and
+    # 1 / gamma_t come from one `np.add.accumulate`, whose sequential
+    # adds are those of `update_average`.
+    if averaging.size and averaging[-1] - averaging[0] == averaging.size - 1:
+        average_rows = slice(averaging[0], averaging[-1] + 1)
+    else:
+        average_rows = averaging
     average_etas = etas[averaging]
-    avg = AveragingState(average_etas[:, 0], X[averaging])
+    gammas = np.add.accumulate(average_etas, axis=1)
+    inverses = 1.0 / gammas
+    avg = AveragingState(gammas[:, 0], X[average_rows])
     draws = noise_draws(problem, rngs, T)
     final = X
     traces: list[list[tuple[int, float]]] = [[] for _ in range(C)]
@@ -350,14 +368,15 @@ def _run_cells(problems: Sequence[SviProblem],
         for t in range(T):
             tic = time.perf_counter()
             F = problem.mapping(X) if F_next is None else F_next
-            if any_regularized:
+            if regularized.some:
                 F = select_cells(regularized, F + lam * X, F)
             # Only phi is kept: a view of the noise would hold its block.
             phi = oracle_sample(problem, X, rngs, F, Z=next(draws))[0]
             Y, X = mirror_step(Y, phi, etas[:, t], cset)
             if averaging.size:
-                avg = update_average(avg, X[averaging],
-                                     average_etas[:, t + 1])
+                avg = update_average(avg, X[average_rows],
+                                     average_etas[:, t + 1],
+                                     gammas[:, t + 1], inverses[:, t + 1])
             iterate_seconds += time.perf_counter() - tic
             it = t + 1
             gap_due = it % gap_every == 0 or it == T

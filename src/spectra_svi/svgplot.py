@@ -14,7 +14,7 @@ import sys
 from collections import defaultdict
 from typing import Iterable
 
-from .harness import GapRecord
+from .harness import GapRecord, replacing
 
 GAP_LOG_FLOOR = 1e-16
 
@@ -155,5 +155,5 @@ def render_svg(records: Iterable[GapRecord], path: str | os.PathLike,
             f'font-size="11">{_escape(label)}</text>')
 
     out.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    with replacing(path) as f:
         f.write("\n".join(out) + "\n")

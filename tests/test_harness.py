@@ -946,6 +946,60 @@ def test_write_outputs_artifacts(tmp_path):
     assert read_csv(paths["csv"]) == grid.records
 
 
+class _FailingFile:
+    """A text file whose first write stores half its text, then raises,
+    as a kill or a full disk partway through would leave it."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[:len(text) // 2])
+        self.f.flush()
+        raise OSError("no space left on device")
+
+
+def test_an_interrupted_write_keeps_the_previous_outputs(tmp_path,
+                                                         monkeypatch):
+    from spectra_svi import svgplot
+
+    config = _small_config(
+        iterations=12, gap_every=4, sample_paths=1,
+        methods=(MethodSpec(Method.AM_SMD, StepSchedule.harmonic_sqrt()),),
+        record_throughput=True)
+    grid = run_grid(config, threads=1)
+    paths = write_outputs(grid, config, str(tmp_path), "results")
+    paths["svg"] = str(tmp_path / "results.svg")
+    svgplot.render_svg(grid.records, paths["svg"])
+    before = {p: open(p, "rb").read() for p in paths.values()}
+    listing = sorted(os.listdir(tmp_path))
+
+    real_open = open
+    monkeypatch.setattr(harness, "open", lambda *a, **k: _FailingFile(
+        real_open(*a, **k)), raising=False)
+    writes = [
+        lambda: harness.write_csv(grid.records, paths["csv"]),
+        lambda: harness.write_throughput_csv(grid.rates, paths["throughput"]),
+        lambda: write_outputs(grid, config, str(tmp_path), "results"),
+        lambda: svgplot.render_svg(grid.records, paths["svg"]),
+    ]
+    for write in writes:
+        with pytest.raises(OSError, match="no space left"):
+            write()
+        assert {p: open(p, "rb").read() for p in paths.values()} == before
+        assert sorted(os.listdir(tmp_path)) == listing
+    # A first write that fails leaves no file at all.
+    with pytest.raises(OSError, match="no space left"):
+        harness.write_csv(grid.records, tmp_path / "new.csv")
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
 def test_write_outputs_records_failures(tmp_path):
     config = _small_config(iterations=12, gap_every=12, sample_paths=1)
     grid = run_grid(config, threads=1)

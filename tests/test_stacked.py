@@ -472,7 +472,27 @@ def test_stacked_received_rows_equal_their_lone_products(order, m, n):
     got = stacked.received(x)
     assert got.shape == (len(order), 7 * n * n)
     for row, d, lone in zip(got, order, x):
-        assert row.tobytes() == (lone @ draws[d].operator).tobytes()
+        operator = mimo._received_operator(draws[d].stacked)
+        assert row.tobytes() == (lone @ operator).tobytes()
+
+
+@pytest.mark.parametrize("order", ([0, 1, 0, 1, 0, 1], [1, 1, 1]))
+def test_stacks_of_the_same_draws_share_one_copy_of_their_operators(order):
+    # A batch's cells and the averages of its averaging cells are two
+    # stacks of the same draws: they share one stacked copy of the
+    # draws' operators, each the draw's own bit for bit.
+    topo = mimo.canonical_topology(4, 4)
+    draws = [mimo.sample_channels(topo, np.random.default_rng(s))
+             for s in (50, 51)]
+    cells = mimo.ChannelSet.stack([draws[d] for d in order])
+    averages = mimo.ChannelSet.stack([draws[d] for d in order + order[:2]])
+    operators = cells._layout[-1]
+    assert averages._layout[-1] is operators
+    used = list(dict.fromkeys(order))
+    assert operators.shape == (len(used), 7 * 16, 7 * 16)
+    for got, d in zip(operators, used):
+        assert got.tobytes() == mimo._received_operator(
+            draws[d].stacked).tobytes()
 
 
 @pytest.mark.parametrize("topo", [
