@@ -7,15 +7,14 @@ and independent of execution order or thread count. Channel draws use a
 seed that excludes the method, lambda and sigma: all methods in a cell
 face the same channel realizations and differ only in their own noise
 streams. All cells of one antenna pair share their array shapes and run
-as one batched solver loop (`solvers.run_batch`). Worker processes take
-whole pairs, largest first, and a pair is cut into chunks only when
-there are fewer pairs than workers. On Linux the workers are children
-forked directly from this process (`_forked`), which imports neither
-`multiprocessing` nor `concurrent.futures`; elsewhere they are a
-`ProcessPoolExecutor` (`_pooled`). A batch draws each distinct channel
-seed once; its cells share that draw, its padded stack and its oracle
-bound. Per-player rates stay one (T, N) array per cell until
-`write_throughput_csv` formats them.
+as one batched solver loop (`solvers.run_batch`). On Linux the batches
+run in worker processes forked directly from this process (`_forked`):
+they take whole pairs, largest first, and a pair is cut into chunks
+only when there are fewer pairs than workers. Everywhere else, and on
+Linux when no worker can be forked, the batches run in this process.
+A batch draws each distinct channel seed once; its cells share that
+draw, its padded stack and its oracle bound. Per-player rates stay one
+(T, N) array per cell until `write_throughput_csv` formats them.
 
 `ExperimentConfig` holds every default; `_EXPERIMENT` maps each
 `[experiment]` key to its field, parser and echo format. A `CellTask`
@@ -34,6 +33,7 @@ import pickle
 import select
 import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -182,7 +182,8 @@ def derive_seed(base_seed: int, *parts: object) -> int:
 
 @dataclass(frozen=True)
 class CellTask:
-    """Self-contained unit of work, picklable for process pools."""
+    """Self-contained unit of work. Forked workers inherit the tasks;
+    only the `GridResult`s they return are pickled."""
 
     topology: NetworkTopology
     m: int
@@ -381,47 +382,45 @@ def _batches(tasks: list[CellTask], workers: int) -> list[list[CellTask]]:
     batches = []
     for group in groups.values():
         k = min(chunks, len(group))
-        size, extra = divmod(len(group), k)
-        start = 0
-        for i in range(k):
-            stop = start + size + (i < extra)
-            batches.append(group[start:stop])
-            start = stop
+        size, extra = divmod(len(group), k)  # the first `extra` get one more
+        bounds = [i * size + min(i, extra) for i in range(k + 1)]
+        batches += [group[a:b] for a, b in zip(bounds, bounds[1:])]
     return batches
 
 
 def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     """Run every cell of the grid; deterministic for a fixed config.
 
-    threads: 1 runs in-process; 0 uses one worker per CPU this process
-    may run on (its affinity mask where the platform has one); N > 1
-    uses up to N worker processes (never more than there are batches);
-    negative values are a ConfigError. The cells of each antenna pair
-    form one batch, cut into near-equal chunks only when there are fewer
-    pairs than workers (`_batches`). Workers take the batches largest
-    first, by transmit count, receive count and cell count, so the
-    costliest pair does not start last on a worker that is otherwise
-    idle. On Linux the workers are forked children (`_forked`),
-    elsewhere a `ProcessPoolExecutor` with the platform's default start
-    method (`_pooled`). A batch that raises becomes one failure line per
-    cell of it in the result's `failures`, which are the only report of
-    it, and so does the batch a forked worker held when it died; the
-    other batches' records are kept. Each batch's output keeps its place
-    in grid order and gap records are sorted after the merge, so the
-    output does not depend on scheduling.
+    threads: 1 runs in-process; 0 uses one worker per CPU in this
+    process's affinity mask; N > 1 uses up to N forked worker processes
+    (never more than there are batches); negative values are a
+    ConfigError. Off Linux every grid runs in-process, whatever
+    `threads` is: fork after macOS's Accelerate BLAS is not known to be
+    safe. The cells of each antenna pair form one batch, cut into
+    near-equal chunks only when there are fewer pairs than workers
+    (`_batches`). Workers take the batches largest first, by transmit
+    count, receive count and cell count, so the costliest pair does not
+    start last on a worker that is otherwise idle. A batch that raises
+    becomes one failure line per cell of it in the result's `failures`,
+    which are the only report of it, and so does the batch a worker held
+    when it died; the other batches' records are kept. While workers
+    run, SIGTERM kills and reaps them before it ends this process
+    (`_forked`). Each batch's output keeps its place in grid order and
+    gap records are sorted after the merge, so the output does not
+    depend on scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     tasks = build_tasks(config)
-    workers = threads or _usable_cpus()
+    workers = ((threads or len(os.sched_getaffinity(0)))
+               if sys.platform.startswith("linux") else 1)
     batches = _batches(tasks, workers)
     if workers == 1 or len(batches) == 1:
         outputs = [_run_batch(batch) for batch in batches]
     else:
         order = sorted(range(len(batches)), reverse=True, key=lambda i: (
             batches[i][0].m, batches[i][0].n, len(batches[i])))
-        runner = _forked if sys.platform.startswith("linux") else _pooled
-        outputs = runner(batches, order, min(workers, len(batches)))
+        outputs = _forked(batches, order, min(workers, len(batches)))
     out = GridResult([], [], [])
     for output in outputs:
         for merged, part in zip(out, output):
@@ -430,10 +429,14 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     return out
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+class _Terminated(BaseException):
+    """SIGTERM, raised while `_forked` runs so that its `finally` runs."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    # One is enough: a second SIGTERM must not cut the reaping short.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise _Terminated
 
 
 def _failed(batch: list[CellTask], reason: str) -> GridResult:
@@ -450,25 +453,6 @@ def _run_batch(batch: list[CellTask]) -> GridResult:
         return _failed(batch, f"{type(exc).__name__}: {exc}")
 
 
-def _pooled(batches: list[list[CellTask]], order: list[int],
-            workers: int) -> list[GridResult]:
-    """Batches run by a ProcessPoolExecutor, dealt in `order`. A worker
-    that dies breaks the pool and fails every batch still pending."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    outputs: list = [None] * len(batches)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run_cell, *batches[i]): i for i in order}
-        for future in as_completed(futures):
-            i = futures[future]
-            try:
-                outputs[i] = future.result()
-            except Exception as exc:
-                outputs[i] = _failed(batches[i],
-                                     f"{type(exc).__name__}: {exc}")
-    return outputs
-
-
 def _forked(batches: list[list[CellTask]], order: list[int],
             workers: int) -> list[GridResult]:
     """Batches run by `workers` children forked from this process.
@@ -479,11 +463,24 @@ def _forked(batches: list[list[CellTask]], order: list[int],
     of file. (A pipe holds 16384 indices; there are never more batches
     than cells, nor than workers plus antenna pairs.) A child writes to
     its own pipe the index of each batch it takes, then the batch's
-    pickled GridResult behind its byte length, and leaves by `os._exit`.
-    The parent drains every child's pipe as data arrives, so no child
-    blocks on a full pipe, then reaps every child, killing them first if
-    it is interrupted. A child that dies fails only the batch it held;
-    the others are taken by the children still running.
+    pickled GridResult behind its byte length, and leaves by `os._exit`;
+    SIGTERM takes its default action there. The parent drains every
+    child's pipe as data arrives, so no child blocks on a full pipe,
+    then kills and reaps every child: by then each has closed its pipe,
+    unless the parent was interrupted. A child that dies fails only the
+    batch it held; the others are taken by the children still running.
+    A fork that fails closes its pipe and ends the forking: the children
+    already running take every batch, and if there are none the batches
+    run in this process. The parent never runs a batch after a child has
+    died, so a crash that kills children cannot take it down too.
+
+    Under SIGTERM's default action the parent would end at once and
+    leave its children running. So, when called from the main thread
+    with that default in place, the parent makes SIGTERM raise
+    `_Terminated` (once; later ones are ignored) until the children are
+    reaped, then restores the default and delivers a caught SIGTERM
+    again, so the process still ends by the signal. A handler of the
+    caller's is left in place.
     """
     deal_r, deal_w = os.pipe()
     try:
@@ -495,32 +492,48 @@ def _forked(batches: list[list[CellTask]], order: list[int],
         if std is not None:
             std.flush()
     children: dict[int, int] = {}  # result pipe's read end -> pid
-    streams: dict[int, bytearray] = {}
-    finished = False
+    trap = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
     try:
+        if trap:
+            signal.signal(signal.SIGTERM, _raise_terminated)
         for _ in range(workers):
             r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in (r, *children):
-                        os.close(fd)
-                    with open(w, "wb") as out:
-                        while index := os.read(deal_r, 4):
-                            out.write(index)
-                            out.flush()
-                            i = int.from_bytes(index, "little")
-                            data = pickle.dumps(_run_batch(batches[i]))
-                            out.write(len(data).to_bytes(8, "little"))
-                            out.write(data)
-                            out.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children[r] = pid
-            streams[r] = bytearray()
+            # SIGINT and SIGTERM wait until the new child is in `children`,
+            # so the `finally` below reaps every child that was forked.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          {signal.SIGINT, signal.SIGTERM})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        for fd in (r, *children):
+                            os.close(fd)
+                        with open(w, "wb") as out:
+                            while index := os.read(deal_r, 4):
+                                out.write(index)
+                                out.flush()
+                                i = int.from_bytes(index, "little")
+                                data = pickle.dumps(_run_batch(batches[i]))
+                                out.write(len(data).to_bytes(8, "little"))
+                                out.write(data)
+                                out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[r] = pid
+            except OSError:  # no worker can be forked now
+                os.close(r)
+                break
+            finally:
+                os.close(w)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if not children:
+            return [_run_batch(batch) for batch in batches]
+        streams = {fd: bytearray() for fd in children}
         open_fds = list(children)
         while open_fds:
             ready, _, _ = select.select(open_fds, [], [])
@@ -530,15 +543,19 @@ def _forked(batches: list[list[CellTask]], order: list[int],
                     streams[fd] += chunk
                 else:
                     open_fds.remove(fd)
-        finished = True
     finally:
         os.close(deal_r)
         statuses = {}
+        # A child whose pipe is closed has ended or is ending; any other
+        # is killed because this process was interrupted.
         for fd, pid in children.items():
             os.close(fd)
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             statuses[fd] = os.waitpid(pid, 0)[1]
+        if trap:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            if isinstance(sys.exc_info()[1], _Terminated):
+                signal.raise_signal(signal.SIGTERM)
 
     outputs: list = [None] * len(batches)
     for fd, stream in streams.items():
@@ -555,10 +572,9 @@ def _forked(batches: list[list[CellTask]], order: list[int],
                 break
             outputs[i] = pickle.loads(stream[start:stop])
             pos = stop
-    for i, output in enumerate(outputs):
-        if output is None:  # every worker had died before taking it
-            outputs[i] = _failed(batches[i], "no worker finished it")
-    return outputs
+    # A batch no worker took: every worker had died before taking it.
+    return [_failed(batch, "no worker finished it") if output is None
+            else output for batch, output in zip(batches, outputs)]
 
 
 @contextlib.contextmanager

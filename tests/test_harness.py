@@ -1,14 +1,14 @@
 """Experiment grids: seeding, CSV schema, config parsing, presets."""
 
-import concurrent.futures
+import errno
 import os
 import re
 import select
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
@@ -42,6 +42,22 @@ from spectra_svi.problem import (
 from spectra_svi.solvers import Method, ScheduleKind, StepSchedule
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "src"))
+
+# Workers are forked only on Linux; elsewhere these tests' worker deaths
+# would happen in the test process itself.
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="run_grid forks workers only on Linux")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A child of the test process that is still running, or was never
+    reaped, after a test fails that test: a runner leaked a worker."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _small_config(**overrides):
@@ -219,6 +235,7 @@ def test_run_grid_keeps_other_batches_when_one_raises(tmp_path, monkeypatch):
     assert echo.split("[failures]\n", 1)[1].splitlines() == grid.failures
 
 
+@linux_only
 def test_run_grid_survives_a_dead_worker(monkeypatch):
     config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10,
                            gap_every=5)
@@ -240,6 +257,7 @@ def test_run_grid_survives_a_dead_worker(monkeypatch):
     assert grid.records == lone.records
 
 
+@linux_only
 def test_run_grid_survives_a_killed_worker(monkeypatch):
     config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
                            iterations=10, gap_every=5)
@@ -261,6 +279,7 @@ def test_run_grid_survives_a_killed_worker(monkeypatch):
     assert grid.records == lone.records
 
 
+@linux_only
 def test_run_grid_survives_every_worker_dying(monkeypatch):
     # Two workers die on their first batches, so the third batch is
     # never taken: every cell still ends with a failure line.
@@ -295,6 +314,7 @@ def test_run_grid_drains_results_larger_than_a_pipe(tmp_path):
             == (tmp_path / "lone.csv").read_bytes())
 
 
+@linux_only
 def test_run_grid_kills_and_reaps_its_workers_when_interrupted(monkeypatch):
     config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10)
     monkeypatch.setattr(harness, "sample_channels",
@@ -327,8 +347,7 @@ def test_run_grid_imports_no_process_pool_machinery():
         "    assert not harness.run_grid(config, threads=t).failures\n"
         "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures',"
         " 'subprocess', 'socket', 'logging') if m in sys.modules))\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -438,7 +457,6 @@ def recording_pool(monkeypatch):
 
 def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch,
                                                      recording_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     config = _small_config(iterations=4, gap_every=4)  # one pair, 4 cells
@@ -450,8 +468,7 @@ def test_run_grid_pool_is_no_larger_than_its_batches(monkeypatch,
 
 def test_run_grid_counts_only_the_cpus_it_may_use(monkeypatch,
                                                   recording_pool):
-    # Pinned to one CPU of two, threads = 0 runs in-process.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # Pinned to one CPU, threads = 0 runs in-process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     config = _small_config(iterations=4, gap_every=4)
@@ -481,38 +498,138 @@ def test_run_grid_pool_starts_its_workers_by_fork_on_linux(monkeypatch):
     assert grid.failures == []
 
 
-class _RecordingExecutor:
-    """Stands in for concurrent.futures.ProcessPoolExecutor: records
-    max_workers and the start method's context, and runs every job
-    in-process."""
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_run_grid_runs_in_process_off_linux(monkeypatch, platform):
+    # Off Linux nothing is forked and no CPU count is read, whatever the
+    # thread count: every grid runs in this process.
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=4,
+                           gap_every=2, record_throughput=True)
+    lone = run_grid(config, threads=1)
+    lone_rates = [(m, p, rates.tobytes()) for m, p, rates in lone.rates]
 
-    made: list = []
+    def no_fork():
+        raise AssertionError("forked off Linux")
 
-    def __init__(self, max_workers, mp_context=None):
-        self.made.append((max_workers, mp_context))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for threads in (0, 2, 8):
+        grid = run_grid(config, threads=threads)
+        assert grid.records == lone.records
+        assert grid.failures == lone.failures == []
+        assert [(m, p, rates.tobytes())
+                for m, p, rates in grid.rates] == lone_rates
 
 
-def test_run_grid_pool_uses_an_executor_off_linux(monkeypatch):
-    monkeypatch.setattr(sys, "platform", "darwin")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingExecutor)
-    monkeypatch.setattr(_RecordingExecutor, "made", [])
+@linux_only
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_run_grid_runs_on_when_a_fork_fails(tmp_path, monkeypatch,
+                                            failing_call):
+    # A fork that fails ends the forking: with no worker the batches run
+    # in-process, and one worker takes them all. The outputs are those
+    # of threads = 1, and neither the failed pipe nor a child is left.
+    config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
+                           iterations=10, gap_every=5, record_throughput=True)
+    write_outputs(run_grid(config, threads=1), config, str(tmp_path / "lone"),
+                  "results")
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = os.listdir("/proc/self/fd")
+    grid = run_grid(config, threads=3)
+    assert os.listdir("/proc/self/fd") == fds
+    assert len(calls) == failing_call  # no fork after the failed one
+    write_outputs(grid, config, str(tmp_path / "forked"), "results")
+    for name in ("results.csv", "throughput.csv", "config.echo.txt"):
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "lone" / name).read_bytes())
+
+
+@linux_only
+def test_run_grid_traps_sigterm_only_in_the_main_thread(monkeypatch):
+    # With no worker forked, `_forked` runs the batches in-process under
+    # its SIGTERM handler. The handler is set only where signals can be
+    # handled and no handler of the caller's is in place, and the
+    # default action is back once the grid returns.
+    handlers = []
+    real = harness.run_cell
+
+    def recorded(*tasks):
+        handlers.append(signal.getsignal(signal.SIGTERM))
+        return real(*tasks)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def callers(signum, frame):
+        pass
+
+    monkeypatch.setattr(harness, "run_cell", recorded)
+    monkeypatch.setattr(os, "fork", no_fork)
     config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=4,
                            gap_every=4)
-    grid = run_grid(config, threads=2)
-    assert _RecordingExecutor.made == [(2, None)]
-    assert grid.records == run_grid(config, threads=1).records
+    run_grid(config, threads=2)
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    other = threading.Thread(target=run_grid, args=(config, 2))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    signal.signal(signal.SIGTERM, callers)
+    try:
+        run_grid(config, threads=2)
+        assert signal.getsignal(signal.SIGTERM) is callers
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    assert handlers == [harness._raise_terminated] * 2 + [
+        signal.SIG_DFL] * 2 + [callers] * 2
+
+
+@linux_only
+def test_sigterm_reaps_the_workers_and_ends_the_run_by_the_signal():
+    # The workers sleep in their first batch; SIGTERM to the run must
+    # kill and reap both before the run ends with status -SIGTERM.
+    script = (
+        "import os, time\n"
+        "from dataclasses import replace\n"
+        "from spectra_svi import harness\n"
+        "real = os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "harness.sample_channels = lambda topology, rng: time.sleep(60)\n"
+        "config = replace(harness.preset_config('demo'), iterations=4,"
+        " gap_every=4, sample_paths=1, antenna_pairs=((2, 2), (2, 4)))\n"
+        "harness.run_grid(config, threads=2)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM, proc.stderr.read()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for pid in pids:  # only if a worker outlived the run
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.kill()
+        proc.communicate()
 
 
 @pytest.mark.parametrize("threads, submitted", [
