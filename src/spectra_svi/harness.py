@@ -10,11 +10,14 @@ streams. All cells of one antenna pair share their array shapes and run
 as one batched solver loop (`solvers.run_batch`). On Linux the batches
 run in worker processes forked directly from this process (`_forked`):
 they take whole pairs, largest first, and a pair is cut into chunks
-only when there are fewer pairs than workers. Everywhere else, and on
-Linux when no worker can be forked, the batches run in this process.
-A batch draws each distinct channel seed once; its cells share that
-draw, its padded stack and its oracle bound. Per-player rates stay one
-(T, N) array per cell until `write_throughput_csv` formats them.
+only when there are fewer pairs than workers. Each worker pickles its
+results into its own in-memory file; a truncated record fails only the
+batch its worker held when it died, and no worker outlives this
+process. Everywhere else, and on Linux when no worker can be forked,
+the batches run in this process. A batch draws each distinct channel
+seed once; its cells share that draw, its padded stack and its oracle
+bound. Per-player rates stay one (T, N) array per cell until
+`write_throughput_csv` formats them.
 
 `ExperimentConfig` holds every default; `_EXPERIMENT` maps each
 `[experiment]` key to its field, parser and echo format. A `CellTask`
@@ -30,14 +33,13 @@ import hashlib
 import math
 import os
 import pickle
-import select
 import signal
 import sys
 import threading
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -404,10 +406,11 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     becomes one failure line per cell of it in the result's `failures`,
     which are the only report of it, and so does the batch a worker held
     when it died; the other batches' records are kept. While workers
-    run, SIGTERM kills and reaps them before it ends this process
-    (`_forked`). Each batch's output keeps its place in grid order and
-    gap records are sorted after the merge, so the output does not
-    depend on scheduling.
+    run, SIGTERM kills and reaps them before it ends this process, and
+    the kernel kills them with this process on a SIGKILL (`_forked`).
+    Each batch's output keeps its place in grid order and gap records
+    are sorted after the merge, so the output does not depend on
+    scheduling.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
@@ -461,22 +464,25 @@ def _forked(batches: list[list[CellTask]], order: list[int],
     one pipe before the first fork, and its write end is closed, so a
     child takes the next batch with one read and ends at the pipe's end
     of file. (A pipe holds 16384 indices; there are never more batches
-    than cells, nor than workers plus antenna pairs.) A child writes to
-    its own pipe the index of each batch it takes, then the batch's
-    pickled GridResult behind its byte length, and leaves by `os._exit`;
-    SIGTERM takes its default action there. The parent drains every
-    child's pipe as data arrives, so no child blocks on a full pipe,
-    then kills and reaps every child: by then each has closed its pipe,
-    unless the parent was interrupted. A child that dies fails only the
-    batch it held; the others are taken by the children still running.
-    A fork that fails closes its pipe and ends the forking: the children
-    already running take every batch, and if there are none the batches
-    run in this process. The parent never runs a batch after a child has
-    died, so a crash that kills children cannot take it down too.
+    than cells, nor than workers plus antenna pairs.) Each child writes
+    into its own results file, an unbuffered in-memory file
+    (`os.memfd_create`) made just before the fork: for each batch it
+    takes, the pickled index, then the pickled GridResult. It leaves by
+    `os._exit`; SIGTERM takes its default action there. A file never
+    blocks a writer, so the parent reaps each child in turn, then reads
+    its file. An index without a whole result behind it (a truncated
+    pickle raises EOFError or UnpicklingError) is the batch the child
+    held when it died: that batch alone fails. A fork, or the file
+    before it, that fails ends the forking: the children already
+    running take every batch, and if there are none the batches run in
+    this process. The parent never runs a batch after a child has died,
+    so a crash that kills children cannot take it down too.
 
-    Under SIGTERM's default action the parent would end at once and
-    leave its children running. So, when called from the main thread
-    with that default in place, the parent makes SIGTERM raise
+    No child outlives this process: the kernel kills each with it
+    (`_end_with`), and an interrupted parent kills and reaps those not
+    reaped yet. Under SIGTERM's default action the parent would end at
+    once and leave its children unreaped. So, when called from the main
+    thread with that default in place, the parent makes SIGTERM raise
     `_Terminated` (once; later ones are ignored) until the children are
     reaped, then restores the default and delivers a caught SIGTERM
     again, so the process still ends by the signal. A handler of the
@@ -491,90 +497,86 @@ def _forked(batches: list[list[CellTask]], order: list[int],
     for std in (sys.stdout, sys.stderr):
         if std is not None:
             std.flush()
-    children: dict[int, int] = {}  # result pipe's read end -> pid
+    parent = os.getpid()
+    children: dict[int, BinaryIO] = {}  # pid -> its results file
+    statuses: dict[int, int] = {}  # pid -> wait status, once reaped
+    files = contextlib.ExitStack()  # every results file made
     trap = (threading.current_thread() is threading.main_thread()
             and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
     try:
         if trap:
             signal.signal(signal.SIGTERM, _raise_terminated)
         for _ in range(workers):
-            r, w = os.pipe()
             # SIGINT and SIGTERM wait until the new child is in `children`,
             # so the `finally` below reaps every child that was forked.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK,
                                           {signal.SIGINT, signal.SIGTERM})
             try:
+                results = files.enter_context(
+                    open(os.memfd_create("results"), "w+b", buffering=0))
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
+                        _end_with(parent)
                         signal.signal(signal.SIGTERM, signal.SIG_DFL)
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        for fd in (r, *children):
-                            os.close(fd)
-                        with open(w, "wb") as out:
-                            while index := os.read(deal_r, 4):
-                                out.write(index)
-                                out.flush()
-                                i = int.from_bytes(index, "little")
-                                data = pickle.dumps(_run_batch(batches[i]))
-                                out.write(len(data).to_bytes(8, "little"))
-                                out.write(data)
-                                out.flush()
+                        while index := os.read(deal_r, 4):
+                            i = int.from_bytes(index, "little")
+                            pickle.dump(i, results)
+                            pickle.dump(_run_batch(batches[i]), results)
                         code = 0
                     finally:
                         os._exit(code)
-                children[r] = pid
+                children[pid] = results
             except OSError:  # no worker can be forked now
-                os.close(r)
                 break
             finally:
-                os.close(w)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if not children:
             return [_run_batch(batch) for batch in batches]
-        streams = {fd: bytearray() for fd in children}
-        open_fds = list(children)
-        while open_fds:
-            ready, _, _ = select.select(open_fds, [], [])
-            for fd in ready:
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    streams[fd] += chunk
-                else:
-                    open_fds.remove(fd)
+        outputs: list = [None] * len(batches)
+        for pid, results in children.items():
+            statuses[pid] = os.waitpid(pid, 0)[1]
+            results.seek(0)
+            records = []
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    records.append(pickle.load(results))
+            for i, output in zip(records[::2], records[1::2]):
+                outputs[i] = output
+            if len(records) % 2:  # the child died while it held batch i
+                i = records[-1]
+                code = os.waitstatus_to_exitcode(statuses[pid])
+                outputs[i] = _failed(batches[i], "worker " + (
+                    f"killed by signal {-code}" if code < 0
+                    else f"exited with code {code}"))
     finally:
         os.close(deal_r)
-        statuses = {}
-        # A child whose pipe is closed has ended or is ending; any other
-        # is killed because this process was interrupted.
-        for fd, pid in children.items():
-            os.close(fd)
+        files.close()
+        # A child not reaped yet is killed: this process was interrupted.
+        for pid in children.keys() - statuses.keys():
             os.kill(pid, signal.SIGKILL)
-            statuses[fd] = os.waitpid(pid, 0)[1]
+            os.waitpid(pid, 0)
         if trap:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             if isinstance(sys.exc_info()[1], _Terminated):
                 signal.raise_signal(signal.SIGTERM)
-
-    outputs: list = [None] * len(batches)
-    for fd, stream in streams.items():
-        pos = 0
-        while pos + 4 <= len(stream):
-            i = int.from_bytes(stream[pos:pos + 4], "little")
-            start = pos + 12
-            stop = start + int.from_bytes(stream[pos + 4:start], "little")
-            if stop > len(stream):  # the child died while it held batch i
-                code = os.waitstatus_to_exitcode(statuses[fd])
-                outputs[i] = _failed(batches[i], "worker " + (
-                    f"killed by signal {-code}" if code < 0
-                    else f"exited with code {code}"))
-                break
-            outputs[i] = pickle.loads(stream[start:stop])
-            pos = stop
     # A batch no worker took: every worker had died before taking it.
     return [_failed(batch, "no worker finished it") if output is None
             else output for batch, output in zip(batches, outputs)]
+
+
+def _end_with(parent: int) -> None:
+    """Makes this forked child end with `parent`: the kernel SIGKILLs it
+    when the thread that forked it ends (PR_SET_PDEATHSIG), and it ends
+    now if `parent` ended before this call took effect."""
+    # numpy has loaded ctypes by now. Imported above numpy, it would
+    # raise every run's peak memory by about 0.2 MB.
+    import ctypes
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 @contextlib.contextmanager

@@ -1,14 +1,16 @@
 """Experiment grids: seeding, CSV schema, config parsing, presets."""
 
+import contextlib
 import errno
 import os
+import pickle
 import re
-import select
 import signal
 import subprocess
 import sys
 import threading
 import time
+import types
 from dataclasses import fields, replace
 
 import numpy as np
@@ -296,9 +298,37 @@ def test_run_grid_survives_every_worker_dying(monkeypatch):
     assert reasons.count("no worker finished it") == 4
 
 
+@linux_only
+def test_run_grid_survives_a_worker_dying_halfway_through_a_result(
+        monkeypatch):
+    # The worker holding the 4x2 batch writes half of its pickled result
+    # and exits: the truncated record fails that batch alone.
+    config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
+                           iterations=10, gap_every=5)
+
+    def dump(obj, file):
+        data = pickle.dumps(obj)
+        if isinstance(obj, harness.GridResult) and obj.records[0].m == 4:
+            file.write(data[:len(data) // 2])
+            file.flush()
+            os._exit(3)
+        file.write(data)
+
+    # Forked workers inherit the shim; the parent loads with the real one.
+    monkeypatch.setattr(harness, "pickle", types.SimpleNamespace(
+        dump=dump, load=pickle.load, UnpicklingError=pickle.UnpicklingError))
+    grid = run_grid(config, threads=2)
+    bad = [t for t in build_tasks(config) if t.m == 4]
+    assert grid.failures == [
+        f"{t.label()}: batch failed: worker exited with code 3" for t in bad]
+    lone = run_grid(replace(config, antenna_pairs=((2, 2), (2, 4))),
+                    threads=1)
+    assert grid.records == lone.records
+
+
 def test_run_grid_drains_results_larger_than_a_pipe(tmp_path):
-    # Each worker returns more rates than a pipe holds (64 KiB), so both
-    # block unless the parent reads their pipes as they fill.
+    # Each worker returns more rates than a pipe holds (64 KiB); every
+    # byte comes back.
     config = _small_config(
         antenna_pairs=((2, 2), (2, 4)), iterations=600, gap_every=300,
         sample_paths=2, record_throughput=True,
@@ -320,10 +350,14 @@ def test_run_grid_kills_and_reaps_its_workers_when_interrupted(monkeypatch):
     monkeypatch.setattr(harness, "sample_channels",
                         lambda topology, rng: time.sleep(60))
 
-    def interrupted(*args):
+    real = os.waitpid
+
+    def interrupted(pid, options):
+        # The parent's first wait, for a worker that sleeps in its batch.
+        monkeypatch.setattr(os, "waitpid", real)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(select, "select", interrupted)
+    monkeypatch.setattr(os, "waitpid", interrupted)
     tic = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_grid(config, threads=2)
@@ -346,7 +380,8 @@ def test_run_grid_imports_no_process_pool_machinery():
         "for t in threads:\n"
         "    assert not harness.run_grid(config, threads=t).failures\n"
         "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures',"
-        " 'subprocess', 'socket', 'logging') if m in sys.modules))\n")
+        " 'subprocess', 'socket', 'logging', 'select')"
+        " if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -525,31 +560,36 @@ def test_run_grid_runs_in_process_off_linux(monkeypatch, platform):
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_run_grid_runs_on_when_a_fork_fails(tmp_path, monkeypatch,
                                             failing_call):
-    # A fork that fails ends the forking: with no worker the batches run
-    # in-process, and one worker takes them all. The outputs are those
-    # of threads = 1, and neither the failed pipe nor a child is left.
+    # A fork that fails, or the results file made for it, ends the
+    # forking: with no worker the batches run in-process, and one worker
+    # takes them all. The outputs are those of threads = 1, and neither
+    # an fd nor a child is left.
     config = _small_config(antenna_pairs=((2, 2), (2, 4), (4, 2)),
                            iterations=10, gap_every=5, record_throughput=True)
     write_outputs(run_grid(config, threads=1), config, str(tmp_path / "lone"),
                   "results")
-    calls = []
-    real = os.fork
+    for name, code in (("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)):
+        calls = []
+        real = getattr(os, name)
 
-    def fork():
-        calls.append(1)
-        if len(calls) == failing_call:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real()
+        def failing(*args, real=real, code=code):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise OSError(code, os.strerror(code))
+            return real(*args)
 
-    monkeypatch.setattr(os, "fork", fork)
-    fds = os.listdir("/proc/self/fd")
-    grid = run_grid(config, threads=3)
-    assert os.listdir("/proc/self/fd") == fds
-    assert len(calls) == failing_call  # no fork after the failed one
-    write_outputs(grid, config, str(tmp_path / "forked"), "results")
-    for name in ("results.csv", "throughput.csv", "config.echo.txt"):
-        assert ((tmp_path / "forked" / name).read_bytes()
-                == (tmp_path / "lone" / name).read_bytes())
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, failing)
+            fds = os.listdir("/proc/self/fd")
+            grid = run_grid(config, threads=3)
+            assert os.listdir("/proc/self/fd") == fds
+        assert len(calls) == failing_call  # none after the failed one
+        write_outputs(grid, config, str(tmp_path / name), "results")
+        for out in ("results.csv", "throughput.csv", "config.echo.txt"):
+            assert ((tmp_path / name / out).read_bytes()
+                    == (tmp_path / "lone" / out).read_bytes())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @linux_only
@@ -591,10 +631,11 @@ def test_run_grid_traps_sigterm_only_in_the_main_thread(monkeypatch):
         signal.SIG_DFL] * 2 + [callers] * 2
 
 
-@linux_only
-def test_sigterm_reaps_the_workers_and_ends_the_run_by_the_signal():
-    # The workers sleep in their first batch; SIGTERM to the run must
-    # kill and reap both before the run ends with status -SIGTERM.
+@pytest.fixture
+def sleeping_run():
+    """A `run_grid` subprocess whose two forked workers sleep in their
+    first batch, and the workers' pids, which the run prints as it forks
+    them. Whatever of them is still running at teardown is killed."""
     script = (
         "import os, time\n"
         "from dataclasses import replace\n"
@@ -616,20 +657,50 @@ def test_sigterm_reaps_the_workers_and_ends_the_run_by_the_signal():
                             text=True)
     pids = []
     try:
-        pids = [int(proc.stdout.readline()) for _ in range(2)]
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == -signal.SIGTERM, proc.stderr.read()
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        pids += [int(proc.stdout.readline()) for _ in range(2)]
+        yield proc, pids
     finally:
         for pid in pids:  # only if a worker outlived the run
-            try:
+            with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
         proc.kill()
         proc.communicate()
+
+
+@linux_only
+def test_sigterm_reaps_the_workers_and_ends_the_run_by_the_signal(
+        sleeping_run):
+    # SIGTERM to the run must kill and reap both workers before the run
+    # ends with status -SIGTERM.
+    proc, pids = sleeping_run
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=30) == -signal.SIGTERM, proc.stderr.read()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not ended: a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@linux_only
+def test_sigkill_of_the_run_ends_its_workers(sleeping_run):
+    # A SIGKILL cannot be caught, so the kernel must end the workers with
+    # the run. Their new parent need not reap them at once: a zombie
+    # counts as ended.
+    proc, pids = sleeping_run
+    proc.kill()
+    proc.wait(timeout=30)
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 @pytest.mark.parametrize("threads, submitted", [
