@@ -1,5 +1,11 @@
 """Dense complex/Hermitian linear algebra used everywhere else.
 
+The package's one real layout of Hermitian matrices: the d^2
+coordinates of a d x d block are its diagonal, then the real and then
+the imaginary parts of its upper triangle (`to_coordinates`,
+`from_coordinates`). The solver loop keeps its state in it, and the
+game's received-covariance operators act on it.
+
 Hermitian parts and validation, one eigendecomposition routine and its
 values-only sibling (batched over stacks of blocks, eigenvalues
 descending, with diagnostics on failure), a Cholesky factorization that
@@ -22,14 +28,16 @@ triangle read; pass its `hermitianize` (or `as_hermitian`) instead.
 The solver loop's duals, iterates, averages and mapping values are
 exactly Hermitian by construction (see `problem`).
 
-2x2 matrices have a closed form, `hermitian_2x2`: `eigvals` and the
-Gibbs maps use it, with no LAPACK call, and its eigenvalues agree with
-LAPACK's to 8 eps * max(1, ||A||_2) (largest seen: 4.8 eps). Every
-other size, and `eig` at every size, takes LAPACK.
+2x2 matrices have a closed form, `hermitian_2x2` (`spectrum_2x2` on
+coordinates): `eigvals` and the Gibbs maps use it, with no LAPACK call,
+and its eigenvalues agree with LAPACK's to 8 eps * max(1, ||A||_2)
+(largest seen: 4.8 eps). Every other size, and `eig` at every size,
+takes LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +67,56 @@ def hermitianize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
+    """The d^2 real coordinates of a d x d Hermitian matrix: its
+    diagonal, then the real parts and then the imaginary parts of its
+    upper triangle (row by row).
+
+    Returns `take`, the coordinates' positions in the float view of the
+    row-major matrix (real and imaginary parts interleaved), and
+    `source`, `sign`, `eye`: position p of that float view of the matrix
+    is sign[p] * coordinate[source[p]], and eye[p] is the identity's."""
+    diag = np.arange(d) * (d + 1)
+    k, l = np.triu_indices(d, 1)
+    upper, lower = k * d + l, l * d + k
+    take = np.concatenate((2 * diag, 2 * upper, 2 * upper + 1))
+    u = len(upper)
+    source = np.zeros(2 * d * d, dtype=np.intp)
+    sign = np.zeros(2 * d * d)
+    source[take] = np.arange(d * d)
+    sign[take] = 1.0
+    source[2 * lower] = d + np.arange(u)
+    sign[2 * lower] = 1.0
+    source[2 * lower + 1] = d + u + np.arange(u)
+    sign[2 * lower + 1] = -1.0
+    eye = np.zeros(2 * d * d)
+    eye[2 * diag] = 1.0
+    return take, source, sign, eye
+
+
+def to_coordinates(A: np.ndarray) -> np.ndarray:
+    """(..., d, d) Hermitian stacks as their (..., d^2) real coordinates:
+    the diagonal's real parts and the upper triangle, as they are."""
+    d = A.shape[-1]
+    floats = np.ascontiguousarray(A).view(float).reshape(
+        A.shape[:-2] + (2 * d * d,))
+    return floats.take(_hermitian_coordinates(d)[0], axis=-1)
+
+
+def from_coordinates(x: np.ndarray, d: int, plus: float = 0.0
+                     ) -> np.ndarray:
+    """(..., d^2) real coordinates as (..., d, d) Hermitian stacks, plus
+    `plus` times the identity; exactly Hermitian, since the lower
+    triangle is filled from the upper one."""
+    _, source, sign, eye = _hermitian_coordinates(d)
+    floats = x.take(source, axis=-1)
+    floats *= sign
+    if plus:
+        floats += plus * eye
+    return floats.view(complex).reshape(x.shape[:-1] + (d, d))
+
+
 def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.ndarray:
     """Validate that A is Hermitian to within `tol`, then symmetrize exactly.
 
@@ -79,20 +137,27 @@ def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.n
 
 def _checked_finite(A: np.ndarray) -> np.ndarray:
     """A Hermitian matrix, or a stack of them, as an array, rejecting
-    non-finite entries. When a stack holds them, the diagnostics name the
-    first offending matrix as `block`, counted along the flattened
-    leading axes."""
+    non-finite entries (see `_non_finite`)."""
     H = np.asarray(A)
     if not np.isfinite(H).all():
-        # Some LAPACK builds return NaN eigenvalues instead of raising;
-        # NaN also defeats every downstream comparison, so fail loudly.
-        diagnostics = {"dim": H.shape[-1]}
-        if H.ndim > 2:
-            finite = np.isfinite(H).all(axis=(-2, -1)).reshape(-1)
-            diagnostics["block"] = int(np.argmin(finite))
-        raise NumericalFailure(
-            "eigendecomposition input has non-finite entries", diagnostics)
+        raise _non_finite(H, H.shape[-1], (-2, -1))
     return H
+
+
+def _non_finite(H: np.ndarray, dim: int, axes: tuple[int, ...]
+                ) -> NumericalFailure:
+    """The failure of dim x dim matrices, each spanning `axes` of H, some
+    with non-finite entries. When H is a stack, the diagnostics name the
+    first offending matrix as `block`, counted along the flattened
+    leading axes."""
+    # Some LAPACK builds return NaN eigenvalues instead of raising;
+    # NaN also defeats every downstream comparison, so fail loudly.
+    diagnostics = {"dim": dim}
+    if H.ndim > len(axes):
+        finite = np.isfinite(H).all(axis=axes).reshape(-1)
+        diagnostics["block"] = int(np.argmin(finite))
+    return NumericalFailure(
+        "eigendecomposition input has non-finite entries", diagnostics)
 
 
 def _lapack(solver, H: np.ndarray):
@@ -118,9 +183,27 @@ def hermitian_2x2(A: np.ndarray):
     and beta = (f(mu + r) - f(mu - r)) / (2 r): a closed form with no
     LAPACK call."""
     H = _checked_finite(A)
-    half_a, half_d = H[..., 0, 0].real / 2, H[..., 1, 1].real / 2
+    return (H, *_spectrum_2x2(H[..., 0, 0].real / 2, H[..., 1, 1].real / 2,
+                              H[..., 0, 1]))
+
+
+def spectrum_2x2(y: np.ndarray):
+    """`hermitian_2x2`'s mu, delta and r, bit for bit, of 2x2 Hermitian
+    matrices given by their coordinates y = (a, d, Re b, Im b), shape
+    (..., 4), as `to_coordinates` makes them."""
+    if not np.isfinite(y).all():
+        raise _non_finite(y, 2, (-1,))
+    # |b| of the (Re b, Im b) pair as the complex number b: np.hypot of
+    # the two parts differs from it in the last bit.
+    half = y[..., :2] / 2
+    b = y[..., 2:].view(complex)[..., 0]
+    return _spectrum_2x2(half[..., 0], half[..., 1], b)
+
+
+def _spectrum_2x2(half_a: np.ndarray, half_d: np.ndarray, b: np.ndarray):
+    """mu, delta and r from a / 2, d / 2 and b."""
     delta = half_a - half_d
-    return H, half_a + half_d, delta, np.hypot(delta, np.abs(H[..., 0, 1]))
+    return half_a + half_d, delta, np.hypot(delta, np.abs(b))
 
 
 def eig(A: np.ndarray) -> EigenDecomposition:

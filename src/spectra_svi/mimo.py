@@ -16,15 +16,16 @@ outside each user's corner.
 The mapping and the rates start from the same received covariances
 I + sum_j H_ji X_j H_ji^dag. The channels stay fixed for a whole run, so
 X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
-channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates (m^2
-reals per block: the diagonal, then the real and the imaginary parts of
-the upper triangle), built once per draw (`_received_operator`).
-`covariances` packs a stack of profiles into those coordinates, applies
-the draws' operators in one broadcast product (a small matrix-vector
-product per profile) and unpacks the result, exactly Hermitian, plus I.
-Both `game_mapping` and `throughput` accept that build in place of the
-profile; the rates' interference-only covariance is the full one minus
-H_ii X_i H_ii^dag.
+channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates
+(`linalg.to_coordinates`: m^2 reals per block, the diagonal, then the
+real and the imaginary parts of the upper triangle), built once per
+draw (`_received_operator`). `covariances` packs a stack of profiles
+into those coordinates, applies the draws' operators in one broadcast
+product (a small matrix-vector product per profile) and unpacks the
+result, exactly Hermitian, plus I. Both `game_mapping` and `throughput`
+accept that build in place of the profile; the rates' interference-only
+covariance is the full one minus H_ii X_i H_ii^dag. `game_mapping` also
+maps coordinates to coordinates, as the solver loop calls it.
 
 The mapping's rate gradients H_ii^dag W_i^{-1} H_ii take one of two
 paths, chosen by the receive count n alone. With n = 2 they come in
@@ -32,9 +33,10 @@ closed form from W_i's four received coordinates, with no complex
 matrix built: W^{-1} = adj(W) / det(W), on W scaled by max(W_11, W_22)
 so that no product overflows, then G = sum_c (W^{-1})_c H_ii^dag E_c
 H_ii over the four coordinate basis matrices E_c, whose images are a
-second real operator per draw (`ChannelSet.gradient_operator`). G is
-unpacked from its coordinates, exactly Hermitian. Every other n takes a
-batched LAPACK solve with the full covariances.
+second real operator per draw (`ChannelSet.gradient_operator`). A
+complex G is unpacked from those coordinates, exactly Hermitian. Every
+other n takes a batched LAPACK solve with the full covariances, and
+hands over the coordinates of its hermitianized G when asked for them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .linalg import hermitianize
+from .linalg import from_coordinates, hermitianize, to_coordinates
 from .problem import (
     NoiseModel,
     SpectraSet,
@@ -243,65 +245,25 @@ def sample_channels(topology: NetworkTopology,
     """Rayleigh-fading draw: each entry of H_ji is circularly symmetric
     complex Gaussian with variance 1/distance^2 (real and imaginary parts
     i.i.d. with variance 1/(2 d^2)). Links are drawn in (j, i) order,
-    the real part of each before its imaginary part."""
+    the real part of each before its imaginary part, all from one
+    `standard_normal` call."""
     tx, rx, N = topology.tx_antennas, topology.rx_antennas, topology.users
-    stacked = np.zeros((N, N, max(rx), max(tx)), dtype=complex)
+    scale = 1.0 / (topology.distance_km * np.sqrt(2.0))
+    n, m = max(rx), max(tx)
+    if min(rx) == n and min(tx) == m:
+        G = rng.standard_normal((N, N, 2, n, m))
+        return ChannelSet(scale[:, :, None, None] * (
+            G[:, :, 0] + 1j * G[:, :, 1]), tx, rx)
+    G = rng.standard_normal(2 * sum(rx) * sum(tx))
+    stacked = np.zeros((N, N, n, m), dtype=complex)
+    start = 0
     for j in range(N):
         for i in range(N):
-            shape = (rx[i], tx[j])
-            scale = 1.0 / (topology.distance_km[j, i] * np.sqrt(2.0))
-            stacked[j, i, :rx[i], :tx[j]] = scale * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            size = rx[i] * tx[j]
+            re, im = G[start:start + 2 * size].reshape(2, rx[i], tx[j])
+            stacked[j, i, :rx[i], :tx[j]] = scale[j, i] * (re + 1j * im)
+            start += 2 * size
     return ChannelSet(stacked, tx, rx)
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
-    """The d^2 real coordinates of a d x d Hermitian matrix: its
-    diagonal, then the real parts and then the imaginary parts of its
-    upper triangle (row by row).
-
-    Returns `take`, the coordinates' positions in the float view of the
-    row-major matrix (real and imaginary parts interleaved), and
-    `source`, `sign`, `eye`: position p of that float view of the matrix
-    is sign[p] * coordinate[source[p]], and eye[p] is the identity's."""
-    diag = np.arange(d) * (d + 1)
-    k, l = np.triu_indices(d, 1)
-    upper, lower = k * d + l, l * d + k
-    take = np.concatenate((2 * diag, 2 * upper, 2 * upper + 1))
-    u = len(upper)
-    source = np.zeros(2 * d * d, dtype=np.intp)
-    sign = np.zeros(2 * d * d)
-    source[take] = np.arange(d * d)
-    sign[take] = 1.0
-    source[2 * lower] = d + np.arange(u)
-    sign[2 * lower] = 1.0
-    source[2 * lower + 1] = d + u + np.arange(u)
-    sign[2 * lower + 1] = -1.0
-    eye = np.zeros(2 * d * d)
-    eye[2 * diag] = 1.0
-    return take, source, sign, eye
-
-
-def _to_coordinates(A: np.ndarray) -> np.ndarray:
-    """(R, N, d, d) Hermitian stacks as (R, N d^2) reals."""
-    R, N, d, _ = A.shape
-    take = _hermitian_coordinates(d)[0]
-    floats = np.ascontiguousarray(A).view(float).reshape(R, N, 2 * d * d)
-    return np.take(floats, take, axis=-1).reshape(R, N * d * d)
-
-
-def _from_coordinates(x: np.ndarray, d: int, plus: float = 0.0
-                      ) -> np.ndarray:
-    """(R, N d^2) reals as (R, N, d, d) Hermitian stacks, plus `plus`
-    times the identity; exactly Hermitian, since the lower triangle is
-    filled from the upper one."""
-    _, source, sign, eye = _hermitian_coordinates(d)
-    R = len(x)
-    floats = np.take(x.reshape(R, -1, d * d), source, axis=-1) * sign
-    if plus:
-        floats += plus * eye
-    return floats.view(complex).reshape(R, -1, d, d)
 
 
 def _received_operator(H: np.ndarray) -> np.ndarray:
@@ -311,11 +273,10 @@ def _received_operator(H: np.ndarray) -> np.ndarray:
     i n^2 + r) is coordinate r at receiver i of H_ji E_c H_ji^dag, for
     the basis matrix E_c of coordinate c."""
     N, _, n, m = H.shape
-    basis = _from_coordinates(np.eye(m * m), m)[:, 0]  # (m^2, m, m)
+    basis = from_coordinates(np.eye(m * m), m)  # (m^2, m, m)
     images = (H[:, :, None] @ basis) @ H[:, :, None].conj().swapaxes(-1, -2)
-    coords = _to_coordinates(images.reshape(N * N * m * m, 1, n, n))
     return np.ascontiguousarray(
-        coords.reshape(N, N, m * m, n * n).transpose(0, 2, 1, 3)
+        to_coordinates(images).transpose(0, 2, 1, 3)
     ).reshape(N * m * m, N * n * n)
 
 
@@ -325,11 +286,9 @@ def _gradient_operator(direct: np.ndarray) -> np.ndarray:
     i holds the Hermitian coordinates of H_ii^dag E_c H_ii, for the basis
     matrix E_c of coordinate c."""
     N, n, m = direct.shape
-    basis = _from_coordinates(np.eye(n * n), n)[:, 0]  # (n^2, n, n)
+    basis = from_coordinates(np.eye(n * n), n)  # (n^2, n, n)
     H = direct[:, None]
-    images = (H.conj().swapaxes(-1, -2) @ basis) @ H
-    return _to_coordinates(images.reshape(N * n * n, 1, m, m)).reshape(
-        N, n * n, m * m)
+    return to_coordinates((H.conj().swapaxes(-1, -2) @ basis) @ H)
 
 
 class Covariances(NamedTuple):
@@ -350,27 +309,26 @@ class Covariances(NamedTuple):
         return Covariances(*(a[index] for a in self))
 
 
-def _received(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
+def _received(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
     """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian coordinates,
-    shape (..., N, n^2), for X of any leading axes (one per cell of
-    stacked channels): one product with the draw's operator per
-    profile."""
-    lead, (N, m, _) = X.shape[:-3], X.shape[-3:]
-    x = _to_coordinates(X.reshape(-1, N, m, m))
-    return channels.received(x).reshape(lead + (N, -1))
+    shape (..., N, n^2), for the Hermitian coordinates x of profiles X,
+    shape (..., N, m^2), of any leading axes (one per cell of stacked
+    channels): one product with the draw's operator per profile."""
+    lead, N = x.shape[:-2], x.shape[-2]
+    w = channels.received(x.reshape(-1, N * x.shape[-1]))
+    return w.reshape(lead + (N, -1))
 
 
 def covariances(channels: ChannelSet, X: np.ndarray) -> Covariances:
     """The received covariances of X, any leading axes (one per cell of
     stacked channels), from its `_received` coordinates."""
-    w = _received(channels, X)
-    lead, N = w.shape[:-2], w.shape[-2]
-    n = channels.stacked.shape[-2]
-    full = _from_coordinates(w.reshape(-1, N * n * n), n, plus=1.0)
+    w = _received(channels, to_coordinates(X))
+    lead = w.shape[:-2]
+    full = from_coordinates(w, channels.stacked.shape[-2], plus=1.0)
     direct = channels.direct_stacked
     if direct.shape[:-3] != lead:
         direct = np.broadcast_to(direct, lead + direct.shape[-3:])
-    return Covariances(full.reshape(lead + (N, n, n)), w, X, direct)
+    return Covariances(full, w, X, direct)
 
 
 def _covariances_of(channels: ChannelSet,
@@ -422,9 +380,27 @@ def _rate_gradients(channels: ChannelSet,
     exactly Hermitian: in closed form with n = 2 receive antennas, else
     from one batched solve."""
     if channels.stacked.shape[-2] == 2:
-        w = X.received if isinstance(X, Covariances) else _received(channels, X)
+        w = (X.received if isinstance(X, Covariances)
+             else _received(channels, to_coordinates(X)))
+        return from_coordinates(_gradients_2(w, channels.gradient_operator),
+                                channels.stacked.shape[-1])
+    return _solved_gradients(channels, _covariances_of(channels, X).full)
+
+
+def _gradient_coordinates(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
+    """`_rate_gradients` at the profiles of Hermitian coordinates x,
+    shape (..., N, m^2), as coordinates."""
+    w = _received(channels, x)
+    n = channels.stacked.shape[-2]
+    if n == 2:
         return _gradients_2(w, channels.gradient_operator)
-    W = _covariances_of(channels, X).full
+    return to_coordinates(
+        _solved_gradients(channels, from_coordinates(w, n, plus=1.0)))
+
+
+def _solved_gradients(channels: ChannelSet, W: np.ndarray) -> np.ndarray:
+    """H_ii^dag W_i^{-1} H_ii from the full covariances W, by one batched
+    solve, exactly Hermitian."""
     H = channels.direct_stacked
     return hermitianize(H.conj().swapaxes(-1, -2) @ np.linalg.solve(W, H))
 
@@ -438,8 +414,9 @@ _ADJ_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _gradients_2(w: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The rate gradients at n = 2 from the received coordinates w,
-    (..., N, 4), and the gradient operator K, (..., N, 4, m^2).
+    """The rate gradients' Hermitian coordinates at n = 2, (..., N, m^2),
+    from the received coordinates w, (..., N, 4), and the gradient
+    operator K, (..., N, 4, m^2).
 
     W's coordinates are divided by s = max(W_11, W_22) first, so that no
     product overflows. Of the scaled W, W^{-1} = adj / (s det), where
@@ -451,10 +428,7 @@ def _gradients_2(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     square = W * W
     det = s * (W[..., 0] * W[..., 1] - (square[..., 2] + square[..., 3]))
     inverse = W[..., _ADJ_SOURCE] * (_ADJ_SIGN / det[..., None])
-    g = (inverse[..., None] * K).sum(axis=-2)
-    N, m = g.shape[-2], math.isqrt(g.shape[-1])
-    return _from_coordinates(g.reshape(-1, N * m * m), m).reshape(
-        g.shape[:-1] + (m, m))
+    return (inverse[..., None] * K).sum(axis=-2)
 
 
 def throughput_gradient(channels: ChannelSet, X: np.ndarray,
@@ -471,16 +445,22 @@ def game_mapping(channels: ChannelSet,
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
     evaluated for all users in one batched solve. With stacked channels,
     X has a cell axis and every cell is evaluated in the same calls. X
-    may also be the profile's `covariances`, when already built."""
+    may also be the profile's `covariances`, when already built, or its
+    Hermitian coordinates, a real array of shape (..., N, m^2) (see
+    `linalg.to_coordinates`); F then comes as coordinates too."""
+    if isinstance(X, np.ndarray) and not np.iscomplexobj(X):
+        return -_gradient_coordinates(channels, X)
     return -_rate_gradients(channels, X)
 
 
 @dataclass(frozen=True, eq=False)
 class GameMapping:
-    """The game's VI mapping on fixed channels, as an SviProblem mapping;
-    `stack` evaluates the games of several cells in one call."""
+    """The game's VI mapping on fixed channels, as an SviProblem mapping
+    that also takes and gives Hermitian coordinates; `stack` evaluates
+    the games of several cells in one call."""
 
     channels: ChannelSet
+    takes_coordinates = True  # see `problem.mapping_coordinates`
 
     def __call__(self, X: np.ndarray | Covariances) -> np.ndarray:
         return game_mapping(self.channels, X)

@@ -8,10 +8,12 @@ variables drift linearly with the iteration count, so raw exp() would
 overflow within a few hundred solver steps.
 
 The Gibbs maps of 2x2 blocks take a closed form with no LAPACK call
-(`_gibbs_2x2`, on `linalg.hermitian_2x2`); every other size takes one
-batched `eig`. The two paths agree to 8 eps * p * max(1, ||Y||_2), the
-error of the eigensolver's eigenvalues (largest seen: 1.7 eps for
-`gibbs_map`, 3.0 eps for `gibbs_map_bounded`).
+(`_gibbs_2x2`, on `linalg.hermitian_2x2`, and its front end on
+Hermitian coordinates, `gibbs_2x2_coordinates`, which the solver loop
+uses); every other size takes one batched `eig`. The two paths agree
+to 8 eps * p * max(1, ||Y||_2), the error of the eigensolver's
+eigenvalues (largest seen: 1.7 eps for `gibbs_map`, 3.0 eps for
+`gibbs_map_bounded`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import (
     eig,
     hermitian_2x2,
     hermitianize,
+    spectrum_2x2,
     trace_inner,
 )
 
@@ -104,26 +107,48 @@ def _gibbs_2x2(Y: np.ndarray, slack: bool) -> np.ndarray:
     matrices as alpha I + beta (H - mu I), with the weights of mu +- r
     (and of the slack's 0) shifted so that the largest is e^0 = 1."""
     H, mu, delta, r = hermitian_2x2(Y)
-    top = mu + r
-    shift = np.maximum(top, 0.0) if slack else top
-    e_top = np.exp(top - shift)
-    two_r = 2.0 * r
-    both = e_top * (1.0 + np.exp(-two_r))
-    denom = both + np.exp(-shift) if slack else both
-    # (1 - e^(-2r)) / (2r), 1 at r = 0 without dividing by 0
-    split = two_r > 0
-    if split.all():
-        slope = -np.expm1(-two_r) / two_r
-    else:
-        slope = np.where(split, -np.expm1(-two_r)
-                         / np.where(split, two_r, 1.0), 1.0)
-    alpha = both / (2.0 * denom)
-    beta = e_top * slope / denom
-    shear = beta * delta
+    alpha, beta, shear = _weights_2x2(mu, delta, r, slack)
     X = beta[..., None, None] * H
     X[..., 0, 0] = alpha + shear
     X[..., 1, 1] = alpha - shear
     return X
+
+
+def gibbs_2x2_coordinates(y: np.ndarray, slack: bool) -> np.ndarray:
+    """`_gibbs_2x2` of 2x2 matrices given by their Hermitian coordinates,
+    shape (..., 4), as its coordinates, bit for bit: the same arithmetic,
+    with no complex matrix built. The upper entry is beta * b as the
+    same complex product, on (Re b, Im b) viewed as b, so that even its
+    zeros keep their signs."""
+    alpha, beta, shear = _weights_2x2(*spectrum_2x2(y), slack)
+    x = np.empty(y.shape)
+    np.add(alpha, shear, out=x[..., 0])
+    np.subtract(alpha, shear, out=x[..., 1])
+    np.multiply(beta, y[..., 2:].view(complex)[..., 0],
+                out=x[..., 2:].view(complex)[..., 0])
+    return x
+
+
+def _weights_2x2(mu: np.ndarray, delta: np.ndarray, r: np.ndarray,
+                 slack: bool) -> tuple[np.ndarray, ...]:
+    """alpha, beta and beta * delta of the 2x2 Gibbs maps."""
+    top = mu + r
+    shift = np.maximum(top, 0.0) if slack else top
+    e_top = np.exp(top - shift)
+    minus_two_r = -2.0 * r
+    both = e_top * (1.0 + np.exp(minus_two_r))
+    denom = both + np.exp(-shift) if slack else both
+    # (1 - e^(-2r)) / (2r) = expm1(-2r) / (-2r), 1 at r = 0 without
+    # dividing by 0
+    split = minus_two_r < 0
+    if split.all():
+        slope = np.expm1(minus_two_r) / minus_two_r
+    else:
+        slope = np.where(split, np.expm1(minus_two_r)
+                         / np.where(split, minus_two_r, 1.0), 1.0)
+    alpha = both / (2.0 * denom)
+    beta = e_top * slope / denom
+    return alpha, beta, beta * delta
 
 
 def von_neumann_divergence(X: np.ndarray, Y: np.ndarray) -> float:

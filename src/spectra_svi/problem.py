@@ -15,11 +15,17 @@ function of stacks of blocks to profiles, once per distinct block size.
 The strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
 minimum-eigenvalue problem per block.
 
+A profile's Hermitian coordinates (`linalg.to_coordinates`), a real
+array of shape (..., N, D^2), are what the solver loop works on:
+`mapping_coordinates` evaluates F on them, and `noise_draws` hands out
+the noise in them.
+
 Profiles and mapping values are exactly Hermitian: every block equals
 its conjugate transpose entry for entry, as the Gibbs maps, the noise,
-the game mapping and their sums and real multiples are. `linalg` takes
-its input as given, so the feasibility check and the strong gap check
-this invariant on the points and mapping values they are handed.
+the game mapping, their sums and real multiples and every profile made
+from coordinates are. `linalg` takes its input as given, so the
+feasibility check and the strong gap check this invariant on the points
+and mapping values they are handed.
 """
 
 from __future__ import annotations
@@ -36,7 +42,14 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NumericalFailure
-from .linalg import eig, eigvals, hermitianize, trace_inner
+from .linalg import (
+    eig,
+    eigvals,
+    from_coordinates,
+    hermitianize,
+    to_coordinates,
+    trace_inner,
+)
 from .mirror import gibbs_map
 
 FEASIBILITY_PSD_TOL = 1e-9
@@ -336,10 +349,21 @@ def stack_problems(problems: Sequence[SviProblem]) -> SviProblem:
         np.array([p.oracle_bound for p in problems]))
 
 
+def mapping_coordinates(problem: SviProblem, x: np.ndarray) -> np.ndarray:
+    """F at the profiles whose Hermitian coordinates are x, shape
+    (..., N, D^2), as coordinates. A mapping whose class sets
+    `takes_coordinates` (the MIMO game's) is handed x as it is; any
+    other is called on the complex profiles."""
+    if getattr(problem.mapping, "takes_coordinates", False):
+        return problem.mapping(x)
+    D = max(problem.constraints.dims)
+    return to_coordinates(problem.mapping(from_coordinates(x, D)))
+
+
 class CellMask(NamedTuple):
-    """A boolean per cell, shaped to broadcast against profiles, and
-    whether it holds for every cell and for some: built once for a
-    batch, it spares each `select_cells` its reductions."""
+    """A boolean per cell, and whether it holds for every cell and for
+    some: built once for a batch, it spares each `select_cells` its
+    reductions."""
 
     where: np.ndarray
     every: bool
@@ -349,34 +373,37 @@ class CellMask(NamedTuple):
 def cell_mask(mask: np.ndarray) -> CellMask:
     """The CellMask of a boolean per cell, shape (C,)."""
     mask = np.asarray(mask, dtype=bool)
-    return CellMask(mask.reshape(mask.shape + (1, 1, 1)), bool(mask.all()),
-                    bool(mask.any()))
+    return CellMask(mask, bool(mask.all()), bool(mask.any()))
 
 
 def select_cells(mask: np.ndarray | CellMask, A: np.ndarray,
                  B: np.ndarray) -> np.ndarray:
     """Cell c from A where mask[c] holds, else from B, for a boolean
-    per cell or its `cell_mask`. Unlike adding a zero term, this leaves
-    B's cells bit for bit as they are."""
+    per cell or its `cell_mask`; A and B have the cell axis first (complex
+    profiles or their Hermitian coordinates). Unlike adding a zero term,
+    this leaves B's cells bit for bit as they are."""
     if not isinstance(mask, CellMask):
         mask = cell_mask(mask)
     if mask.every:
         return A
     if not mask.some:
         return B
-    return np.where(mask.where, A, B)
+    where = mask.where
+    return np.where(where.reshape(where.shape + (1,) * (A.ndim - 1)), A, B)
 
 
 def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
                 calls: int) -> Iterator[np.ndarray | None]:
     """The noise of a stacked problem's next `calls` oracle calls, one
-    profile with a cell axis per call, for the generators `rngs`.
+    profile's Hermitian coordinates with a cell axis per call, shape
+    (C, N, D^2), for the generators `rngs`.
 
-    Each block of K calls is one `NoiseModel.sample`, drawn when it is
-    reached: K is the most that fits NOISE_BLOCK_ENTRIES (at least 1),
-    and no block goes past the last call. Each cell's stream is consumed,
-    and its profiles come out, exactly as with one draw per call. With
-    no noisy cell nothing is drawn, and each call's noise is None.
+    Each block of K calls is one `NoiseModel.sample`, drawn and turned
+    into coordinates when it is reached: K is the most that fits
+    NOISE_BLOCK_ENTRIES (at least 1), and no block goes past the last
+    call. Each cell's stream is consumed, and its profiles come out,
+    exactly as with one draw per call. With no noisy cell nothing is
+    drawn, and each call's noise is None.
     """
     cset = problem.constraints
     if not problem.noise.noisy.some:
@@ -384,15 +411,17 @@ def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
         return
     K = max(1, NOISE_BLOCK_ENTRIES // (len(rngs) * cset.zeros().size))
     for start in range(0, calls, K):
-        yield from problem.noise.sample(cset.dims, rngs,
-                                        min(K, calls - start))
+        yield from to_coordinates(problem.noise.sample(
+            cset.dims, rngs, min(K, calls - start)))
 
 
 def oracle_sample(problem: SviProblem, X: np.ndarray,
                   rng: np.random.Generator | Sequence[np.random.Generator],
                   F: np.ndarray | None = None, Z: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic oracle call: returns (F(X) + Z, Z).
+    """One stochastic oracle call: returns (F(X) + Z, Z). X, F and Z may
+    also be Hermitian coordinates (as in the solver loop), when F is
+    given and so is Z, if any cell is noisy.
 
     The rng stream is consumed only when the noise level is nonzero, and
     is passed explicitly so a seed fixes the sample path regardless of

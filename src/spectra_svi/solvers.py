@@ -1,8 +1,7 @@
 """Dual-averaging solvers in the quantum-entropy geometry.
 
 Three methods share one iteration: a dual step Y <- Y - eta * Phi(X, xi)
-followed by the blockwise Gibbs map back to the feasible set. Duals,
-iterates and averages are padded profile arrays (see `problem`).
+followed by the blockwise Gibbs map back to the feasible set.
 
 * AM-SMD keeps the stepsize-weighted running average of the iterates and
   reports that average.
@@ -13,25 +12,31 @@ iterates and averages are padded profile arrays (see `problem`).
 
 `run_batch` runs several cells (problems of one constraint set, any mix
 of methods, stepsizes, noise levels and seeds) as one loop over a
-leading cell axis, shape (C, N, D, D); `run` is its one-cell case.
-Every cell's result is bit for bit what it would be alone. Each
-iteration evaluates the game at most once: a gap iteration evaluates it
-on the batch's new iterates stacked with the averaging cells' averages,
-and that one result serves the next oracle call and the strong gaps at
-the reported points. An optional `measure` takes over that evaluation
-at every iteration and also returns a quantity (such as per-player
-throughput) at the reported points.
+leading cell axis; `run` is its one-cell case. Every cell's result is
+bit for bit what it would be alone. Each iteration evaluates the game
+at most once: a gap iteration evaluates it on the batch's new iterates
+stacked with the averaging cells' averages, and that one result serves
+the next oracle call and the strong gaps at the reported points. An
+optional `measure` takes over that evaluation at every iteration and
+also returns a quantity (such as per-player throughput) at the
+reported points.
+
+The loop keeps duals, iterates, averages, mapping values and noise as
+the Hermitian coordinates of padded profiles (see `problem` and
+`linalg`), real arrays of shape (C, N, D^2). Complex profiles are built
+only to be handed on: to the feasibility check, the strong gap and the
+measure, and as each cell's final point.
 
 The rest of an iteration is paid once for the batch. The noise comes
 from `problem.noise_draws`, several iterations per draw, and a batch
 with no noisy cell draws none. Only the AM-SMD cells keep an average.
-What stays fixed for a batch is computed before its loop: the masks of
-the noisy and the regularized cells with their all/any flags, the
-averaging rows (a slice when contiguous) and the averaging weights.
-Duals, iterates and averages are exactly Hermitian, so the Gibbs maps
-take them as they are, without taking their Hermitian part again (see
-`linalg`); the feasibility check and the strong gap check it at the
-reported points.
+What stays fixed for a batch is computed before its loop: the mask of
+the noisy cells with its all/any flags, the rows of the regularized and
+of the averaging cells (slices when contiguous) and the averaging
+weights; the MEL term is added in place on its rows. Coordinates give
+exactly Hermitian profiles, so the Gibbs maps take them as they are,
+without taking their Hermitian part again (see `linalg`); the
+feasibility check and the strong gap check it at the reported points.
 """
 
 from __future__ import annotations
@@ -45,16 +50,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, SpectraSviError
-from .mirror import gibbs_map, gibbs_map_bounded
+from .linalg import from_coordinates, to_coordinates
+from .mirror import gibbs_2x2_coordinates, gibbs_map, gibbs_map_bounded
 from .problem import (
     SpectraSet,
     SviProblem,
     TraceMode,
     assert_feasible,
-    cell_mask,
+    mapping_coordinates,
     noise_draws,
     oracle_sample,
-    select_cells,
     stack_problems,
     strong_gap,
 )
@@ -188,7 +193,28 @@ def update_average(state: AveragingState, X_next: np.ndarray,
 
 def dual_to_primal(Y: np.ndarray, cset: SpectraSet) -> np.ndarray:
     """Mirror projection of dual variables onto the feasible set: one
-    batched Gibbs map per block size (`SpectraSet.map_blocks`)."""
+    batched Gibbs map per block size (`SpectraSet.map_blocks`).
+
+    Y is a complex profile array or its Hermitian coordinates, a real
+    array of shape (..., N, D^2), and the result comes in the same form.
+    Coordinates of 2x2 blocks take the Gibbs maps' coordinate front end;
+    those of any other sizes are mapped as complex profiles."""
+    if np.iscomplexobj(Y):
+        return _gibbs_maps(Y, cset)
+    if set(cset.dims) != {2}:
+        D = max(cset.dims)
+        return to_coordinates(_gibbs_maps(from_coordinates(Y, D), cset))
+    equal = cset.mode is TraceMode.EQUAL
+
+    def project(yk: np.ndarray) -> np.ndarray:
+        x = gibbs_2x2_coordinates(yk, slack=not equal)
+        return x if cset.bound == 1 and not equal else cset.bound * x
+
+    return cset.map_blocks(project, Y)
+
+
+def _gibbs_maps(Y: np.ndarray, cset: SpectraSet) -> np.ndarray:
+    """`dual_to_primal` of a complex profile array."""
     def project(Yk: np.ndarray) -> np.ndarray:
         if cset.mode is TraceMode.EQUAL:
             return cset.bound * gibbs_map(Yk)
@@ -261,11 +287,6 @@ Measure = Callable[[SviProblem, np.ndarray, np.ndarray],
                    tuple[np.ndarray, np.ndarray]]
 
 
-def _mapping_only(problem: SviProblem, points: np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, None]:
-    return problem.mapping(points), None
-
-
 def run_batch(problems: Sequence[SviProblem],
               configs: Sequence[SolverConfig],
               measure: Measure | None = None) -> list[RunResult]:
@@ -298,10 +319,23 @@ def run_batch(problems: Sequence[SviProblem],
                 + run_batch(problems[half:], configs[half:], measure))
 
 
+def _rows(index: np.ndarray) -> np.ndarray | slice:
+    """Ascending cell indices as a slice when they are contiguous."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _run_cells(problems: Sequence[SviProblem],
                configs: Sequence[SolverConfig],
                measure: Measure | None) -> list[RunResult]:
-    """The solver loop over a cell axis.
+    """The solver loop over a cell axis, on Hermitian coordinates.
+
+    Duals, iterates, averages, mapping values and noise are real arrays
+    of shape (C, N, D^2) (see `linalg.to_coordinates`). Complex profiles
+    are built only where they are handed on: the reported points and
+    their mapping values at gap iterations, the points at measure
+    iterations, and the final points.
 
     Every iteration evaluates the game at most once. A gap or measure
     iteration evaluates it on one stacked profile: X_{t+1} of all C cells
@@ -317,16 +351,18 @@ def _run_cells(problems: Sequence[SviProblem],
     C = len(configs)
     problem = stack_problems(problems)
     cset = problem.constraints
+    D = max(cset.dims)
 
-    # Per-cell values broadcast against profile arrays, shape (C, N, D, D).
+    # Per-cell values broadcast against coordinate arrays, (C, N, D^2).
     lam = np.array([c.lam if c.method is Method.MEL else 0.0
-                    for c in configs])[:, None, None, None]
-    regularized = cell_mask(lam[:, 0, 0, 0] > 0)
+                    for c in configs])
+    regularized = _rows(np.flatnonzero(lam > 0))
+    lam = lam[regularized, None, None]
     etas = np.array([
         [eta_at(t) for t in range(T + 1)]
         for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
                        for p, c in zip(problems, configs))
-    ])[:, :, None, None, None]
+    ])[:, :, None, None]
     rngs = [np.random.default_rng(c.seed) for c in configs]
 
     # The game is evaluated on the C cells' iterates followed by the
@@ -339,18 +375,14 @@ def _run_cells(problems: Sequence[SviProblem],
     rows = np.arange(C)
     rows[averaging] = C + np.arange(averaging.size)
     measuring = measure is not None
-    evaluate = measure if measuring else _mapping_only
 
-    Y = cset.zeros(C)
+    Y = np.zeros((C, len(cset.dims), D * D))
     X = dual_to_primal(Y, cset)
-    # Only the averaging cells keep an average: rows `averaging` of X, a
-    # slice when they are contiguous. Their weights gamma_t and
-    # 1 / gamma_t come from one `np.add.accumulate`, whose sequential
-    # adds are those of `update_average`.
-    if averaging.size and averaging[-1] - averaging[0] == averaging.size - 1:
-        average_rows = slice(averaging[0], averaging[-1] + 1)
-    else:
-        average_rows = averaging
+    # Only the averaging cells keep an average: rows `averaging` of X.
+    # Their weights gamma_t and 1 / gamma_t come from one
+    # `np.add.accumulate`, whose sequential adds are those of
+    # `update_average`.
+    average_rows = _rows(averaging)
     average_etas = etas[averaging]
     gammas = np.add.accumulate(average_etas, axis=1)
     inverses = 1.0 / gammas
@@ -367,9 +399,9 @@ def _run_cells(problems: Sequence[SviProblem],
     try:
         for t in range(T):
             tic = time.perf_counter()
-            F = problem.mapping(X) if F_next is None else F_next
-            if regularized.some:
-                F = select_cells(regularized, F + lam * X, F)
+            F = mapping_coordinates(problem, X) if F_next is None else F_next
+            if lam.size:
+                F[regularized] += lam * X[regularized]
             # Only phi is kept: a view of the noise would hold its block.
             phi = oracle_sample(problem, X, rngs, F, Z=next(draws))[0]
             Y, X = mirror_step(Y, phi, etas[:, t], cset)
@@ -387,12 +419,21 @@ def _run_cells(problems: Sequence[SviProblem],
             points = np.concatenate([X, avg.xbar]) if averaging.size else X
             if gap_due:
                 reported = points[rows]
-                assert_feasible(reported, cset)
+                profiles = from_coordinates(reported, D)
+                assert_feasible(profiles, cset)
                 final = reported
-            F_points, values = evaluate(evaluated, points, rows)
-            F_next = F_points[:C]
+            if measuring:
+                F_points, values = measure(
+                    evaluated, from_coordinates(points, D), rows)
+                F_next = to_coordinates(F_points[:C])
+            else:
+                F_points = mapping_coordinates(evaluated, points)
+                F_next = F_points[:C]
             if gap_due:
-                gaps = strong_gap(problem, reported, F_points[rows])
+                F_reported = F_points[rows]
+                if not measuring:
+                    F_reported = from_coordinates(F_reported, D)
+                gaps = strong_gap(problem, profiles, F_reported)
                 gap_seconds += time.perf_counter() - tic
                 if gaps.min() < GAP_FLOOR:
                     raise NumericalFailure(
@@ -407,6 +448,7 @@ def _run_cells(problems: Sequence[SviProblem],
             raise
         error = _describe_error(exc)
 
+    final = from_coordinates(final, D)
     measured = np.stack(measures, axis=1) if measures else np.empty((C, 0))
     return [
         RunResult(

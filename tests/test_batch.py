@@ -16,6 +16,7 @@ the record-based throughput CSV.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,37 @@ def test_a_failing_cell_leaves_its_batch_unchanged(config, data):
     for grid in faulty:
         assert grid.failures == [f"{target.label()}: {lone.error}"]
         assert _traces(grid) == expected
+
+
+def test_a_failing_2x2_cell_names_its_block_size():
+    # The loop holds each 2x2 dual as its 4 Hermitian coordinates; a cell
+    # whose noise turns to NaN after 3 iterations still fails in the
+    # batch exactly as alone, naming blocks of dimension 2.
+    problems = _game_problems(2, 2, (3, 4, 5), (1.0, 1.0, 0.0))
+    configs = [SolverConfig(method, 6, StepSchedule.harmonic_sqrt(),
+                            gap_every=2, seed=seed)
+               for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2),
+                                    (Method.MEL, 3))]
+    clean = solvers.run_batch(problems, configs)
+    real = np.random.default_rng
+
+    def default_rng(seed=None):
+        rng = real(seed)
+        return _FailingStream(rng, 3) if seed == 2 else rng
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", default_rng)
+        batch = solvers.run_batch(problems, configs)
+        lone = solvers.run(problems[1], configs[1])
+    assert lone.error == ("eigendecomposition input has non-finite entries "
+                          "[dim=2, block=0]")
+    assert lone.gap_trace == clean[1].gap_trace[:1]
+    assert batch[1].error == lone.error
+    assert batch[1].gap_trace == lone.gap_trace
+    assert np.array_equal(batch[1].final_point, lone.final_point)
+    for c in (0, 2):
+        assert batch[c].error is None
+        assert batch[c].gap_trace == clean[c].gap_trace
 
 
 def _csv_lines(grid, tmp_path, skip):
@@ -343,7 +375,7 @@ def test_throughput_csv_equals_the_record_based_writer(config, threads,
     expected = _record_based_csv(config, tmp_path / "records.csv")
     grid = harness.run_grid(config, threads=threads)
     paths = harness.write_outputs(grid, config, str(tmp_path), "results")
-    assert open(paths["throughput"], "rb").read() == expected
+    assert Path(paths["throughput"]).read_bytes() == expected
 
 
 def test_run_batch_rejects_cells_that_cannot_share_a_loop():

@@ -7,7 +7,9 @@ beta * delta once, skipping the `np.where` guards when no block has
 r = 0, skipping the multiplication by p = 1). The trimmed kernels must
 reproduce every bit of it: the same operations on the same operands.
 The stacks hold blocks with r = 0 only, r > 0 only and both, at unit
-scale and with entries near 1e-300 and near 1e300.
+scale and with entries near 1e-300 and near 1e300. The front end that
+the solver loop applies to Hermitian coordinates must give the
+coordinates of the same bits.
 """
 
 import numpy as np
@@ -117,6 +119,17 @@ def test_gibbs_maps_keep_their_bits(kind, scale):
     assert np.array_equal(bounded, 1.0 * X)
     if abs(scale) <= 1.0:
         _same_bits(bounded, 1.0 * X)
+
+
+@pytest.mark.parametrize("kind, scale", STACKS)
+def test_coordinate_front_end_keeps_the_bits(kind, scale):
+    Y = _stack(kind, scale)
+    y = linalg.to_coordinates(Y)
+    for got, want in zip(linalg.spectrum_2x2(y), _hermitian_2x2(Y)[1:]):
+        _same_bits(got, want)
+    for slack in (False, True):
+        _same_bits(mirror.gibbs_2x2_coordinates(y, slack),
+                   linalg.to_coordinates(_gibbs_2x2(Y, slack)))
 
 
 @pytest.mark.parametrize("kind", ("r=0", "r>0", "mixed"))

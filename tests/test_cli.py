@@ -221,9 +221,10 @@ def test_a_failed_batch_warns_once_per_cell_and_exits_2(tmp_path, capsys,
 
 def test_run_with_every_cell_failed_writes_partial_results(tmp_path, capsys,
                                                            monkeypatch):
-    # A Gibbs map that returns NaN makes every cell fail mid-run.
-    monkeypatch.setattr(solvers, "gibbs_map_bounded",
-                        lambda Y, bound: np.full_like(Y, np.nan))
+    # A Gibbs map that returns NaN makes every cell fail mid-run. The
+    # loop maps 2x2 duals by their Hermitian coordinates.
+    monkeypatch.setattr(solvers, "gibbs_2x2_coordinates",
+                        lambda y, slack: np.full_like(y, np.nan))
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_tiny_config_text())
     out = tmp_path / "out"

@@ -12,6 +12,7 @@ import threading
 import time
 import types
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -795,8 +796,8 @@ def test_mixed_grid_against_golden_fixtures(tmp_path, threads):
                           str(tmp_path / "out"), "results")
     for name, golden in (("csv", "mixed_grid.csv"),
                          ("throughput", "mixed_grid_throughput.csv")):
-        with open(os.path.join(DATA, golden), "rb") as f:
-            assert open(paths[name], "rb").read() == f.read(), golden
+        assert (Path(paths[name]).read_bytes()
+                == Path(DATA, golden).read_bytes()), golden
 
 
 def test_read_csv_rejects_bad_header(tmp_path):
@@ -1165,7 +1166,7 @@ def test_an_interrupted_write_keeps_the_previous_outputs(tmp_path,
     paths = write_outputs(grid, config, str(tmp_path), "results")
     paths["svg"] = str(tmp_path / "results.svg")
     svgplot.render_svg(grid.records, paths["svg"])
-    before = {p: open(p, "rb").read() for p in paths.values()}
+    before = {p: Path(p).read_bytes() for p in paths.values()}
     listing = sorted(os.listdir(tmp_path))
 
     real_open = open
@@ -1180,7 +1181,7 @@ def test_an_interrupted_write_keeps_the_previous_outputs(tmp_path,
     for write in writes:
         with pytest.raises(OSError, match="no space left"):
             write()
-        assert {p: open(p, "rb").read() for p in paths.values()} == before
+        assert {p: Path(p).read_bytes() for p in paths.values()} == before
         assert sorted(os.listdir(tmp_path)) == listing
     # A first write that fails leaves no file at all.
     with pytest.raises(OSError, match="no space left"):

@@ -5,7 +5,7 @@ import pytest
 
 from spectra_svi import linalg
 from spectra_svi.errors import NumericalFailure
-from spectra_svi.problem import profile_inner
+from spectra_svi.problem import pad_blocks, profile_inner
 
 
 def test_hermitianize_returns_exact_hermitian_part():
@@ -15,6 +15,43 @@ def test_hermitianize_returns_exact_hermitian_part():
     assert np.array_equal(H, H.conj().T)
     assert np.all(H.diagonal().imag == 0)
     assert np.allclose(H, (A + A.conj().T) / 2)
+
+
+def _exactly_hermitian_stacks():
+    """Hermitian parts of random complex stacks at d = 1..4, and a
+    profile of blocks of sizes 3, 1, 4 and 2 zero-padded to 4 x 4."""
+    rng = np.random.default_rng(11)
+    stacks = [linalg.hermitianize(rng.standard_normal((3, 5, d, d))
+                                  + 1j * rng.standard_normal((3, 5, d, d)))
+              for d in (1, 2, 3, 4)]
+    stacks.append(pad_blocks([linalg.random_hermitian(rng, d, 2.0)
+                              for d in (3, 1, 4, 2)]))
+    return stacks
+
+
+@pytest.mark.parametrize("A", _exactly_hermitian_stacks(),
+                         ids=["d=1", "d=2", "d=3", "d=4", "padded"])
+def test_hermitian_coordinates_round_trip_bit_for_bit(A):
+    d = A.shape[-1]
+    x = linalg.to_coordinates(A)
+    assert x.shape == A.shape[:-2] + (d * d,) and x.dtype == float
+    B = linalg.from_coordinates(x, d)
+    assert B.shape == A.shape and B.dtype == complex
+    # Entry for entry; the real parts bit for bit. An imaginary part
+    # that is zero (the diagonal's, the padding's) may change its sign.
+    assert np.array_equal(B, A)
+    assert B.real.tobytes() == A.real.tobytes()
+    assert np.array_equal(B, B.conj().swapaxes(-1, -2))
+    assert linalg.to_coordinates(B).tobytes() == x.tobytes()
+    # The layout: the diagonal, then the upper triangle's real parts,
+    # then its imaginary parts, row by row.
+    k, l = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    assert np.array_equal(x, np.concatenate(
+        (A[..., diag, diag].real, A[..., k, l].real, A[..., k, l].imag),
+        axis=-1))
+    assert np.array_equal(linalg.from_coordinates(x, d, plus=1.0),
+                          A + np.eye(d))
 
 
 def test_hermitianize_rejects_non_square():

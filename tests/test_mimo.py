@@ -74,18 +74,29 @@ def test_sample_channels_shapes():
 @pytest.mark.parametrize("topo", [
     mimo.canonical_topology(2, 4),
     mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3)),
-], ids=["2x4", "unequal"])
+    mimo.canonical_topology(2, 2),
+    mimo.canonical_topology(4, 2),
+    mimo.canonical_topology(4, 4),
+    mimo.NetworkTopology((2, 4, 3, 1, 2, 4, 2), (4, 2, 2, 3, 1, 2, 4),
+                         mimo.DISTANCE_KM),
+], ids=["2x4", "unequal", "2x2", "4x2", "4x4", "mixed7"])
 def test_sample_channels_equals_a_link_by_link_draw(topo):
-    # Each link drawn alone, in (j, i) order, real part then imaginary.
+    # Each link drawn alone, in (j, i) order, real part then imaginary,
+    # into a zero-padded stack: the one draw of every link's normals
+    # must consume the stream and give the bits of that loop.
     rng = np.random.default_rng(30)
+    N, rx, tx = topo.users, topo.rx_antennas, topo.tx_antennas
+    stacked = np.zeros((N, N, max(rx), max(tx)), dtype=complex)
     ref = {}
-    for j in range(topo.users):
-        for i in range(topo.users):
-            shape = (topo.rx_antennas[i], topo.tx_antennas[j])
+    for j in range(N):
+        for i in range(N):
+            shape = (rx[i], tx[j])
             scale = 1.0 / (topo.distance_km[j, i] * np.sqrt(2.0))
             ref[j, i] = scale * (rng.standard_normal(shape)
                                  + 1j * rng.standard_normal(shape))
+            stacked[j, i, :rx[i], :tx[j]] = ref[j, i]
     ch = mimo.sample_channels(topo, np.random.default_rng(30))
+    assert ch.stacked.tobytes() == stacked.tobytes()
     # Draws compare by identity, never entry by entry.
     assert ch != mimo.sample_channels(topo, np.random.default_rng(30))
     for (j, i), H in ref.items():

@@ -723,16 +723,17 @@ def test_run_keeps_trace_and_diagnostics_on_numerical_failure():
 
 
 def _doubling_after(k, monkeypatch):
-    """Make the Gibbs map return twice its output from call k + 1 on."""
-    real = solvers.gibbs_map_bounded
+    """Make the 2x2 Gibbs map, which the solver loop applies to Hermitian
+    coordinates, return twice its output from call k + 1 on."""
+    real = solvers.gibbs_2x2_coordinates
     calls = []
 
-    def doubled(Y, p):
+    def doubled(y, slack):
         calls.append(None)
-        X = real(Y, p)
-        return 2.0 * X if len(calls) > k else X
+        x = real(y, slack)
+        return 2.0 * x if len(calls) > k else x
 
-    monkeypatch.setattr(solvers, "gibbs_map_bounded", doubled)
+    monkeypatch.setattr(solvers, "gibbs_2x2_coordinates", doubled)
 
 
 def test_infeasible_iterate_is_contained_and_written(tmp_path, monkeypatch):
