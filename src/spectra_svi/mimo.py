@@ -19,13 +19,15 @@ X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
 channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates
 (`linalg.to_coordinates`: m^2 reals per block, the diagonal, then the
 real and the imaginary parts of the upper triangle), built once per
-draw (`_received_operator`). `covariances` packs a stack of profiles
-into those coordinates, applies the draws' operators in one broadcast
-product (a small matrix-vector product per profile) and unpacks the
-result, exactly Hermitian, plus I. Both `game_mapping` and `throughput`
-accept that build in place of the profile; the rates' interference-only
-covariance is the full one minus H_ii X_i H_ii^dag. `game_mapping` also
-maps coordinates to coordinates, as the solver loop calls it.
+draw (`_received_operator`). A stack of profiles is packed into those
+coordinates, and the draws' operators are applied in one broadcast
+product (a small matrix-vector product per profile); `covariances`
+unpacks the result, exactly Hermitian, plus I. The rates'
+interference-only sums X -> (sum_{j != i} H_ji X_j H_ji^dag)_i come the
+same way from a second operator per draw, the first with its j == i
+blocks zeroed, built only when rates are asked for. `game_mapping` and
+`throughput` also take coordinates, as the solver loop and its measure
+call them.
 
 The mapping's rate gradients H_ii^dag W_i^{-1} H_ii take one of two
 paths, chosen by the receive count n alone. With n = 2 they come in
@@ -45,7 +47,6 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,11 @@ from .problem import (
 
 # The stacked received-covariance operators of each tuple of draws (see
 # `ChannelSet._layout`). A value depends on its key alone, and an entry
-# goes once no stacked set holds its value.
+# goes once no stacked set holds its value. The same for their
+# interference-only operators (see `ChannelSet._interference`).
 _OPERATOR_STACKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERFERENCE_STACKS: weakref.WeakValueDictionary = (
+    weakref.WeakValueDictionary())
 
 # Transmitter-to-receiver distances in km for the canonical 7-cell
 # hexagonal layout (cell radius 1 km); row j = transmitter j, column
@@ -213,17 +217,38 @@ class ChannelSet:
             _OPERATOR_STACKS[self.draws] = operators
         return take, put, operators
 
-    def received(self, x: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _interference(self) -> np.ndarray:
+        """`_layout`'s operators with their j == i blocks zeroed, bit for
+        bit those of the same channels without their direct links: the
+        maps X -> (sum_{j != i} H_ji X_j H_ji^dag)_i. Built on first use
+        (only the rates read them) and shared as `_layout`'s are."""
+        operators = (None if self.draws is None
+                     else _INTERFERENCE_STACKS.get(self.draws))
+        if operators is None:
+            operators = self._layout[-1].copy()
+            N, users = self.users, np.arange(self.users)
+            operators.reshape(len(operators), N, operators.shape[1] // N,
+                              N, -1)[:, users, :, users] = 0.0
+            if self.draws is not None:
+                _INTERFERENCE_STACKS[self.draws] = operators
+        return operators
+
+    def received(self, x: np.ndarray,
+                 interference: bool = False) -> np.ndarray:
         """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian
         coordinates, shape (R, N n^2), for the R profiles whose Hermitian
         coordinates are the rows of x, shape (R, N m^2); with stacked
-        channels, row r is on cell r's draw.
+        channels, row r is on cell r's draw. With `interference`, the
+        sums over j != i alone.
 
         One broadcast product of the rows, laid out as `_layout` says,
         with the draws' operators: each row is a (1, N m^2) x
         (N m^2, N n^2) product of its own, so a row's bits do not depend
         on how many rows share the call or on how their draws lie."""
         take, put, operators = self._layout
+        if interference:
+            operators = self._interference
         rows = x[take].reshape(-1, len(operators), 1, x.shape[-1])
         return (rows @ operators).reshape(-1, operators.shape[-1])[put]
 
@@ -291,100 +316,84 @@ def _gradient_operator(direct: np.ndarray) -> np.ndarray:
     return to_coordinates((H.conj().swapaxes(-1, -2) @ basis) @ H)
 
 
-class Covariances(NamedTuple):
-    """The received covariances I + sum_j H_ji X_j H_ji^dag of a stack of
-    profiles, shape (..., N, n, n), and the sums' Hermitian coordinates,
-    shape (..., N, n^2), with the profiles' arrays they were built from,
-    shape (..., N, m, m), and the direct links of the same rows, shape
-    (..., N, n, m). Built once by `covariances`, they serve both the game
-    mapping and the rates."""
-
-    full: np.ndarray
-    received: np.ndarray
-    profile: np.ndarray
-    direct: np.ndarray
-
-    def rows(self, index: np.ndarray) -> "Covariances":
-        """Those of the profiles at `index` along the leading axis."""
-        return Covariances(*(a[index] for a in self))
-
-
-def _received(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
+def _received(channels: ChannelSet, x: np.ndarray,
+              interference: bool = False) -> np.ndarray:
     """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian coordinates,
     shape (..., N, n^2), for the Hermitian coordinates x of profiles X,
     shape (..., N, m^2), of any leading axes (one per cell of stacked
-    channels): one product with the draw's operator per profile."""
+    channels): one product with the draw's operator per profile. With
+    `interference`, the sums over j != i alone."""
     lead, N = x.shape[:-2], x.shape[-2]
-    w = channels.received(x.reshape(-1, N * x.shape[-1]))
+    w = channels.received(x.reshape(-1, N * x.shape[-1]), interference)
     return w.reshape(lead + (N, -1))
 
 
-def covariances(channels: ChannelSet, X: np.ndarray) -> Covariances:
-    """The received covariances of X, any leading axes (one per cell of
-    stacked channels), from its `_received` coordinates."""
-    w = _received(channels, to_coordinates(X))
-    lead = w.shape[:-2]
-    full = from_coordinates(w, channels.stacked.shape[-2], plus=1.0)
-    direct = channels.direct_stacked
-    if direct.shape[:-3] != lead:
-        direct = np.broadcast_to(direct, lead + direct.shape[-3:])
-    return Covariances(full, w, X, direct)
-
-
-def _covariances_of(channels: ChannelSet,
-                    X: np.ndarray | Covariances) -> Covariances:
-    return X if isinstance(X, Covariances) else covariances(channels, X)
+def covariances(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
+    """The received covariances I + sum_j H_ji X_j H_ji^dag of profiles
+    X, shape (..., N, n, n), for any leading axes of X (one per cell of
+    stacked channels), exactly Hermitian."""
+    return from_coordinates(_received(channels, to_coordinates(X)),
+                            channels.stacked.shape[-2], plus=1.0)
 
 
 def _logdet_pd(W: np.ndarray) -> np.ndarray:
-    """log det of every matrix of a PD stack, 2 sum log diag(L) from one
-    batched Cholesky factorization. Only when that fails are the
-    eigenvalues computed, to name lambda_min."""
+    """log det of every matrix of a PD stack (..., 2, N, n, n), each
+    receiver's full and interference-only covariance: 2 sum log diag(L)
+    from one batched Cholesky factorization. Only when that fails is the
+    first failing matrix sought, by its own factorization, and its
+    eigenvalues computed, to name its kind, receiver, cell (its index
+    along the leading axes, when there are any) and lambda_min."""
     L = linalg.cholesky(W)
     if L is None:
-        w = linalg.eigvals(W)
-        raise DomainError(
-            f"covariance not PD: lambda_min = {np.min(w[..., -1]):.3e}")
+        # The batched call factors each matrix alone: one of them fails.
+        first = next(k for k in np.ndindex(W.shape[:-2])
+                     if linalg.cholesky(W[k]) is None)
+        *cell, kind, i = first
+        lam = linalg.eigvals(W[first])[-1]
+        where = f"receiver {i}"
+        if cell:
+            where += f", cell {np.ravel_multi_index(cell, W.shape[:-4])}"
+        kind = ("full", "interference")[kind]
+        raise DomainError(f"{kind} covariance not PD: lambda_min = "
+                          f"{lam:.3e} ({where})")
     diag = np.diagonal(L, axis1=-2, axis2=-1).real
     return 2 * np.sum(np.log(diag), axis=-1)
 
 
-def throughput(channels: ChannelSet, X: np.ndarray | Covariances,
+def throughput(channels: ChannelSet, X: np.ndarray,
                i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
-    log det of the interference-only covariance, that sum less
-    H_ii X_i H_ii^dag. Nonnegative, and concave in X_i since the second
+    log det of the interference-only covariance I + sum_{j != i}
+    H_ji X_j H_ji^dag. Nonnegative, and concave in X_i since the second
     term does not depend on X_i.
 
-    With i = None, every user's rate as one array; the log-determinants
-    of both covariances of every user come from one batched
-    `linalg.cholesky` call, and eigenvalues are computed only to report
-    a covariance that is not PD. X may carry leading axes (several
-    profiles on the same channels); the rates then have shape (..., N).
-    X may also be the profile's `covariances`, when already built."""
-    cov = _covariances_of(channels, X)
-    H = cov.direct
-    own = H @ cov.profile @ H.conj().swapaxes(-1, -2)
-    # cov.full is exactly Hermitian, the difference is not. Non-finite
-    # entries make NaNs in the halving; the factorization rejects them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        interference = hermitianize(cov.full - own)
-    logdet = _logdet_pd(np.stack((cov.full, interference)))
-    rates = logdet[0] - logdet[1]
+    X is a profile or its Hermitian coordinates, a real array of shape
+    (..., N, m^2), as `game_mapping` takes them. Both sums come from the
+    draws' operators, the second from their interference-only stack
+    (`ChannelSet._interference`); one `from_coordinates` makes every
+    covariance, and one batched `linalg.cholesky` call gives their
+    log-determinants. Eigenvalues are computed only to report a
+    covariance that is not PD. With i = None, every user's rate as one
+    array; X may carry leading axes (several profiles, or one per cell
+    of stacked channels), and the rates then have shape (..., N)."""
+    x = to_coordinates(X) if np.iscomplexobj(X) else X
+    sums = np.stack((_received(channels, x),
+                     _received(channels, x, interference=True)), axis=-3)
+    logdet = _logdet_pd(from_coordinates(sums, channels.stacked.shape[-2],
+                                         plus=1.0))
+    rates = logdet[..., 0, :] - logdet[..., 1, :]
     return rates if i is None else float(rates[i])
 
 
-def _rate_gradients(channels: ChannelSet,
-                    X: np.ndarray | Covariances) -> np.ndarray:
+def _rate_gradients(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
     """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m),
     exactly Hermitian: in closed form with n = 2 receive antennas, else
     from one batched solve."""
     if channels.stacked.shape[-2] == 2:
-        w = (X.received if isinstance(X, Covariances)
-             else _received(channels, to_coordinates(X)))
+        w = _received(channels, to_coordinates(X))
         return from_coordinates(_gradients_2(w, channels.gradient_operator),
                                 channels.stacked.shape[-1])
-    return _solved_gradients(channels, _covariances_of(channels, X).full)
+    return _solved_gradients(channels, covariances(channels, X))
 
 
 def _gradient_coordinates(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
@@ -440,15 +449,14 @@ def throughput_gradient(channels: ChannelSet, X: np.ndarray,
     return _rate_gradients(channels, X)[i, :m_i, :m_i]
 
 
-def game_mapping(channels: ChannelSet,
-                 X: np.ndarray | Covariances) -> np.ndarray:
+def game_mapping(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
     evaluated for all users in one batched solve. With stacked channels,
     X has a cell axis and every cell is evaluated in the same calls. X
-    may also be the profile's `covariances`, when already built, or its
-    Hermitian coordinates, a real array of shape (..., N, m^2) (see
-    `linalg.to_coordinates`); F then comes as coordinates too."""
-    if isinstance(X, np.ndarray) and not np.iscomplexobj(X):
+    may also be the profile's Hermitian coordinates, a real array of
+    shape (..., N, m^2) (see `linalg.to_coordinates`); F then comes as
+    coordinates too."""
+    if not np.iscomplexobj(X):
         return -_gradient_coordinates(channels, X)
     return -_rate_gradients(channels, X)
 
@@ -462,7 +470,7 @@ class GameMapping:
     channels: ChannelSet
     takes_coordinates = True  # see `problem.mapping_coordinates`
 
-    def __call__(self, X: np.ndarray | Covariances) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         return game_mapping(self.channels, X)
 
     @classmethod

@@ -17,15 +17,15 @@ bit for bit what it would be alone. Each iteration evaluates the game
 at most once: a gap iteration evaluates it on the batch's new iterates
 stacked with the averaging cells' averages, and that one result serves
 the next oracle call and the strong gaps at the reported points. An
-optional `measure` takes over that evaluation at every iteration and
-also returns a quantity (such as per-player throughput) at the
-reported points.
+optional `measure` returns a quantity (such as per-player throughput)
+at the reported points of every iteration, from their Hermitian
+coordinates; the game is evaluated exactly as without one.
 
 The loop keeps duals, iterates, averages, mapping values and noise as
 the Hermitian coordinates of padded profiles (see `problem` and
 `linalg`), real arrays of shape (C, N, D^2). Complex profiles are built
-only to be handed on: to the feasibility check, the strong gap and the
-measure, and as each cell's final point.
+only to be handed on: to the feasibility check and the strong gap, and
+as each cell's final point.
 
 The rest of an iteration is paid once for the batch. The noise comes
 from `problem.noise_draws`, several iterations per draw, and a batch
@@ -246,8 +246,8 @@ class RunResult:
     per completed iteration 1..T, the measure at that iteration's
     reported point; None without one. iterate_seconds is the time of the
     oracle calls, mirror steps and averaging; gap_seconds that of the gap
-    iterations' feasibility checks, game evaluations and gaps (a
-    measure-only iteration's evaluation counts in neither). In a batch,
+    iterations' feasibility checks, game evaluations, measures and gaps
+    (the measure of any other iteration counts in neither). In a batch,
     both are those of the whole batch.
     """
 
@@ -282,9 +282,9 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     return run_batch([problem], [config])[0]
 
 
-# measure(problem, points, rows) -> (F(points), values at points[rows])
-Measure = Callable[[SviProblem, np.ndarray, np.ndarray],
-                   tuple[np.ndarray, np.ndarray]]
+# measure(problem, reported) -> values at the reported points, one row
+# per cell; `reported` holds their Hermitian coordinates, (C, N, D^2).
+Measure = Callable[[SviProblem, np.ndarray], np.ndarray]
 
 
 def run_batch(problems: Sequence[SviProblem],
@@ -299,15 +299,14 @@ def run_batch(problems: Sequence[SviProblem],
     from its seeds, down to the failing cells, which then end exactly as
     their lone runs do.
 
-    measure, when given, evaluates the game at every iteration in place
-    of the mapping. It is called with a stacked problem
-    (`problem.stack_problems`), a profile `points` of its cells and an
-    index array `rows`, and returns the mapping at `points` together
-    with the measured values at the batch's reported points,
-    `points[rows]`, one row per cell; row t - 1 of each cell's
-    `measures` is its value at iteration t. A measure that raises a
-    package error fails its cell like any other, before that
-    iteration's gap is recorded.
+    measure, when given, is called at every iteration with the C cells'
+    stacked problem (`problem.stack_problems`) and the Hermitian
+    coordinates of their reported points, a real (C, N, D^2) array (see
+    `linalg.to_coordinates`), and returns the measured values, one row
+    per cell; row t - 1 of each cell's `measures` is its value at
+    iteration t. The game is evaluated as it is without a measure. A
+    measure that raises a package error fails its cell like any other,
+    before that iteration's gap is recorded.
     """
     try:
         return _run_cells(problems, configs, measure)
@@ -334,15 +333,16 @@ def _run_cells(problems: Sequence[SviProblem],
     Duals, iterates, averages, mapping values and noise are real arrays
     of shape (C, N, D^2) (see `linalg.to_coordinates`). Complex profiles
     are built only where they are handed on: the reported points and
-    their mapping values at gap iterations, the points at measure
-    iterations, and the final points.
+    their mapping values at gap iterations, and the final points.
 
-    Every iteration evaluates the game at most once. A gap or measure
-    iteration evaluates it on one stacked profile: X_{t+1} of all C cells
-    followed by the averages of the averaging cells. That one result is
-    the next oracle call's mapping (rows :C), and at the reported rows it
-    gives the gaps and the measure. A failure stops a lone cell with its
-    partial trace; in a larger batch it propagates to `run_batch`.
+    Every iteration evaluates the game at most once. A gap iteration
+    evaluates it on one stacked array: X_{t+1} of all C cells followed
+    by the averages of the averaging cells. That one result is the next
+    oracle call's mapping (rows :C), and at the reported rows it gives
+    the gaps. Any other iteration evaluates it on X_{t+1} alone, in the
+    next oracle call. The measure gets the reported rows. A failure
+    stops a lone cell with its partial trace; in a larger batch it
+    propagates to `run_batch`.
     """
     T, gap_every = configs[0].iterations, configs[0].gap_every
     if any((c.iterations, c.gap_every) != (T, gap_every) for c in configs):
@@ -415,32 +415,27 @@ def _run_cells(problems: Sequence[SviProblem],
             F_next = None
             if not (gap_due or measuring):
                 continue
-            tic = time.perf_counter()
             points = np.concatenate([X, avg.xbar]) if averaging.size else X
-            if gap_due:
-                reported = points[rows]
-                profiles = from_coordinates(reported, D)
-                assert_feasible(profiles, cset)
-                final = reported
-            if measuring:
-                F_points, values = measure(
-                    evaluated, from_coordinates(points, D), rows)
-                F_next = to_coordinates(F_points[:C])
-            else:
-                F_points = mapping_coordinates(evaluated, points)
-                F_next = F_points[:C]
-            if gap_due:
-                F_reported = F_points[rows]
-                if not measuring:
-                    F_reported = from_coordinates(F_reported, D)
-                gaps = strong_gap(problem, profiles, F_reported)
-                gap_seconds += time.perf_counter() - tic
-                if gaps.min() < GAP_FLOOR:
-                    raise NumericalFailure(
-                        f"strong gap {gaps.min():.3e} below feasible floor "
-                        f"at iteration {it}")
-                for trace, gap in zip(traces, gaps):
-                    trace.append((it, float(gap)))
+            reported = points[rows]
+            if not gap_due:
+                measures.append(measure(problem, reported))
+                continue
+            tic = time.perf_counter()
+            profiles = from_coordinates(reported, D)
+            assert_feasible(profiles, cset)
+            final = reported
+            F_points = mapping_coordinates(evaluated, points)
+            F_next = F_points[:C]
+            values = measure(problem, reported) if measuring else None
+            gaps = strong_gap(problem, profiles,
+                              from_coordinates(F_points[rows], D))
+            gap_seconds += time.perf_counter() - tic
+            if gaps.min() < GAP_FLOOR:
+                raise NumericalFailure(
+                    f"strong gap {gaps.min():.3e} below feasible floor "
+                    f"at iteration {it}")
+            for trace, gap in zip(traces, gaps):
+                trace.append((it, float(gap)))
             if measuring:
                 measures.append(values)
     except SpectraSviError as exc:

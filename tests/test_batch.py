@@ -27,6 +27,7 @@ from spectra_svi import harness, mimo, solvers
 from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
+from spectra_svi.linalg import to_coordinates
 from spectra_svi.problem import (
     SpectraSet,
     TraceMode,
@@ -500,13 +501,13 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
     if not measured:
         measure = reference_measure = None
     elif kind == "quadratic":
-        def measure(problem, points, rows):
-            return problem.mapping(points), _entries(points[rows])
+        def measure(problem, reported):
+            return _entries(reported)
 
         def reference_measure(problem, reported):
-            return _entries(reported)
+            return _entries(to_coordinates(reported))
     else:
-        measure = harness.game_and_throughput
+        measure = harness.reported_rates
 
         def reference_measure(problem, reported):
             return mimo.throughput(problem.mapping.channels, reported)

@@ -42,8 +42,8 @@ PINS = {
                     "7e380088c27efe817926d772c853f87f"},
     "stability": {"csv": "20894c8d21066601475fa081ffb02359"
                          "3e8549df88208eaa5c6935c1202f76f6",
-                  "throughput": "a1cff45ab003ee15e857349c441f6261"
-                                "17030431f3f9479ec40236bdeab7a28f"},
+                  "throughput": "ef3e194d7b60e349e4986d1f3816493b"
+                                "85534e9035cbbec6bcfe2b980541359c"},
     "full-grid-2p": {"csv": "20925ee2817279dfd0ea8a483232b6ae"
                             "dfd3a03306c76c32f6502580e5797c69"},
     "gap-dense": {"csv": "ffaed30d3913ceb92eb2c80479978aa4"

@@ -412,9 +412,9 @@ def test_run_grid_throughput_records():
 
 
 def test_recording_throughput_leaves_every_gap_unchanged():
-    # Without throughput the game is mapped from the profiles, with it
-    # from their covariances (`harness.game_and_throughput`); both must
-    # take the same path, the closed form at n = 2 and the solve else.
+    # The rates (`harness.reported_rates`) are measured beside the game,
+    # which is mapped as it is without them: on the closed form at n = 2
+    # and the solve else.
     hs = StepSchedule.harmonic_sqrt()
     config = _small_config(
         antenna_pairs=((2, 2), (4, 2), (2, 4), (4, 4)), sigmas=(0.0, 1.0),

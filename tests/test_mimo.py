@@ -1,6 +1,5 @@
 """Seven-cell MIMO throughput game."""
 
-import math
 import re
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from spectra_svi import mimo, problem as pb
 from spectra_svi.errors import DomainError, NumericalFailure
-from spectra_svi.linalg import hermitianize, spectral_norm
+from spectra_svi.linalg import hermitianize, spectral_norm, to_coordinates
 from spectra_svi.oracles import finite_diff_gradient
 from spectra_svi.problem import TraceMode
 
@@ -129,8 +128,10 @@ def test_mui_covariance_identity_at_zero_power():
     ch = mimo.sample_channels(topo, np.random.default_rng(2))
     X = topo.constraint_set().zeros()
     cov = mimo.covariances(ch, X)
-    assert np.array_equal(cov.full, np.broadcast_to(np.eye(2), (7, 2, 2)))
-    assert np.array_equal(mimo.throughput(ch, cov), np.zeros(7))
+    assert np.array_equal(cov, np.broadcast_to(np.eye(2), (7, 2, 2)))
+    x = to_coordinates(X)
+    assert not np.any(mimo._received(ch, x, interference=True))
+    assert np.array_equal(mimo.throughput(ch, X), np.zeros(7))
 
 
 def test_mui_covariance_excludes_own_signal():
@@ -176,37 +177,63 @@ def test_throughput_single_user_closed_form():
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("m,n", [(2, 2), (4, 4)])
 def test_throughput_rejects_non_finite_covariances(m, n, bad):
-    # A NaN covariance must not pass as "not PD", nor an inf one as NaN
-    # rates: both stop in the linear-algebra layer's check, which names
-    # the receiver's block.
+    # A non-finite entry of the link H_03 makes receiver 3's covariances
+    # non-finite. They must not pass as "not PD", nor give NaN rates:
+    # they stop in the linear-algebra layer's check, which names the
+    # first of them, receiver 3's full covariance, as the block.
     topo = mimo.canonical_topology(m, n)
     ch = mimo.sample_channels(topo, np.random.default_rng(10))
-    cov = mimo.covariances(ch, _feasible_profile(topo, np.random.default_rng(11)))
-    full = cov.full.copy()
-    full[3, 0, 1] = bad
-    with pytest.raises(NumericalFailure, match="non-finite") as info:
-        mimo.throughput(ch, cov._replace(full=full))
+    stacked = ch.stacked.copy()
+    stacked[0, 3, 0, 1] = bad
+    ch = mimo.ChannelSet(stacked, ch.tx_antennas, ch.rx_antennas)
+    X = _feasible_profile(topo, np.random.default_rng(11))
+    # inf * 0 in the operators' build makes NaNs, with a warning
+    with pytest.raises(NumericalFailure, match="non-finite") as info, \
+            np.errstate(invalid="ignore"):
+        mimo.throughput(ch, X)
     assert info.value.diagnostics == {"dim": n, "block": 3}
 
 
-def test_throughput_names_lambda_min_of_a_covariance_that_is_not_pd():
-    # A profile far outside the set makes the received covariances
-    # themselves indefinite: the Cholesky factorization fails, and the
-    # eigenvalues computed only then name the smallest one.
+def _not_pd_profile():
+    """A profile far outside the set, on the 4x4 game, and the start of
+    the error for its first covariance that is not PD (full ones first,
+    then the interference-only ones, by receiver), from the slow
+    full - own reference."""
     topo = mimo.canonical_topology(4, 4)
     ch = mimo.sample_channels(topo, np.random.default_rng(12))
     X = -50.0 * _feasible_profile(topo, np.random.default_rng(13))
     eye = np.eye(4)
-    lam_min = math.inf
-    for i in range(7):
-        full = eye + sum(ch.link(j, i) @ X[j] @ ch.link(j, i).conj().T
-                         for j in range(7))
-        own = ch.link(i, i) @ X[i] @ ch.link(i, i).conj().T
-        for W in (full, full - own):
-            lam_min = min(lam_min, np.linalg.eigvalsh(hermitianize(W))[0])
-    assert lam_min < 0
-    message = f"covariance not PD: lambda_min = {lam_min:.3e}"
-    with pytest.raises(DomainError, match=re.escape(message)):
+    failing = []
+    for kind in ("full", "interference"):
+        for i in range(7):
+            full = eye + sum(ch.link(j, i) @ X[j] @ ch.link(j, i).conj().T
+                             for j in range(7))
+            own = ch.link(i, i) @ X[i] @ ch.link(i, i).conj().T
+            W = full if kind == "full" else full - own
+            lam_min = np.linalg.eigvalsh(hermitianize(W))[0]
+            if lam_min < 0:
+                failing.append(f"{kind} covariance not PD: lambda_min = "
+                               f"{lam_min:.3e} (receiver {i}")
+    assert failing
+    return topo, ch, X, failing[0]
+
+
+def test_throughput_names_lambda_min_of_a_covariance_that_is_not_pd():
+    # The received covariances themselves are indefinite: the Cholesky
+    # factorization fails, and only then is the first failing matrix
+    # sought. The error names its kind, its receiver and its lambda_min.
+    _, ch, X, message = _not_pd_profile()
+    with pytest.raises(DomainError, match=re.escape(message + ")")):
+        mimo.throughput(ch, X)
+
+
+def test_throughput_names_the_cell_of_a_covariance_that_is_not_pd():
+    # With a leading axis the error also names the cell: here the last
+    # of three, after two feasible ones.
+    topo, ch, X, message = _not_pd_profile()
+    rng = np.random.default_rng(14)
+    X = np.stack([_feasible_profile(topo, rng) for _ in range(2)] + [X])
+    with pytest.raises(DomainError, match=re.escape(message + ", cell 2)")):
         mimo.throughput(ch, X)
 
 

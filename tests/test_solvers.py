@@ -242,7 +242,7 @@ def test_measures_are_the_throughput_at_each_reported_point():
         SolverConfig(Method.MEL, 6, StepSchedule.harmonic(), lam=0.5,
                      gap_every=4, seed=7),
     ]
-    results = run_batch(problems, configs, harness.game_and_throughput)
+    results = run_batch(problems, configs, harness.reported_rates)
     for problem, cfg, result in zip(problems, configs, results):
         assert result.error is None
         assert result.measures.shape == (6, 7)
@@ -322,39 +322,65 @@ def test_gap_iterations_reuse_the_mapping_of_the_last_iterate():
     assert res.gap_trace == tuple(trace)
 
 
-@pytest.mark.parametrize("measure", (None, harness.game_and_throughput),
+@pytest.mark.parametrize("measure", (None, harness.reported_rates),
                          ids=("gaps", "throughput"))
 def test_a_mixed_batch_evaluates_the_game_once_per_iteration(measure,
                                                             monkeypatch):
     # AM-SMD reports its average and M-SMD its iterate. At gap_every = 1
     # one evaluation of [X_t of both cells; the average] per iteration
-    # serves the gaps, the rates and the next oracle call: T + 1 calls,
-    # where mapping the reported points and then X_t again took 2T.
+    # serves the gaps and the next oracle call: T + 1 calls, where
+    # mapping the reported points and then X_t again took 2T. The rates
+    # see the two reported rows.
+    calls, rates = _count_game_rows(monkeypatch)
+    results = run_batch(*_mixed_batch(gap_every=1), measure)
+    assert [r.error for r in results] == [None, None]
+    assert [len(r.gap_trace) for r in results] == [20, 20]
+    assert calls == [2] + [3] * 20  # rows: X_0, then X_t and the average
+    assert rates == ([] if measure is None else [(2, 7, 4)] * 20)
+
+
+@pytest.mark.parametrize("measure", (None, harness.reported_rates),
+                         ids=("gaps", "throughput"))
+def test_a_measure_leaves_the_game_evaluations_as_they_are(measure,
+                                                          monkeypatch):
+    # At gap_every = 5 the average is mapped only at gap iterations, with
+    # a measure as without one: every other iteration maps X_t of the
+    # two cells alone, in the next oracle call. The rates see the two
+    # reported rows, as Hermitian coordinates, at every iteration.
+    calls, rates = _count_game_rows(monkeypatch)
+    results = run_batch(*_mixed_batch(gap_every=5), measure)
+    assert [r.error for r in results] == [None, None]
+    assert [len(r.gap_trace) for r in results] == [4, 4]
+    assert calls == [2] + ([2] * 4 + [3]) * 4
+    assert rates == ([] if measure is None else [(2, 7, 4)] * 20)
+
+
+def _count_game_rows(monkeypatch):
+    """Record the rows of every game mapping and the shape of every
+    rates call that the solver loop and the harness measure make."""
     calls, rates = [], []
     real_mapping, real_throughput = mimo.game_mapping, harness.throughput
 
-    def rows(X):
-        return len(X.full if isinstance(X, mimo.Covariances) else X)
-
     def mapping(channels, X):
-        calls.append(rows(X))
+        calls.append(len(X))
         return real_mapping(channels, X)
 
     def throughput(channels, X, i=None):
-        rates.append(rows(X))
+        assert not np.iscomplexobj(X)
+        rates.append(X.shape)
         return real_throughput(channels, X, i)
 
     monkeypatch.setattr(mimo, "game_mapping", mapping)
     monkeypatch.setattr(harness, "throughput", throughput)
-    problems = _game_cells()[:2]
+    return calls, rates
+
+
+def _mixed_batch(gap_every):
+    """An AM-SMD and an M-SMD cell of the 2x2 game, 20 iterations."""
     configs = [SolverConfig(method, 20, StepSchedule.harmonic_sqrt(),
-                            gap_every=1, seed=seed)
+                            gap_every=gap_every, seed=seed)
                for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2))]
-    results = run_batch(problems, configs, measure)
-    assert [r.error for r in results] == [None, None]
-    assert [len(r.gap_trace) for r in results] == [20, 20]
-    assert calls == [2] + [3] * 20  # rows: X_0, then X_t and the average
-    assert rates == ([] if measure is None else [2] * 20)
+    return _game_cells()[:2], configs
 
 
 def test_averaged_trajectory_moves_less_than_iterates():
@@ -366,9 +392,8 @@ def test_averaged_trajectory_moves_less_than_iterates():
     base = dict(iterations=300, schedule=StepSchedule.horizon(),
                 gap_every=300, seed=0)
 
-    def entries(problem, points, rows):
-        return problem.mapping(points), points[rows].reshape(
-            len(rows), -1)
+    def entries(problem, reported):
+        return reported.reshape(len(reported), -1)
 
     averaged, raw = (r.measures for r in run_batch(
         [prob, prob], [SolverConfig(Method.AM_SMD, **base),

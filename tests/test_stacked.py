@@ -21,7 +21,10 @@ in closed form (adj(W) / det(W)) and maps the inverse through a second
 real operator per draw, where the reference solves. The mapping and the
 covariances must match the references to 1e-13 relative to their
 largest entry, and the rates to 1e-12 relative. Cells on several draws
-must still equal their lone evaluations bit for bit.
+must still equal their lone evaluations bit for bit. The rates'
+interference-only operators must equal those of the channels without
+their direct links bit for bit, and the rates the full - own formula
+they replaced to RATE_TOL.
 """
 
 import math
@@ -421,7 +424,7 @@ def test_game_mapping_and_throughput_match_per_block(m, n):
         for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                             strict=True):
             _near(got, ref)
-        full = mimo.covariances(ch, X).full
+        full = mimo.covariances(ch, X)
         rates = mimo.throughput(ch, X)
         for i in range(topo.users):
             _near(full[i], _ref_received(ch, blocks, i, skip_own=False))
@@ -447,9 +450,11 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
                   for _ in order]
         X = np.stack(points)
         F = mimo.game_mapping(stacked, X)
-        cov = mimo.covariances(stacked, X)
-        assert np.array_equal(mimo.game_mapping(stacked, cov), F)
+        x = linalg.to_coordinates(X)
+        assert np.array_equal(mimo.game_mapping(stacked, x),
+                              linalg.to_coordinates(F))
         rates = mimo.throughput(stacked, X)
+        assert np.array_equal(mimo.throughput(stacked, x), rates)
         for c, (d, point) in enumerate(zip(order, points)):
             lone = mimo.game_mapping(draws[d], point[None])
             assert np.array_equal(F[c], lone[0])
@@ -495,6 +500,76 @@ def test_stacks_of_the_same_draws_share_one_copy_of_their_operators(order):
             draws[d].stacked).tobytes()
 
 
+RATE_TOPOLOGIES = [mimo.canonical_topology(m, n)
+                   for m, n in ((2, 2), (4, 4), (2, 4), (4, 2))] + [
+    mimo.NetworkTopology((2, 3, 2), (3, 2, 2), mimo.DISTANCE_KM[:3, :3], 1.5)]
+RATE_IDS = ["2x2", "4x4", "2x4", "4x2", "mixed"]
+
+# The rates from the interference operators against the full - own
+# formula they replace: 64 eps relative to max(1, |R|). Measured before
+# this bound was set, on the five topologies below at 200 channel seeds
+# with 4 feasible profiles each, at power 1 and 10: at most 20 eps
+# (1.1e-14 absolute, on the mixed topology); on the `stability`
+# workload, seeds 1-8: at most 5.8e-15 absolute.
+RATE_TOL = 64 * np.finfo(float).eps
+
+
+def _without_direct_links(channels):
+    H = channels.stacked.copy()
+    users = np.arange(channels.users)
+    H[users, users] = 0
+    return H
+
+
+def _full_minus_own_rates(channels, X):
+    """The rates as they were computed before the interference
+    operators: the interference-only covariance is the full one less
+    each H_ii X_i H_ii^dag, hermitianized."""
+    full = mimo.covariances(channels, X)
+    H = channels.direct_stacked
+    own = H @ X @ H.conj().swapaxes(-1, -2)
+    W = np.stack((full, linalg.hermitianize(full - own)))
+    L = np.linalg.cholesky(W)
+    logdet = 2 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1).real),
+                        axis=-1)
+    return logdet[0] - logdet[1]
+
+
+@pytest.mark.parametrize("topo", RATE_TOPOLOGIES, ids=RATE_IDS)
+def test_interference_operators_are_those_without_direct_links(topo):
+    # Stacked on two draws, and of a lone draw: each draw's operator
+    # with its j == i blocks zeroed is, bit for bit, the received
+    # operator of its channels with every direct link zeroed. The
+    # stacks of the same draws share one copy, as the full ones do.
+    draws = [mimo.sample_channels(topo, np.random.default_rng(s))
+             for s in (60, 61)]
+    cells = mimo.ChannelSet.stack([draws[d] for d in (0, 1, 1, 0)])
+    operators = cells._interference
+    assert operators.shape == cells._layout[-1].shape
+    assert mimo.ChannelSet.stack(draws)._interference is operators
+    for got, draw in zip(operators, draws):
+        want = mimo._received_operator(_without_direct_links(draw))
+        assert got.tobytes() == want.tobytes()
+        assert draw._interference[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("topo", RATE_TOPOLOGIES, ids=RATE_IDS)
+def test_rates_match_the_full_minus_own_formula(topo):
+    draws = [mimo.sample_channels(topo, np.random.default_rng(s))
+             for s in (62, 63)]
+    cells = mimo.ChannelSet.stack([draws[d] for d in (0, 1, 1, 0)])
+    rng = np.random.default_rng(64)
+    for power in (1.0, 10.0):
+        X = power * np.stack([
+            pb.random_feasible_profile(topo.constraint_set(), rng)
+            for _ in range(4)])
+        rates = mimo.throughput(cells, X)
+        ref = _full_minus_own_rates(cells, X)
+        assert rates.shape == (4, topo.users)
+        assert np.all(np.abs(rates - ref)
+                      <= RATE_TOL * np.maximum(1.0, np.abs(ref)))
+
+
 @pytest.mark.parametrize("topo", [
     mimo.canonical_topology(4, 4),
     mimo.NetworkTopology((2, 3, 2), (3, 2, 2), np.ones((3, 3)) + np.eye(3)),
@@ -524,7 +599,7 @@ def test_game_mapping_with_unequal_antenna_counts():
     for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                         strict=True):
         _near(got, ref)
-    full = mimo.covariances(ch, X).full
+    full = mimo.covariances(ch, X)
     assert full.shape == (3, 3, 3)
     for i, n_i in enumerate(topo.rx_antennas):
         _near(full[i, :n_i, :n_i],
@@ -554,8 +629,8 @@ def test_closed_form_gradients_with_a_padded_receiver():
         X = pb.random_feasible_profile(cset, rng)
         F = mimo.game_mapping(ch, X)
         assert _exactly_hermitian(F) and _padding_is_zero(F, cset.dims)
-        cov = mimo.covariances(ch, X)
-        assert np.array_equal(mimo.game_mapping(ch, cov), F)
+        assert np.array_equal(mimo.game_mapping(ch, linalg.to_coordinates(X)),
+                              linalg.to_coordinates(F))
         refs = _ref_game_mapping(ch, cset.blocks(X))
         for got, ref in zip(cset.blocks(F), refs, strict=True):
             _near(got, ref)
