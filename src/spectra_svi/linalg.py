@@ -6,11 +6,11 @@ the imaginary parts of its upper triangle (`to_coordinates`,
 `from_coordinates`). The solver loop keeps its state in it, and the
 game's received-covariance operators act on it.
 
-Hermitian parts and validation, one eigendecomposition routine and its
-values-only sibling (batched over stacks of blocks, eigenvalues
-descending, with diagnostics on failure), a Cholesky factorization that
-answers "is it positive definite?", trace/spectral/Frobenius norms, the
-trace pairing, and random Hermitian and unitary draws. Matrix functions
+Hermitian parts, one eigendecomposition routine and its values-only
+sibling (batched over stacks of blocks, eigenvalues descending, with
+diagnostics on failure), a Cholesky factorization that answers "is it
+positive definite?", trace/spectral/Frobenius norms, the trace pairing,
+and random Hermitian and unitary draws. Matrix functions
 of a Hermitian argument (the Gibbs maps, entropies) are built in
 `mirror` on top of `eig`.
 
@@ -24,7 +24,7 @@ input (A == A^dag entry for entry) and use it as given: they check it
 for non-finite entries only. LAPACK reads one triangle and the 2x2
 closed form reads the diagonal and the upper entry, so a matrix that
 is Hermitian only up to rounding gives a result that depends on the
-triangle read; pass its `hermitianize` (or `as_hermitian`) instead.
+triangle read; pass its `hermitianize` instead.
 The solver loop's duals, iterates, averages and mapping values are
 exactly Hermitian by construction (see `problem`).
 
@@ -47,7 +47,6 @@ from .errors import NumericalFailure
 # Eigenvalues below this are treated as exact zeros in entropy-like sums.
 ZERO_EIG_TOL = 1e-15
 
-HERMITIAN_CONSTRUCTION_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
@@ -115,24 +114,6 @@ def from_coordinates(x: np.ndarray, d: int, plus: float = 0.0
     if plus:
         floats += plus * eye
     return floats.view(complex).reshape(x.shape[:-1] + (d, d))
-
-
-def as_hermitian(A: np.ndarray, tol: float = HERMITIAN_CONSTRUCTION_TOL) -> np.ndarray:
-    """Validate that A is Hermitian to within `tol`, then symmetrize exactly.
-
-    The returned matrix satisfies H == H^dag entrywise and has exactly real
-    diagonal. Non-finite entries or asymmetry beyond `tol` raise ValueError.
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError("matrix has non-finite entries")
-    asym = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if asym > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
-    return hermitianize(A)
 
 
 def _checked_finite(A: np.ndarray) -> np.ndarray:

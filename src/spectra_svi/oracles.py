@@ -1,10 +1,10 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
-Deliberately naive and deliberately separate: the projection oracle
-never calls the Gibbs map, the finite-difference gradient never calls
-an analytic one, and the sampled supremum never reuses the closed-form
-gap. They exist to catch each other's bugs, at the small dimensions
-tests run at.
+Deliberately naive and deliberately separate: the finite-difference
+gradient never calls an analytic one, and the sampled supremum never
+reuses the closed-form gap. They exist to catch each other's bugs, at
+the small dimensions tests run at. The projection oracle, which only
+the tests use, lives with them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_hermitian, hermitianize
 from .problem import (
     SpectraSet,
     TraceMode,
@@ -21,35 +20,6 @@ from .problem import (
     profile_inner,
     random_feasible_profile,
 )
-
-
-def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection of v onto {w >= 0, sum w = s}, sorted-threshold."""
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - s
-    counts = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u - excess / counts > 0)[0][-1])
-    theta = excess[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_spectrahedron(B: np.ndarray, bound: float = 1.0,
-                          mode: TraceMode = TraceMode.EQUAL) -> np.ndarray:
-    """Frobenius projection onto {Z PSD, tr Z (= or <=) bound}.
-
-    Eigendecompose, project the spectrum onto the corresponding simplex,
-    reassemble with the same eigenvectors.
-    """
-    if bound <= 0:
-        raise ValueError(f"trace bound must be positive, got {bound}")
-    B = as_hermitian(B)
-    w, V = np.linalg.eigh(B)
-    if mode is TraceMode.AT_MOST:
-        clipped = np.maximum(w, 0.0)
-        w_proj = clipped if clipped.sum() <= bound else _project_simplex(w, bound)
-    else:
-        w_proj = _project_simplex(w, bound)
-    return hermitianize((V * w_proj) @ V.conj().T)
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], X: np.ndarray,

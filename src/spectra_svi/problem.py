@@ -17,15 +17,18 @@ minimum-eigenvalue problem per block.
 
 A profile's Hermitian coordinates (`linalg.to_coordinates`), a real
 array of shape (..., N, D^2), are what the solver loop works on:
-`mapping_coordinates` evaluates F on them, and `noise_draws` hands out
-the noise in them.
+`mapping_coordinates` evaluates F on them, `noise_draws` draws the noise
+straight into them, and `assert_feasible` and `strong_gap` take them as
+they take profiles. With blocks of one size those two build complex
+blocks from coordinates only for LAPACK and for the pairing <F_i, X_i>;
+mixed sizes, and a profile that fails the check, take the complex path.
 
 Profiles and mapping values are exactly Hermitian: every block equals
 its conjugate transpose entry for entry, as the Gibbs maps, the noise,
 the game mapping, their sums and real multiples and every profile made
 from coordinates are. `linalg` takes its input as given, so the
-feasibility check and the strong gap check this invariant on the points
-and mapping values they are handed.
+feasibility check and the strong gap check this invariant on the
+complex profiles they are handed; coordinates hold it by construction.
 """
 
 from __future__ import annotations
@@ -187,11 +190,20 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
     they computed: a block fails when lambda_min < -psd_tol or the sum of
     its eigenvalues is out of bound, and the message names the first
     failing block (of the first failing cell, when X has a cell axis).
-    A block that is not exactly Hermitian raises NumericalFailure."""
-    if X.shape[-3:] != cset.zeros().shape:
+    A block that is not exactly Hermitian raises NumericalFailure.
+
+    X may also be the profile's Hermitian coordinates, a real array of
+    shape (..., N, D^2), as the solver loop holds it. With blocks of one
+    size those pass on the same Cholesky factorization and diagonal
+    sums, made from the coordinates: they are Hermitian by construction,
+    so no check is made. Mixed sizes, and every profile that does not
+    pass, take the complex check above, with its verdict and message."""
+    N, D = len(cset.dims), max(cset.dims)
+    coordinates = not np.iscomplexobj(X)
+    shape = (N, D * D) if coordinates else (N, D, D)
+    if X.shape[-len(shape):] != shape:
         raise DomainError(f"profile shape {X.shape} does not match set "
                           f"dims {cset.dims}")
-    _require_hermitian(X, "profile")
     bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
 
     def trace_ok(tr: np.ndarray) -> np.ndarray:
@@ -199,10 +211,21 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
                 else np.abs(tr - bound) <= trace_tol)
 
     def conforms(Xg: np.ndarray) -> np.ndarray:
-        psd = linalg.cholesky(Xg + psd_tol * np.eye(Xg.shape[-1]))
-        return trace_ok(np.trace(Xg, axis1=-2, axis2=-1).real) & (
-            psd is not None)
+        if np.iscomplexobj(Xg):
+            psd = linalg.cholesky(Xg + psd_tol * np.eye(Xg.shape[-1]))
+            tr = np.trace(Xg, axis1=-2, axis2=-1).real
+        else:
+            psd = linalg.cholesky(from_coordinates(Xg, D, plus=psd_tol))
+            # Summed as complex numbers, as np.trace sums the profile's
+            # diagonal: a real sum adds in another order.
+            tr = Xg[..., :D].astype(complex).sum(axis=-1).real
+        return trace_ok(tr) & (psd is not None)
 
+    if coordinates:
+        if min(cset.dims) == D and cset.map_blocks(conforms, X).all():
+            return
+        X = from_coordinates(X, D)
+    _require_hermitian(X, "profile")
     if cset.map_blocks(conforms, X).all():
         return
 
@@ -210,7 +233,6 @@ def assert_feasible(X: np.ndarray, cset: SpectraSet,
         w = eigvals(Xg)
         return np.stack((w[..., -1], np.sum(w, axis=-1)), axis=-1)
 
-    N = len(cset.dims)
     lam_min, tr = np.moveaxis(
         cset.map_blocks(margins, X).reshape(-1, N, 2), -1, 0)
     not_psd = lam_min < -psd_tol
@@ -253,9 +275,13 @@ class NoiseModel:
 
     def sample(self, dims: tuple[int, ...],
                rng: np.random.Generator | Sequence[np.random.Generator],
-               count: int | None = None) -> np.ndarray:
+               count: int | None = None,
+               coordinates: bool = False) -> np.ndarray:
         """One noise profile from a single draw of normals; with `count`,
-        that many consecutive profiles stacked on a new leading axis.
+        that many consecutive profiles stacked on a new leading axis;
+        with `coordinates`, their Hermitian coordinates, shape
+        (..., N, D^2), bit for bit `linalg.to_coordinates` of the
+        profiles but made straight from the normals.
 
         The draw is block-ordered, real part then imaginary part of each
         block, so it consumes the stream exactly as drawing block by
@@ -267,9 +293,9 @@ class NoiseModel:
         stacked along a cell axis (after the count axis); cells with
         sigma = 0 get zeros and leave their stream untouched. Blocks of
         several sizes are zero-padded. A block is the Hermitian part of
-        s (G + i G'), s = sigma / sqrt(2): s (G + G^T) / 2 and
-        s (G' - G'^T) / 2 are computed on the real arrays and written
-        into its real and imaginary parts.
+        s (G + i G'), s = sigma / sqrt(2): entry (k, l) is
+        s (G_kl + G_lk) / 2 + i s (G'_kl - G'_lk) / 2, each part added
+        and halved on the scaled normals (see `_noise_pairs`).
         """
         dims = tuple(dims)
         N, D = len(dims), max(dims)
@@ -283,23 +309,36 @@ class NoiseModel:
             if level > 0:
                 rngs[c].standard_normal(out=G[c])
         G *= (sigma / math.sqrt(2.0))[:, None, None]
-        if min(dims) == D:
-            G = G.reshape(lead + (N, 2, D, D))
-        else:
+        if min(dims) < D:
             pieces = np.split(G, np.cumsum(sizes)[:-1], axis=-1)
             G = np.zeros(lead + (N, 2, D, D))
             for i, (d, piece) in enumerate(zip(dims, pieces)):
                 G[..., i, :, :d, :d] = piece.reshape(lead + (2, d, d))
-        Z = np.empty(lead[::-1] + (N, D, D), dtype=complex)
-        by_cell = Z.swapaxes(0, 1)
-        re, im = G[..., 0, :, :], G[..., 1, :, :]
-        np.add(re, re.swapaxes(-1, -2), out=by_cell.real)
-        np.subtract(im, im.swapaxes(-1, -2), out=by_cell.imag)
-        halves = Z.view(float)
-        halves *= 0.5
-        if count is None:
-            Z = Z[0]
-        return Z if cells else Z[..., 0, :, :, :]
+        G = G.reshape(lead + (N, 2 * D * D)).swapaxes(0, 1)
+        first, second, sign = _noise_pairs(D, coordinates)
+        Z = G.take(first, axis=-1)
+        Z += sign * G.take(second, axis=-1)
+        Z *= 0.5
+        if not coordinates:
+            Z = Z.view(complex).reshape(lead[::-1] + (N, D, D))
+        Z = Z if cells else Z[:, 0]
+        return Z if count is not None else Z[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _noise_pairs(D: int, coordinates: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the values of a D x D noise block come from in its normals
+    G, the real and then the imaginary D x D part: value p is
+    (G[first[p]] + sign[p] G[second[p]]) / 2, its part of entries (k, l)
+    and (l, k), added for the real part and subtracted for the imaginary
+    part. The values are the float view of the complex block or, with
+    `coordinates`, its Hermitian coordinates (`linalg`)."""
+    parts = np.arange(2 * D * D).reshape(2, D, D)
+    first, second = (parts.transpose(axes).reshape(-1)
+                     for axes in ((1, 2, 0), (2, 1, 0)))
+    take = linalg._hermitian_coordinates(D)[0] if coordinates else slice(None)
+    return first[take], second[take], np.tile([1.0, -1.0], D * D)[take]
 
 
 @dataclass(frozen=True)
@@ -398,12 +437,13 @@ def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
     profile's Hermitian coordinates with a cell axis per call, shape
     (C, N, D^2), for the generators `rngs`.
 
-    Each block of K calls is one `NoiseModel.sample`, drawn and turned
-    into coordinates when it is reached: K is the most that fits
+    Each block of K calls is one `NoiseModel.sample`, drawn straight into
+    coordinates when it is reached: K is the most that fits
     NOISE_BLOCK_ENTRIES (at least 1), and no block goes past the last
-    call. Each cell's stream is consumed, and its profiles come out,
-    exactly as with one draw per call. With no noisy cell nothing is
-    drawn, and each call's noise is None.
+    call. Each cell's stream is consumed exactly as with one draw per
+    call, and its noise is bit for bit the coordinates of
+    `NoiseModel.sample`'s profiles. With no noisy cell nothing is drawn,
+    and each call's noise is None.
     """
     cset = problem.constraints
     if not problem.noise.noisy.some:
@@ -411,8 +451,8 @@ def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
         return
     K = max(1, NOISE_BLOCK_ENTRIES // (len(rngs) * cset.zeros().size))
     for start in range(0, calls, K):
-        yield from to_coordinates(problem.noise.sample(
-            cset.dims, rngs, min(K, calls - start)))
+        yield from problem.noise.sample(
+            cset.dims, rngs, min(K, calls - start), coordinates=True)
 
 
 def oracle_sample(problem: SviProblem, X: np.ndarray,
@@ -472,19 +512,39 @@ def strong_gap(problem: SviProblem, X: np.ndarray,
     are added in block order. Pass F when the mapping's value at X is
     already known. With a cell axis on X, returns one gap per cell. A
     mapping value that is not exactly Hermitian raises NumericalFailure.
+
+    X and F may also be Hermitian coordinates, real arrays of shape
+    (..., N, D^2), as the solver loop holds them; the gaps are bit for
+    bit those of their profiles. With blocks of one size no Hermitian
+    check is made (coordinates are Hermitian by construction), and
+    lambda_min of 2x2 blocks comes from `linalg.spectrum_2x2`; only
+    <F_i, X_i> is taken on complex blocks. Mixed sizes take the complex
+    path.
     """
     cset = problem.constraints
+    D = max(cset.dims)
+    if F is None:
+        F = (problem.mapping(X) if np.iscomplexobj(X)
+             else mapping_coordinates(problem, X))
+    coordinates = not np.iscomplexobj(X) and min(cset.dims) == D
+    if not coordinates:
+        if not np.iscomplexobj(X):
+            X, F = from_coordinates(X, D), from_coordinates(F, D)
+        _require_hermitian(F, "mapping value")
 
-    def terms(Fg: np.ndarray, Xg: np.ndarray) -> np.ndarray:
-        lam_min = eigvals(Fg)[..., -1]
+    def terms(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        Fg = from_coordinates(f, D) if coordinates else f
+        if coordinates and D == 2:
+            mu, _, r = linalg.spectrum_2x2(f)
+            lam_min = mu - r
+        else:
+            lam_min = eigvals(Fg)[..., -1]
         if cset.mode is TraceMode.AT_MOST:
             lam_min = np.minimum(lam_min, 0.0)
+        Xg = from_coordinates(x, D) if coordinates else x
         inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real
         return inner - cset.bound * lam_min
 
-    if F is None:
-        F = problem.mapping(X)
-    _require_hermitian(F, "mapping value")
     gaps = np.add.accumulate(cset.map_blocks(terms, F, X), axis=-1)[..., -1]
     return float(gaps) if gaps.ndim == 0 else gaps
 

@@ -23,9 +23,12 @@ coordinates; the game is evaluated exactly as without one.
 
 The loop keeps duals, iterates, averages, mapping values and noise as
 the Hermitian coordinates of padded profiles (see `problem` and
-`linalg`), real arrays of shape (C, N, D^2). Complex profiles are built
-only to be handed on: to the feasibility check and the strong gap, and
-as each cell's final point.
+`linalg`), real arrays of shape (C, N, D^2), and hands them as they are
+to the game, the feasibility check, the strong gap and the measure.
+Complex blocks are built from them only where LAPACK or a complex sum
+needs a matrix (see `problem.assert_feasible` and `problem.strong_gap`;
+the Gibbs maps of blocks of any size but 2), and each cell's final
+point is a complex profile.
 
 The rest of an iteration is paid once for the batch. The noise comes
 from `problem.noise_draws`, several iterations per draw, and a batch
@@ -35,8 +38,8 @@ the noisy cells with its all/any flags, the rows of the regularized and
 of the averaging cells (slices when contiguous) and the averaging
 weights; the MEL term is added in place on its rows. Coordinates give
 exactly Hermitian profiles, so the Gibbs maps take them as they are,
-without taking their Hermitian part again (see `linalg`); the
-feasibility check and the strong gap check it at the reported points.
+without taking their Hermitian part again (see `linalg`), and so do the
+feasibility check and the strong gap.
 """
 
 from __future__ import annotations
@@ -331,9 +334,10 @@ def _run_cells(problems: Sequence[SviProblem],
     """The solver loop over a cell axis, on Hermitian coordinates.
 
     Duals, iterates, averages, mapping values and noise are real arrays
-    of shape (C, N, D^2) (see `linalg.to_coordinates`). Complex profiles
-    are built only where they are handed on: the reported points and
-    their mapping values at gap iterations, and the final points.
+    of shape (C, N, D^2) (see `linalg.to_coordinates`). The feasibility
+    check and the strong gap take the reported points and their mapping
+    values as they are; complex profiles are built only for the final
+    points.
 
     Every iteration evaluates the game at most once. A gap iteration
     evaluates it on one stacked array: X_{t+1} of all C cells followed
@@ -421,14 +425,12 @@ def _run_cells(problems: Sequence[SviProblem],
                 measures.append(measure(problem, reported))
                 continue
             tic = time.perf_counter()
-            profiles = from_coordinates(reported, D)
-            assert_feasible(profiles, cset)
+            assert_feasible(reported, cset)
             final = reported
             F_points = mapping_coordinates(evaluated, points)
             F_next = F_points[:C]
             values = measure(problem, reported) if measuring else None
-            gaps = strong_gap(problem, profiles,
-                              from_coordinates(F_points[rows], D))
+            gaps = strong_gap(problem, reported, F_points[rows])
             gap_seconds += time.perf_counter() - tic
             if gaps.min() < GAP_FLOOR:
                 raise NumericalFailure(

@@ -14,6 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from projection_oracle import project_spectrahedron
 from spectra_svi import checks, linalg
 from spectra_svi import problem as pb
 from spectra_svi.harness import (
@@ -23,7 +24,6 @@ from spectra_svi.harness import (
     run_grid,
     write_csv,
 )
-from spectra_svi.oracles import project_spectrahedron
 from spectra_svi.solvers import (
     Method,
     SolverConfig,

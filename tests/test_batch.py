@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectra_svi import harness, mimo, solvers
+from spectra_svi import harness, linalg, mimo, solvers
 from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
@@ -456,6 +456,30 @@ def _game_problems(m, n, seeds, sigmas):
     return [mimo.game_to_svi(topo, mimo.sample_channels(
                 topo, np.random.default_rng(seed)), sigma)
             for seed, sigma in zip(seeds, sigmas)]
+
+
+def test_passing_gap_iterations_build_no_complex_profile(monkeypatch):
+    # A noisy 2x2 batch with a gap at every iteration passes each
+    # feasibility check and gap on Hermitian coordinates: neither the
+    # Hermitian check of complex profiles nor the complex 2x2 closed form
+    # runs, and the traces are those of an unguarded run.
+    problems = _game_problems(2, 2, (3, 4, 5, 6), (1.0, 2.0, 0.0, 0.5))
+    configs = [SolverConfig(method, 12, StepSchedule.harmonic_sqrt(),
+                            gap_every=1, seed=seed)
+               for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2),
+                                    (Method.MEL, 3), (Method.AM_SMD, 4))]
+    clean = solvers.run_batch(problems, configs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex profile at a gap iteration")
+
+    monkeypatch.setattr(problem_mod, "_require_hermitian", refuse)
+    monkeypatch.setattr(linalg, "hermitian_2x2", refuse)
+    guarded = solvers.run_batch(problems, configs)
+    for a, b in zip(clean, guarded, strict=True):
+        assert a.error is None and b.error is None
+        assert len(b.gap_trace) == 12 and b.gap_trace == a.gap_trace
+        assert np.array_equal(b.final_point, a.final_point)
 
 
 def _quadratic_problems(seeds, sigmas, mode):

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from projection_oracle import project_spectrahedron
 from spectra_svi import linalg, problem as pb
 from spectra_svi.errors import DomainError, NumericalFailure
-from spectra_svi.oracles import project_spectrahedron, sampled_sup_linear
+from spectra_svi.oracles import sampled_sup_linear
 from spectra_svi.problem import (
     NoiseModel,
     SpectraSet,
@@ -187,6 +188,112 @@ def test_feasible_profiles_pass_without_an_eigenvalue_solve(monkeypatch):
             pb.assert_feasible(X[0], cset)
     with pytest.raises(AssertionError, match="eigenvalue solve"):
         pb.assert_feasible(X + np.eye(2), cset)  # traces 2 over the bound
+
+
+def _coordinates_and_profiles(cset, rng, cells):
+    """Hermitian coordinates of feasible profiles and of mapping values,
+    with a cell axis of length `cells` (none when None), and the complex
+    profiles they describe."""
+    n = cells or 1
+    X = np.stack([pb.random_feasible_profile(cset, rng) for _ in range(n)])
+    F = np.stack([pad_blocks([linalg.random_hermitian(rng, d, 2.0)
+                              for d in cset.dims]) for _ in range(n)])
+    if cells is None:
+        X, F = X[0], F[0]
+    D = max(cset.dims)
+    x, f = linalg.to_coordinates(X), linalg.to_coordinates(F)
+    return x, f, linalg.from_coordinates(x, D), linalg.from_coordinates(f, D)
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 3])
+@pytest.mark.parametrize("mode", list(TraceMode))
+@pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
+def test_coordinate_gap_and_feasibility_equal_the_complex_ones(
+        dims, mode, cells, monkeypatch):
+    cset = SpectraSet(dims, 1.5, mode)
+    rng = np.random.default_rng(sum(dims))
+
+    def refuse(*args):
+        raise AssertionError("complex check of feasible coordinates")
+
+    for _ in range(4):
+        x, f, X, F = _coordinates_and_profiles(cset, rng, cells)
+        with monkeypatch.context() as mp:
+            # Blocks of one size pass on their coordinates alone.
+            if len(set(dims)) == 1:
+                mp.setattr(pb, "_require_hermitian", refuse)
+                mp.setattr(pb, "eigvals", refuse)
+            pb.assert_feasible(x, cset)
+        prob = _identity_problem(cset)
+        gap = pb.strong_gap(prob, x, f)
+        want = pb.strong_gap(prob, X, F)
+        assert type(gap) is type(want) and _bits(gap) == _bits(want)
+        # Without F, the mapping is evaluated on the coordinates.
+        assert _bits(pb.strong_gap(prob, x)) == _bits(pb.strong_gap(prob, X))
+
+
+def _raised(error, fn, *args):
+    with pytest.raises(error) as info:
+        fn(*args)
+    return str(info.value), getattr(info.value, "diagnostics", None)
+
+
+@pytest.mark.parametrize("mode", list(TraceMode))
+@pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
+def test_coordinates_that_fail_the_check_fail_as_their_profiles(dims, mode):
+    cset = SpectraSet(dims, 1.5, mode)
+    rng = np.random.default_rng(len(dims) + sum(dims))
+    # Blocks with trace exactly the bound, so that a scaled block is
+    # over it or under it.
+    _, _, X, _ = _coordinates_and_profiles(SpectraSet(dims, 1.5), rng, 3)
+    D, tol = max(dims), pb.FEASIBILITY_PSD_TOL
+    # Cell 1's block 2 not PSD; cell 2's block 1 with trace 1.7, and
+    # cell 0's block 1 with trace 1.3 (off the bound only under trace
+    # equality).
+    not_psd, over, under = X.copy(), X.copy(), X.copy()
+    not_psd[1, 2, :dims[2], :dims[2]] = _with_lambda_min(
+        cset, rng, -2 * tol, 2)
+    over[2, 1] *= 1.7 / 1.5
+    under[0, 1] *= 1.3 / 1.5
+    for bad in (not_psd, over, under):
+        x = linalg.to_coordinates(bad)
+        if bad is under and mode is TraceMode.AT_MOST:
+            pb.assert_feasible(x, cset)
+            continue
+        got = _raised(DomainError, pb.assert_feasible, x, cset)
+        assert got == _raised(DomainError, pb.assert_feasible,
+                              linalg.from_coordinates(x, D), cset)
+        assert got[0].startswith("block 2 not PSD" if bad is not_psd
+                                 else "block 1 trace 1.")
+    message = "block 2 not PSD: lambda_min = -2.000e-09"
+    assert _raised(DomainError, pb.assert_feasible,
+                   linalg.to_coordinates(not_psd), cset)[0] == message
+
+
+@pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
+def test_non_finite_coordinates_fail_as_their_profiles(dims):
+    cset = SpectraSet(dims, 1.5, TraceMode.AT_MOST)
+    prob = _identity_problem(cset)
+    D = max(dims)
+    x, f, _, _ = _coordinates_and_profiles(
+        cset, np.random.default_rng(9), 3)
+    for cell, block, c in ((1, 2, 0), (2, 1, dims[1] * dims[1] - 1),
+                           (0, 0, 1)):
+        bad_x, bad_f = x.copy(), f.copy()
+        bad_x[cell, block, c] = bad_f[cell, block, c] = np.nan
+        got = _raised(NumericalFailure, pb.assert_feasible, bad_x, cset)
+        assert got == _raised(NumericalFailure, pb.assert_feasible,
+                              linalg.from_coordinates(bad_x, D), cset)
+        assert got[1]["block"] == block
+        got = _raised(NumericalFailure, pb.strong_gap, prob, x, bad_f)
+        assert got == _raised(NumericalFailure, pb.strong_gap, prob,
+                              linalg.from_coordinates(x, D),
+                              linalg.from_coordinates(bad_f, D))
+        assert got[1]["block"] == block
 
 
 def test_noise_model_rejects_negative_or_non_finite_sigma():

@@ -367,6 +367,43 @@ def test_block_draws_equal_per_iteration_draws(dims):
             == np.random.default_rng(2).bit_generator.state)
 
 
+@pytest.mark.parametrize("count", [None, 1, 5])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4), (2, 4, 2), MIXED_DIMS])
+def test_noise_coordinates_are_those_of_the_sampled_profiles(dims, count):
+    # Straight from the normals, bit for bit `to_coordinates` of the
+    # profiles, with the streams left where the profiles leave them.
+    for sigma, seeds in ((np.array([0.5, 0.0, 2.0]), (1, 2, 3)),
+                         (np.array([0.0, 0.0]), (4, 5)), (1.5, (7,))):
+        rngs, ref_rngs = ([np.random.default_rng(s) for s in seeds]
+                          for _ in range(2))
+        noise, cells = pb.NoiseModel(sigma), np.ndim(sigma) > 0
+        got = noise.sample(dims, rngs if cells else rngs[0], count,
+                           coordinates=True)
+        want = linalg.to_coordinates(noise.sample(
+            dims, ref_rngs if cells else ref_rngs[0], count))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2)])
+def test_noise_draws_are_the_coordinates_of_one_draw(dims):
+    # Blocks of K calls, straight into coordinates, equal the
+    # coordinates of one draw of every call's profile.
+    sigmas = np.array([1.0, 0.0, 0.5])
+    problems = [pb.quadratic_test_problem(pb.random_feasible_profile(
+                    SpectraSet(dims), np.random.default_rng(c)),
+                    SpectraSet(dims), sigma)
+                for c, sigma in enumerate(sigmas)]
+    calls = 250
+    got = np.stack(list(pb.noise_draws(
+        pb.stack_problems(problems),
+        [np.random.default_rng(s) for s in (1, 2, 3)], calls)))
+    want = linalg.to_coordinates(pb.NoiseModel(sigmas).sample(
+        dims, [np.random.default_rng(s) for s in (1, 2, 3)], calls))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # (dims, T, blocks): a block holds K = NOISE_BLOCK_ENTRIES // (C N D^2)
 # iterations of the 3-cell batch, 113 for (2, 2, 2) and 28 for (2, 4, 2),
 # and the last block stops at T.
