@@ -7,7 +7,9 @@ monotonicity of the game mapping (including a deliberately broken
 fixture that must fail). The checks of acceptance criteria 01-06 take
 a sample count and draw exactly the criterion's samples; the
 acceptance tests run them at full count, this suite at small counts,
-so it finishes in about a second.
+so it finishes in about a second. The checks state their invariants
+on complex profiles and hand the solver's seams their Hermitian
+coordinates (`linalg.to_coordinates`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg, mirror, oracles, solvers
+from .linalg import from_coordinates, to_coordinates
 from .mimo import (
     canonical_topology,
     game_to_svi,
@@ -131,10 +134,11 @@ def check_strong_gap_closed_form(rng: np.random.Generator) -> CheckResult:
         B = pad_blocks([linalg.random_hermitian(rng, 3) for _ in range(2)])
         problem = quadratic_test_problem(B, cset)
         X = random_feasible_profile(cset, rng)
-        F = problem.mapping(X)
+        x = to_coordinates(X)
+        F = from_coordinates(problem.mapping(x), 3)
         sampled = profile_inner(F, X) + oracles.sampled_sup_linear(
             F, cset, probes=200, rng=rng)
-        worst = max(worst, abs(strong_gap(problem, X) - sampled))
+        worst = max(worst, abs(strong_gap(problem, x) - sampled))
     return CheckResult(
         "strong-gap-closed-form", worst <= 1e-8,
         f"max |closed - sampled sup| {worst:.2e} over 10 instances")
@@ -144,7 +148,7 @@ def check_mirror_step_descends(rng: np.random.Generator) -> CheckResult:
     cset = SpectraSet((4,))
     B = pad_blocks([linalg.random_hermitian(rng, 4)])
     problem = quadratic_test_problem(B, cset)
-    Y0 = cset.zeros()
+    Y0 = to_coordinates(cset.zeros())
     X0 = solvers.dual_to_primal(Y0, cset)
     _, X1 = solvers.mirror_step(Y0, problem.mapping(X0), 0.5, cset)
     g0, g1 = strong_gap(problem, X0), strong_gap(problem, X1)
@@ -187,7 +191,7 @@ def check_throughput_gradient(rng: np.random.Generator,
                 def rate(Z: np.ndarray, i: int = i) -> float:
                     Xm = X.copy()
                     Xm[i] = Z
-                    return throughput(channels, Xm, i)
+                    return throughput(channels, to_coordinates(Xm), i)
 
                 G = throughput_gradient(channels, X, i)
                 G_fd = oracles.finite_diff_gradient(rate, X[i])
@@ -206,15 +210,15 @@ def check_monotonicity(rng: np.random.Generator, count: int) -> CheckResult:
     identical check on the same pairs."""
     topo = canonical_topology(2, 2)
     cset = topo.constraint_set()
-    anti = SviProblem(cset, lambda X: -1.0 * X, oracle_bound=1.0)
+    anti = SviProblem(cset, lambda x: -1.0 * x, oracle_bound=1.0)
     worst, anti_worst = np.inf, np.inf
     for k in range(count):
         if k % 100 == 0:
             problem = game_to_svi(topo, sample_channels(topo, rng))
-        X = random_feasible_profile(cset, rng)
-        Y = random_feasible_profile(cset, rng)
-        worst = min(worst, monotonicity_witness(problem, X, Y))
-        anti_worst = min(anti_worst, monotonicity_witness(anti, X, Y))
+        x = to_coordinates(random_feasible_profile(cset, rng))
+        y = to_coordinates(random_feasible_profile(cset, rng))
+        worst = min(worst, monotonicity_witness(problem, x, y))
+        anti_worst = min(anti_worst, monotonicity_witness(anti, x, y))
     return CheckResult(
         "game-monotonicity", worst >= -1e-8 and anti_worst < -1e-8,
         f"min witness {worst:.2e}; anti-fixture min {anti_worst:.2e} "
@@ -226,19 +230,21 @@ def check_oracle_statistics(rng: np.random.Generator) -> CheckResult:
     channels = sample_channels(topo, rng)
     problem = game_to_svi(topo, channels, sigma=1.0)
     dims = problem.constraints.dims
-    total = problem.constraints.zeros()
+    total = to_coordinates(problem.constraints.zeros())
     draws = 2000
     for _ in range(draws):
         total = total + problem.noise.sample(dims, rng)
-    mean_norm = linalg.frobenius_norm(total * (1.0 / draws))
+    mean_norm = linalg.frobenius_norm(
+        from_coordinates(total * (1.0 / draws), 2))
     mean_ok = mean_norm <= 5.0 * problem.noise.sigma * sum(dims) / np.sqrt(draws)
 
     bound_ok = True
     worst_ratio = 0.0
     for _ in range(50):
-        X = random_feasible_profile(problem.constraints, rng)
-        phi, _ = oracle_sample(problem, X, rng)
-        ratio = linalg.spectral_norm(phi) / problem.oracle_bound
+        x = to_coordinates(random_feasible_profile(problem.constraints, rng))
+        phi, _ = oracle_sample(problem, x, rng)
+        ratio = (linalg.spectral_norm(from_coordinates(phi, 2))
+                 / problem.oracle_bound)
         worst_ratio = max(worst_ratio, ratio)
         bound_ok = bound_ok and ratio <= 1.0
     return CheckResult(

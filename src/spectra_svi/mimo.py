@@ -7,27 +7,27 @@ F(X) = -diag(grad_1 R_1, ..., grad_N R_N) is monotone because each -R_i
 is convex in X_i, so Nash equilibria coincide with strong solutions of
 the induced VI.
 
-The game works on a profile's zero-padded (N, m, m) array (m the
-largest transmit count; see `problem`) and on the channels'
-zero-padded links as they are: the padding of a user with
-fewer antennas contributes nothing, and the mapping is exactly zero
-outside each user's corner.
+The game takes a profile as the Hermitian coordinates of its
+zero-padded (N, m, m) array, shape (..., N, m^2), m the largest
+transmit count (see `problem` and `linalg.to_coordinates`: m^2 reals
+per block, the diagonal, then the real and the imaginary parts of the
+upper triangle), and the channels' zero-padded links as they are: the
+padding of a user with fewer antennas contributes nothing, and the
+mapping is exactly zero outside each user's corner. `game_mapping`
+gives coordinates and `throughput` rates; only `throughput_gradient`,
+which states the gradient as a matrix for the finite-difference
+checks, takes and gives complex matrices.
 
 The mapping and the rates start from the same received covariances
 I + sum_j H_ji X_j H_ji^dag. The channels stay fixed for a whole run, so
 X -> (sum_j H_ji X_j H_ji^dag)_i is one fixed real-linear operator per
-channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates
-(`linalg.to_coordinates`: m^2 reals per block, the diagonal, then the
-real and the imaginary parts of the upper triangle), built once per
-draw (`_received_operator`). A stack of profiles is packed into those
-coordinates, and the draws' operators are applied in one broadcast
-product (a small matrix-vector product per profile); `covariances`
-unpacks the result, exactly Hermitian, plus I. The rates'
-interference-only sums X -> (sum_{j != i} H_ji X_j H_ji^dag)_i come the
-same way from a second operator per draw, the first with its j == i
-blocks zeroed, built only when rates are asked for. `game_mapping` and
-`throughput` also take coordinates, as the solver loop and its measure
-call them.
+channel draw: a real (N m^2, N n^2) matrix on Hermitian coordinates,
+built once per draw (`_received_operator`). The draws' operators are
+applied to a stack of profiles in one broadcast product (a small
+matrix-vector product per profile). The rates' interference-only sums
+X -> (sum_{j != i} H_ji X_j H_ji^dag)_i come the same way from a second
+operator per draw, the first with its j == i blocks zeroed, built only
+when rates are asked for.
 
 The mapping's rate gradients H_ii^dag W_i^{-1} H_ii take one of two
 paths, chosen by the receive count n alone. With n = 2 they come in
@@ -35,10 +35,9 @@ closed form from W_i's four received coordinates, with no complex
 matrix built: W^{-1} = adj(W) / det(W), on W scaled by max(W_11, W_22)
 so that no product overflows, then G = sum_c (W^{-1})_c H_ii^dag E_c
 H_ii over the four coordinate basis matrices E_c, whose images are a
-second real operator per draw (`ChannelSet.gradient_operator`). A
-complex G is unpacked from those coordinates, exactly Hermitian. Every
+second real operator per draw (`ChannelSet.gradient_operator`). Every
 other n takes a batched LAPACK solve with the full covariances, and
-hands over the coordinates of its hermitianized G when asked for them.
+hands over the coordinates of its hermitianized G.
 """
 
 from __future__ import annotations
@@ -328,14 +327,6 @@ def _received(channels: ChannelSet, x: np.ndarray,
     return w.reshape(lead + (N, -1))
 
 
-def covariances(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
-    """The received covariances I + sum_j H_ji X_j H_ji^dag of profiles
-    X, shape (..., N, n, n), for any leading axes of X (one per cell of
-    stacked channels), exactly Hermitian."""
-    return from_coordinates(_received(channels, to_coordinates(X)),
-                            channels.stacked.shape[-2], plus=1.0)
-
-
 def _logdet_pd(W: np.ndarray) -> np.ndarray:
     """log det of every matrix of a PD stack (..., 2, N, n, n), each
     receiver's full and interference-only covariance: 2 sum log diag(L)
@@ -360,23 +351,22 @@ def _logdet_pd(W: np.ndarray) -> np.ndarray:
     return 2 * np.sum(np.log(diag), axis=-1)
 
 
-def throughput(channels: ChannelSet, X: np.ndarray,
+def throughput(channels: ChannelSet, x: np.ndarray,
                i: int | None = None) -> float | np.ndarray:
     """User i's rate: log det(I + sum_j H_ji X_j H_ji^dag) minus the
     log det of the interference-only covariance I + sum_{j != i}
     H_ji X_j H_ji^dag. Nonnegative, and concave in X_i since the second
     term does not depend on X_i.
 
-    X is a profile or its Hermitian coordinates, a real array of shape
-    (..., N, m^2), as `game_mapping` takes them. Both sums come from the
-    draws' operators, the second from their interference-only stack
+    X is given by its Hermitian coordinates x, shape (..., N, m^2), as
+    `game_mapping` takes them. Both sums come from the draws' operators,
+    the second from their interference-only stack
     (`ChannelSet._interference`); one `from_coordinates` makes every
     covariance, and one batched `linalg.cholesky` call gives their
     log-determinants. Eigenvalues are computed only to report a
     covariance that is not PD. With i = None, every user's rate as one
-    array; X may carry leading axes (several profiles, or one per cell
+    array; x may carry leading axes (several profiles, or one per cell
     of stacked channels), and the rates then have shape (..., N)."""
-    x = to_coordinates(X) if np.iscomplexobj(X) else X
     sums = np.stack((_received(channels, x),
                      _received(channels, x, interference=True)), axis=-3)
     logdet = _logdet_pd(from_coordinates(sums, channels.stacked.shape[-2],
@@ -385,20 +375,11 @@ def throughput(channels: ChannelSet, X: np.ndarray,
     return rates if i is None else float(rates[i])
 
 
-def _rate_gradients(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
-    """H_ii^dag W_i^{-1} H_ii for every user i, stacked (..., N, m, m),
-    exactly Hermitian: in closed form with n = 2 receive antennas, else
-    from one batched solve."""
-    if channels.stacked.shape[-2] == 2:
-        w = _received(channels, to_coordinates(X))
-        return from_coordinates(_gradients_2(w, channels.gradient_operator),
-                                channels.stacked.shape[-1])
-    return _solved_gradients(channels, covariances(channels, X))
-
-
 def _gradient_coordinates(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
-    """`_rate_gradients` at the profiles of Hermitian coordinates x,
-    shape (..., N, m^2), as coordinates."""
+    """H_ii^dag W_i^{-1} H_ii for every user i, as Hermitian coordinates
+    (..., N, m^2), at the profiles of Hermitian coordinates x, shape
+    (..., N, m^2): in closed form with n = 2 receive antennas, else from
+    one batched solve."""
     w = _received(channels, x)
     n = channels.stacked.shape[-2]
     if n == 2:
@@ -444,34 +425,31 @@ def throughput_gradient(channels: ChannelSet, X: np.ndarray,
                         i: int) -> np.ndarray:
     """Gradient of R_i in X_i: H_ii^dag W^{-1} H_ii with W the full
     received covariance at i (the interference-only term is constant in
-    X_i, so it drops out). Hermitian PSD of the transmit dimension."""
+    X_i, so it drops out). Hermitian PSD of the transmit dimension.
+    X is a complex profile, shape (N, m, m), and so is the gradient."""
     m_i = channels.tx_antennas[i]
-    return _rate_gradients(channels, X)[i, :m_i, :m_i]
+    G = _gradient_coordinates(channels, to_coordinates(X))[i]
+    return from_coordinates(G, channels.stacked.shape[-1])[:m_i, :m_i]
 
 
-def game_mapping(channels: ChannelSet, X: np.ndarray) -> np.ndarray:
+def game_mapping(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
     """Blockwise F(X) = -grad R_i: the monotone VI mapping of the game,
-    evaluated for all users in one batched solve. With stacked channels,
-    X has a cell axis and every cell is evaluated in the same calls. X
-    may also be the profile's Hermitian coordinates, a real array of
-    shape (..., N, m^2) (see `linalg.to_coordinates`); F then comes as
-    coordinates too."""
-    if not np.iscomplexobj(X):
-        return -_gradient_coordinates(channels, X)
-    return -_rate_gradients(channels, X)
+    evaluated for all users in one batched call, on the profile's
+    Hermitian coordinates x, shape (..., N, m^2), as coordinates. With
+    stacked channels, x has a cell axis and every cell is evaluated in
+    the same calls."""
+    return -_gradient_coordinates(channels, x)
 
 
 @dataclass(frozen=True, eq=False)
 class GameMapping:
-    """The game's VI mapping on fixed channels, as an SviProblem mapping
-    that also takes and gives Hermitian coordinates; `stack` evaluates
-    the games of several cells in one call."""
+    """The game's VI mapping on fixed channels, as an SviProblem mapping;
+    `stack` evaluates the games of several cells in one call."""
 
     channels: ChannelSet
-    takes_coordinates = True  # see `problem.mapping_coordinates`
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return game_mapping(self.channels, X)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return game_mapping(self.channels, x)
 
     @classmethod
     def stack(cls, mappings: list["GameMapping"]) -> "GameMapping":

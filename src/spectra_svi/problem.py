@@ -3,32 +3,28 @@
 A problem couples a product constraint set, one PSD trace-constrained
 spectrahedron per player block, with a deterministic monotone mapping F
 acting blockwise and a noise model that turns F into the stochastic
-oracle Phi(X, xi) = F(X) + Z. A profile diag(X_1, ..., X_N) is one
-zero-padded complex array of shape (..., N, D, D), D the largest block
-dimension: block i is the top-left dims[i] x dims[i] corner of
-X[..., i, :, :] and the rest is zero, so blocks of equal size make it
-the plain stack. The constraint set's `dims` is the only record of the
-block sizes (`SpectraSet.blocks` gives the corners, `pad_blocks` builds
-a profile from its blocks). Leading axes, such as a batch's cell axis,
-broadcast through the arithmetic. `SpectraSet.map_blocks` applies a
-function of stacks of blocks to profiles, once per distinct block size.
-The strong gap sup_Z tr(F(X)(X - Z)) lives here too, in closed form: a
-minimum-eigenvalue problem per block.
+oracle Phi(X, xi) = F(X) + Z. A profile diag(X_1, ..., X_N) crosses
+every function boundary here as its Hermitian coordinates
+(`linalg.to_coordinates`): a real array of shape (..., N, D^2), D the
+largest block dimension, whose row i holds block i zero-padded to
+D x D, the block being the top-left dims[i] x dims[i] corner. Leading
+axes, such as a batch's cell axis, broadcast through the arithmetic.
+The mapping, the noise, the oracle, the feasibility check and the
+strong gap sup_Z tr(F(X)(X - Z)) (in closed form: a minimum-eigenvalue
+problem per block) take and give coordinates.
 
-A profile's Hermitian coordinates (`linalg.to_coordinates`), a real
-array of shape (..., N, D^2), are what the solver loop works on:
-`mapping_coordinates` evaluates F on them, `noise_draws` draws the noise
-straight into them, and `assert_feasible` and `strong_gap` take them as
-they take profiles. With blocks of one size those two build complex
-blocks from coordinates only for LAPACK and for the pairing <F_i, X_i>;
-mixed sizes, and a profile that fails the check, take the complex path.
-
-Profiles and mapping values are exactly Hermitian: every block equals
-its conjugate transpose entry for entry, as the Gibbs maps, the noise,
-the game mapping, their sums and real multiples and every profile made
-from coordinates are. `linalg` takes its input as given, so the
-feasibility check and the strong gap check this invariant on the
-complex profiles they are handed; coordinates hold it by construction.
+The matrix layer states the invariants on the zero-padded complex
+profiles, shape (..., N, D, D), that coordinates describe
+(`linalg.from_coordinates`): `pad_blocks` builds one from its blocks,
+`SpectraSet.blocks` gives their corners, and `random_feasible_profile`,
+`best_response` and `profile_inner` work on them. The constraint set's
+`dims` is the only record of the block sizes. Inside a function,
+complex blocks are built from coordinates only for LAPACK, the pairing
+<F_i, X_i> and blocks of mixed sizes, which `SpectraSet.map_blocks`
+handles once per distinct size. Coordinates describe exactly Hermitian
+blocks, whose lower triangle mirrors the upper one entry for entry, so
+`linalg`, which uses its input as given, never gets a block that is
+Hermitian only up to rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +53,8 @@ from .mirror import gibbs_map
 
 FEASIBILITY_PSD_TOL = 1e-9
 FEASIBILITY_TRACE_TOL = 1e-8
-# complex entries (64 KiB) in one block of a batch's noise draws
+# Hermitian coordinates (32 KiB) in one block of a batch's noise draws,
+# drawn from twice as many normals
 NOISE_BLOCK_ENTRIES = 4096
 
 
@@ -109,6 +106,14 @@ class SpectraSet:
         """The zero profile, with leading axes of the given lengths."""
         D = max(self.dims)
         return np.zeros(lead + (len(self.dims), D, D), dtype=complex)
+
+    def check_shape(self, x: np.ndarray) -> None:
+        """Raise DomainError unless x has the shape of the Hermitian
+        coordinates of this set's profiles, (..., N, D^2)."""
+        D = max(self.dims)
+        if x.shape[-2:] != (len(self.dims), D * D):
+            raise DomainError(f"profile shape {x.shape} does not match set "
+                              f"dims {self.dims}")
 
     def blocks(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """The blocks of profile X, as views of its corners."""
@@ -167,74 +172,50 @@ def profile_inner(A: np.ndarray, B: np.ndarray) -> float:
     return sum(trace_inner(a, b) for a, b in zip(A, B, strict=True))
 
 
-def _require_hermitian(A: np.ndarray, what: str) -> None:
-    """Raise NumericalFailure unless every block of A equals its
-    conjugate transpose entry for entry: `linalg` reads one triangle of
-    its input, so a block that is Hermitian only up to rounding would be
-    judged by the triangle read. NaN entries pass, for `linalg` to
-    reject; only a block that fails the plain comparison is checked
-    for them."""
-    H = A.conj().swapaxes(-1, -2)
-    if not (A == H).all() and not np.array_equal(A, H, equal_nan=True):
-        raise NumericalFailure(f"{what} is not exactly Hermitian")
-
-
-def assert_feasible(X: np.ndarray, cset: SpectraSet,
+def assert_feasible(x: np.ndarray, cset: SpectraSet,
                     psd_tol: float = FEASIBILITY_PSD_TOL,
                     trace_tol: float = FEASIBILITY_TRACE_TOL) -> None:
-    """Raise DomainError unless every block is PSD with a conforming trace.
+    """Raise DomainError unless every block of the profiles whose
+    Hermitian coordinates are x, shape (..., N, D^2), is PSD with a
+    conforming trace.
 
     A profile passes when X + psd_tol I has a Cholesky factor and the
     blocks' diagonal sums conform: one batched `linalg.cholesky` call
-    per block size. Otherwise the eigenvalues decide, and only then are
+    per block size, made straight from the coordinates when all blocks
+    have one size. Otherwise the eigenvalues decide, and only then are
     they computed: a block fails when lambda_min < -psd_tol or the sum of
     its eigenvalues is out of bound, and the message names the first
-    failing block (of the first failing cell, when X has a cell axis).
-    A block that is not exactly Hermitian raises NumericalFailure.
-
-    X may also be the profile's Hermitian coordinates, a real array of
-    shape (..., N, D^2), as the solver loop holds it. With blocks of one
-    size those pass on the same Cholesky factorization and diagonal
-    sums, made from the coordinates: they are Hermitian by construction,
-    so no check is made. Mixed sizes, and every profile that does not
-    pass, take the complex check above, with its verdict and message."""
-    N, D = len(cset.dims), max(cset.dims)
-    coordinates = not np.iscomplexobj(X)
-    shape = (N, D * D) if coordinates else (N, D, D)
-    if X.shape[-len(shape):] != shape:
-        raise DomainError(f"profile shape {X.shape} does not match set "
-                          f"dims {cset.dims}")
+    failing block (of the first failing cell, when x has a cell axis)."""
+    cset.check_shape(x)
+    D = max(cset.dims)
     bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
+    same = min(cset.dims) == D
 
     def trace_ok(tr: np.ndarray) -> np.ndarray:
         return (tr <= bound + trace_tol if capped
                 else np.abs(tr - bound) <= trace_tol)
 
     def conforms(Xg: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(Xg):
-            psd = linalg.cholesky(Xg + psd_tol * np.eye(Xg.shape[-1]))
-            tr = np.trace(Xg, axis1=-2, axis2=-1).real
-        else:
+        if same:
             psd = linalg.cholesky(from_coordinates(Xg, D, plus=psd_tol))
             # Summed as complex numbers, as np.trace sums the profile's
             # diagonal: a real sum adds in another order.
             tr = Xg[..., :D].astype(complex).sum(axis=-1).real
+        else:
+            psd = linalg.cholesky(Xg + psd_tol * np.eye(Xg.shape[-1]))
+            tr = np.trace(Xg, axis1=-2, axis2=-1).real
         return trace_ok(tr) & (psd is not None)
 
-    if coordinates:
-        if min(cset.dims) == D and cset.map_blocks(conforms, X).all():
-            return
-        X = from_coordinates(X, D)
-    _require_hermitian(X, "profile")
-    if cset.map_blocks(conforms, X).all():
+    if cset.map_blocks(conforms, x if same else from_coordinates(x, D)).all():
         return
 
     def margins(Xg: np.ndarray) -> np.ndarray:
         w = eigvals(Xg)
         return np.stack((w[..., -1], np.sum(w, axis=-1)), axis=-1)
 
-    lam_min, tr = np.moveaxis(
-        cset.map_blocks(margins, X).reshape(-1, N, 2), -1, 0)
+    N = len(cset.dims)
+    lam_min, tr = np.moveaxis(cset.map_blocks(
+        margins, from_coordinates(x, D)).reshape(-1, N, 2), -1, 0)
     not_psd = lam_min < -psd_tol
     bad = not_psd | ~trace_ok(tr)
     if not bad.any():
@@ -275,13 +256,10 @@ class NoiseModel:
 
     def sample(self, dims: tuple[int, ...],
                rng: np.random.Generator | Sequence[np.random.Generator],
-               count: int | None = None,
-               coordinates: bool = False) -> np.ndarray:
-        """One noise profile from a single draw of normals; with `count`,
-        that many consecutive profiles stacked on a new leading axis;
-        with `coordinates`, their Hermitian coordinates, shape
-        (..., N, D^2), bit for bit `linalg.to_coordinates` of the
-        profiles but made straight from the normals.
+               count: int | None = None) -> np.ndarray:
+        """The Hermitian coordinates, shape (N, D^2), of one noise profile
+        from a single draw of normals; with `count`, those of that many
+        consecutive profiles stacked on a new leading axis.
 
         The draw is block-ordered, real part then imaginary part of each
         block, so it consumes the stream exactly as drawing block by
@@ -315,29 +293,25 @@ class NoiseModel:
             for i, (d, piece) in enumerate(zip(dims, pieces)):
                 G[..., i, :, :d, :d] = piece.reshape(lead + (2, d, d))
         G = G.reshape(lead + (N, 2 * D * D)).swapaxes(0, 1)
-        first, second, sign = _noise_pairs(D, coordinates)
+        first, second, sign = _noise_pairs(D)
         Z = G.take(first, axis=-1)
         Z += sign * G.take(second, axis=-1)
         Z *= 0.5
-        if not coordinates:
-            Z = Z.view(complex).reshape(lead[::-1] + (N, D, D))
         Z = Z if cells else Z[:, 0]
         return Z if count is not None else Z[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _noise_pairs(D: int, coordinates: bool
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the values of a D x D noise block come from in its normals
-    G, the real and then the imaginary D x D part: value p is
-    (G[first[p]] + sign[p] G[second[p]]) / 2, its part of entries (k, l)
-    and (l, k), added for the real part and subtracted for the imaginary
-    part. The values are the float view of the complex block or, with
-    `coordinates`, its Hermitian coordinates (`linalg`)."""
+def _noise_pairs(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the Hermitian coordinates (`linalg`) of a D x D noise block
+    come from in its normals G, the real and then the imaginary D x D
+    part: coordinate p is (G[first[p]] + sign[p] G[second[p]]) / 2, its
+    part of entries (k, l) and (l, k), added for the real part and
+    subtracted for the imaginary part."""
     parts = np.arange(2 * D * D).reshape(2, D, D)
     first, second = (parts.transpose(axes).reshape(-1)
                      for axes in ((1, 2, 0), (2, 1, 0)))
-    take = linalg._hermitian_coordinates(D)[0] if coordinates else slice(None)
+    take = linalg._hermitian_coordinates(D)[0]
     return first[take], second[take], np.tile([1.0, -1.0], D * D)[take]
 
 
@@ -345,8 +319,8 @@ def _noise_pairs(D: int, coordinates: bool
 class SviProblem:
     """Constraint set, deterministic mapping, noise model, oracle bound.
 
-    `mapping` evaluates the blockwise, exactly Hermitian values of F at
-    a profile.
+    `mapping` evaluates F at the profiles whose Hermitian coordinates it
+    is given, shape (..., N, D^2), as coordinates.
     `oracle_bound` is the constant C with E ||Phi(X, xi)||_2^2 <= C^2 over
     feasible X; it bounds the full noisy oracle, not just the mean part,
     and feeds the horizon-tuned constant stepsize.
@@ -380,23 +354,12 @@ def stack_problems(problems: Sequence[SviProblem]) -> SviProblem:
     if hasattr(kind, "stack") and all(type(m) is kind for m in mappings):
         mapping = kind.stack(mappings)
     else:
-        def mapping(X: np.ndarray) -> np.ndarray:
-            return np.stack([f(X[c]) for c, f in enumerate(mappings)])
+        def mapping(x: np.ndarray) -> np.ndarray:
+            return np.stack([f(x[c]) for c, f in enumerate(mappings)])
     return SviProblem(
         cset, mapping,
         NoiseModel(np.array([p.noise.sigma for p in problems])),
         np.array([p.oracle_bound for p in problems]))
-
-
-def mapping_coordinates(problem: SviProblem, x: np.ndarray) -> np.ndarray:
-    """F at the profiles whose Hermitian coordinates are x, shape
-    (..., N, D^2), as coordinates. A mapping whose class sets
-    `takes_coordinates` (the MIMO game's) is handed x as it is; any
-    other is called on the complex profiles."""
-    if getattr(problem.mapping, "takes_coordinates", False):
-        return problem.mapping(x)
-    D = max(problem.constraints.dims)
-    return to_coordinates(problem.mapping(from_coordinates(x, D)))
 
 
 class CellMask(NamedTuple):
@@ -418,9 +381,9 @@ def cell_mask(mask: np.ndarray) -> CellMask:
 def select_cells(mask: np.ndarray | CellMask, A: np.ndarray,
                  B: np.ndarray) -> np.ndarray:
     """Cell c from A where mask[c] holds, else from B, for a boolean
-    per cell or its `cell_mask`; A and B have the cell axis first (complex
-    profiles or their Hermitian coordinates). Unlike adding a zero term,
-    this leaves B's cells bit for bit as they are."""
+    per cell or its `cell_mask`; A and B have the cell axis first.
+    Unlike adding a zero term, this leaves B's cells bit for bit as they
+    are."""
     if not isinstance(mask, CellMask):
         mask = cell_mask(mask)
     if mask.every:
@@ -437,31 +400,30 @@ def noise_draws(problem: SviProblem, rngs: Sequence[np.random.Generator],
     profile's Hermitian coordinates with a cell axis per call, shape
     (C, N, D^2), for the generators `rngs`.
 
-    Each block of K calls is one `NoiseModel.sample`, drawn straight into
-    coordinates when it is reached: K is the most that fits
-    NOISE_BLOCK_ENTRIES (at least 1), and no block goes past the last
-    call. Each cell's stream is consumed exactly as with one draw per
-    call, and its noise is bit for bit the coordinates of
-    `NoiseModel.sample`'s profiles. With no noisy cell nothing is drawn,
-    and each call's noise is None.
+    Each block of K calls is one `NoiseModel.sample`, drawn when it is
+    reached: K is the most that fits NOISE_BLOCK_ENTRIES (at least 1),
+    and no block goes past the last call. Each cell's stream is consumed
+    exactly as with one draw per call, and its noise is bit for bit that
+    of one `NoiseModel.sample` per call. With no noisy cell nothing is
+    drawn, and each call's noise is None.
     """
     cset = problem.constraints
     if not problem.noise.noisy.some:
         yield from itertools.repeat(None, calls)
         return
-    K = max(1, NOISE_BLOCK_ENTRIES // (len(rngs) * cset.zeros().size))
+    K = max(1, NOISE_BLOCK_ENTRIES
+            // (len(rngs) * len(cset.dims) * max(cset.dims) ** 2))
     for start in range(0, calls, K):
-        yield from problem.noise.sample(
-            cset.dims, rngs, min(K, calls - start), coordinates=True)
+        yield from problem.noise.sample(cset.dims, rngs,
+                                        min(K, calls - start))
 
 
-def oracle_sample(problem: SviProblem, X: np.ndarray,
+def oracle_sample(problem: SviProblem, x: np.ndarray,
                   rng: np.random.Generator | Sequence[np.random.Generator],
                   F: np.ndarray | None = None, Z: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic oracle call: returns (F(X) + Z, Z). X, F and Z may
-    also be Hermitian coordinates (as in the solver loop), when F is
-    given and so is Z, if any cell is noisy.
+    """One stochastic oracle call at the profile whose Hermitian
+    coordinates are x: returns (F(X) + Z, Z), as coordinates.
 
     The rng stream is consumed only when the noise level is nonzero, and
     is passed explicitly so a seed fixes the sample path regardless of
@@ -473,7 +435,7 @@ def oracle_sample(problem: SviProblem, X: np.ndarray,
     returns F(X) and zeros.
     """
     if F is None:
-        F = problem.mapping(X)
+        F = problem.mapping(x)
     noisy = problem.noise.noisy
     if not noisy.some:
         return F, np.zeros_like(F)
@@ -500,52 +462,45 @@ def best_response(F: np.ndarray, cset: SpectraSet) -> np.ndarray:
     return pad_blocks(blocks)
 
 
-def strong_gap(problem: SviProblem, X: np.ndarray,
+def strong_gap(problem: SviProblem, x: np.ndarray,
                F: np.ndarray | None = None) -> float | np.ndarray:
-    """sup_Z tr(F(X)(X - Z)) over the constraint set, in closed form.
+    """sup_Z tr(F(X)(X - Z)) over the constraint set, in closed form, at
+    the profile whose Hermitian coordinates are x.
 
     The supremum of a linear functional over a spectrahedron is an
     eigenvalue problem: per block, inf_Z tr(F_i Z_i) equals
     bound * lambda_min(F_i) under trace equality and
     bound * min(0, lambda_min(F_i)) under a trace cap. Zero exactly at
     strong solutions; nonnegative on feasible profiles. The block terms
-    are added in block order. Pass F when the mapping's value at X is
-    already known. With a cell axis on X, returns one gap per cell. A
-    mapping value that is not exactly Hermitian raises NumericalFailure.
-
-    X and F may also be Hermitian coordinates, real arrays of shape
-    (..., N, D^2), as the solver loop holds them; the gaps are bit for
-    bit those of their profiles. With blocks of one size no Hermitian
-    check is made (coordinates are Hermitian by construction), and
-    lambda_min of 2x2 blocks comes from `linalg.spectrum_2x2`; only
-    <F_i, X_i> is taken on complex blocks. Mixed sizes take the complex
-    path.
+    are added in block order. Pass F, as coordinates, when the mapping's
+    value at x is already known. With a cell axis on x, returns one gap
+    per cell. lambda_min of 2x2 blocks comes from `linalg.spectrum_2x2`
+    on the coordinates; complex blocks are built for the pairing
+    <F_i, X_i>, for LAPACK and, with blocks of mixed sizes, for
+    `SpectraSet.map_blocks`.
     """
     cset = problem.constraints
     D = max(cset.dims)
     if F is None:
-        F = (problem.mapping(X) if np.iscomplexobj(X)
-             else mapping_coordinates(problem, X))
-    coordinates = not np.iscomplexobj(X) and min(cset.dims) == D
-    if not coordinates:
-        if not np.iscomplexobj(X):
-            X, F = from_coordinates(X, D), from_coordinates(F, D)
-        _require_hermitian(F, "mapping value")
+        F = problem.mapping(x)
+    same = min(cset.dims) == D
 
     def terms(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-        Fg = from_coordinates(f, D) if coordinates else f
-        if coordinates and D == 2:
+        Fg = from_coordinates(f, D) if same else f
+        if same and D == 2:
             mu, _, r = linalg.spectrum_2x2(f)
             lam_min = mu - r
         else:
             lam_min = eigvals(Fg)[..., -1]
         if cset.mode is TraceMode.AT_MOST:
             lam_min = np.minimum(lam_min, 0.0)
-        Xg = from_coordinates(x, D) if coordinates else x
+        Xg = from_coordinates(x, D) if same else x
         inner = np.sum(Fg * Xg.swapaxes(-1, -2), axis=(-2, -1)).real
         return inner - cset.bound * lam_min
 
-    gaps = np.add.accumulate(cset.map_blocks(terms, F, X), axis=-1)[..., -1]
+    if not same:
+        F, x = from_coordinates(F, D), from_coordinates(x, D)
+    gaps = np.add.accumulate(cset.map_blocks(terms, F, x), axis=-1)[..., -1]
     return float(gaps) if gaps.ndim == 0 else gaps
 
 
@@ -567,30 +522,41 @@ def random_feasible_profile(cset: SpectraSet,
     return pad_blocks(blocks)
 
 
-def monotonicity_witness(problem: SviProblem, X: np.ndarray,
-                         Y: np.ndarray) -> float:
-    """tr((X - Y)(F(X) - F(Y))); nonnegative iff the mapping is monotone."""
-    return profile_inner(X - Y, problem.mapping(X) - problem.mapping(Y))
+def monotonicity_witness(problem: SviProblem, x: np.ndarray,
+                         y: np.ndarray) -> float:
+    """tr((X - Y)(F(X) - F(Y))) at the profiles whose Hermitian
+    coordinates are x and y; nonnegative iff the mapping is monotone."""
+    D = max(problem.constraints.dims)
+    return profile_inner(
+        from_coordinates(x - y, D),
+        from_coordinates(problem.mapping(x) - problem.mapping(y), D))
 
 
 def quadratic_test_problem(B: np.ndarray, cset: SpectraSet,
                            sigma: float = 0.0) -> SviProblem:
-    """VI with mapping F(X) = X - B, the gradient of 0.5 ||X - B||_F^2.
+    """VI with mapping F(X) = X - B, the gradient of 0.5 ||X - B||_F^2,
+    for a Hermitian target profile B; the mapping takes and gives
+    Hermitian coordinates, x - b.
 
     Its unique solution is the Euclidean projection of B onto the
     constraint set, which an independent projection oracle can verify.
     The oracle bound is analytic: ||X_i - B_i||_2 <= bound + ||B_i||_2
     per block, plus a spectral-norm margin for the noise when sigma > 0.
+    A target that is not exactly Hermitian is refused: its coordinates
+    would keep the upper triangle alone.
     """
     if B.shape != cset.zeros().shape:
         raise DomainError(f"target shape {B.shape} does not match set "
                           f"dims {cset.dims}")
+    if not np.array_equal(B, B.conj().swapaxes(-1, -2)):
+        raise DomainError("target profile is not exactly Hermitian")
     C = cset.bound + linalg.spectral_norm(B)
     if sigma > 0:
         C += 3.0 * sigma * math.sqrt(max(cset.dims))
+    b = to_coordinates(B.astype(complex))
     return SviProblem(
         constraints=cset,
-        mapping=lambda X: X - B,
+        mapping=lambda x: x - b,
         noise=NoiseModel(sigma),
         oracle_bound=C,
     )

@@ -21,13 +21,13 @@ optional `measure` returns a quantity (such as per-player throughput)
 at the reported points of every iteration, from their Hermitian
 coordinates; the game is evaluated exactly as without one.
 
-The loop keeps duals, iterates, averages, mapping values and noise as
-the Hermitian coordinates of padded profiles (see `problem` and
-`linalg`), real arrays of shape (C, N, D^2), and hands them as they are
-to the game, the feasibility check, the strong gap and the measure.
-Complex blocks are built from them only where LAPACK or a complex sum
-needs a matrix (see `problem.assert_feasible` and `problem.strong_gap`;
-the Gibbs maps of blocks of any size but 2), and each cell's final
+Duals, iterates, averages, mapping values and noise are the Hermitian
+coordinates of padded profiles (see `problem` and `linalg`), real
+arrays of shape (C, N, D^2), and so are the arguments and results of
+`dual_to_primal` and `mirror_step`. Complex blocks are built from them
+only inside a function, where LAPACK or a complex sum needs a matrix
+(the Gibbs maps of blocks of any size but 2; see also
+`problem.assert_feasible` and `problem.strong_gap`). Each cell's final
 point is a complex profile.
 
 The rest of an iteration is paid once for the batch. The noise comes
@@ -38,8 +38,7 @@ the noisy cells with its all/any flags, the rows of the regularized and
 of the averaging cells (slices when contiguous) and the averaging
 weights; the MEL term is added in place on its rows. Coordinates give
 exactly Hermitian profiles, so the Gibbs maps take them as they are,
-without taking their Hermitian part again (see `linalg`), and so do the
-feasibility check and the strong gap.
+without taking their Hermitian part again (see `linalg`).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .problem import (
     SviProblem,
     TraceMode,
     assert_feasible,
-    mapping_coordinates,
     noise_draws,
     oracle_sample,
     stack_problems,
@@ -170,7 +168,7 @@ class AveragingState:
     """Running weighted average: gamma = sum of stepsizes so far,
     xbar = stepsize-weighted mean of the iterates (a convex combination,
     hence feasible whenever the iterates are). In a batch, gamma holds
-    one value per cell, shape (C, 1, 1, 1)."""
+    one value per cell, shape (C, 1, 1)."""
 
     gamma: float | np.ndarray
     xbar: np.ndarray
@@ -194,43 +192,37 @@ def update_average(state: AveragingState, X_next: np.ndarray,
     return AveragingState(gamma, xbar)
 
 
-def dual_to_primal(Y: np.ndarray, cset: SpectraSet) -> np.ndarray:
-    """Mirror projection of dual variables onto the feasible set: one
-    batched Gibbs map per block size (`SpectraSet.map_blocks`).
-
-    Y is a complex profile array or its Hermitian coordinates, a real
-    array of shape (..., N, D^2), and the result comes in the same form.
-    Coordinates of 2x2 blocks take the Gibbs maps' coordinate front end;
-    those of any other sizes are mapped as complex profiles."""
-    if np.iscomplexobj(Y):
-        return _gibbs_maps(Y, cset)
-    if set(cset.dims) != {2}:
-        D = max(cset.dims)
-        return to_coordinates(_gibbs_maps(from_coordinates(Y, D), cset))
+def dual_to_primal(y: np.ndarray, cset: SpectraSet) -> np.ndarray:
+    """Mirror projection of dual variables onto the feasible set, on
+    their Hermitian coordinates, shape (..., N, D^2): one batched Gibbs
+    map per block size (`SpectraSet.map_blocks`). 2x2 blocks take the
+    Gibbs maps' coordinate front end; blocks of any other size are
+    mapped as complex blocks."""
+    cset.check_shape(y)
     equal = cset.mode is TraceMode.EQUAL
+    if set(cset.dims) == {2}:
+        def project(yk: np.ndarray) -> np.ndarray:
+            x = gibbs_2x2_coordinates(yk, slack=not equal)
+            return x if cset.bound == 1 and not equal else cset.bound * x
 
-    def project(yk: np.ndarray) -> np.ndarray:
-        x = gibbs_2x2_coordinates(yk, slack=not equal)
-        return x if cset.bound == 1 and not equal else cset.bound * x
+        return cset.map_blocks(project, y)
 
-    return cset.map_blocks(project, Y)
-
-
-def _gibbs_maps(Y: np.ndarray, cset: SpectraSet) -> np.ndarray:
-    """`dual_to_primal` of a complex profile array."""
-    def project(Yk: np.ndarray) -> np.ndarray:
-        if cset.mode is TraceMode.EQUAL:
+    def project_blocks(Yk: np.ndarray) -> np.ndarray:
+        if equal:
             return cset.bound * gibbs_map(Yk)
         return gibbs_map_bounded(Yk, cset.bound)
 
-    return cset.map_blocks(project, Y)
+    D = max(cset.dims)
+    return to_coordinates(
+        cset.map_blocks(project_blocks, from_coordinates(y, D)))
 
 
-def mirror_step(Y: np.ndarray, phi: np.ndarray, eta: float | np.ndarray,
+def mirror_step(y: np.ndarray, phi: np.ndarray, eta: float | np.ndarray,
                 cset: SpectraSet) -> tuple[np.ndarray, np.ndarray]:
-    """Dual gradient step then mirror projection: the core update pair."""
-    Y_next = Y - eta * phi
-    return Y_next, dual_to_primal(Y_next, cset)
+    """Dual gradient step then mirror projection, on Hermitian
+    coordinates: the core update pair."""
+    y_next = y - eta * phi
+    return y_next, dual_to_primal(y_next, cset)
 
 
 @dataclass(frozen=True)
@@ -403,7 +395,7 @@ def _run_cells(problems: Sequence[SviProblem],
     try:
         for t in range(T):
             tic = time.perf_counter()
-            F = mapping_coordinates(problem, X) if F_next is None else F_next
+            F = problem.mapping(X) if F_next is None else F_next
             if lam.size:
                 F[regularized] += lam * X[regularized]
             # Only phi is kept: a view of the noise would hold its block.
@@ -427,7 +419,7 @@ def _run_cells(problems: Sequence[SviProblem],
             tic = time.perf_counter()
             assert_feasible(reported, cset)
             final = reported
-            F_points = mapping_coordinates(evaluated, points)
+            F_points = evaluated.mapping(points)
             F_next = F_points[:C]
             values = measure(problem, reported) if measuring else None
             gaps = strong_gap(problem, reported, F_points[rows])

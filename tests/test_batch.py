@@ -27,7 +27,7 @@ from spectra_svi import harness, linalg, mimo, solvers
 from spectra_svi import problem as problem_mod
 from spectra_svi.errors import DomainError
 from spectra_svi.harness import ExperimentConfig, MethodSpec
-from spectra_svi.linalg import to_coordinates
+from spectra_svi.linalg import from_coordinates
 from spectra_svi.problem import (
     SpectraSet,
     TraceMode,
@@ -398,22 +398,23 @@ def _reference_run(problems, configs, measure=None):
     reported points, the next oracle call maps X_t again unless no cell
     averages, and `measure(problem, reported)` is evaluated apart. Timing
     and failure handling are left out. Returns (gap traces, final
-    points, measures) per cell."""
+    points, measures) per cell; the final points are complex profiles."""
     T, gap_every = configs[0].iterations, configs[0].gap_every
     C = len(configs)
     problem = stack_problems(problems)
     cset = problem.constraints
     averaging = np.array([c.method is Method.AM_SMD for c in configs])
     lam = np.array([c.lam if c.method is Method.MEL else 0.0
-                    for c in configs])[:, None, None, None]
-    regularized = lam[:, 0, 0, 0] > 0
+                    for c in configs])[:, None, None]
+    regularized = lam[:, 0, 0] > 0
     etas = np.array([
         [eta_at(t) for t in range(T + 1)]
         for eta_at in (c.schedule.resolve(p.oracle_bound, cset.total_dim, T)
                        for p, c in zip(problems, configs))
-    ])[:, :, None, None, None]
+    ])[:, :, None, None]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    Y = cset.zeros(C)
+    D = max(cset.dims)
+    Y = np.zeros((C, len(cset.dims), D * D))
     X = dual_to_primal(Y, cset)
     avg = AveragingState(etas[:, 0], X)
     final = X
@@ -443,6 +444,7 @@ def _reference_run(problems, configs, measure=None):
         if measure is not None:
             measures.append(measure(problem, reported))
     rows = np.stack(measures, axis=1) if measures else None
+    final = from_coordinates(final, D)
     return [(tuple(traces[c]), final[c],
              None if rows is None else rows[c]) for c in range(C)]
 
@@ -460,9 +462,9 @@ def _game_problems(m, n, seeds, sigmas):
 
 def test_passing_gap_iterations_build_no_complex_profile(monkeypatch):
     # A noisy 2x2 batch with a gap at every iteration passes each
-    # feasibility check and gap on Hermitian coordinates: neither the
-    # Hermitian check of complex profiles nor the complex 2x2 closed form
-    # runs, and the traces are those of an unguarded run.
+    # feasibility check and gap on Hermitian coordinates: the complex 2x2
+    # closed form does not run, and the traces are those of an unguarded
+    # run.
     problems = _game_problems(2, 2, (3, 4, 5, 6), (1.0, 2.0, 0.0, 0.5))
     configs = [SolverConfig(method, 12, StepSchedule.harmonic_sqrt(),
                             gap_every=1, seed=seed)
@@ -473,7 +475,6 @@ def test_passing_gap_iterations_build_no_complex_profile(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex profile at a gap iteration")
 
-    monkeypatch.setattr(problem_mod, "_require_hermitian", refuse)
     monkeypatch.setattr(linalg, "hermitian_2x2", refuse)
     guarded = solvers.run_batch(problems, configs)
     for a, b in zip(clean, guarded, strict=True):
@@ -528,8 +529,7 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
         def measure(problem, reported):
             return _entries(reported)
 
-        def reference_measure(problem, reported):
-            return _entries(to_coordinates(reported))
+        reference_measure = measure
     else:
         measure = harness.reported_rates
 

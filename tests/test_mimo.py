@@ -7,7 +7,12 @@ import pytest
 
 from spectra_svi import mimo, problem as pb
 from spectra_svi.errors import DomainError, NumericalFailure
-from spectra_svi.linalg import hermitianize, spectral_norm, to_coordinates
+from spectra_svi.linalg import (
+    from_coordinates,
+    hermitianize,
+    spectral_norm,
+    to_coordinates,
+)
 from spectra_svi.oracles import finite_diff_gradient
 from spectra_svi.problem import TraceMode
 
@@ -126,12 +131,10 @@ def test_mui_covariance_identity_at_zero_power():
     # interference-plus-noise covariance are both the identity.
     topo = mimo.canonical_topology()
     ch = mimo.sample_channels(topo, np.random.default_rng(2))
-    X = topo.constraint_set().zeros()
-    cov = mimo.covariances(ch, X)
-    assert np.array_equal(cov, np.broadcast_to(np.eye(2), (7, 2, 2)))
-    x = to_coordinates(X)
+    x = to_coordinates(topo.constraint_set().zeros())
+    assert not np.any(mimo._received(ch, x))
     assert not np.any(mimo._received(ch, x, interference=True))
-    assert np.array_equal(mimo.throughput(ch, X), np.zeros(7))
+    assert np.array_equal(mimo.throughput(ch, x), np.zeros(7))
 
 
 def test_mui_covariance_excludes_own_signal():
@@ -146,7 +149,7 @@ def test_mui_covariance_excludes_own_signal():
     H = ch.link(2, 2)
     expected = float(np.sum(np.log(np.linalg.eigvalsh(
         np.eye(2) + H @ X[2] @ H.conj().T))))
-    assert mimo.throughput(ch, only_own, 2) == pytest.approx(
+    assert mimo.throughput(ch, to_coordinates(only_own), 2) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -157,10 +160,11 @@ def test_throughput_zero_at_zero_power_and_positive_otherwise():
     rng = np.random.default_rng(6)
     X = _feasible_profile(topo, rng)
     for i in range(7):
-        assert mimo.throughput(ch, zero, i) == pytest.approx(0.0, abs=1e-12)
+        assert mimo.throughput(ch, to_coordinates(zero), i) == pytest.approx(
+            0.0, abs=1e-12)
         own = np.zeros_like(X)
         own[i] = X[i]
-        assert mimo.throughput(ch, own, i) > 0
+        assert mimo.throughput(ch, to_coordinates(own), i) > 0
 
 
 def test_throughput_single_user_closed_form():
@@ -171,7 +175,8 @@ def test_throughput_single_user_closed_form():
     H = ch.link(0, 0)
     expected = float(np.log(np.linalg.det(
         np.eye(2) + H @ X[0] @ H.conj().T)).real)
-    assert mimo.throughput(ch, X, 0) == pytest.approx(expected, abs=1e-12)
+    assert mimo.throughput(ch, to_coordinates(X), 0) == pytest.approx(
+        expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -190,7 +195,7 @@ def test_throughput_rejects_non_finite_covariances(m, n, bad):
     # inf * 0 in the operators' build makes NaNs, with a warning
     with pytest.raises(NumericalFailure, match="non-finite") as info, \
             np.errstate(invalid="ignore"):
-        mimo.throughput(ch, X)
+        mimo.throughput(ch, to_coordinates(X))
     assert info.value.diagnostics == {"dim": n, "block": 3}
 
 
@@ -224,7 +229,7 @@ def test_throughput_names_lambda_min_of_a_covariance_that_is_not_pd():
     # sought. The error names its kind, its receiver and its lambda_min.
     _, ch, X, message = _not_pd_profile()
     with pytest.raises(DomainError, match=re.escape(message + ")")):
-        mimo.throughput(ch, X)
+        mimo.throughput(ch, to_coordinates(X))
 
 
 def test_throughput_names_the_cell_of_a_covariance_that_is_not_pd():
@@ -234,7 +239,7 @@ def test_throughput_names_the_cell_of_a_covariance_that_is_not_pd():
     rng = np.random.default_rng(14)
     X = np.stack([_feasible_profile(topo, rng) for _ in range(2)] + [X])
     with pytest.raises(DomainError, match=re.escape(message + ", cell 2)")):
-        mimo.throughput(ch, X)
+        mimo.throughput(ch, to_coordinates(X))
 
 
 def test_rates_of_pd_covariances_take_no_eigenvalue_solve(monkeypatch):
@@ -245,13 +250,13 @@ def test_rates_of_pd_covariances_take_no_eigenvalue_solve(monkeypatch):
     ch = mimo.ChannelSet.stack(draws * 2)
     rng = np.random.default_rng(16)
     X = np.stack([_feasible_profile(topo, rng) for _ in range(4)])
-    expected = mimo.throughput(ch, X)
+    expected = mimo.throughput(ch, to_coordinates(X))
 
     def refuse(*args):
         raise AssertionError("eigenvalue solve on the rates' success path")
 
     monkeypatch.setattr(mimo.linalg, "eigvals", refuse)
-    rates = mimo.throughput(ch, X)
+    rates = mimo.throughput(ch, to_coordinates(X))
     assert rates.shape == (4, 7) and np.array_equal(rates, expected)
 
 
@@ -262,7 +267,8 @@ def test_interference_reduces_rate():
     X = _feasible_profile(topo, rng)
     own_only = np.zeros_like(X)
     own_only[0] = X[0]
-    assert mimo.throughput(ch, X, 0) < mimo.throughput(ch, own_only, 0)
+    assert (mimo.throughput(ch, to_coordinates(X), 0)
+            < mimo.throughput(ch, to_coordinates(own_only), 0))
 
 
 def test_throughput_gradient_matches_finite_differences():
@@ -274,7 +280,7 @@ def test_throughput_gradient_matches_finite_differences():
         def rate_of_block(Z, i=i):
             Xmod = X.copy()
             Xmod[i] = Z
-            return mimo.throughput(ch, Xmod, i)
+            return mimo.throughput(ch, to_coordinates(Xmod), i)
 
         G_fd = finite_diff_gradient(rate_of_block, X[i])
         G = mimo.throughput_gradient(ch, X, i)
@@ -301,7 +307,8 @@ def test_game_mapping_is_monotone_on_samples():
     for _ in range(30):
         X = _feasible_profile(topo, rng)
         Y = _feasible_profile(topo, rng)
-        worst = min(worst, pb.monotonicity_witness(prob, X, Y))
+        worst = min(worst, pb.monotonicity_witness(
+            prob, to_coordinates(X), to_coordinates(Y)))
     assert worst >= -1e-10
 
 
@@ -314,7 +321,7 @@ def test_game_to_svi_oracle_bound_dominates_mapping():
     rng = np.random.default_rng(17)
     for _ in range(25):
         X = pb.random_feasible_profile(prob.constraints, rng)
-        F = prob.mapping(X)
+        F = from_coordinates(prob.mapping(to_coordinates(X)), 3)
         assert spectral_norm(F) <= prob.oracle_bound + 1e-12
 
 

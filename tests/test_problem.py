@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from projection_oracle import project_spectrahedron
-from spectra_svi import linalg, problem as pb
+from spectra_svi import linalg, mimo, problem as pb, solvers
 from spectra_svi.errors import DomainError, NumericalFailure
+from spectra_svi.linalg import from_coordinates, to_coordinates
 from spectra_svi.oracles import sampled_sup_linear
 from spectra_svi.problem import (
     NoiseModel,
@@ -16,6 +17,7 @@ from spectra_svi.problem import (
     TraceMode,
     pad_blocks,
 )
+from test_stacked import _gap_tol, _ref_strong_gap
 
 MIXED = SpectraSet((2, 3, 2))
 
@@ -26,7 +28,13 @@ def _mixed_profile(rng):
 
 def _identity_problem(cset, sigma=0.0):
     """F(X) = X; monotone with solution structure easy to reason about."""
-    return SviProblem(cset, lambda X: X, NoiseModel(sigma), oracle_bound=2.0)
+    return SviProblem(cset, lambda x: x, NoiseModel(sigma), oracle_bound=2.0)
+
+
+def _mapped(problem, X):
+    """F at the complex profile X, as a complex profile."""
+    return from_coordinates(problem.mapping(to_coordinates(X)),
+                            max(problem.constraints.dims))
 
 
 def test_spectra_set_validation():
@@ -92,56 +100,36 @@ def test_profile_inner_sums_blocks():
 def test_assert_feasible_accepts_density_blocks():
     cset = SpectraSet((2, 2))
     X = pad_blocks((np.eye(2) / 2, np.diag([0.9, 0.1])))
-    pb.assert_feasible(X, cset)
+    pb.assert_feasible(to_coordinates(X), cset)
 
 
 def test_assert_feasible_rejects_wrong_trace():
     cset = SpectraSet((2,))
     X = pad_blocks((np.diag([0.9, 0.2]),))
     with pytest.raises(DomainError, match="trace"):
-        pb.assert_feasible(X, cset)
+        pb.assert_feasible(to_coordinates(X), cset)
 
 
 def test_assert_feasible_rejects_indefinite():
     cset = SpectraSet((2,))
     X = pad_blocks((np.diag([1.5, -0.5]),))
     with pytest.raises(DomainError, match="PSD"):
-        pb.assert_feasible(X, cset)
+        pb.assert_feasible(to_coordinates(X), cset)
 
 
 def test_assert_feasible_trace_cap_allows_slack():
     cset = SpectraSet((2,), mode=TraceMode.AT_MOST)
-    pb.assert_feasible(pad_blocks((np.diag([0.2, 0.1]),)), cset)
+    pb.assert_feasible(to_coordinates(pad_blocks((np.diag([0.2, 0.1]),))),
+                       cset)
     with pytest.raises(DomainError):
-        pb.assert_feasible(pad_blocks((np.diag([0.8, 0.7]),)), cset)
+        pb.assert_feasible(
+            to_coordinates(pad_blocks((np.diag([0.8, 0.7]),))), cset)
 
 
 def test_assert_feasible_dims_mismatch():
     cset = SpectraSet((3,))
     with pytest.raises(DomainError, match="dims"):
-        pb.assert_feasible(pad_blocks((np.eye(2) / 2,)), cset)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_gap_guards_refuse_blocks_hermitian_only_up_to_rounding(d):
-    # `linalg` reads one triangle of its input, so the feasibility check
-    # and the strong gap refuse a block that differs from its conjugate
-    # transpose in one ulp rather than judge it by the triangle read.
-    cset = SpectraSet((d, d))
-    X = pb.random_feasible_profile(cset, np.random.default_rng(d))
-    pb.assert_feasible(X, cset)
-    skewed = X.copy()
-    skewed[1, 0, 1] = np.nextafter(skewed[1, 0, 1].real, 1.0) + 0j
-    with pytest.raises(NumericalFailure, match="profile is not exactly"):
-        pb.assert_feasible(skewed, cset)
-    prob = _identity_problem(cset)
-    assert pb.strong_gap(prob, X) >= 0.0
-    with pytest.raises(NumericalFailure, match="mapping value is not"):
-        pb.strong_gap(prob, X, skewed)
-    # A NaN block is left to `linalg`, which names it non-finite.
-    X[0, 0, 0] = np.nan
-    with pytest.raises(NumericalFailure, match="non-finite"):
-        pb.assert_feasible(X, cset)
+        pb.assert_feasible(to_coordinates(pad_blocks((np.eye(2) / 2,))), cset)
 
 
 def _with_lambda_min(cset, rng, lam, i):
@@ -163,14 +151,14 @@ def test_assert_feasible_psd_tolerance_on_mixed_blocks(mode, i):
     X = np.stack([pb.random_feasible_profile(cset, rng) for _ in range(3)])
     X[1, i, :cset.dims[i], :cset.dims[i]] = _with_lambda_min(
         cset, rng, -0.5 * tol, i)
-    pb.assert_feasible(X, cset)
+    pb.assert_feasible(to_coordinates(X), cset)
     # a later cell fails worse, at an earlier block
     X[2, 0, :2, :2] = _with_lambda_min(cset, rng, -3 * tol, 0)
     X[1, i, :cset.dims[i], :cset.dims[i]] = _with_lambda_min(
         cset, rng, -2 * tol, i)
     message = f"block {i} not PSD: lambda_min = -2.000e-09"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        pb.assert_feasible(X, cset)
+        pb.assert_feasible(to_coordinates(X), cset)
 
 
 def test_feasible_profiles_pass_without_an_eigenvalue_solve(monkeypatch):
@@ -184,10 +172,11 @@ def test_feasible_profiles_pass_without_an_eigenvalue_solve(monkeypatch):
             cset = SpectraSet(dims, 1.5, mode)
             X = np.stack([pb.random_feasible_profile(cset, rng)
                           for _ in range(4)])
-            pb.assert_feasible(X, cset)
-            pb.assert_feasible(X[0], cset)
+            pb.assert_feasible(to_coordinates(X), cset)
+            pb.assert_feasible(to_coordinates(X[0]), cset)
     with pytest.raises(AssertionError, match="eigenvalue solve"):
-        pb.assert_feasible(X + np.eye(2), cset)  # traces 2 over the bound
+        # traces 2 over the bound
+        pb.assert_feasible(to_coordinates(X + np.eye(2)), cset)
 
 
 def _coordinates_and_profiles(cset, rng, cells):
@@ -214,26 +203,32 @@ def _bits(value):
 @pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
 def test_coordinate_gap_and_feasibility_equal_the_complex_ones(
         dims, mode, cells, monkeypatch):
+    # The gap of coordinates is the per-block reference's, bit for bit
+    # without 2x2 blocks (whose closed form has its own tolerance), and
+    # feasible coordinates pass with no eigenvalue solve.
     cset = SpectraSet(dims, 1.5, mode)
     rng = np.random.default_rng(sum(dims))
+    prob = _identity_problem(cset)
 
     def refuse(*args):
-        raise AssertionError("complex check of feasible coordinates")
+        raise AssertionError("eigenvalue solve on the feasible path")
 
     for _ in range(4):
         x, f, X, F = _coordinates_and_profiles(cset, rng, cells)
         with monkeypatch.context() as mp:
-            # Blocks of one size pass on their coordinates alone.
-            if len(set(dims)) == 1:
-                mp.setattr(pb, "_require_hermitian", refuse)
-                mp.setattr(pb, "eigvals", refuse)
+            mp.setattr(pb, "eigvals", refuse)
             pb.assert_feasible(x, cset)
-        prob = _identity_problem(cset)
         gap = pb.strong_gap(prob, x, f)
-        want = pb.strong_gap(prob, X, F)
-        assert type(gap) is type(want) and _bits(gap) == _bits(want)
+        assert type(gap) is (float if cells is None else np.ndarray)
+        lone = (-1,) + X.shape[-3:]
+        for got, Fc, Xc in zip(np.reshape(gap, -1), F.reshape(lone),
+                               X.reshape(lone), strict=True):
+            blocks = cset.blocks(Fc), cset.blocks(Xc)
+            assert abs(got - _ref_strong_gap(*blocks, cset)) <= _gap_tol(
+                *blocks, cset)
         # Without F, the mapping is evaluated on the coordinates.
-        assert _bits(pb.strong_gap(prob, x)) == _bits(pb.strong_gap(prob, X))
+        assert _bits(pb.strong_gap(prob, x)) == _bits(
+            pb.strong_gap(prob, x, x))
 
 
 def _raised(error, fn, *args):
@@ -250,7 +245,7 @@ def test_coordinates_that_fail_the_check_fail_as_their_profiles(dims, mode):
     # Blocks with trace exactly the bound, so that a scaled block is
     # over it or under it.
     _, _, X, _ = _coordinates_and_profiles(SpectraSet(dims, 1.5), rng, 3)
-    D, tol = max(dims), pb.FEASIBILITY_PSD_TOL
+    tol = pb.FEASIBILITY_PSD_TOL
     # Cell 1's block 2 not PSD; cell 2's block 1 with trace 1.7, and
     # cell 0's block 1 with trace 1.3 (off the bound only under trace
     # equality).
@@ -259,41 +254,68 @@ def test_coordinates_that_fail_the_check_fail_as_their_profiles(dims, mode):
         cset, rng, -2 * tol, 2)
     over[2, 1] *= 1.7 / 1.5
     under[0, 1] *= 1.3 / 1.5
-    for bad in (not_psd, over, under):
-        x = linalg.to_coordinates(bad)
-        if bad is under and mode is TraceMode.AT_MOST:
+    capped = mode is TraceMode.AT_MOST
+    messages = (
+        (not_psd, "block 2 not PSD: lambda_min = -2.000e-09"),
+        (over, "block 1 trace 1.7 "
+               + ("exceeds bound 1.5" if capped else "!= bound 1.5")),
+        (under, None if capped else "block 1 trace 1.3 != bound 1.5"))
+    for bad, message in messages:
+        x = to_coordinates(bad)
+        if message is None:
             pb.assert_feasible(x, cset)
-            continue
-        got = _raised(DomainError, pb.assert_feasible, x, cset)
-        assert got == _raised(DomainError, pb.assert_feasible,
-                              linalg.from_coordinates(x, D), cset)
-        assert got[0].startswith("block 2 not PSD" if bad is not_psd
-                                 else "block 1 trace 1.")
-    message = "block 2 not PSD: lambda_min = -2.000e-09"
-    assert _raised(DomainError, pb.assert_feasible,
-                   linalg.to_coordinates(not_psd), cset)[0] == message
+        else:
+            assert _raised(DomainError, pb.assert_feasible, x, cset) == (
+                message, None)
 
 
 @pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
 def test_non_finite_coordinates_fail_as_their_profiles(dims):
+    # A NaN in one block of one cell fails the check and the gap with
+    # the message of `linalg`, which names that block and its dimension.
     cset = SpectraSet(dims, 1.5, TraceMode.AT_MOST)
     prob = _identity_problem(cset)
-    D = max(dims)
     x, f, _, _ = _coordinates_and_profiles(
         cset, np.random.default_rng(9), 3)
+    message = "eigendecomposition input has non-finite entries"
     for cell, block, c in ((1, 2, 0), (2, 1, dims[1] * dims[1] - 1),
                            (0, 0, 1)):
         bad_x, bad_f = x.copy(), f.copy()
         bad_x[cell, block, c] = bad_f[cell, block, c] = np.nan
-        got = _raised(NumericalFailure, pb.assert_feasible, bad_x, cset)
-        assert got == _raised(NumericalFailure, pb.assert_feasible,
-                              linalg.from_coordinates(bad_x, D), cset)
-        assert got[1]["block"] == block
-        got = _raised(NumericalFailure, pb.strong_gap, prob, x, bad_f)
-        assert got == _raised(NumericalFailure, pb.strong_gap, prob,
-                              linalg.from_coordinates(x, D),
-                              linalg.from_coordinates(bad_f, D))
-        assert got[1]["block"] == block
+        want = (message, {"dim": dims[block], "block": block})
+        assert _raised(NumericalFailure, pb.assert_feasible,
+                       bad_x, cset) == want
+        assert _raised(NumericalFailure, pb.strong_gap, prob, x,
+                       bad_f) == want
+
+
+SEAMS = {
+    "game_mapping": lambda prob, X: mimo.game_mapping(prob.mapping.channels,
+                                                      X),
+    "throughput": lambda prob, X: mimo.throughput(prob.mapping.channels, X),
+    "strong_gap": pb.strong_gap,
+    "assert_feasible": lambda prob, X: pb.assert_feasible(
+        X, prob.constraints),
+    "dual_to_primal": lambda prob, X: solvers.dual_to_primal(
+        X, prob.constraints),
+    "oracle_sample": lambda prob, X: pb.oracle_sample(
+        prob, X, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("cells", [None, 3])
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 2), (2, 4)])
+@pytest.mark.parametrize("seam", list(SEAMS))
+def test_complex_profiles_are_refused_at_the_seams(seam, m, n, cells):
+    # The seams take Hermitian coordinates, shape (..., N, m^2); a
+    # complex (..., N, m, m) profile raises instead of giving numbers.
+    topo = mimo.canonical_topology(m, n)
+    rng = np.random.default_rng(m + n)
+    prob = mimo.game_to_svi(topo, mimo.sample_channels(topo, rng), 1.0)
+    X = np.stack([pb.random_feasible_profile(prob.constraints, rng)
+                  for _ in range(cells or 1)])
+    with pytest.raises((DomainError, ValueError)):
+        SEAMS[seam](prob, X if cells else X[0])
 
 
 def test_noise_model_rejects_negative_or_non_finite_sigma():
@@ -304,7 +326,7 @@ def test_noise_model_rejects_negative_or_non_finite_sigma():
 
 def test_noise_model_zero_sigma_is_exact_zero():
     Z = NoiseModel(0.0).sample((2, 3), np.random.default_rng(0))
-    assert Z.shape == (2, 3, 3) and not Z.any()
+    assert Z.shape == (2, 9) and not Z.any()
 
 
 def test_noise_model_blocks_hermitian_and_scaled():
@@ -313,8 +335,7 @@ def test_noise_model_blocks_hermitian_and_scaled():
     model = NoiseModel(sigma)
     acc = []
     for _ in range(400):
-        Z = model.sample((4,), rng)[0]
-        assert np.array_equal(Z, Z.conj().T)
+        Z = from_coordinates(model.sample((4,), rng), 4)[0]
         acc.append(Z)
     # Off-diagonal entries of the Hermitian part have variance sigma^2 / 2.
     offdiag = np.array([Z[0, 1] for Z in acc])
@@ -327,7 +348,8 @@ def test_noise_model_blocks_hermitian_and_scaled():
 def test_oracle_sample_noiseless_returns_mapping_value():
     cset = SpectraSet((2, 2))
     prob = _identity_problem(cset)
-    X = pb.random_feasible_profile(cset, np.random.default_rng(2))
+    X = to_coordinates(
+        pb.random_feasible_profile(cset, np.random.default_rng(2)))
     phi, noise = pb.oracle_sample(prob, X, np.random.default_rng(3))
     assert all(np.array_equal(p, x) for p, x in zip(phi, X))
     assert all(np.all(z == 0) for z in noise)
@@ -336,7 +358,8 @@ def test_oracle_sample_noiseless_returns_mapping_value():
 def test_oracle_sample_noise_is_reported_component():
     cset = SpectraSet((3,))
     prob = _identity_problem(cset, sigma=1.0)
-    X = pb.random_feasible_profile(cset, np.random.default_rng(4))
+    X = to_coordinates(
+        pb.random_feasible_profile(cset, np.random.default_rng(4)))
     phi, noise = pb.oracle_sample(prob, X, np.random.default_rng(5))
     assert np.allclose(phi[0] - noise[0], X[0], atol=1e-14)
 
@@ -365,7 +388,8 @@ def test_strong_gap_zero_at_solution_of_quadratic():
     cset = SpectraSet((3, 3))
     B = pb.random_feasible_profile(cset, rng)
     prob = pb.quadratic_test_problem(B, cset)
-    assert pb.strong_gap(prob, B) == pytest.approx(0.0, abs=1e-10)
+    assert pb.strong_gap(prob, to_coordinates(B)) == pytest.approx(
+        0.0, abs=1e-10)
 
 
 def test_strong_gap_positive_off_solution():
@@ -374,7 +398,7 @@ def test_strong_gap_positive_off_solution():
     B = pb.random_feasible_profile(cset, rng)
     prob = pb.quadratic_test_problem(B, cset)
     X = pb.random_feasible_profile(cset, rng)
-    assert pb.strong_gap(prob, X) > 1e-6
+    assert pb.strong_gap(prob, to_coordinates(X)) > 1e-6
 
 
 def test_strong_gap_matches_sampled_supremum():
@@ -387,9 +411,9 @@ def test_strong_gap_matches_sampled_supremum():
         prob = pb.quadratic_test_problem(B, cset)
         for _ in range(10):
             X = pb.random_feasible_profile(cset, rng)
-            F = prob.mapping(X)
+            F = _mapped(prob, X)
             sup_lin = sampled_sup_linear(F, cset, probes=20, rng=rng)
-            assert pb.strong_gap(prob, X) == pytest.approx(
+            assert pb.strong_gap(prob, to_coordinates(X)) == pytest.approx(
                 pb.profile_inner(F, X) + sup_lin, abs=1e-9)
 
 
@@ -399,7 +423,7 @@ def test_random_feasible_profile_is_feasible():
         cset = SpectraSet((2, 4, 2), 2.0, mode)
         for _ in range(50):
             X = pb.random_feasible_profile(cset, rng)
-            pb.assert_feasible(X, cset)
+            pb.assert_feasible(to_coordinates(X), cset)
 
 
 def _weak_gap_estimate(problem, X, probes, rng):
@@ -410,11 +434,11 @@ def _weak_gap_estimate(problem, X, probes, rng):
     closed-form strong-gap maximizer, and `probes` random feasible
     profiles.
     """
-    candidates = [X, pb.best_response(problem.mapping(X),
+    candidates = [X, pb.best_response(_mapped(problem, X),
                                       problem.constraints)]
     candidates.extend(pb.random_feasible_profile(problem.constraints, rng)
                       for _ in range(probes))
-    return max(pb.profile_inner(problem.mapping(Z), X - Z)
+    return max(pb.profile_inner(_mapped(problem, Z), X - Z)
                for Z in candidates)
 
 
@@ -427,7 +451,7 @@ def test_weak_gap_estimate_nonnegative_and_below_strong_for_monotone():
         X = pb.random_feasible_profile(cset, rng)
         weak = _weak_gap_estimate(prob, X, probes=30, rng=rng)
         assert weak >= -1e-12
-        assert weak <= pb.strong_gap(prob, X) + 1e-9
+        assert weak <= pb.strong_gap(prob, to_coordinates(X)) + 1e-9
 
 
 def test_monotonicity_witness_sign():
@@ -435,14 +459,15 @@ def test_monotonicity_witness_sign():
     cset = SpectraSet((3, 3))
     B = pb.random_feasible_profile(cset, rng)
     mono = pb.quadratic_test_problem(B, cset)
-    anti = SviProblem(cset, lambda X: -1.0 * X, oracle_bound=1.0)
+    anti = SviProblem(cset, lambda x: -1.0 * x, oracle_bound=1.0)
     for _ in range(20):
         X = pb.random_feasible_profile(cset, rng)
         Y = pb.random_feasible_profile(cset, rng)
-        assert pb.monotonicity_witness(mono, X, Y) >= -1e-12
+        x, y = to_coordinates(X), to_coordinates(Y)
+        assert pb.monotonicity_witness(mono, x, y) >= -1e-12
         d = linalg.frobenius_norm(X - Y)
         if d > 1e-6:
-            assert pb.monotonicity_witness(anti, X, Y) < 0
+            assert pb.monotonicity_witness(anti, x, y) < 0
 
 
 def test_quadratic_problem_solution_is_projection():
@@ -452,7 +477,8 @@ def test_quadratic_problem_solution_is_projection():
     B = pad_blocks((linalg.random_hermitian(rng, 4),))
     prob = pb.quadratic_test_problem(B, cset)
     P = pad_blocks((project_spectrahedron(B[0], mode=TraceMode.EQUAL),))
-    assert pb.strong_gap(prob, P) == pytest.approx(0.0, abs=1e-9)
+    assert pb.strong_gap(prob, to_coordinates(P)) == pytest.approx(
+        0.0, abs=1e-9)
 
 
 def test_quadratic_problem_oracle_bound_covers_noise():
@@ -467,3 +493,15 @@ def test_quadratic_problem_rejects_dim_mismatch():
     with pytest.raises(DomainError):
         pb.quadratic_test_problem(
             pad_blocks((np.eye(2),)), SpectraSet((3,)))
+
+
+def test_quadratic_problem_rejects_a_target_hermitian_up_to_rounding():
+    # The mapping works on the target's Hermitian coordinates, which
+    # keep its upper triangle alone: a target whose lower triangle
+    # differs in one ulp is refused, not silently replaced.
+    cset = SpectraSet((2, 3))
+    B = pb.random_feasible_profile(cset, np.random.default_rng(19))
+    pb.quadratic_test_problem(B, cset)
+    B[1, 1, 0] = np.nextafter(B[1, 1, 0].real, 1.0) + 1j * B[1, 1, 0].imag
+    with pytest.raises(DomainError, match="not exactly Hermitian"):
+        pb.quadratic_test_problem(B, cset)

@@ -8,7 +8,11 @@ import pytest
 
 from spectra_svi import harness, mimo, problem as pb
 from spectra_svi.errors import DomainError
-from spectra_svi.linalg import random_hermitian
+from spectra_svi.linalg import (
+    from_coordinates,
+    random_hermitian,
+    to_coordinates,
+)
 from spectra_svi.problem import SpectraSet, SviProblem, TraceMode, pad_blocks
 from spectra_svi.solvers import (
     AveragingState,
@@ -103,8 +107,9 @@ def test_dual_to_primal_feasible_both_modes():
         for _ in range(20):
             Y = pad_blocks([random_hermitian(rng, d, scale=5.0)
                             for d in cset.dims])
-            X = dual_to_primal(Y, cset)
-            pb.assert_feasible(X, cset)
+            x = dual_to_primal(to_coordinates(Y), cset)
+            pb.assert_feasible(x, cset)
+            X = from_coordinates(x, 3)
             traces = [float(np.trace(b).real) for b in cset.blocks(X)]
             if mode is TraceMode.EQUAL:
                 # Equality blocks hit the bound exactly.
@@ -115,9 +120,9 @@ def test_dual_to_primal_feasible_both_modes():
 
 def test_mirror_step_moves_against_gradient():
     cset = SpectraSet((2,))
-    Y = cset.zeros()
-    phi = pad_blocks([np.diag([1.0, -1.0])])
-    Y2, X2 = mirror_step(Y, phi, 0.5, cset)
+    Y = np.zeros((1, 4))
+    phi = to_coordinates(pad_blocks([np.diag([1.0, -1.0])]))
+    Y2, X2 = (from_coordinates(a, 2) for a in mirror_step(Y, phi, 0.5, cset))
     assert np.allclose(Y2[0], np.diag([-0.5, 0.5]))
     # Mass shifts toward the coordinate with the smaller mapping value.
     assert X2[0][1, 1].real > X2[0][0, 0].real
@@ -136,7 +141,7 @@ def test_run_starts_from_uniform_state():
                        schedule=StepSchedule.constant(1e-9), gap_every=1)
     run(SviProblem(base.constraints, recording, base.noise,
                    base.oracle_bound), cfg)
-    X0 = seen[0]
+    X0 = from_coordinates(seen[0], 2)
     for b in X0:
         assert np.allclose(b, np.eye(b.shape[0]) / b.shape[0], atol=1e-12)
 
@@ -152,7 +157,7 @@ def test_run_noiseless_quadratic_converges_all_methods():
         assert res.error is None
         assert res.gap_trace[-1][0] == 400
         assert res.gap_trace[-1][1] <= 0.05, method
-        pb.assert_feasible(res.final_point, prob.constraints)
+        pb.assert_feasible(to_coordinates(res.final_point), prob.constraints)
 
 
 def test_run_gap_trace_iterations_and_nonnegativity():
@@ -204,8 +209,8 @@ def test_mel_gap_measured_against_original_mapping():
     assert res.error is None
     final_gap = res.gap_trace[-1][1]
     from dataclasses import replace
-    reg = replace(prob, mapping=lambda X: prob.mapping(X) + 1.0 * X)
-    reg_gap = pb.strong_gap(reg, res.final_point)
+    reg = replace(prob, mapping=lambda x: prob.mapping(x) + 1.0 * x)
+    reg_gap = pb.strong_gap(reg, to_coordinates(res.final_point))
     # The iterate solves the regularized problem better than the original.
     assert reg_gap < final_gap
 
@@ -249,7 +254,7 @@ def test_measures_are_the_throughput_at_each_reported_point():
         for t in range(1, 7):
             lone = run(problem, replace(cfg, iterations=t, gap_every=t))
             rates = mimo.throughput(problem.mapping.channels,
-                                    lone.final_point)
+                                    to_coordinates(lone.final_point))
             assert np.array_equal(result.measures[t - 1], rates), (cfg, t)
 
 
@@ -275,11 +280,11 @@ def test_run_survives_numerical_failure_with_partial_trace():
     cset = SpectraSet((2,))
     calls = {"n": 0}
 
-    def flaky(X):
+    def flaky(x):
         calls["n"] += 1
         if calls["n"] > 8:
-            return pad_blocks([np.full((2, 2), np.nan)])
-        return X
+            return np.full((1, 4), np.nan)
+        return x
 
     prob = SviProblem(cset, flaky, oracle_bound=1.0)
     cfg = SolverConfig(Method.M_SMD, iterations=50,
@@ -312,7 +317,7 @@ def test_gap_iterations_reuse_the_mapping_of_the_last_iterate():
     cset = base.constraints
     rng = np.random.default_rng(cfg.seed)
     eta_at = cfg.schedule.resolve(base.oracle_bound, cset.total_dim, 20)
-    Y = cset.zeros()
+    Y = np.zeros((2, 4))
     X = dual_to_primal(Y, cset)
     trace = []
     for t in range(20):

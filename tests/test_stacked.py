@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 from spectra_svi import harness, linalg, mimo, mirror, solvers
 from spectra_svi import problem as pb
 from spectra_svi.errors import NumericalFailure
+from spectra_svi.linalg import from_coordinates, to_coordinates
 from spectra_svi.problem import SpectraSet, TraceMode
 
 # --- per-block references --------------------------------------------------
@@ -121,8 +122,11 @@ def _ref_run(problem, config):
     eta_at = config.schedule.resolve(
         problem.oracle_bound, cset.total_dim, config.iterations)
 
+    D = max(cset.dims)
+
     def mapping(blocks):
-        return list(cset.blocks(problem.mapping(pb.pad_blocks(blocks))))
+        x = to_coordinates(pb.pad_blocks(blocks))
+        return list(cset.blocks(from_coordinates(problem.mapping(x), D)))
 
     Y = [np.zeros((d, d), dtype=complex) for d in cset.dims]
     X = _ref_dual_to_primal(Y, cset)
@@ -208,7 +212,8 @@ def _gibbs_match(got, ref, duals, bounds):
 
 
 def _dual_to_primal_matches(Y, cset):
-    _gibbs_match(cset.blocks(solvers.dual_to_primal(Y, cset)),
+    X = solvers.dual_to_primal(to_coordinates(Y), cset)
+    _gibbs_match(cset.blocks(from_coordinates(X, max(cset.dims))),
                  _ref_dual_to_primal(cset.blocks(Y), cset), cset.blocks(Y),
                  [cset.bound] * len(cset.dims))
 
@@ -226,6 +231,13 @@ def _gap_tol(F, X, cset):
                for Fi, Xi in zip(F, X, strict=True))
     return (sum(_kernel_tol(Fi, cset.bound) for Fi in small)
             + 2 * len(F) * np.finfo(float).eps * size)
+
+
+def _covariances(channels, X):
+    """The received covariances I + sum_j H_ji X_j H_ji^dag of complex
+    profiles X, from the draws' operators, as the rates build them."""
+    w = mimo._received(channels, to_coordinates(X))
+    return from_coordinates(w, channels.stacked.shape[-2], plus=1.0)
 
 
 def _near(got, ref, rel=1e-13):
@@ -313,9 +325,9 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
     tol = [_kernel_tol(y, bound) for y in Y]
     for mode in TraceMode:
         cset = SpectraSet((2,) * len(Y), bound, mode)
-        X = solvers.dual_to_primal(Y, cset)
-        assert np.array_equal(X, X.conj().swapaxes(-1, -2))
-        pb.assert_feasible(X, cset)
+        x = solvers.dual_to_primal(to_coordinates(Y), cset)
+        pb.assert_feasible(x, cset)
+        X = from_coordinates(x, 2)
         assert np.min(np.linalg.eigvalsh(X)) >= -KERNEL_TOL * bound
         ref = _ref_dual_to_primal(list(Y), cset)
         for x, r, t in zip(X, ref, tol):
@@ -329,7 +341,8 @@ def test_closed_form_2x2_matches_lapack_references(duals, bound):
 @pytest.mark.parametrize("dims", [(2,) * 7, (4,) * 7, MIXED_DIMS])
 def test_noise_sample_matches_per_block_draws(dims):
     noise = pb.NoiseModel(2.5)
-    got = noise.sample(dims, np.random.default_rng(3))
+    got = from_coordinates(noise.sample(dims, np.random.default_rng(3)),
+                           max(dims))
     _same(got, dims, _ref_noise(2.5, dims, np.random.default_rng(3)))
     # The draw leaves the stream where per-block draws leave it.
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
@@ -352,13 +365,14 @@ def _ref_draws(sigmas, dims, rngs, count):
 def test_block_draws_equal_per_iteration_draws(dims):
     K = 5
     single = pb.NoiseModel(1.5).sample(dims, np.random.default_rng(7), K)
-    ref = _ref_draws([1.5], dims, [np.random.default_rng(7)], K)[:, 0]
+    ref = to_coordinates(
+        _ref_draws([1.5], dims, [np.random.default_rng(7)], K)[:, 0])
     assert single.shape == ref.shape and single.tobytes() == ref.tobytes()
     sigmas = [0.5, 0.0, 2.0]
     rngs, ref_rngs = ([np.random.default_rng(s) for s in (1, 2, 3)]
                       for _ in range(2))
     cells = pb.NoiseModel(np.array(sigmas)).sample(dims, rngs, K)
-    ref = _ref_draws(sigmas, dims, ref_rngs, K)
+    ref = to_coordinates(_ref_draws(sigmas, dims, ref_rngs, K))
     assert cells.shape == ref.shape and cells.tobytes() == ref.tobytes()
     # Each stream ends where K single draws leave it; sigma = 0 draws none.
     for rng, ref_rng in zip(rngs, ref_rngs):
@@ -370,17 +384,19 @@ def test_block_draws_equal_per_iteration_draws(dims):
 @pytest.mark.parametrize("count", [None, 1, 5])
 @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4), (2, 4, 2), MIXED_DIMS])
 def test_noise_coordinates_are_those_of_the_sampled_profiles(dims, count):
-    # Straight from the normals, bit for bit `to_coordinates` of the
-    # profiles, with the streams left where the profiles leave them.
+    # Straight from the normals, bit for bit the coordinates of the
+    # per-block reference draws, with the streams left where those leave
+    # them.
     for sigma, seeds in ((np.array([0.5, 0.0, 2.0]), (1, 2, 3)),
                          (np.array([0.0, 0.0]), (4, 5)), (1.5, (7,))):
         rngs, ref_rngs = ([np.random.default_rng(s) for s in seeds]
                           for _ in range(2))
         noise, cells = pb.NoiseModel(sigma), np.ndim(sigma) > 0
-        got = noise.sample(dims, rngs if cells else rngs[0], count,
-                           coordinates=True)
-        want = linalg.to_coordinates(noise.sample(
-            dims, ref_rngs if cells else ref_rngs[0], count))
+        got = noise.sample(dims, rngs if cells else rngs[0], count)
+        want = to_coordinates(_ref_draws(np.reshape(sigma, -1), dims,
+                                         ref_rngs, count or 1))
+        want = want if cells else want[:, 0]
+        want = want if count else want[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for rng, ref_rng in zip(rngs, ref_rngs):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -388,8 +404,7 @@ def test_noise_coordinates_are_those_of_the_sampled_profiles(dims, count):
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2)])
 def test_noise_draws_are_the_coordinates_of_one_draw(dims):
-    # Blocks of K calls, straight into coordinates, equal the
-    # coordinates of one draw of every call's profile.
+    # Blocks of K calls equal one draw of every call's noise.
     sigmas = np.array([1.0, 0.0, 0.5])
     problems = [pb.quadratic_test_problem(pb.random_feasible_profile(
                     SpectraSet(dims), np.random.default_rng(c)),
@@ -399,8 +414,8 @@ def test_noise_draws_are_the_coordinates_of_one_draw(dims):
     got = np.stack(list(pb.noise_draws(
         pb.stack_problems(problems),
         [np.random.default_rng(s) for s in (1, 2, 3)], calls)))
-    want = linalg.to_coordinates(pb.NoiseModel(sigmas).sample(
-        dims, [np.random.default_rng(s) for s in (1, 2, 3)], calls))
+    want = pb.NoiseModel(sigmas).sample(
+        dims, [np.random.default_rng(s) for s in (1, 2, 3)], calls)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -457,18 +472,18 @@ def test_game_mapping_and_throughput_match_per_block(m, n):
     rng = np.random.default_rng(5)
     for _ in range(5):
         X = pb.random_feasible_profile(cset, rng)
-        F, blocks = mimo.game_mapping(ch, X), cset.blocks(X)
+        x, blocks = to_coordinates(X), cset.blocks(X)
+        F = from_coordinates(mimo.game_mapping(ch, x), m)
         for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                             strict=True):
             _near(got, ref)
-        full = mimo.covariances(ch, X)
-        rates = mimo.throughput(ch, X)
+        full = _covariances(ch, X)
+        rates = mimo.throughput(ch, x)
         for i in range(topo.users):
             _near(full[i], _ref_received(ch, blocks, i, skip_own=False))
-            assert np.array_equal(full[i], full[i].conj().T)
             assert rates[i] == pytest.approx(
                 _ref_throughput(ch, blocks, i), rel=1e-12)
-            assert mimo.throughput(ch, X, i) == rates[i]
+            assert mimo.throughput(ch, x, i) == rates[i]
 
 
 def test_cells_on_several_draws_equal_their_lone_evaluations():
@@ -483,15 +498,11 @@ def test_cells_on_several_draws_equal_their_lone_evaluations():
         assert stacked.draw.tolist() == order
         assert stacked.draws == tuple(draws)
         rng = np.random.default_rng(22)
-        points = [pb.random_feasible_profile(topo.constraint_set(), rng)
-                  for _ in order]
-        X = np.stack(points)
-        F = mimo.game_mapping(stacked, X)
-        x = linalg.to_coordinates(X)
-        assert np.array_equal(mimo.game_mapping(stacked, x),
-                              linalg.to_coordinates(F))
-        rates = mimo.throughput(stacked, X)
-        assert np.array_equal(mimo.throughput(stacked, x), rates)
+        points = to_coordinates(np.stack([
+            pb.random_feasible_profile(topo.constraint_set(), rng)
+            for _ in order]))
+        F = mimo.game_mapping(stacked, points)
+        rates = mimo.throughput(stacked, points)
         for c, (d, point) in enumerate(zip(order, points)):
             lone = mimo.game_mapping(draws[d], point[None])
             assert np.array_equal(F[c], lone[0])
@@ -562,7 +573,7 @@ def _full_minus_own_rates(channels, X):
     """The rates as they were computed before the interference
     operators: the interference-only covariance is the full one less
     each H_ii X_i H_ii^dag, hermitianized."""
-    full = mimo.covariances(channels, X)
+    full = _covariances(channels, X)
     H = channels.direct_stacked
     own = H @ X @ H.conj().swapaxes(-1, -2)
     W = np.stack((full, linalg.hermitianize(full - own)))
@@ -600,7 +611,7 @@ def test_rates_match_the_full_minus_own_formula(topo):
         X = power * np.stack([
             pb.random_feasible_profile(topo.constraint_set(), rng)
             for _ in range(4)])
-        rates = mimo.throughput(cells, X)
+        rates = mimo.throughput(cells, to_coordinates(X))
         ref = _full_minus_own_rates(cells, X)
         assert rates.shape == (4, topo.users)
         assert np.all(np.abs(rates - ref)
@@ -616,9 +627,10 @@ def test_throughput_of_stacked_profiles_matches_one_at_a_time(topo):
     # profile with a leading axis on the cell's own channels.
     ch = mimo.sample_channels(topo, np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    points = [pb.random_feasible_profile(topo.constraint_set(), rng)
-              for _ in range(5)]
-    rates = mimo.throughput(ch, np.stack(points))
+    points = to_coordinates(np.stack([
+        pb.random_feasible_profile(topo.constraint_set(), rng)
+        for _ in range(5)]))
+    rates = mimo.throughput(ch, points)
     assert rates.shape == (5, topo.users)
     for got, X in zip(rates, points):
         assert np.array_equal(got, mimo.throughput(ch, X))
@@ -631,25 +643,23 @@ def test_game_mapping_with_unequal_antenna_counts():
     ch = mimo.sample_channels(topo, np.random.default_rng(6))
     cset = topo.constraint_set()
     X = pb.random_feasible_profile(cset, np.random.default_rng(7))
-    F, blocks = mimo.game_mapping(ch, X), cset.blocks(X)
-    assert F.shape == (3, 3, 3)
+    x, blocks = to_coordinates(X), cset.blocks(X)
+    F = mimo.game_mapping(ch, x)
+    assert F.shape == (3, 9)
+    F = from_coordinates(F, 3)
     for got, ref in zip(cset.blocks(F), _ref_game_mapping(ch, blocks),
                         strict=True):
         _near(got, ref)
-    full = mimo.covariances(ch, X)
+    full = _covariances(ch, X)
     assert full.shape == (3, 3, 3)
     for i, n_i in enumerate(topo.rx_antennas):
         _near(full[i, :n_i, :n_i],
               _ref_received(ch, blocks, i, skip_own=False))
         # the padded receive dimensions carry the identity alone
         assert np.array_equal(full[i, n_i:, :], np.eye(3)[n_i:])
-        assert mimo.throughput(ch, X, i) == pytest.approx(
+        assert mimo.throughput(ch, x, i) == pytest.approx(
             _ref_throughput(ch, blocks, i), rel=1e-12)
         assert mimo.throughput_gradient(ch, X, i).shape == (cset.dims[i],) * 2
-
-
-def _exactly_hermitian(F):
-    return np.array_equal(F, F.conj().swapaxes(-1, -2))
 
 
 def test_closed_form_gradients_with_a_padded_receiver():
@@ -664,10 +674,8 @@ def test_closed_form_gradients_with_a_padded_receiver():
     rng = np.random.default_rng(32)
     for _ in range(5):
         X = pb.random_feasible_profile(cset, rng)
-        F = mimo.game_mapping(ch, X)
-        assert _exactly_hermitian(F) and _padding_is_zero(F, cset.dims)
-        assert np.array_equal(mimo.game_mapping(ch, linalg.to_coordinates(X)),
-                              linalg.to_coordinates(F))
+        F = from_coordinates(mimo.game_mapping(ch, to_coordinates(X)), 3)
+        assert _padding_is_zero(F, cset.dims)
         refs = _ref_game_mapping(ch, cset.blocks(X))
         for got, ref in zip(cset.blocks(F), refs, strict=True):
             _near(got, ref)
@@ -687,8 +695,7 @@ def test_closed_form_gradients_on_near_rank_one_profiles(m, power):
                                + 1e-6 / m * np.eye(m))
                       for v in (linalg.random_unitary(rng, m)[:, 0]
                                 for _ in cset.dims)])
-        F = mimo.game_mapping(ch, X)
-        assert _exactly_hermitian(F)
+        F = from_coordinates(mimo.game_mapping(ch, to_coordinates(X)), m)
         refs = _ref_game_mapping(ch, cset.blocks(X))
         for got, ref in zip(cset.blocks(F), refs, strict=True):
             _near(got, ref)
@@ -706,11 +713,12 @@ def test_padding_stays_zero_on_unequal_antenna_counts():
         cset.dims, [np.random.default_rng(s) for s in range(3)])
     X = solvers.dual_to_primal(3.0 * Z, cset)
     # The Gibbs map fills the corners alone, whatever the dual's padding.
-    junk = 3.0 * Z + 7.0 * _outside(cset.dims)
+    junk = to_coordinates(from_coordinates(3.0 * Z, 3)
+                          + 7.0 * _outside(cset.dims))
     assert np.array_equal(solvers.dual_to_primal(junk, cset), X)
-    for profile in (Z, cells, X, mimo.game_mapping(ch, X),
-                    mimo.game_mapping(ch, np.stack([X, X]))):
-        assert _padding_is_zero(profile, cset.dims)
+    for x in (Z, cells, X, mimo.game_mapping(ch, X),
+              mimo.game_mapping(ch, np.stack([X, X]))):
+        assert _padding_is_zero(from_coordinates(x, 3), cset.dims)
     prob = mimo.game_to_svi(topo, ch, sigma=1.0)
     configs = [solvers.SolverConfig(method, 40,
                                     solvers.StepSchedule.harmonic_sqrt(),
@@ -728,36 +736,38 @@ def test_strong_gap_matches_per_block():
     prob = mimo.game_to_svi(topo, ch)
     for _ in range(5):
         X = pb.random_feasible_profile(prob.constraints, rng)
-        F = mimo.game_mapping(ch, X)
+        x = to_coordinates(X)
+        F = from_coordinates(mimo.game_mapping(ch, x), 4)
         cset = prob.constraints
-        assert pb.strong_gap(prob, X) == _ref_strong_gap(
+        assert pb.strong_gap(prob, x) == _ref_strong_gap(
             cset.blocks(F), cset.blocks(X), cset)
     for cset in _sets(MIXED_DIMS) + _sets((3, 4, 3, 4, 3)):
         B = pb.random_feasible_profile(cset, rng)
         prob = pb.quadratic_test_problem(B, cset)
         for _ in range(5):
             X = pb.random_feasible_profile(cset, rng)
-            F = prob.mapping(X)
+            x = to_coordinates(X)
+            F = from_coordinates(prob.mapping(x), max(cset.dims))
             blocks = cset.blocks(F), cset.blocks(X)
             ref = _ref_strong_gap(*blocks, cset)
-            assert abs(pb.strong_gap(prob, X) - ref) <= _gap_tol(*blocks, cset)
+            assert abs(pb.strong_gap(prob, x) - ref) <= _gap_tol(*blocks, cset)
 
 
 def test_assert_feasible_names_first_bad_block():
     rng = np.random.default_rng(9)
     for cset in _sets(MIXED_DIMS):
         X = pb.random_feasible_profile(cset, rng)
-        pb.assert_feasible(X, cset)
+        pb.assert_feasible(to_coordinates(X), cset)
         blocks = list(cset.blocks(X))
         blocks[2] = 3.0 * blocks[2] + np.eye(3)  # bound 1.5 exceeded
         blocks[4] = blocks[4] + np.eye(3)        # also broken, later block
         broken = ("exceeds bound 1.5" if cset.mode is TraceMode.AT_MOST
                   else "!= bound 1.5")
         with pytest.raises(pb.DomainError, match=f"block 2 trace .* {broken}"):
-            pb.assert_feasible(pb.pad_blocks(blocks), cset)
+            pb.assert_feasible(to_coordinates(pb.pad_blocks(blocks)), cset)
         blocks[1] = np.diag([0.5, -0.2])
         with pytest.raises(pb.DomainError, match="block 1 not PSD"):
-            pb.assert_feasible(pb.pad_blocks(blocks), cset)
+            pb.assert_feasible(to_coordinates(pb.pad_blocks(blocks)), cset)
 
 
 # --- the solver loop on mixed sets -----------------------------------------
@@ -802,7 +812,8 @@ def test_eig_failure_names_the_block():
     blocks[2] = np.full((3, 3), np.nan)
     for cset in _sets(MIXED_DIMS):
         with pytest.raises(NumericalFailure) as info:
-            solvers.dual_to_primal(pb.pad_blocks(blocks), cset)
+            solvers.dual_to_primal(to_coordinates(pb.pad_blocks(blocks)),
+                                   cset)
         assert info.value.diagnostics["block"] == 2
 
 
@@ -816,14 +827,12 @@ def test_run_keeps_trace_and_diagnostics_on_numerical_failure():
         base = pb.quadratic_test_problem(B, cset)
         calls = []
 
-        def poisoned(X):
+        def poisoned(x):
             calls.append(None)
-            F = base.mapping(X)
-            if len(calls) <= 12:
-                return F
-            blocks = list(cset.blocks(F))
-            blocks[3] = np.full((2, 2), np.nan)
-            return pb.pad_blocks(blocks)
+            F = base.mapping(x)
+            if len(calls) > 12:
+                F[..., 3, :] = np.nan  # block 3, with its padding
+            return F
 
         prob = pb.SviProblem(cset, poisoned, oracle_bound=base.oracle_bound)
         result = solvers.run(prob, config)
@@ -879,4 +888,5 @@ def test_infeasible_iterate_is_contained_and_written(tmp_path, monkeypatch):
         harness.build_tasks(config)[0])
     result = solvers.run(problem, solver_config)
     assert "exceeds bound 1" in result.error
-    pb.assert_feasible(result.final_point, problem.constraints)
+    pb.assert_feasible(to_coordinates(result.final_point),
+                       problem.constraints)
