@@ -594,12 +594,26 @@ def replacing(path: str | os.PathLike) -> Iterator[TextIO]:
 
 
 def write_csv(records: Iterable[GapRecord], path: str | os.PathLike) -> None:
-    """Pinned schema: method,m,n,sigma,lambda,path,iter,gap,elapsed_ms."""
+    """Pinned schema: method,m,n,sigma,lambda,path,iter,gap,elapsed_ms.
+
+    A cell's fields method to path are formatted once for each run of
+    its rows, and each distinct elapsed_ms once. Floats are told apart
+    by sign as well as value: 0.0 and -0.0 compare equal but print
+    apart."""
+    sign = math.copysign
     lines = [CSV_HEADER]
-    for r in sorted(records):
-        lines.append(",".join((
-            r.method, str(r.m), str(r.n), _fmt(r.sigma), _fmt(r.lam),
-            str(r.path), str(r.iteration), _fmt(r.gap), _fmt(r.elapsed_ms))))
+    cell = head = None
+    stamps: dict[tuple[float, float], str] = {}
+    for method, m, n, sigma, lam, p, it, gap, elapsed in sorted(records):
+        key = (method, m, n, sigma, lam, p, sign(1, sigma), sign(1, lam))
+        if key != cell:
+            cell = key
+            head = ",".join((method, str(m), str(n), _fmt(sigma), _fmt(lam),
+                             str(p), ""))
+        when = (elapsed, sign(1, elapsed))
+        if when not in stamps:
+            stamps[when] = _fmt(elapsed)
+        lines.append(f"{head}{it},{_fmt(gap)},{stamps[when]}")
     with replacing(path) as f:
         f.write("\n".join(lines) + "\n")
 

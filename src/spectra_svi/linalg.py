@@ -17,7 +17,9 @@ of a Hermitian argument (the Gibbs maps, entropies) are built in
 Eigenvalues are computed only where an eigenvalue is the answer: the
 Gibbs maps and the strong gap's lambda_min. The rates' log-determinants
 and the feasibility check take `cholesky`, and compute eigenvalues only
-to explain a failure.
+to explain a failure, except that the feasibility check of 2x2 blocks
+takes lambda_min from the closed form (`spectrum_2x2`), the numbers
+that explain its failures.
 
 `eig`, `eigvals`, `cholesky` and `hermitian_2x2` take a Hermitian
 input (A == A^dag entry for entry) and use it as given: they check it

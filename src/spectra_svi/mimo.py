@@ -57,6 +57,7 @@ from .problem import (
     SpectraSet,
     SviProblem,
     TraceMode,
+    check_shape,
 )
 
 # The stacked received-covariance operators of each tuple of draws (see
@@ -259,7 +260,12 @@ class ChannelSet:
 
     @functools.cached_property
     def direct_gain(self) -> float:
-        """max_i ||H_ii||_2^2, the game's noiseless oracle bound."""
+        """max_i ||H_ii||_2^2, the game's noiseless oracle bound: one
+        batched norm of the direct links when every user has the same
+        antenna counts (LAPACK still factors each link alone, so the
+        bits are those of one call per link), else one call per link."""
+        if len(set(self.tx_antennas)) == len(set(self.rx_antennas)) == 1:
+            return linalg.spectral_norm(self.direct_stacked) ** 2
         return max(linalg.spectral_norm(self.link(i, i)) ** 2
                    for i in range(self.users))
 
@@ -367,6 +373,7 @@ def throughput(channels: ChannelSet, x: np.ndarray,
     covariance that is not PD. With i = None, every user's rate as one
     array; x may carry leading axes (several profiles, or one per cell
     of stacked channels), and the rates then have shape (..., N)."""
+    check_shape(x, channels.tx_antennas)
     sums = np.stack((_received(channels, x),
                      _received(channels, x, interference=True)), axis=-3)
     logdet = _logdet_pd(from_coordinates(sums, channels.stacked.shape[-2],
@@ -411,14 +418,21 @@ def _gradients_2(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     W's coordinates are divided by s = max(W_11, W_22) first, so that no
     product overflows. Of the scaled W, W^{-1} = adj / (s det), where
     s det = det(W) / s >= lambda_min(W) >= 1. G's coordinates are then
-    four multiply-adds of W^{-1}'s with the rows of K."""
+    four multiply-adds of W^{-1}'s with the rows of K, added in order."""
     W = w + _EYE_2
     s = np.maximum(W[..., 0], W[..., 1])
     W /= s[..., None]
     square = W * W
     det = s * (W[..., 0] * W[..., 1] - (square[..., 2] + square[..., 3]))
     inverse = W[..., _ADJ_SOURCE] * (_ADJ_SIGN / det[..., None])
-    return (inverse[..., None] * K).sum(axis=-2)
+    terms = inverse[..., None] * K
+    G = terms[..., 0, :] + terms[..., 1, :]
+    G += terms[..., 2, :]
+    G += terms[..., 3, :]
+    # The bits of `terms.sum(axis=-2)`, which adds the rows in order
+    # from +0.0: only a sum of four -0.0 differs, and this makes it +0.0.
+    G += 0.0
+    return G
 
 
 def throughput_gradient(channels: ChannelSet, X: np.ndarray,
@@ -438,6 +452,7 @@ def game_mapping(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
     Hermitian coordinates x, shape (..., N, m^2), as coordinates. With
     stacked channels, x has a cell axis and every cell is evaluated in
     the same calls."""
+    check_shape(x, channels.tx_antennas)
     return -_gradient_coordinates(channels, x)
 
 

@@ -107,14 +107,6 @@ class SpectraSet:
         D = max(self.dims)
         return np.zeros(lead + (len(self.dims), D, D), dtype=complex)
 
-    def check_shape(self, x: np.ndarray) -> None:
-        """Raise DomainError unless x has the shape of the Hermitian
-        coordinates of this set's profiles, (..., N, D^2)."""
-        D = max(self.dims)
-        if x.shape[-2:] != (len(self.dims), D * D):
-            raise DomainError(f"profile shape {x.shape} does not match set "
-                              f"dims {self.dims}")
-
     def blocks(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """The blocks of profile X, as views of its corners."""
         return tuple(X[..., i, :d, :d] for i, d in enumerate(self.dims))
@@ -153,6 +145,16 @@ class SpectraSet:
         return out
 
 
+def check_shape(x: np.ndarray, dims: tuple[int, ...]) -> None:
+    """Raise DomainError unless x has the shape (..., N, D^2) of the
+    Hermitian coordinates of profiles of N blocks of sizes `dims`, D the
+    largest."""
+    D = max(dims)
+    if x.shape[-2:] != (len(dims), D * D):
+        raise DomainError(f"profile shape {x.shape} does not match set "
+                          f"dims {dims}")
+
+
 def _blockwise(fn: Callable[..., np.ndarray], arrays: Sequence[np.ndarray],
                index: Sequence[int]) -> np.ndarray:
     """fn(*arrays) on stacks of the blocks `index`; a NumericalFailure's
@@ -179,14 +181,19 @@ def assert_feasible(x: np.ndarray, cset: SpectraSet,
     Hermitian coordinates are x, shape (..., N, D^2), is PSD with a
     conforming trace.
 
-    A profile passes when X + psd_tol I has a Cholesky factor and the
-    blocks' diagonal sums conform: one batched `linalg.cholesky` call
-    per block size, made straight from the coordinates when all blocks
-    have one size. Otherwise the eigenvalues decide, and only then are
-    they computed: a block fails when lambda_min < -psd_tol or the sum of
-    its eigenvalues is out of bound, and the message names the first
-    failing block (of the first failing cell, when x has a cell axis)."""
-    cset.check_shape(x)
+    A profile passes when its blocks' diagonal sums conform and its
+    blocks are PSD to psd_tol. When every block is 2x2, PSD means
+    mu - r >= -psd_tol in the closed form of `linalg.spectrum_2x2`,
+    taken straight from the coordinates: the lambda_min that `eigvals`
+    gives the failure path, bit for bit, with no LAPACK call. Other
+    sizes pass when X + psd_tol I has a Cholesky factor: one batched
+    `linalg.cholesky` call per block size, made straight from the
+    coordinates when all blocks have one size. Otherwise the eigenvalues
+    decide, and only then are they computed: a block fails when
+    lambda_min < -psd_tol or the sum of its eigenvalues is out of bound,
+    and the message names the first failing block (of the first failing
+    cell, when x has a cell axis)."""
+    check_shape(x, cset.dims)
     D = max(cset.dims)
     bound, capped = cset.bound, cset.mode is TraceMode.AT_MOST
     same = min(cset.dims) == D
@@ -196,6 +203,9 @@ def assert_feasible(x: np.ndarray, cset: SpectraSet,
                 else np.abs(tr - bound) <= trace_tol)
 
     def conforms(Xg: np.ndarray) -> np.ndarray:
+        if same and D == 2:
+            mu, _, r = linalg.spectrum_2x2(Xg)
+            return trace_ok(Xg[..., 0] + Xg[..., 1]) & (mu - r >= -psd_tol)
         if same:
             psd = linalg.cholesky(from_coordinates(Xg, D, plus=psd_tol))
             # Summed as complex numbers, as np.trace sums the profile's
@@ -434,6 +444,7 @@ def oracle_sample(problem: SviProblem, x: np.ndarray,
     drawn now. With no noisy cell, nothing is drawn or added: the call
     returns F(X) and zeros.
     """
+    check_shape(x, problem.constraints.dims)
     if F is None:
         F = problem.mapping(x)
     noisy = problem.noise.noisy
@@ -480,6 +491,7 @@ def strong_gap(problem: SviProblem, x: np.ndarray,
     `SpectraSet.map_blocks`.
     """
     cset = problem.constraints
+    check_shape(x, cset.dims)
     D = max(cset.dims)
     if F is None:
         F = problem.mapping(x)

@@ -59,6 +59,7 @@ from .problem import (
     SviProblem,
     TraceMode,
     assert_feasible,
+    check_shape,
     noise_draws,
     oracle_sample,
     stack_problems,
@@ -198,7 +199,7 @@ def dual_to_primal(y: np.ndarray, cset: SpectraSet) -> np.ndarray:
     map per block size (`SpectraSet.map_blocks`). 2x2 blocks take the
     Gibbs maps' coordinate front end; blocks of any other size are
     mapped as complex blocks."""
-    cset.check_shape(y)
+    check_shape(y, cset.dims)
     equal = cset.mode is TraceMode.EQUAL
     if set(cset.dims) == {2}:
         def project(yk: np.ndarray) -> np.ndarray:
@@ -428,8 +429,8 @@ def _run_cells(problems: Sequence[SviProblem],
                 raise NumericalFailure(
                     f"strong gap {gaps.min():.3e} below feasible floor "
                     f"at iteration {it}")
-            for trace, gap in zip(traces, gaps):
-                trace.append((it, float(gap)))
+            for trace, gap in zip(traces, gaps.tolist()):
+                trace.append((it, gap))
             if measuring:
                 measures.append(values)
     except SpectraSviError as exc:

@@ -462,9 +462,9 @@ def _game_problems(m, n, seeds, sigmas):
 
 def test_passing_gap_iterations_build_no_complex_profile(monkeypatch):
     # A noisy 2x2 batch with a gap at every iteration passes each
-    # feasibility check and gap on Hermitian coordinates: the complex 2x2
-    # closed form does not run, and the traces are those of an unguarded
-    # run.
+    # feasibility check and gap on Hermitian coordinates: neither the
+    # complex 2x2 closed form nor a Cholesky factorization runs, and the
+    # traces are those of an unguarded run.
     problems = _game_problems(2, 2, (3, 4, 5, 6), (1.0, 2.0, 0.0, 0.5))
     configs = [SolverConfig(method, 12, StepSchedule.harmonic_sqrt(),
                             gap_every=1, seed=seed)
@@ -476,6 +476,7 @@ def test_passing_gap_iterations_build_no_complex_profile(monkeypatch):
         raise AssertionError("complex profile at a gap iteration")
 
     monkeypatch.setattr(linalg, "hermitian_2x2", refuse)
+    monkeypatch.setattr(linalg, "cholesky", refuse)
     guarded = solvers.run_batch(problems, configs)
     for a, b in zip(clean, guarded, strict=True):
         assert a.error is None and b.error is None

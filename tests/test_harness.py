@@ -742,6 +742,41 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _row_by_row_csv(records):
+    """The results CSV with every field of every row formatted alone."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    lines = [CSV_HEADER] + [",".join((
+        r.method, str(r.m), str(r.n), fmt(r.sigma), fmt(r.lam), str(r.path),
+        str(r.iteration), fmt(r.gap), fmt(r.elapsed_ms)))
+        for r in sorted(records)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_formatted_once_per_cell_is_the_row_by_row_csv(tmp_path):
+    # Timed cells of several batches, and cells whose sigma, lambda or
+    # elapsed_ms differ only in the sign of a zero: 0.0 and -0.0 compare
+    # equal, but each row keeps its own.
+    grid = run_grid(_small_config(antenna_pairs=((2, 2), (2, 4)),
+                                  record_timing=True), threads=1)
+    rng = np.random.default_rng(28)
+    records = list(grid.records)
+    assert len({r.elapsed_ms for r in records}) == 2
+    for sigma, lam, elapsed in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0),
+                                (0.0, -0.0, 0.0), (-0.0, -0.0, 1.5),
+                                (0.0, 0.5, -0.0), (-0.0, 0.5, 0.0)):
+        records += [GapRecord("mel", 2, 2, sigma, lam, path, it,
+                              float(rng.random()), elapsed)
+                    for path in (0, 1) for it in (1, 2, 3)]
+    rng.shuffle(records)
+    out = tmp_path / "results.csv"
+    write_csv(records, out)
+    assert out.read_bytes() == _row_by_row_csv(records)
+    text = out.read_text()
+    assert ",-0,0,0," in text and ",0,-0,1," in text and text.count(",-0\n")
+
+
 def test_csv_against_golden_fixture(tmp_path):
     # Checked-in output of the small grid; catches accidental changes to
     # seeding, solver arithmetic order, or CSV formatting. Regenerate

@@ -333,3 +333,53 @@ def test_game_to_svi_noise_margin():
     assert noisy.noise.sigma == 2.0
     assert noisy.oracle_bound == pytest.approx(
         quiet.oracle_bound + 6.0 * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (4, 2), (4, 4)])
+def test_direct_gain_of_uniform_links_is_that_of_one_norm_per_link(m, n):
+    # One batched norm of the direct links gives the bits of one call
+    # per link, on every draw.
+    topo = mimo.canonical_topology(m, n)
+    rng = np.random.default_rng(m * n)
+    for _ in range(20):
+        ch = mimo.sample_channels(topo, rng)
+        per_link = max(spectral_norm(ch.link(i, i)) ** 2 for i in range(7))
+        assert np.float64(ch.direct_gain).tobytes() == np.float64(
+            per_link).tobytes()
+
+
+def test_direct_gain_of_mixed_links_is_the_largest_of_their_norms():
+    topo = mimo.NetworkTopology((2, 3, 2), (3, 2, 2),
+                                mimo.DISTANCE_KM[:3, :3])
+    ch = mimo.sample_channels(topo, np.random.default_rng(29))
+    assert ch.direct_gain == max(
+        np.linalg.norm(ch.link(i, i), 2) ** 2 for i in range(3))
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 7), (150, 7)])
+@pytest.mark.parametrize("m", [2, 4])
+def test_closed_form_gradients_add_their_terms_as_one_sum(shape, m):
+    # The four terms of each gradient coordinate, added in order, give
+    # the bits of numpy's sum over them, signed zeros included: rows and
+    # columns of zeros, of either sign, in the operator.
+    rng = np.random.default_rng(m + len(shape))
+    w = rng.standard_normal(shape + (4,)) * [1, 1, 0.3, 0.3]
+    w[..., :2] = np.abs(w[..., :2])
+    K = rng.standard_normal(shape + (4, m * m))
+    K[..., 0, :] = -0.0
+    K[..., :, 1] = -0.0
+    K[..., 2:, 2] = 0.0
+    K[..., :, 3] = 0.0
+    got = mimo._gradients_2(w.copy(), K)
+    W = w + mimo._EYE_2
+    s = np.maximum(W[..., 0], W[..., 1])
+    W /= s[..., None]
+    det = s * (W[..., 0] * W[..., 1] - (W[..., 2] ** 2 + W[..., 3] ** 2))
+    inverse = W[..., mimo._ADJ_SOURCE] * (mimo._ADJ_SIGN / det[..., None])
+    terms = inverse[..., None] * K
+    want = terms.sum(axis=-2)
+    assert got.tobytes() == want.tobytes()
+    # the case where the sum starts from +0.0: four -0.0 terms
+    plain = ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) \
+        + terms[..., 3, :]
+    assert np.signbit(plain).any() and not np.signbit(want[want == 0]).any()

@@ -269,6 +269,69 @@ def test_coordinates_that_fail_the_check_fail_as_their_profiles(dims, mode):
                 message, None)
 
 
+def _ulps(value, steps):
+    """value moved by `steps` units in the last place, either way."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, toward)
+    return value
+
+
+@pytest.mark.parametrize("mode", list(TraceMode))
+def test_2x2_blocks_at_the_boundary_get_the_eigenvalue_verdict(mode):
+    # 2x2 blocks with lambda_min within a few ulps of -psd_tol, or a
+    # trace within a few ulps of bound +- trace_tol, next to two clean
+    # blocks. PSD is the verdict of the eigenvalues of the complex
+    # block; a trace fails when its diagonal sum is out of bound and the
+    # sum of its eigenvalues is too. A failure has the eigenvalue path's
+    # message.
+    psd_tol, trace_tol = pb.FEASIBILITY_PSD_TOL, pb.FEASIBILITY_TRACE_TOL
+    bound, capped = 1.5, mode is TraceMode.AT_MOST
+    cset = SpectraSet((2,) * 3, bound, mode)
+    rng = np.random.default_rng(28)
+
+    def out(tr):
+        return tr > bound + trace_tol if capped else abs(tr - bound) > trace_tol
+
+    def verdict(x, i):
+        w = linalg.eigvals(from_coordinates(x, 2))
+        lam, tr = w[i, -1], np.sum(w[i])
+        if lam < -psd_tol:
+            return f"block {i} not PSD: lambda_min = {lam:.3e}"
+        if out(x[i, 0] + x[i, 1]) and out(tr):
+            return (f"block {i} trace {tr:.12g} "
+                    + (f"exceeds bound {bound:.12g}" if capped
+                       else f"!= bound {bound:.12g}"))
+        return None
+
+    verdicts = []
+    for trial in range(40):
+        i = trial % 3
+        x = to_coordinates(pb.random_feasible_profile(SpectraSet(
+            (2,) * 3, bound), rng))
+        if trial % 2:
+            # block i with trace the bound and lambda_min -psd_tol, moved
+            # onto it by its diagonal
+            x[i] = to_coordinates(_with_lambda_min(cset, rng, -psd_tol, i))
+            x[i, :2] -= psd_tol + linalg.eigvals(from_coordinates(x[i], 2))[-1]
+        else:
+            # the trace of block i onto an edge of its tolerance band
+            edge = bound + (trace_tol if capped or trial % 4 else -trace_tol)
+            x[i, 0] = edge - x[i, 1]
+        for steps in range(-4, 5):
+            bad = x.copy()
+            bad[i, 0] = _ulps(x[i, 0], steps)
+            want = verdict(bad, i)
+            verdicts.append(want is None)
+            if want is None:
+                pb.assert_feasible(bad, cset)
+            else:
+                assert _raised(DomainError, pb.assert_feasible,
+                               bad, cset) == (want, None)
+    # the cases straddle the boundary
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 @pytest.mark.parametrize("dims", [(2,) * 3, (3,) * 3, (4,) * 3, (2, 3, 2)])
 def test_non_finite_coordinates_fail_as_their_profiles(dims):
     # A NaN in one block of one cell fails the check and the gap with
@@ -308,14 +371,18 @@ SEAMS = {
 @pytest.mark.parametrize("seam", list(SEAMS))
 def test_complex_profiles_are_refused_at_the_seams(seam, m, n, cells):
     # The seams take Hermitian coordinates, shape (..., N, m^2); a
-    # complex (..., N, m, m) profile raises instead of giving numbers.
+    # complex (..., N, m, m) profile, or coordinates one short, raise the
+    # DomainError that names the shape and the set's dims.
     topo = mimo.canonical_topology(m, n)
     rng = np.random.default_rng(m + n)
     prob = mimo.game_to_svi(topo, mimo.sample_channels(topo, rng), 1.0)
     X = np.stack([pb.random_feasible_profile(prob.constraints, rng)
                   for _ in range(cells or 1)])
-    with pytest.raises((DomainError, ValueError)):
-        SEAMS[seam](prob, X if cells else X[0])
+    X = X if cells else X[0]
+    for bad in (X, to_coordinates(X)[..., 1:]):
+        message = (f"profile shape {bad.shape} does not match set dims "
+                   f"{prob.constraints.dims}")
+        assert _raised(DomainError, SEAMS[seam], prob, bad) == (message, None)
 
 
 def test_noise_model_rejects_negative_or_non_finite_sigma():
