@@ -16,10 +16,19 @@ leading cell axis; `run` is its one-cell case. Every cell's result is
 bit for bit what it would be alone. Each iteration evaluates the game
 at most once: a gap iteration evaluates it on the batch's new iterates
 stacked with the averaging cells' averages, and that one result serves
-the next oracle call and the strong gaps at the reported points. An
-optional `measure` returns a quantity (such as per-player throughput)
-at the reported points of every iteration, from their Hermitian
-coordinates; the game is evaluated exactly as without one.
+the next oracle call and the strong gaps at the reported points. The
+rest of a gap iteration, its feasibility check and strong gap, is
+queued: up to GAP_CHUNK_ENTRIES Hermitian coordinates of reported
+points are checked at once, in one `assert_feasible` and one
+`strong_gap` call on the stacked chunk. The queue is checked when full,
+at iteration T and before a lone cell's failure is reported; a stack
+that fails or has a gap under GAP_FLOOR is checked again one iteration
+at a time, so a failing cell may run on to its next check with its
+results unchanged. An optional `measure` returns a quantity (such as
+per-player throughput) at the reported points of every iteration, from
+their Hermitian coordinates; the game is evaluated exactly as without
+one, and each gap iteration is checked right away, before its
+measure.
 
 Duals, iterates, averages, mapping values and noise are the Hermitian
 coordinates of padded profiles (see `problem` and `linalg`), real
@@ -67,6 +76,9 @@ from .problem import (
 )
 
 GAP_FLOOR = -1e-8
+# Hermitian coordinates of reported points in one stacked check of a
+# batch's queued gap iterations
+GAP_CHUNK_ENTRIES = 4096
 
 
 def horizon_stepsize(C: float, n: int, T: int) -> float:
@@ -242,9 +254,11 @@ class RunResult:
     per completed iteration 1..T, the measure at that iteration's
     reported point; None without one. iterate_seconds is the time of the
     oracle calls, mirror steps and averaging; gap_seconds that of the gap
-    iterations' feasibility checks, game evaluations, measures and gaps
-    (the measure of any other iteration counts in neither). In a batch,
-    both are those of the whole batch.
+    iterations' game evaluations and of the (queued) feasibility checks,
+    measures and gaps, with their floor tests and trace entries (the
+    measure of any other iteration counts in neither). In a batch, both
+    are those of the whole batch; a failed cell's include the iterations
+    it ran on to its next check.
     """
 
     final_point: np.ndarray
@@ -303,6 +317,11 @@ def run_batch(problems: Sequence[SviProblem],
     iteration t. The game is evaluated as it is without a measure. A
     measure that raises a package error fails its cell like any other,
     before that iteration's gap is recorded.
+
+    Without a measure, the gap iterations' checks are queued and made
+    GAP_CHUNK_ENTRIES reported coordinates at a time (see `_run_cells`);
+    a failing cell may run on to its next check, and its result is that
+    of checking each gap iteration at its own iteration.
     """
     try:
         return _run_cells(problems, configs, measure)
@@ -337,9 +356,21 @@ def _run_cells(problems: Sequence[SviProblem],
     by the averages of the averaging cells. That one result is the next
     oracle call's mapping (rows :C), and at the reported rows it gives
     the gaps. Any other iteration evaluates it on X_{t+1} alone, in the
-    next oracle call. The measure gets the reported rows. A failure
-    stops a lone cell with its partial trace; in a larger batch it
-    propagates to `run_batch`.
+    next oracle call. The measure gets the reported rows.
+
+    A gap iteration's reported points and their mapping rows are
+    queued, K iterations at most: K * C * N * D^2 <= GAP_CHUNK_ENTRIES
+    (K >= 1), and K = 1 with a measure, which must follow its own
+    iteration's check. The queue is checked when full and at iteration
+    T: one `assert_feasible` and one `strong_gap` on the stacked
+    (K, C, N, D^2) arrays, then the floor test, the final point and the
+    trace entries in iteration order. If the stack fails or a gap is
+    under the floor, the queued iterations are checked one at a time,
+    exactly as each would be at its own iteration. A failure stops a
+    lone cell with its partial trace: first the queue is checked, and
+    the feasibility check of a gap iteration whose mapping failed, so
+    the earliest failure is the one reported. In a larger batch a
+    failure propagates to `run_batch` at once.
     """
     T, gap_every = configs[0].iterations, configs[0].gap_every
     if any((c.iterations, c.gap_every) != (T, gap_every) for c in configs):
@@ -392,6 +423,55 @@ def _run_cells(problems: Sequence[SviProblem],
     error: str | None = None
     iterate_seconds = 0.0
     gap_seconds = 0.0
+    # Gap iterations whose checks are due: (iteration, reported points,
+    # their mapping values), checked `chunk` at a time; a measure must
+    # follow its own iteration's check.
+    queue: list[tuple[int, np.ndarray, np.ndarray]] = []
+    chunk = 1 if measuring else max(
+        1, GAP_CHUNK_ENTRIES // (C * len(cset.dims) * D * D))
+    unmapped: np.ndarray | None = None  # reported points being mapped
+
+    def check(it: int, reported: np.ndarray, F_reported: np.ndarray) -> None:
+        """One gap iteration's checks, in order: feasibility (which makes
+        the reported points final), the measure, the strong gap and its
+        floor; then the trace entries."""
+        nonlocal final
+        assert_feasible(reported, cset)
+        final = reported
+        values = measure(problem, reported) if measuring else None
+        gaps = strong_gap(problem, reported, F_reported)
+        if gaps.min() < GAP_FLOOR:
+            raise NumericalFailure(
+                f"strong gap {gaps.min():.3e} below feasible floor "
+                f"at iteration {it}")
+        for trace, gap in zip(traces, gaps.tolist()):
+            trace.append((it, gap))
+        if measuring:
+            measures.append(values)
+
+    def check_queue() -> None:
+        """The queued gap iterations' checks: one feasibility check and
+        one strong gap on their stacked points, or, when the stack fails
+        or a gap is under the floor, `check` on each in turn, which
+        fails where the first of them would have failed alone."""
+        nonlocal final
+        units = queue.copy()
+        queue.clear()
+        if len(units) > 1:
+            its, reported, F_reported = zip(*units)
+            reported = np.stack(reported)
+            try:
+                assert_feasible(reported, cset)
+                gaps = strong_gap(problem, reported, np.stack(F_reported))
+            except SpectraSviError:
+                gaps = None
+            if gaps is not None and not (gaps < GAP_FLOOR).any():
+                final = units[-1][1]
+                for trace, column in zip(traces, gaps.T.tolist()):
+                    trace.extend(zip(its, column))
+                return
+        for unit in units:
+            check(*unit)
 
     try:
         for t in range(T):
@@ -418,24 +498,26 @@ def _run_cells(problems: Sequence[SviProblem],
                 measures.append(measure(problem, reported))
                 continue
             tic = time.perf_counter()
-            assert_feasible(reported, cset)
-            final = reported
+            unmapped = reported
             F_points = evaluated.mapping(points)
+            unmapped = None
             F_next = F_points[:C]
-            values = measure(problem, reported) if measuring else None
-            gaps = strong_gap(problem, reported, F_points[rows])
+            queue.append((it, reported, F_points[rows]))
+            if len(queue) == chunk or it == T:
+                check_queue()
             gap_seconds += time.perf_counter() - tic
-            if gaps.min() < GAP_FLOOR:
-                raise NumericalFailure(
-                    f"strong gap {gaps.min():.3e} below feasible floor "
-                    f"at iteration {it}")
-            for trace, gap in zip(traces, gaps.tolist()):
-                trace.append((it, gap))
-            if measuring:
-                measures.append(values)
     except SpectraSviError as exc:
         if C > 1:
             raise
+        # The checks due before the failure come first, and so does the
+        # feasibility check of a gap iteration whose mapping failed.
+        try:
+            check_queue()
+            if unmapped is not None:
+                assert_feasible(unmapped, cset)
+                final = unmapped
+        except SpectraSviError as earlier:
+            exc = earlier
         error = _describe_error(exc)
 
     final = from_coordinates(final, D)

@@ -15,6 +15,7 @@ each one's lone draw, and the per-cell rate arrays write the bytes of
 the record-based throughput CSV.
 """
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from spectra_svi import harness, linalg, mimo, solvers
 from spectra_svi import problem as problem_mod
-from spectra_svi.errors import DomainError
+from spectra_svi.errors import DomainError, NumericalFailure
 from spectra_svi.harness import ExperimentConfig, MethodSpec
 from spectra_svi.linalg import from_coordinates
 from spectra_svi.problem import (
@@ -48,6 +49,7 @@ from spectra_svi.solvers import (
     mirror_step,
     update_average,
 )
+from test_stacked import _doubling_after
 
 SCHEDULES = (StepSchedule.harmonic_sqrt(), StepSchedule.harmonic(),
              StepSchedule.horizon(), StepSchedule.constant(0.3))
@@ -547,3 +549,69 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
             assert np.array_equal(result.measures, rows)
         else:
             assert result.measures is None
+
+
+@settings(max_examples=25)
+@given(batches(), st.data())
+def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
+    # Injected failures: one cell's noise turns to NaN, the iterates turn
+    # infeasible, or the mapping raises or gives NaN, each from a drawn
+    # iteration or call on, counted afresh in every batch that
+    # split-and-rerun makes. Checking gap iterations in stacked chunks
+    # gives the results of checking each at its own iteration, failures
+    # included, and a failing lone cell runs on to its next check
+    # without a RuntimeWarning.
+    kind, problems, configs, measured = batch
+    T = configs[0].iterations
+    nan_cell = data.draw(st.none() | st.integers(0, len(configs) - 1))
+    nan_from = data.draw(st.integers(0, T - 1))
+    doubled_from = data.draw(st.none() | st.integers(0, T))
+    poisoned_from = data.draw(st.none() | st.integers(1, 3 * T))
+    poison = data.draw(st.sampled_from(("raise", "nan")))
+    calls = [0]
+
+    def poisoned(mapping):
+        def inner(*args):
+            calls[0] += 1
+            F = mapping(*args)
+            if poisoned_from is None or calls[0] < poisoned_from:
+                return F
+            if poison == "raise":
+                raise NumericalFailure(f"mapping poisoned at call {calls[0]}")
+            return np.full_like(F, np.nan)
+        return inner
+
+    if kind == "quadratic":
+        problems = [replace(p, mapping=poisoned(p.mapping)) for p in problems]
+        measure = ((lambda problem, reported: _entries(reported))
+                   if measured else None)
+    else:
+        measure = harness.reported_rates if measured else None
+    real_rng, real_cells = np.random.default_rng, solvers._run_cells
+    real_game = mimo.game_mapping
+    nan_seed = None if nan_cell is None else configs[nan_cell].seed
+
+    def run_cells(*args):
+        calls[0] = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda seed=None: (
+                _FailingStream(real_rng(seed), nan_from) if seed == nan_seed
+                else real_rng(seed)))
+            if doubled_from is not None:
+                _doubling_after(doubled_from, mp)
+            mp.setattr(mimo, "game_mapping", poisoned(real_game))
+            return real_cells(*args)
+
+    cset = problems[0].constraints
+    unit = len(configs) * len(cset.dims) * max(cset.dims) ** 2
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(solvers, "_run_cells", run_cells)
+        for budget in (solvers.GAP_CHUNK_ENTRIES, 1, 2 * unit):
+            mp.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+            outcomes.append([
+                (r.gap_trace, r.final_point.tobytes(), r.error,
+                 None if r.measures is None else r.measures.tobytes())
+                for r in solvers.run_batch(problems, configs, measure)])
+    assert outcomes[0] == outcomes[1] == outcomes[2]

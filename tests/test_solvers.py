@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectra_svi import harness, mimo, problem as pb
+from spectra_svi import harness, mimo, problem as pb, solvers
 from spectra_svi.errors import DomainError
 from spectra_svi.linalg import (
     from_coordinates,
@@ -28,6 +28,7 @@ from spectra_svi.solvers import (
     horizon_stepsize,
     update_average,
 )
+from test_stacked import _doubling_after
 
 
 def _quadratic(seed=0, players=2, dim=2, sigma=0.0, mode=TraceMode.EQUAL):
@@ -386,6 +387,92 @@ def _mixed_batch(gap_every):
                             gap_every=gap_every, seed=seed)
                for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2))]
     return _game_cells()[:2], configs
+
+
+@pytest.mark.parametrize("budget", (1, solvers.GAP_CHUNK_ENTRIES),
+                         ids=("one-unit", "default"))
+def test_a_gap_under_the_floor_fails_its_cell(budget, monkeypatch):
+    # The game's gaps stay above the floor, so the strong gap is lowered
+    # by 1 wherever a checked row is, bit for bit, cell 1's reported
+    # point at gap iteration 6, in a stack of queued gap iterations or
+    # alone. The cell fails there with its trace up to iteration 4 and
+    # that point as its final point; the other cells are untouched.
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+    problems = _game_cells()
+    configs = [SolverConfig(method, 12, StepSchedule.harmonic_sqrt(),
+                            gap_every=2, seed=seed)
+               for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2),
+                                    (Method.MEL, 3))]
+    checked = []
+    real = solvers.strong_gap
+
+    def recorded(problem, x, F=None):
+        checked.append(x)
+        return real(problem, x, F)
+
+    monkeypatch.setattr(solvers, "strong_gap", recorded)
+    clean = run_batch(problems, configs)
+    units = np.concatenate([x.reshape(-1, *x.shape[-3:]) for x in checked])
+    target = units[2, 1]  # cell 1 at the third gap iteration, 6
+    [gap] = [g for it, g in clean[1].gap_trace if it == 6]
+    assert gap < 1.0
+
+    def lowered(problem, x, F=None):
+        hit = np.all(x == target, axis=(-2, -1))
+        return real(problem, x, F) - hit
+
+    monkeypatch.setattr(solvers, "strong_gap", lowered)
+    results = run_batch(problems, configs)
+    assert results[1].error == (
+        f"strong gap {gap - 1.0:.3e} below feasible floor at iteration 6")
+    assert results[1].gap_trace == clean[1].gap_trace[:2]
+    assert (results[1].final_point.tobytes()
+            == from_coordinates(target, 2).tobytes())
+    for c in (0, 2):
+        assert results[c].error is None
+        assert results[c].gap_trace == clean[c].gap_trace
+        assert (results[c].final_point.tobytes()
+                == clean[c].final_point.tobytes())
+
+
+@pytest.mark.parametrize("budget", (1, solvers.GAP_CHUNK_ENTRIES),
+                         ids=("one-unit", "default"))
+@pytest.mark.parametrize("infeasible", (False, True),
+                         ids=("feasible", "infeasible"))
+def test_a_gap_iteration_whose_mapping_fails_is_checked_first(
+        budget, infeasible, monkeypatch):
+    # M-SMD, gaps at 3, 6, 9 and 12: mapping call 7 evaluates the game at
+    # gap iteration 6 and raises. The feasibility check of that iteration
+    # comes first: a feasible X_6 becomes the final point and the
+    # mapping's error stands; X_6 doubled (X_5 on) fails the check.
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+    base = _quadratic(seed=16, sigma=0.5)
+    calls = []
+
+    def failing(x):
+        calls.append(None)
+        if len(calls) == 7:
+            raise DomainError("mapping failed at call 7")
+        return base.mapping(x)
+
+    def config(T):
+        return SolverConfig(Method.M_SMD, T, StepSchedule.harmonic_sqrt(),
+                            gap_every=3, seed=6)
+
+    # Under a harmonic schedule the run stopped at 3 or 6 reports X_3 or
+    # X_6 as the full run does.
+    X_3, X_6 = (run(base, config(T)).final_point for T in (3, 6))
+    clean = run(base, config(12))
+    if infeasible:
+        _doubling_after(5, monkeypatch)
+    result = run(replace(base, mapping=failing), config(12))
+    assert result.gap_trace == clean.gap_trace[:1]
+    if infeasible:
+        assert result.error == "block 0 trace 2 != bound 1"
+        assert result.final_point.tobytes() == X_3.tobytes()
+    else:
+        assert result.error == "mapping failed at call 7"
+        assert result.final_point.tobytes() == X_6.tobytes()
 
 
 def test_averaged_trajectory_moves_less_than_iterates():

@@ -770,6 +770,55 @@ def test_assert_feasible_names_first_bad_block():
             pb.assert_feasible(to_coordinates(pb.pad_blocks(blocks)), cset)
 
 
+@pytest.mark.parametrize("dims", ((2, 2, 2), (4, 4), MIXED_DIMS),
+                         ids=("2x2", "4x4", "mixed"))
+def test_stacked_gap_checks_equal_their_unit_calls(dims):
+    # The solver checks K queued gap iterations of C cells at once, on
+    # (K, C, N, D^2) arrays. The strong gaps are those of the K unit
+    # calls bit for bit. The feasibility check passes exactly when every
+    # unit passes, and otherwise names the block that the first failing
+    # unit's own call names.
+    rng = np.random.default_rng(15)
+    K, C = 5, 3
+    for cset in _sets(dims):
+        prob = pb.quadratic_test_problem(
+            pb.random_feasible_profile(cset, rng), cset)
+        X = np.stack([[pb.random_feasible_profile(cset, rng)
+                       for _ in range(C)] for _ in range(K)])
+        F = np.stack([[_random_profile(rng, dims) for _ in range(C)]
+                      for _ in range(K)])
+        x = to_coordinates(X)
+        gaps = pb.strong_gap(prob, x, to_coordinates(F))
+        assert gaps.shape == (K, C)
+        for k in range(K):
+            unit = pb.strong_gap(prob, x[k], to_coordinates(F[k]))
+            assert gaps[k].tobytes() == unit.tobytes()
+        for trial in range(6):
+            broken = X.copy()
+            for _ in range(trial % 3):
+                k, c, i = (rng.integers(K), rng.integers(C),
+                           rng.integers(len(dims)))
+                d = dims[i]
+                if rng.integers(2):
+                    broken[k, c, i, :d, :d] += 2.0 * np.eye(d)
+                else:
+                    broken[k, c, i, :d, :d] += np.diag(
+                        [-2.0, 2.0] + [0.0] * (d - 2))
+            x = to_coordinates(broken)
+            errors = [_feasibility_error(x[k], cset) for k in range(K)]
+            failing = [e for e in errors if e is not None]
+            assert _feasibility_error(x, cset) == (
+                failing[0] if failing else None)
+
+
+def _feasibility_error(x, cset):
+    try:
+        pb.assert_feasible(x, cset)
+    except pb.DomainError as exc:
+        return str(exc)
+    return None
+
+
 # --- the solver loop on mixed sets -----------------------------------------
 
 
