@@ -37,13 +37,14 @@ import signal
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from itertools import product
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SpectraSviError
 from .mimo import (
     ChannelSet,
     NetworkTopology,
@@ -325,8 +326,9 @@ def cell_problem(task: CellTask, channels: ChannelSet | None = None
 def reported_rates(problem: SviProblem, reported: np.ndarray) -> np.ndarray:
     """The run's measure: every player's rate at a batch's reported
     points, given as Hermitian coordinates, one row per cell of the
-    stacked game `problem`. Looked up as the module's `throughput`, the
-    name the bench wraps."""
+    stacked game `problem`, after any leading axes (one per queued
+    iteration), bit for bit those of one call per iteration. Looked up
+    as the module's `throughput`, the name the bench wraps."""
     return throughput(problem.mapping.channels, reported)
 
 
@@ -401,8 +403,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> GridResult:
     count, receive count and cell count, so the costliest pair does not
     start last on a worker that is otherwise idle. A batch that raises
     becomes one failure line per cell of it in the result's `failures`,
-    which are the only report of it, and so does the batch a worker held
-    when it died; the other batches' records are kept. While workers
+    and so does the batch a worker held when it died; the other batches'
+    records are kept. An exception from outside the package (not a
+    warning raised as an error) also writes its traceback to stderr,
+    from the worker that ran the batch. While workers
     run, SIGTERM kills and reaps them before it ends this process, and
     the kernel kills them with this process on a SIGKILL (`_forked`).
     Each batch's output keeps its place in grid order and gap records
@@ -450,6 +454,13 @@ def _run_batch(batch: list[CellTask]) -> GridResult:
     try:
         return run_cell(*batch)
     except Exception as exc:
+        # An exception from outside the package, other than a warning
+        # that the warnings filter made an error (`-W error`), is a bug in
+        # the run path: its stack goes to stderr (a worker's is this
+        # process's).
+        if not isinstance(exc, (SpectraSviError, Warning)) and sys.stderr:
+            traceback.print_exc(file=sys.stderr)
+            sys.stderr.flush()
         return _failed(batch, f"{type(exc).__name__}: {exc}")
 
 

@@ -237,20 +237,23 @@ class ChannelSet:
     def received(self, x: np.ndarray,
                  interference: bool = False) -> np.ndarray:
         """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian
-        coordinates, shape (R, N n^2), for the R profiles whose Hermitian
-        coordinates are the rows of x, shape (R, N m^2); with stacked
+        coordinates, shape (..., R, N n^2), for the R profiles whose
+        Hermitian coordinates are the rows of x, shape (..., R, N m^2),
+        with any leading axes (one per iteration, say); with stacked
         channels, row r is on cell r's draw. With `interference`, the
         sums over j != i alone.
 
-        One broadcast product of the rows, laid out as `_layout` says,
-        with the draws' operators: each row is a (1, N m^2) x
-        (N m^2, N n^2) product of its own, so a row's bits do not depend
-        on how many rows share the call or on how their draws lie."""
+        One broadcast product of the rows, gathered and scattered along
+        the row axis as `_layout` says, with the draws' operators: each
+        row is a (1, N m^2) x (N m^2, N n^2) product of its own, so a
+        row's bits do not depend on how many rows share the call or on
+        how their draws lie."""
         take, put, operators = self._layout
         if interference:
             operators = self._interference
-        rows = x[take].reshape(-1, len(operators), 1, x.shape[-1])
-        return (rows @ operators).reshape(-1, operators.shape[-1])[put]
+        rows = x[..., take, :].reshape(-1, len(operators), 1, x.shape[-1])
+        w = rows @ operators
+        return w.reshape(x.shape[:-2] + (-1, w.shape[-1]))[..., put, :]
 
     @functools.cached_property
     def direct_stacked(self) -> np.ndarray:
@@ -325,11 +328,12 @@ def _received(channels: ChannelSet, x: np.ndarray,
               interference: bool = False) -> np.ndarray:
     """Every receiver's sum_j H_ji X_j H_ji^dag in Hermitian coordinates,
     shape (..., N, n^2), for the Hermitian coordinates x of profiles X,
-    shape (..., N, m^2), of any leading axes (one per cell of stacked
-    channels): one product with the draw's operator per profile. With
-    `interference`, the sums over j != i alone."""
+    shape (..., N, m^2), of any leading axes (the last one per cell of
+    stacked channels): one product with the draw's operator per profile.
+    With `interference`, the sums over j != i alone."""
     lead, N = x.shape[:-2], x.shape[-2]
-    w = channels.received(x.reshape(-1, N * x.shape[-1]), interference)
+    w = channels.received(x.reshape(lead[:-1] + (-1, N * x.shape[-1])),
+                          interference)
     return w.reshape(lead + (N, -1))
 
 
@@ -372,7 +376,9 @@ def throughput(channels: ChannelSet, x: np.ndarray,
     log-determinants. Eigenvalues are computed only to report a
     covariance that is not PD. With i = None, every user's rate as one
     array; x may carry leading axes (several profiles, or one per cell
-    of stacked channels), and the rates then have shape (..., N)."""
+    of stacked channels after any others, such as one per iteration),
+    and the rates then have shape (..., N), each row bit for bit that
+    of a call on its profile alone."""
     check_shape(x, channels.tx_antennas)
     sums = np.stack((_received(channels, x),
                      _received(channels, x, interference=True)), axis=-3)

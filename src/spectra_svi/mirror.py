@@ -99,7 +99,7 @@ def gibbs_map_bounded(Y: np.ndarray, p: float) -> np.ndarray:
     denom = np.sum(e, axis=-1, keepdims=True) + np.exp(-m)
     X = hermitianize(
         (V * (e / denom)[..., None, :]) @ V.conj().swapaxes(-1, -2))
-    return p * X
+    return X if p == 1 else p * X
 
 
 def _gibbs_2x2(Y: np.ndarray, slack: bool) -> np.ndarray:

@@ -18,17 +18,16 @@ at most once: a gap iteration evaluates it on the batch's new iterates
 stacked with the averaging cells' averages, and that one result serves
 the next oracle call and the strong gaps at the reported points. The
 rest of a gap iteration, its feasibility check and strong gap, is
-queued: up to GAP_CHUNK_ENTRIES Hermitian coordinates of reported
-points are checked at once, in one `assert_feasible` and one
-`strong_gap` call on the stacked chunk. The queue is checked when full,
-at iteration T and before a lone cell's failure is reported; a stack
-that fails or has a gap under GAP_FLOOR is checked again one iteration
-at a time, so a failing cell may run on to its next check with its
-results unchanged. An optional `measure` returns a quantity (such as
-per-player throughput) at the reported points of every iteration, from
-their Hermitian coordinates; the game is evaluated exactly as without
-one, and each gap iteration is checked right away, before its
-measure.
+queued, and so is the optional `measure`, a quantity (such as
+per-player throughput) at the reported points of every iteration,
+from their Hermitian coordinates: up to GAP_CHUNK_ENTRIES Hermitian
+coordinates of reported points are checked at once, in one
+`assert_feasible`, one `measure` and one `strong_gap` call on the
+stacked chunk. The queue is checked when full, at iteration T and
+before a lone cell's failure is reported; a stack that fails or has a
+gap under GAP_FLOOR is checked again one iteration at a time, so a
+failing cell may run on to its next check with its results unchanged.
+The game is evaluated exactly as without a measure.
 
 Duals, iterates, averages, mapping values and noise are the Hermitian
 coordinates of padded profiles (see `problem` and `linalg`), real
@@ -253,12 +252,11 @@ class RunResult:
     message and the diagnostics. With a measure, `measures` has one row
     per completed iteration 1..T, the measure at that iteration's
     reported point; None without one. iterate_seconds is the time of the
-    oracle calls, mirror steps and averaging; gap_seconds that of the gap
-    iterations' game evaluations and of the (queued) feasibility checks,
-    measures and gaps, with their floor tests and trace entries (the
-    measure of any other iteration counts in neither). In a batch, both
-    are those of the whole batch; a failed cell's include the iterations
-    it ran on to its next check.
+    oracle calls, mirror steps and averaging; gap_seconds that of the
+    rest: the gap iterations' game evaluations and the queued
+    feasibility checks, measures and gaps, with their floor tests and
+    trace entries. In a batch, both are those of the whole batch; a
+    failed cell's include the iterations it ran on to its next check.
     """
 
     final_point: np.ndarray
@@ -292,8 +290,10 @@ def run(problem: SviProblem, config: SolverConfig) -> RunResult:
     return run_batch([problem], [config])[0]
 
 
-# measure(problem, reported) -> values at the reported points, one row
-# per cell; `reported` holds their Hermitian coordinates, (C, N, D^2).
+# measure(problem, reported) -> values at the reported points of K >= 1
+# queued iterations, (K, C, ...), bit for bit those of K calls of one
+# iteration each; `reported` holds their Hermitian coordinates,
+# (K, C, N, D^2).
 Measure = Callable[[SviProblem, np.ndarray], np.ndarray]
 
 
@@ -309,19 +309,20 @@ def run_batch(problems: Sequence[SviProblem],
     from its seeds, down to the failing cells, which then end exactly as
     their lone runs do.
 
-    measure, when given, is called at every iteration with the C cells'
-    stacked problem (`problem.stack_problems`) and the Hermitian
-    coordinates of their reported points, a real (C, N, D^2) array (see
-    `linalg.to_coordinates`), and returns the measured values, one row
-    per cell; row t - 1 of each cell's `measures` is its value at
-    iteration t. The game is evaluated as it is without a measure. A
-    measure that raises a package error fails its cell like any other,
-    before that iteration's gap is recorded.
+    measure, when given, takes the C cells' stacked problem
+    (`problem.stack_problems`) and the Hermitian coordinates of their
+    reported points at K >= 1 queued iterations, a real (K, C, N, D^2)
+    array (see `linalg.to_coordinates`), and returns the measured
+    values, one row per iteration and cell; row t - 1 of each cell's
+    `measures` is its value at iteration t. The game is evaluated
+    as it is without a measure. A measure that raises a package error
+    fails its cell like any other, before that iteration's gap is
+    recorded.
 
-    Without a measure, the gap iterations' checks are queued and made
+    The gap iterations' checks and the measure are queued and made
     GAP_CHUNK_ENTRIES reported coordinates at a time (see `_run_cells`);
     a failing cell may run on to its next check, and its result is that
-    of checking each gap iteration at its own iteration.
+    of checking and measuring each iteration at its own iteration.
     """
     try:
         return _run_cells(problems, configs, measure)
@@ -359,18 +360,20 @@ def _run_cells(problems: Sequence[SviProblem],
     next oracle call. The measure gets the reported rows.
 
     A gap iteration's reported points and their mapping rows are
-    queued, K iterations at most: K * C * N * D^2 <= GAP_CHUNK_ENTRIES
-    (K >= 1), and K = 1 with a measure, which must follow its own
-    iteration's check. The queue is checked when full and at iteration
-    T: one `assert_feasible` and one `strong_gap` on the stacked
-    (K, C, N, D^2) arrays, then the floor test, the final point and the
-    trace entries in iteration order. If the stack fails or a gap is
-    under the floor, the queued iterations are checked one at a time,
-    exactly as each would be at its own iteration. A failure stops a
-    lone cell with its partial trace: first the queue is checked, and
-    the feasibility check of a gap iteration whose mapping failed, so
-    the earliest failure is the one reported. In a larger batch a
-    failure propagates to `run_batch` at once.
+    queued, and with a measure the reported points of the other
+    iterations too, K iterations at most:
+    K * C * N * D^2 <= GAP_CHUNK_ENTRIES (K >= 1). The queue is checked
+    when full and at iteration T: the reported points are stacked once,
+    then come one `assert_feasible` on the gap iterations' points (the
+    last becomes the final point), one `measure` on all (K, C, N, D^2)
+    of them and one `strong_gap` with its floor test, then the trace
+    entries and the measure rows in iteration order. If the stack fails
+    or a gap is under the floor, the same check is made on each queued
+    iteration alone, a stack of one, exactly as it would be at its own
+    iteration. A failure stops a lone cell with its partial trace: first
+    the queue is checked, and the feasibility check of a gap iteration
+    whose mapping failed, so the earliest failure is the one reported.
+    In a larger batch a failure propagates to `run_batch` at once.
     """
     T, gap_every = configs[0].iterations, configs[0].gap_every
     if any((c.iterations, c.gap_every) != (T, gap_every) for c in configs):
@@ -423,55 +426,56 @@ def _run_cells(problems: Sequence[SviProblem],
     error: str | None = None
     iterate_seconds = 0.0
     gap_seconds = 0.0
-    # Gap iterations whose checks are due: (iteration, reported points,
-    # their mapping values), checked `chunk` at a time; a measure must
-    # follow its own iteration's check.
-    queue: list[tuple[int, np.ndarray, np.ndarray]] = []
-    chunk = 1 if measuring else max(
-        1, GAP_CHUNK_ENTRIES // (C * len(cset.dims) * D * D))
+    # Iterations whose checks are due: (iteration, reported points, their
+    # mapping values at a gap iteration, else None), checked `chunk` at a
+    # time. Without a measure only gap iterations are queued.
+    queue: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+    chunk = max(1, GAP_CHUNK_ENTRIES // (C * len(cset.dims) * D * D))
     unmapped: np.ndarray | None = None  # reported points being mapped
 
-    def check(it: int, reported: np.ndarray, F_reported: np.ndarray) -> None:
-        """One gap iteration's checks, in order: feasibility (which makes
-        the reported points final), the measure, the strong gap and its
-        floor; then the trace entries."""
+    def check(units: list[tuple[int, np.ndarray, np.ndarray | None]]
+              ) -> None:
+        """Queued iterations' checks on their stacked points, in order:
+        one feasibility check of the gap iterations' points (which makes
+        the last of them final), one measure of all of them and one
+        strong gap with its floor; then the trace entries and the
+        measure rows, in iteration order."""
         nonlocal final
-        assert_feasible(reported, cset)
-        final = reported
-        values = measure(problem, reported) if measuring else None
-        gaps = strong_gap(problem, reported, F_reported)
-        if gaps.min() < GAP_FLOOR:
-            raise NumericalFailure(
-                f"strong gap {gaps.min():.3e} below feasible floor "
-                f"at iteration {it}")
-        for trace, gap in zip(traces, gaps.tolist()):
-            trace.append((it, gap))
-        if measuring:
-            measures.append(values)
+        its, reported, F_reported = zip(*units)
+        due = [k for k, F in enumerate(F_reported) if F is not None]
+        stacked = np.stack(reported)
+        gaps = np.empty((0, C))
+        if due:
+            points = stacked[due]
+            assert_feasible(points, cset)
+            final = reported[due[-1]]
+        values = measure(problem, stacked) if measuring else ()
+        if due:
+            gaps = strong_gap(problem, points,
+                              np.stack([F_reported[k] for k in due]))
+            if gaps.min() < GAP_FLOOR:  # only a lone unit's error stands
+                raise NumericalFailure(
+                    f"strong gap {gaps.min():.3e} below feasible floor "
+                    f"at iteration {its[-1]}")
+        for trace, column in zip(traces, gaps.T.tolist()):
+            trace.extend(zip([its[k] for k in due], column))
+        measures.extend(values)
 
     def check_queue() -> None:
-        """The queued gap iterations' checks: one feasibility check and
-        one strong gap on their stacked points, or, when the stack fails
-        or a gap is under the floor, `check` on each in turn, which
-        fails where the first of them would have failed alone."""
+        """`check` on the queued iterations together, or, when that
+        fails, on each in turn, which fails where the first of them would
+        have failed alone."""
         nonlocal final
         units = queue.copy()
         queue.clear()
         if len(units) > 1:
-            its, reported, F_reported = zip(*units)
-            reported = np.stack(reported)
+            kept = final
             try:
-                assert_feasible(reported, cset)
-                gaps = strong_gap(problem, reported, np.stack(F_reported))
+                return check(units)
             except SpectraSviError:
-                gaps = None
-            if gaps is not None and not (gaps < GAP_FLOOR).any():
-                final = units[-1][1]
-                for trace, column in zip(traces, gaps.T.tolist()):
-                    trace.extend(zip(its, column))
-                return
+                final = kept
         for unit in units:
-            check(*unit)
+            check([unit])
 
     try:
         for t in range(T):
@@ -489,20 +493,18 @@ def _run_cells(problems: Sequence[SviProblem],
             iterate_seconds += time.perf_counter() - tic
             it = t + 1
             gap_due = it % gap_every == 0 or it == T
-            F_next = None
+            F_next = F_reported = None
             if not (gap_due or measuring):
                 continue
+            tic = time.perf_counter()
             points = np.concatenate([X, avg.xbar]) if averaging.size else X
             reported = points[rows]
-            if not gap_due:
-                measures.append(measure(problem, reported))
-                continue
-            tic = time.perf_counter()
-            unmapped = reported
-            F_points = evaluated.mapping(points)
-            unmapped = None
-            F_next = F_points[:C]
-            queue.append((it, reported, F_points[rows]))
+            if gap_due:
+                unmapped = reported
+                F_points = evaluated.mapping(points)
+                unmapped = None
+                F_next, F_reported = F_points[:C], F_points[rows]
+            queue.append((it, reported, F_reported))
             if len(queue) == chunk or it == T:
                 check_queue()
             gap_seconds += time.perf_counter() - tic

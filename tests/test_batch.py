@@ -452,7 +452,7 @@ def _reference_run(problems, configs, measure=None):
 
 
 def _entries(X):
-    return X.reshape(len(X), -1)
+    return X.reshape(*X.shape[:-2], -1)
 
 
 def _game_problems(m, n, seeds, sigmas):
@@ -551,16 +551,35 @@ def test_one_evaluation_per_iteration_equals_the_reference_loop(batch):
             assert result.measures is None
 
 
-@settings(max_examples=25)
-@given(batches(), st.data())
-def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
-    # Injected failures: one cell's noise turns to NaN, the iterates turn
-    # infeasible, or the mapping raises or gives NaN, each from a drawn
-    # iteration or call on, counted afresh in every batch that
-    # split-and-rerun makes. Checking gap iterations in stacked chunks
-    # gives the results of checking each at its own iteration, failures
-    # included, and a failing lone cell runs on to its next check
-    # without a RuntimeWarning.
+def _measured_from(measure, start, poison, seen):
+    """`measure`, poisoned from measured iteration `start` on: it raises,
+    or gives NaN rows, wherever it sees that iteration or a later one.
+    An iteration is numbered by its reported points (all cells'), in
+    the order of first sight in `seen`, so the poison starts at the same
+    iteration however many iterations share a call or are measured
+    again."""
+    def inner(problem, reported):
+        values = measure(problem, reported)
+        if start is None:
+            return values
+        numbers = np.array([
+            seen.setdefault(unit.tobytes(), len(seen) + 1)
+            for unit in reported.reshape(-1, *reported.shape[-3:])
+        ]).reshape(reported.shape[:-3])
+        hit = numbers >= start
+        if not hit.any():
+            return values
+        if poison == "raise":
+            raise NumericalFailure(
+                f"measure poisoned at iteration {numbers[hit].min()}")
+        return np.where(hit[..., None, None], np.nan, values)
+    return inner
+
+
+def _queued_outcomes(batch, data):
+    """Each cell's trace, final-point bytes, error and measure bytes at
+    the default budget, a budget of 1 and a two-unit budget, under
+    injected failures drawn from `data`."""
     kind, problems, configs, measured = batch
     T = configs[0].iterations
     nan_cell = data.draw(st.none() | st.integers(0, len(configs) - 1))
@@ -568,7 +587,9 @@ def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
     doubled_from = data.draw(st.none() | st.integers(0, T))
     poisoned_from = data.draw(st.none() | st.integers(1, 3 * T))
     poison = data.draw(st.sampled_from(("raise", "nan")))
-    calls = [0]
+    measure_from = data.draw(st.none() | st.integers(1, T))
+    measure_poison = data.draw(st.sampled_from(("raise", "nan")))
+    calls, seen = [0], {}
 
     def poisoned(mapping):
         def inner(*args):
@@ -581,18 +602,21 @@ def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
             return np.full_like(F, np.nan)
         return inner
 
+    def entries(problem, reported):
+        return _entries(reported)
+
     if kind == "quadratic":
         problems = [replace(p, mapping=poisoned(p.mapping)) for p in problems]
-        measure = ((lambda problem, reported: _entries(reported))
-                   if measured else None)
-    else:
-        measure = harness.reported_rates if measured else None
+    measure = (_measured_from(
+        entries if kind == "quadratic" else harness.reported_rates,
+        measure_from, measure_poison, seen) if measured else None)
     real_rng, real_cells = np.random.default_rng, solvers._run_cells
     real_game = mimo.game_mapping
     nan_seed = None if nan_cell is None else configs[nan_cell].seed
 
     def run_cells(*args):
         calls[0] = 0
+        seen.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.random, "default_rng", lambda seed=None: (
                 _FailingStream(real_rng(seed), nan_from) if seed == nan_seed
@@ -614,4 +638,31 @@ def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
                 (r.gap_trace, r.final_point.tobytes(), r.error,
                  None if r.measures is None else r.measures.tobytes())
                 for r in solvers.run_batch(problems, configs, measure)])
+    return outcomes
+
+
+@settings(max_examples=25)
+@given(batches(), st.data())
+def test_queued_gap_checks_give_the_per_iteration_results(batch, data):
+    # Injected failures: one cell's noise turns to NaN, the iterates turn
+    # infeasible, the mapping raises or gives NaN, or the measure raises
+    # or gives NaN, each from a drawn iteration or call on, counted
+    # afresh in every batch that split-and-rerun makes. Checking gap
+    # iterations (and measuring every iteration) in stacked chunks gives
+    # the results of checking each at its own iteration, failures
+    # included, and a failing lone cell runs on to its next check
+    # without a RuntimeWarning.
+    outcomes = _queued_outcomes(batch, data)
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@settings(max_examples=20)
+@given(batches().map(lambda batch: (*batch[:3], True)), st.data())
+def test_queued_measures_give_the_per_iteration_results(batch, data):
+    # The same injected failures on batches that measure every
+    # iteration: the measure joins the queue, and its rows, the traces,
+    # the final points and the error texts are those of measuring and
+    # checking each iteration at its own iteration.
+    outcomes = _queued_outcomes(batch, data)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(m is not None for *_, m in outcomes[0])

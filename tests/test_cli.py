@@ -184,8 +184,8 @@ def test_a_failed_batch_warns_once_per_cell_and_exits_2(tmp_path, capsys,
                                                         caplog, monkeypatch):
     # An error from outside the package fails the 2x4 batch; the 2x2
     # batch's rows are still written, and each failed cell's line reaches
-    # stderr once, through the grid's failures: nothing is logged and no
-    # traceback is printed.
+    # stderr once, through the grid's failures, after the one traceback
+    # of the batch's error: nothing is logged.
     real = harness.run_cell
 
     def run_cell(*tasks):
@@ -203,7 +203,7 @@ def test_a_failed_batch_warns_once_per_cell_and_exits_2(tmp_path, capsys,
     assert code == cli.EXIT_NUMERICAL
     assert caplog.records == []
     err = capsys.readouterr().err
-    assert "Traceback" not in err
+    assert err.count("Traceback (most recent call last):") == 1
     failures = [f"{t.label()}: batch failed: RuntimeError: injected"
                 for t in harness.build_tasks(harness.parse_config(str(cfg)))
                 if t.n == 4]
@@ -211,8 +211,8 @@ def test_a_failed_batch_warns_once_per_cell_and_exits_2(tmp_path, capsys,
     lines = err.splitlines()
     for failure in failures:
         assert lines.count(f"warning: {failure}") == 1
-    assert [line for line in lines if "injected" in line] == [
-        f"warning: {failure}" for failure in failures]
+    assert [line for line in lines if "injected" in line][-3:] == [
+        "RuntimeError: injected"] + [f"warning: {f}" for f in failures]
     records = harness.read_csv(out / "results.csv")
     assert {(r.m, r.n) for r in records} == {(2, 2)}
     echo = (out / "config.echo.txt").read_text()

@@ -1,7 +1,9 @@
 """`tools/compare_outputs.py` on one small run: a tree against itself,
-and against a copy whose config echo differs."""
+and against a copy whose config echo and exit code differ; the value
+report of CSVs that differ."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -26,23 +28,63 @@ def test_a_tree_against_itself_and_a_perturbed_copy(tmp_path, capsys):
     tool = _tool()
     names = [case.name for case in tool.cases()]
     assert len(names) == len(set(names)) == 35
-    assert tool.main([str(ROOT), str(ROOT), "--only", "colliding-t1"]) == 0
+    table = tmp_path / "table.json"
+    assert tool.main([str(ROOT), str(ROOT), "--only", "colliding-t1",
+                      "--json", str(table)]) == 0
     out = capsys.readouterr().out
-    files = ["results.csv", "config.echo.txt", "results.svg",
+    files = ["exit code", "results.csv", "config.echo.txt", "results.svg",
              "throughput.csv"]
-    assert _rows(out) == [["colliding-t1", f, "identical"] for f in files]
-    assert out.splitlines()[-1] == "4 of 4 files identical over 1 runs"
+    assert _rows(out) == [
+        ["colliding-t1", *f.split(), "identical"] for f in files]
+    assert out.splitlines()[-1] == (
+        "4 of 4 files identical and 1 of 1 exit codes equal over 1 runs")
+    written = json.loads(table.read_text())
+    assert (written["runs"], written["files"], written["identical"],
+            written["exit_codes_equal"]) == (1, 4, 4, 1)
+    assert [row["file"] for row in written["table"]] == files
 
     copy = tmp_path / "tree"
     shutil.copytree(ROOT / "src", copy / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    harness = copy / "src" / "spectra_svi" / "harness.py"
-    text = harness.read_text()
-    assert text.count("0 (byte-stable output)") == 1
-    harness.write_text(text.replace("0 (byte-stable output)", "0"))
+    package = copy / "src" / "spectra_svi"
+    for name, old, new in (("harness.py", "0 (byte-stable output)", "0"),
+                           ("cli.py", "EXIT_OK = 0", "EXIT_OK = 4")):
+        text = (package / name).read_text()
+        assert text.count(old) == 1
+        (package / name).write_text(text.replace(old, new))
     assert tool.main([str(ROOT), str(copy), "--only", "colliding-t1"]) == 1
-    assert [row[2] for row in _rows(capsys.readouterr().out)] == [
-        "identical", "differs", "identical", "identical"]
+    out = capsys.readouterr().out
+    assert [row[-1] for row in _rows(out)] == [
+        "4", "identical", "differs", "identical", "identical"]
+    assert "differs: 0 -> 4" in out.splitlines()[1]
+    assert out.splitlines()[-1] == (
+        "3 of 4 files identical and 0 of 1 exit codes equal over 1 runs")
+
+
+def test_a_perturbed_csv_reports_how_far_its_values_moved(tmp_path):
+    # The last rate moves by one unit in the last place; a gap row that
+    # moves in another column is only reported as different.
+    tool = _tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    rates = ["method,player,path,iter,R", "am-smd,0,0,1,1.5",
+             "am-smd,1,0,1,0.25", "am-smd,0,0,2,1.7801430840121752"]
+    gaps = ["method,m,n,sigma,lambda,path,iter,gap,elapsed_ms",
+            "am-smd,2,2,1,0,0,5,0.5,0"]
+    for where in (parent, change):
+        where.mkdir()
+        (where / "throughput.csv").write_text("\n".join(rates) + "\n")
+        (where / "results.csv").write_text("\n".join(gaps) + "\n")
+        rates[-1] = "am-smd,0,0,2,1.7801430840121754"
+        gaps[-1] = "am-smd,2,2,1,0,0,6,0.5,0"
+    [throughput, results] = tool.compare(parent, change,
+                                         ["throughput.csv", "results.csv"])
+    assert throughput == ("differs: max |dR| 2.22e-16 abs, 1.25e-16 rel, "
+                          "1 of 3 values moved")
+    assert results == "differs"
+    diff = tool.value_diff(parent / "throughput.csv",
+                           change / "throughput.csv")
+    assert diff["max_abs"] == 1.7801430840121754 - 1.7801430840121752
+    assert diff["moved"] == 1 and diff["of"] == 3
 
 
 def test_a_missing_output_is_a_difference(tmp_path):

@@ -212,6 +212,49 @@ def test_run_grid_process_pool_matches_sequential():
     assert seq.records == par.records
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+def test_a_batch_error_from_outside_the_package_prints_its_traceback(
+        threads, tmp_path, capfd, monkeypatch):
+    # A bug in the run path fails its batch as before, and its stack
+    # reaches stderr once, from the process that ran the batch; the
+    # failure lines, the echo and the CSVs hold no trace of it. A
+    # package error, or a warning that the warnings filter made an
+    # error, prints none.
+    config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10,
+                           gap_every=5)
+    real = harness.run_cell
+
+    def run_cell(*tasks):
+        if tasks[0].n == 4:
+            raise RuntimeError("injected")
+        return real(*tasks)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+    grid = run_grid(config, threads=threads)
+    err = capfd.readouterr().err
+    bad = [t for t in build_tasks(config) if t.n == 4]
+    assert grid.failures == [
+        f"{t.label()}: batch failed: RuntimeError: injected" for t in bad]
+    assert err.count("Traceback (most recent call last):") == 1
+    assert "in run_cell" in err
+    assert err.endswith("RuntimeError: injected\n")
+    paths = write_outputs(grid, config, str(tmp_path), "results")
+    assert read_csv(paths["csv"]) == grid.records
+    assert {(r.m, r.n) for r in grid.records} == {(2, 2)}
+    echo = (tmp_path / "config.echo.txt").read_text()
+    assert echo.split("[failures]\n", 1)[1].splitlines() == grid.failures
+    assert "Traceback" not in echo
+
+    for error in (ConfigError("injected"), RuntimeWarning("injected")):
+        def expected_error(*tasks, error=error):
+            raise error
+
+        monkeypatch.setattr(harness, "run_cell", expected_error)
+        grid = run_grid(config, threads=threads)
+        assert "Traceback" not in capfd.readouterr().err
+        assert len(grid.failures) == len(build_tasks(config))
+
+
 def test_run_grid_keeps_other_batches_when_one_raises(tmp_path, monkeypatch):
     config = _small_config(antenna_pairs=((2, 2), (2, 4)), iterations=10,
                            gap_every=5)

@@ -28,6 +28,7 @@ from spectra_svi.solvers import (
     horizon_stepsize,
     update_average,
 )
+from test_batch import _measured_from
 from test_stacked import _doubling_after
 
 
@@ -362,8 +363,9 @@ def test_a_measure_leaves_the_game_evaluations_as_they_are(measure,
 
 
 def _count_game_rows(monkeypatch):
-    """Record the rows of every game mapping and the shape of every
-    rates call that the solver loop and the harness measure make."""
+    """Record the rows of every game mapping and, in order, the shape
+    of every reported row (one iteration's cells) that the harness
+    measure's rates calls see, however many iterations share a call."""
     calls, rates = [], []
     real_mapping, real_throughput = mimo.game_mapping, harness.throughput
 
@@ -373,7 +375,7 @@ def _count_game_rows(monkeypatch):
 
     def throughput(channels, X, i=None):
         assert not np.iscomplexobj(X)
-        rates.append(X.shape)
+        rates.extend([X.shape[-3:]] * (X.size // np.prod(X.shape[-3:])))
         return real_throughput(channels, X, i)
 
     monkeypatch.setattr(mimo, "game_mapping", mapping)
@@ -437,6 +439,36 @@ def test_a_gap_under_the_floor_fails_its_cell(budget, monkeypatch):
 
 @pytest.mark.parametrize("budget", (1, solvers.GAP_CHUNK_ENTRIES),
                          ids=("one-unit", "default"))
+def test_a_gap_under_the_floor_keeps_the_measures_before_it(budget,
+                                                            monkeypatch):
+    # As above, with the rates measured at every iteration: the failing
+    # cell keeps the rows of iterations 1-5 (iteration 6 fails at its
+    # floor test, after its measure), and the other cells keep all 12.
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+    problems = _game_cells()
+    configs = [SolverConfig(method, 12, StepSchedule.harmonic_sqrt(),
+                            gap_every=2, seed=seed)
+               for method, seed in ((Method.AM_SMD, 1), (Method.M_SMD, 2),
+                                    (Method.MEL, 3))]
+    clean = run_batch(problems, configs, harness.reported_rates)
+    lone = run(problems[1], replace(configs[1], iterations=6))
+    target = to_coordinates(lone.final_point)
+    real = solvers.strong_gap
+
+    def lowered(problem, x, F=None):
+        return real(problem, x, F) - np.all(x == target, axis=(-2, -1))
+
+    monkeypatch.setattr(solvers, "strong_gap", lowered)
+    results = run_batch(problems, configs, harness.reported_rates)
+    assert results[1].error.endswith("below feasible floor at iteration 6")
+    assert results[1].measures.tobytes() == clean[1].measures[:5].tobytes()
+    for c in (0, 2):
+        assert results[c].error is None
+        assert results[c].measures.tobytes() == clean[c].measures.tobytes()
+
+
+@pytest.mark.parametrize("budget", (1, solvers.GAP_CHUNK_ENTRIES),
+                         ids=("one-unit", "default"))
 @pytest.mark.parametrize("infeasible", (False, True),
                          ids=("feasible", "infeasible"))
 def test_a_gap_iteration_whose_mapping_fails_is_checked_first(
@@ -475,6 +507,70 @@ def test_a_gap_iteration_whose_mapping_fails_is_checked_first(
         assert result.final_point.tobytes() == X_6.tobytes()
 
 
+def _entries(problem, reported):
+    return reported.reshape(*reported.shape[:-2], -1)
+
+
+@pytest.mark.parametrize("budget", (1, solvers.GAP_CHUNK_ENTRIES),
+                         ids=("one-unit", "default"))
+@pytest.mark.parametrize("infeasible", (False, True),
+                         ids=("feasible", "infeasible"))
+def test_a_gap_iteration_whose_measure_fails_is_checked_first(
+        budget, infeasible, monkeypatch):
+    # As above, with the mapping intact and a measure that raises from
+    # iteration 6 on. Gap iteration 6 is checked for feasibility before
+    # it is measured: a feasible X_6 becomes the final point and the
+    # measure's error stands; X_6 doubled (X_5 on) fails the check.
+    # Either way the cell keeps the gap at 3 and the rows of 1-5.
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+    base = _quadratic(seed=16, sigma=0.5)
+
+    def config(T):
+        return SolverConfig(Method.M_SMD, T, StepSchedule.harmonic_sqrt(),
+                            gap_every=3, seed=6)
+
+    X_3, X_6 = (run(base, config(T)).final_point for T in (3, 6))
+    [clean] = run_batch([base], [config(12)], _entries)
+    if infeasible:
+        _doubling_after(5, monkeypatch)
+    [result] = run_batch([base], [config(12)],
+                         _measured_from(_entries, 6, "raise", {}))
+    assert result.gap_trace == clean.gap_trace[:1]
+    assert result.measures[:4].tobytes() == clean.measures[:4].tobytes()
+    assert len(result.measures) == 5
+    if infeasible:
+        assert result.error == "block 0 trace 2 != bound 1"
+        assert result.final_point.tobytes() == X_3.tobytes()
+    else:
+        assert result.error == "measure poisoned at iteration 6"
+        assert result.final_point.tobytes() == X_6.tobytes()
+
+
+@pytest.mark.parametrize("budget, calls", ((1, 20), (2 * 7 * 4 * 3, 7),
+                                           (solvers.GAP_CHUNK_ENTRIES, 1)))
+def test_queued_iterations_share_one_rates_call(budget, calls, monkeypatch):
+    # Two 2x2 cells take 2 * 7 * 4 coordinates per iteration: a budget of
+    # three iterations measures T = 20 in 6 calls of 3 and one of 2, and
+    # the default budget in one call, with the rates of one call per
+    # iteration bit for bit.
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", 1)
+    reference = [r.measures for r in run_batch(*_mixed_batch(gap_every=5),
+                                               harness.reported_rates)]
+    monkeypatch.setattr(solvers, "GAP_CHUNK_ENTRIES", budget)
+    seen = []
+    real = harness.throughput
+
+    def throughput(channels, X, i=None):
+        seen.append(len(X))
+        return real(channels, X, i)
+
+    monkeypatch.setattr(harness, "throughput", throughput)
+    results = run_batch(*_mixed_batch(gap_every=5), harness.reported_rates)
+    assert len(seen) == calls and sum(seen) == 20
+    assert [r.measures.tobytes() for r in results] == [
+        m.tobytes() for m in reference]
+
+
 def test_averaged_trajectory_moves_less_than_iterates():
     # Late in a noisy run the average moves O(1/t) per step while the raw
     # iterate keeps jumping O(eta * sigma). AM-SMD and M-SMD with one
@@ -484,12 +580,9 @@ def test_averaged_trajectory_moves_less_than_iterates():
     base = dict(iterations=300, schedule=StepSchedule.horizon(),
                 gap_every=300, seed=0)
 
-    def entries(problem, reported):
-        return reported.reshape(len(reported), -1)
-
     averaged, raw = (r.measures for r in run_batch(
         [prob, prob], [SolverConfig(Method.AM_SMD, **base),
-                       SolverConfig(Method.M_SMD, **base)], entries))
+                       SolverConfig(Method.M_SMD, **base)], _entries))
 
     def max_step(seq):
         return max(np.linalg.norm(seq[t + 1] - seq[t])

@@ -636,6 +636,36 @@ def test_throughput_of_stacked_profiles_matches_one_at_a_time(topo):
         assert np.array_equal(got, mimo.throughput(ch, X))
 
 
+@pytest.mark.parametrize("m, n", ((2, 2), (4, 4), (2, 4), (4, 2)))
+def test_stacked_rates_equal_their_unit_calls(m, n):
+    # The solver measures K queued iterations of C cells at once, on a
+    # (K, C, N, m^2) array. With the cells' draws out of layout order,
+    # `ChannelSet.received` gathers and scatters them by index arrays
+    # along the cell axis, and each iteration's rates are those of its
+    # own call bit for bit, through `mimo.throughput` and the harness
+    # measure alike.
+    topo = mimo.canonical_topology(m, n)
+    draws = [mimo.sample_channels(topo, np.random.default_rng(60 + s))
+             for s in range(3)]
+    order = [2, 0, 1, 1, 0]
+    stacked = mimo.ChannelSet.stack([draws[d] for d in order])
+    take, put, _ = stacked._layout
+    assert isinstance(take, np.ndarray) and isinstance(put, np.ndarray)
+    rng = np.random.default_rng(61)
+    K = 4
+    x = to_coordinates(np.stack([
+        [pb.random_feasible_profile(topo.constraint_set(), rng)
+         for _ in order] for _ in range(K)]))
+    rates = mimo.throughput(stacked, x)
+    assert rates.shape == (K, len(order), topo.users)
+    for k in range(K):
+        assert rates[k].tobytes() == mimo.throughput(stacked,
+                                                     x[k]).tobytes()
+    problem = pb.stack_problems([mimo.game_to_svi(topo, draws[d], 1.0)
+                                 for d in order])
+    assert harness.reported_rates(problem, x).tobytes() == rates.tobytes()
+
+
 def test_game_mapping_with_unequal_antenna_counts():
     # Stacking zero-pads the channels; the result must match the
     # unpadded per-block computation to rounding.

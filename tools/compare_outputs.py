@@ -11,20 +11,29 @@ Each run is `spectra_svi.cli run` in a fresh process on one tree's own
 * a config with the settings of `tests/test_batch.py::COLLIDING`, whose
   cells share their throughput keys, at threads 1 and 2.
 
-It compares each run's gap CSV, `throughput.csv` (where the run records
-throughput), `config.echo.txt` and SVG byte for byte and prints one
-table row per run and file. It exits 1 when any file differs or is
-missing from either tree's outputs, and 0 when all are identical.
+It compares each run's exit code, and its gap CSV, `throughput.csv`
+(where the run records throughput), `config.echo.txt` and SVG byte for
+byte, and prints one table row per run and file. Where a gap CSV or
+`throughput.csv` differs but holds the same rows in all other columns,
+the row gives the largest |dgap| or |dR|, absolute and relative to the
+parent's value, and how many values moved. It exits 1 when any exit
+code or file differs or a file is missing from either tree's outputs,
+and 0 when all are identical.
 
 Usage: python tools/compare_outputs.py PARENT CHANGE [--only TEXT]
+       [--json PATH]
 (PARENT and CHANGE are source trees, each with a `src/spectra_svi`;
---only keeps the runs whose name contains TEXT.)
+--only keeps the runs whose name contains TEXT; --json writes the table
+to PATH.)
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -111,9 +120,10 @@ def cases() -> list[Case]:
     return out
 
 
-def run_case(tree: Path, case: Case, out: Path) -> None:
+def run_case(tree: Path, case: Case, out: Path) -> int:
     """`spectra-svi run` of `case` on the tree's own `src`, writing to
-    `out`; a run whose cells fail still writes its outputs."""
+    `out`, and its exit code; a run whose cells fail still writes its
+    outputs."""
     out.mkdir(parents=True)
     if case.ini is None:
         source = ["--preset", case.preset]
@@ -124,13 +134,58 @@ def run_case(tree: Path, case: Case, out: Path) -> None:
     env = {k: v for k, v in os.environ.items() if k != "SPECTRA_SVI_SEED"}
     env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-m", "spectra_svi.cli", "run", *source,
-                    "--out", str(out), "--threads", str(case.threads)],
-                   env=env, capture_output=True, check=False)
+    return subprocess.run(
+        [sys.executable, "-m", "spectra_svi.cli", "run", *source,
+         "--out", str(out), "--threads", str(case.threads)],
+        env=env, capture_output=True, check=False).returncode
+
+
+def value_diff(parent: Path, change: Path) -> dict | None:
+    """How the values of two CSVs differ, the gap column of a gap CSV or
+    the rate column R of a throughput CSV: the largest absolute and
+    relative (to the parent's value) difference and the number of
+    values whose text moved; None when the files differ in any other
+    column or in their rows."""
+    tables = []
+    for path in (parent, change):
+        with open(path, newline="", encoding="ascii") as f:
+            tables.append(list(csv.reader(f)))
+    (head, *rows), (other_head, *other_rows) = tables
+    column = "R" if head[-1] == "R" else "gap"
+    if head != other_head or column not in head or len(rows) != len(
+            other_rows):
+        return None
+    k = head.index(column)
+    diff = {"value": column, "max_abs": 0.0, "max_rel": 0.0, "moved": 0,
+            "of": len(rows)}
+    for row, other in zip(rows, other_rows):
+        if row[:k] + row[k + 1:] != other[:k] + other[k + 1:]:
+            return None
+        if row[k] == other[k]:
+            continue
+        a, b = float(row[k]), float(other[k])
+        d = abs(b - a)
+        rel = d / abs(a) if a else d and math.inf
+        if math.isnan(d + rel):  # NaN on one side moved without bound
+            d = rel = math.inf
+        diff["moved"] += 1
+        diff["max_abs"] = max(diff["max_abs"], d)
+        diff["max_rel"] = max(diff["max_rel"], rel)
+    return diff
+
+
+def _differs(parent: Path, change: Path) -> str:
+    diff = value_diff(parent, change) if parent.suffix == ".csv" else None
+    if diff is None:
+        return "differs"
+    return (f"differs: max |d{diff['value']}| {diff['max_abs']:.3g} abs, "
+            f"{diff['max_rel']:.3g} rel, {diff['moved']} of {diff['of']} "
+            "values moved")
 
 
 def compare(parent: Path, change: Path, files: list[str]) -> list[str]:
-    """Per file: identical, differs, or missing from a tree's outputs."""
+    """Per file: identical, differs (with `value_diff`'s numbers for a
+    CSV whose other columns agree), or missing from a tree's outputs."""
     results = []
     for name in files:
         missing = [tree for tree, where in zip(TREES, (parent, change))
@@ -140,7 +195,7 @@ def compare(parent: Path, change: Path, files: list[str]) -> list[str]:
         elif (parent / name).read_bytes() == (change / name).read_bytes():
             results.append("identical")
         else:
-            results.append("differs")
+            results.append(_differs(parent / name, change / name))
     return results
 
 
@@ -150,28 +205,40 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--only", default="", metavar="TEXT",
                         help="keep the runs whose name contains TEXT")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="write the table to PATH as JSON")
     args = parser.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
     selected = [c for c in cases() if args.only in c.name]
     if not selected:
         parser.error(f"no run name contains {args.only!r}")
     width = max(len(c.name) for c in selected)
-    bad = total = 0
+    table = []
     with tempfile.TemporaryDirectory() as work:
         print(f"{'run':<{width}}  {'file':<16}  result", flush=True)
         for case in selected:
             outs = [Path(work) / tree / case.name for tree in TREES]
-            for tree, out in zip(trees, outs):
-                run_case(tree, case, out)
-            for name, result in zip(case.files(),
-                                    compare(*outs, case.files())):
-                total += 1
-                bad += result != "identical"
+            codes = [run_case(tree, case, out)
+                     for tree, out in zip(trees, outs)]
+            rows = [("exit code", "identical" if codes[0] == codes[1]
+                     else f"differs: {codes[0]} -> {codes[1]}")]
+            rows += zip(case.files(), compare(*outs, case.files()))
+            for name, result in rows:
+                table.append({"run": case.name, "file": name,
+                              "result": result})
                 print(f"{case.name:<{width}}  {name:<16}  {result}",
                       flush=True)
-    print(f"{total - bad} of {total} files identical over {len(selected)} "
-          "runs")
-    return 1 if bad else 0
+    files = [row for row in table if row["file"] != "exit code"]
+    same = sum(row["result"] == "identical" for row in files)
+    codes = sum(row["result"] == "identical" for row in table) - same
+    print(f"{same} of {len(files)} files identical and {codes} of "
+          f"{len(selected)} exit codes equal over {len(selected)} runs")
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"parent": str(trees[0]), "change": str(trees[1]),
+             "runs": len(selected), "files": len(files), "identical": same,
+             "exit_codes_equal": codes, "table": table}, indent=1) + "\n")
+    return 0 if same == len(files) and codes == len(selected) else 1
 
 
 if __name__ == "__main__":
