@@ -313,8 +313,9 @@ def run_batch(problems: Sequence[SviProblem],
     (`problem.stack_problems`) and the Hermitian coordinates of their
     reported points at K >= 1 queued iterations, a real (K, C, N, D^2)
     array (see `linalg.to_coordinates`), and returns the measured
-    values, one row per iteration and cell; row t - 1 of each cell's
-    `measures` is its value at iteration t. The game is evaluated
+    values, one row per iteration and cell (any other leading shape
+    raises ValueError); row t - 1 of each cell's `measures` is its
+    value at iteration t. The game is evaluated
     as it is without a measure. A measure that raises a package error
     fails its cell like any other, before that iteration's gap is
     recorded.
@@ -450,6 +451,9 @@ def _run_cells(problems: Sequence[SviProblem],
             assert_feasible(points, cset)
             final = reported[due[-1]]
         values = measure(problem, stacked) if measuring else ()
+        if measuring and np.shape(values)[:2] != (len(units), C):
+            raise ValueError(f"a measure of {len(units)} iterations of {C} "
+                             f"cells returned shape {np.shape(values)}")
         if due:
             gaps = strong_gap(problem, points,
                               np.stack([F_reported[k] for k in due]))

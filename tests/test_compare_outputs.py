@@ -1,14 +1,15 @@
 """`tools/compare_outputs.py` on one small run: a tree against itself,
-and against a copy whose config echo and exit code differ; the value
-report of CSVs that differ."""
+against a copy whose config echo alone differs and against a copy whose
+exit code alone differs; the value report of CSVs that differ."""
 
 import importlib.util
-import json
 import shutil
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FILES = ["exit code", "results.csv", "config.echo.txt", "results.svg",
+         "throughput.csv"]
 
 
 def _tool():
@@ -24,41 +25,51 @@ def _rows(out):
     return [line.split() for line in out.splitlines()[1:-1]]
 
 
+def _perturbed(where, name, old, new):
+    """A copy of the package's source at `where` with `old` replaced by
+    `new` in module `name`."""
+    shutil.copytree(ROOT / "src", where / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = where / "src" / "spectra_svi" / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return where
+
+
 def test_a_tree_against_itself_and_a_perturbed_copy(tmp_path, capsys):
     tool = _tool()
     names = [case.name for case in tool.cases()]
     assert len(names) == len(set(names)) == 35
-    table = tmp_path / "table.json"
-    assert tool.main([str(ROOT), str(ROOT), "--only", "colliding-t1",
-                      "--json", str(table)]) == 0
+    assert tool.main([str(ROOT), str(ROOT), "--only", "colliding-t1"]) == 0
     out = capsys.readouterr().out
-    files = ["exit code", "results.csv", "config.echo.txt", "results.svg",
-             "throughput.csv"]
     assert _rows(out) == [
-        ["colliding-t1", *f.split(), "identical"] for f in files]
+        ["colliding-t1", *f.split(), "identical"] for f in FILES]
     assert out.splitlines()[-1] == (
         "4 of 4 files identical and 1 of 1 exit codes equal over 1 runs")
-    written = json.loads(table.read_text())
-    assert (written["runs"], written["files"], written["identical"],
-            written["exit_codes_equal"]) == (1, 4, 4, 1)
-    assert [row["file"] for row in written["table"]] == files
 
-    copy = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", copy / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    package = copy / "src" / "spectra_svi"
-    for name, old, new in (("harness.py", "0 (byte-stable output)", "0"),
-                           ("cli.py", "EXIT_OK = 0", "EXIT_OK = 4")):
-        text = (package / name).read_text()
-        assert text.count(old) == 1
-        (package / name).write_text(text.replace(old, new))
-    assert tool.main([str(ROOT), str(copy), "--only", "colliding-t1"]) == 1
+    # A copy whose config echo alone differs: the tool exits 1.
+    echo = _perturbed(tmp_path / "echo", "harness.py",
+                      "0 (byte-stable output)", "0")
+    assert tool.main([str(ROOT), str(echo), "--only", "colliding-t1"]) == 1
     out = capsys.readouterr().out
     assert [row[-1] for row in _rows(out)] == [
-        "4", "identical", "differs", "identical", "identical"]
+        "identical", "identical", "differs", "identical", "identical"]
+    assert out.splitlines()[-1] == (
+        "3 of 4 files identical and 1 of 1 exit codes equal over 1 runs")
+
+
+def test_a_differing_exit_code_alone_is_a_difference(tmp_path, capsys):
+    tool = _tool()
+    code = _perturbed(tmp_path / "code", "cli.py", "EXIT_OK = 0",
+                      "EXIT_OK = 4")
+    assert tool.main([str(ROOT), str(code), "--only", "colliding-t1"]) == 1
+    out = capsys.readouterr().out
+    assert [row[-1] for row in _rows(out)] == [
+        "4", "identical", "identical", "identical", "identical"]
     assert "differs: 0 -> 4" in out.splitlines()[1]
     assert out.splitlines()[-1] == (
-        "3 of 4 files identical and 0 of 1 exit codes equal over 1 runs")
+        "4 of 4 files identical and 0 of 1 exit codes equal over 1 runs")
 
 
 def test_a_perturbed_csv_reports_how_far_its_values_moved(tmp_path):

@@ -266,6 +266,20 @@ def test_run_without_measure_has_no_measures():
     assert result.measures is None
 
 
+@pytest.mark.parametrize("cells", (1, 3))
+def test_a_measure_of_one_iteration_per_call_is_rejected(cells):
+    # A measure written for (C, N, D^2) points returns one row per cell
+    # from a (K, C, N, D^2) stack; the batch raises rather than keeping
+    # its rows as rows of iterations.
+    def per_cell(problem, reported):
+        return reported.reshape(len(reported), -1)
+
+    configs = [SolverConfig(Method.M_SMD, 4, StepSchedule.harmonic(),
+                            gap_every=2, seed=s) for s in range(cells)]
+    with pytest.raises(ValueError, match=r"returned shape \(\d+, \d+\)"):
+        run_batch(_game_cells()[:cells], configs, per_cell)
+
+
 def test_run_trace_cap_problem_stays_feasible():
     prob = _quadratic(seed=13, mode=TraceMode.AT_MOST)
     cfg = SolverConfig(Method.AM_SMD, iterations=300,

@@ -21,10 +21,8 @@ code or file differs or a file is missing from either tree's outputs,
 and 0 when all are identical.
 
 Usage: python tools/compare_outputs.py PARENT CHANGE [--only TEXT]
-       [--json PATH]
 (PARENT and CHANGE are source trees, each with a `src/spectra_svi`;
---only keeps the runs whose name contains TEXT; --json writes the table
-to PATH.)
+--only keeps the runs whose name contains TEXT.)
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.util
-import json
 import math
 import os
 import re
@@ -205,15 +202,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--only", default="", metavar="TEXT",
                         help="keep the runs whose name contains TEXT")
-    parser.add_argument("--json", type=Path, metavar="PATH",
-                        help="write the table to PATH as JSON")
     args = parser.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
     selected = [c for c in cases() if args.only in c.name]
     if not selected:
         parser.error(f"no run name contains {args.only!r}")
     width = max(len(c.name) for c in selected)
-    table = []
+    same = files = equal = 0
     with tempfile.TemporaryDirectory() as work:
         print(f"{'run':<{width}}  {'file':<16}  result", flush=True)
         for case in selected:
@@ -223,22 +218,15 @@ def main(argv: list[str] | None = None) -> int:
             rows = [("exit code", "identical" if codes[0] == codes[1]
                      else f"differs: {codes[0]} -> {codes[1]}")]
             rows += zip(case.files(), compare(*outs, case.files()))
+            equal += codes[0] == codes[1]
+            files += len(rows) - 1
+            same += sum(result == "identical" for _, result in rows[1:])
             for name, result in rows:
-                table.append({"run": case.name, "file": name,
-                              "result": result})
                 print(f"{case.name:<{width}}  {name:<16}  {result}",
                       flush=True)
-    files = [row for row in table if row["file"] != "exit code"]
-    same = sum(row["result"] == "identical" for row in files)
-    codes = sum(row["result"] == "identical" for row in table) - same
-    print(f"{same} of {len(files)} files identical and {codes} of "
+    print(f"{same} of {files} files identical and {equal} of "
           f"{len(selected)} exit codes equal over {len(selected)} runs")
-    if args.json:
-        args.json.write_text(json.dumps(
-            {"parent": str(trees[0]), "change": str(trees[1]),
-             "runs": len(selected), "files": len(files), "identical": same,
-             "exit_codes_equal": codes, "table": table}, indent=1) + "\n")
-    return 0 if same == len(files) and codes == len(selected) else 1
+    return 0 if same == files and equal == len(selected) else 1
 
 
 if __name__ == "__main__":
